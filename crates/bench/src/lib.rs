@@ -151,8 +151,14 @@ pub fn json_number_fields(src: &str) -> Vec<(String, f64)> {
     out
 }
 
-/// Validates a `BENCH_campaign.json` document: non-empty, and every
-/// required key present with a finite, non-negative value.
+/// Fewest worker threads the `parallel` side of `BENCH_campaign.json`
+/// may be measured at: a parallel speed-up measured on one thread is
+/// noise, not a result.
+pub const CAMPAIGN_MIN_PARALLEL_THREADS: usize = 2;
+
+/// Validates a `BENCH_campaign.json` document: non-empty, every
+/// required key present with a finite, non-negative value, and the
+/// `parallel` side measured at [`CAMPAIGN_MIN_PARALLEL_THREADS`] or more.
 ///
 /// # Errors
 ///
@@ -186,7 +192,22 @@ pub fn validate_campaign_json(src: &str) -> Result<(), String> {
             }
         }
     }
-    Ok(())
+    // The first "threads" after the "parallel" key is that side's.
+    let parallel_threads = src
+        .find("\"parallel\"")
+        .and_then(|at| {
+            json_number_fields(&src[at..])
+                .into_iter()
+                .find(|(k, _)| k == "threads")
+        })
+        .map(|(_, v)| v);
+    match parallel_threads {
+        None => Err("missing the \"parallel\" side's \"threads\"".to_owned()),
+        Some(t) if t < CAMPAIGN_MIN_PARALLEL_THREADS as f64 => Err(format!(
+            "parallel side measured at {t} thread(s); a speed-up needs at least {CAMPAIGN_MIN_PARALLEL_THREADS}"
+        )),
+        Some(_) => Ok(()),
+    }
 }
 
 /// One node-count row of the city-scale benchmark.
@@ -447,6 +468,20 @@ mod tests {
         let json = campaign_json(&sample_measurement());
         let truncated = &json[..json.len() / 2];
         assert!(validate_campaign_json(truncated).is_err());
+    }
+
+    #[test]
+    fn validator_rejects_a_parallel_side_below_two_threads() {
+        let mut m = sample_measurement();
+        m.parallel.threads = 1;
+        let err = validate_campaign_json(&campaign_json(&m)).unwrap_err();
+        assert!(err.contains("parallel side measured at 1 thread"), "{err}");
+        // The serial side is one thread by definition.
+        m.parallel.threads = 2;
+        assert!(validate_campaign_json(&campaign_json(&m)).is_ok());
+        // A document without a parallel side is rejected too.
+        let serial_only = campaign_json(&m).replace("\"parallel\"", "\"other\"");
+        assert!(validate_campaign_json(&serial_only).is_err());
     }
 
     #[test]

@@ -40,8 +40,11 @@ pub struct Table2 {
     pub interval_4_5: Vec<f64>,
     /// Per-run total delays, ms.
     pub total: Vec<f64>,
-    /// The raw run records.
+    /// The records of the runs in the rows, in seed order.
     pub records: Vec<RunRecord>,
+    /// Runs that lack any of the four intervals (a missed detection,
+    /// say) and so are left out of the rows.
+    pub incomplete: usize,
 }
 
 impl Table2 {
@@ -49,7 +52,12 @@ impl Table2 {
     pub fn render(&self) -> String {
         let row = |name: &str, xs: &[f64]| {
             let cells: Vec<String> = xs.iter().map(|x| format!("{x:>5.0}")).collect();
-            format!("{name:<42} {} | avg {:>6.1} ms", cells.join(" "), mean(xs))
+            let avg = if xs.is_empty() {
+                "n/a".to_owned()
+            } else {
+                format!("{:.1}", mean(xs))
+            };
+            format!("{name:<42} {} | avg {avg:>6} ms", cells.join(" "))
         };
         let mut out = String::new();
         out.push_str("TABLE II: Time interval measurements\n");
@@ -70,19 +78,27 @@ impl Table2 {
         out.push('\n');
         out.push_str(&row("Total Delay", &self.total));
         out.push('\n');
+        out.push_str(&incomplete_note(self.incomplete));
         out
+    }
+}
+
+/// The line a table's rendering ends with when some runs did not
+/// complete; empty when all did, so complete tables render unchanged.
+fn incomplete_note(incomplete: usize) -> String {
+    if incomplete == 0 {
+        String::new()
+    } else {
+        format!("({incomplete} incomplete run(s) left out)\n")
     }
 }
 
 /// Runs `runs` collision-avoidance scenarios on `exec` and extracts
 /// Table II. Run `i` uses seed `base.seed + i` and the per-run rows are
 /// extracted in seed order, so the table is bitwise identical for every
-/// executor — serial, threaded, or sharded.
-///
-/// # Panics
-///
-/// Panics if a run fails to complete the pipeline (should not happen at
-/// lab scale with default configuration).
+/// executor — serial, threaded, or sharded. A run that lacks any of the
+/// four intervals (the camera never detects the pedestrian, say) is
+/// left out of the rows and counted in [`Table2::incomplete`].
 pub fn table2(exec: &impl Executor, base: &ScenarioConfig, runs: usize) -> Table2 {
     let records = CampaignSpec::new(base.clone(), runs).execute(exec);
     let mut t = Table2 {
@@ -91,17 +107,22 @@ pub fn table2(exec: &impl Executor, base: &ScenarioConfig, runs: usize) -> Table
         interval_4_5: Vec::with_capacity(runs),
         total: Vec::with_capacity(runs),
         records: Vec::with_capacity(runs),
+        incomplete: 0,
     };
-    for (i, record) in records.into_iter().enumerate() {
-        assert!(record.completed(), "run {i} did not complete");
-        t.interval_2_3
-            .push(record.interval_2_3_ms().expect("completed") as f64);
-        t.interval_3_4
-            .push(record.interval_3_4_ms().expect("completed") as f64);
-        t.interval_4_5
-            .push(record.interval_4_5_ms().expect("completed") as f64);
-        t.total
-            .push(record.total_delay_ms().expect("completed") as f64);
+    for record in records {
+        let (Some(i23), Some(i34), Some(i45), Some(total)) = (
+            record.interval_2_3_ms(),
+            record.interval_3_4_ms(),
+            record.interval_4_5_ms(),
+            record.total_delay_ms(),
+        ) else {
+            t.incomplete += 1;
+            continue;
+        };
+        t.interval_2_3.push(i23 as f64);
+        t.interval_3_4.push(i34 as f64);
+        t.interval_4_5.push(i45 as f64);
+        t.total.push(total as f64);
         t.records.push(record);
     }
     t
@@ -145,17 +166,28 @@ pub fn fig11(exec: &impl Executor, base: &ScenarioConfig, runs: usize) -> Fig11 
 /// Result of the Table III experiment.
 #[derive(Debug, Clone)]
 pub struct Table3 {
-    /// Per-run braking distance (detection to halt), m.
+    /// Per-run braking distance (detection to halt), m, in seed order.
     pub braking_m: Vec<f64>,
+    /// Runs without a braking distance (no detection, or no halt), left
+    /// out of `braking_m`.
+    pub incomplete: usize,
 }
 
 impl Table3 {
     /// Mean braking distance, m.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no run completed (`braking_m` is empty).
     pub fn mean(&self) -> f64 {
         mean(&self.braking_m)
     }
 
     /// Population variance.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no run completed (`braking_m` is empty).
     pub fn variance(&self) -> f64 {
         variance(&self.braking_m)
     }
@@ -163,11 +195,15 @@ impl Table3 {
     /// Renders the table in the paper's layout.
     pub fn render(&self) -> String {
         let cells: Vec<String> = self.braking_m.iter().map(|x| format!("{x:.2}")).collect();
+        let summary = if self.braking_m.is_empty() {
+            "avg n/a".to_owned()
+        } else {
+            format!("avg {:.2} m, variance {:.4}", self.mean(), self.variance())
+        };
         format!(
-            "TABLE III: Distance travelled from detection to halt\nBraking Dist. (m): {}\navg {:.2} m, variance {:.4}\n",
+            "TABLE III: Distance travelled from detection to halt\nBraking Dist. (m): {}\n{summary}\n{}",
             cells.join("  "),
-            self.mean(),
-            self.variance()
+            incomplete_note(self.incomplete)
         )
     }
 }
@@ -175,18 +211,19 @@ impl Table3 {
 /// Runs `runs` scenarios on `exec` and collects braking distances. Run
 /// `i` keeps its historical seed `base.seed + 1000 + i`
 /// ([`crate::campaign::SeedSchedule::Offset`]), so the table matches the
-/// pre-redesign serial campaign bit for bit.
-///
-/// # Panics
-///
-/// Panics if a run fails to complete.
+/// pre-redesign serial campaign bit for bit. A run without a braking
+/// distance (no detection, or no halt) is left out of the row and
+/// counted in [`Table3::incomplete`].
 pub fn table3(exec: &impl Executor, base: &ScenarioConfig, runs: usize) -> Table3 {
     let records = CampaignSpec::with_seed_offset(base.clone(), 1000, runs).execute(exec);
-    let braking = records
+    let braking_m: Vec<f64> = records
         .iter()
-        .map(|r| r.braking_distance_m().expect("completed run"))
+        .filter_map(RunRecord::braking_distance_m)
         .collect();
-    Table3 { braking_m: braking }
+    Table3 {
+        incomplete: records.len() - braking_m.len(),
+        braking_m,
+    }
 }
 
 /// Result of the Figure 10 experiment: the detection-to-stop period as

@@ -63,11 +63,18 @@ impl Track {
         &self.points
     }
 
+    /// The polyline's segments as `(start, end)` pairs, in order.
+    fn segments(&self) -> impl Iterator<Item = ((f64, f64), (f64, f64))> + '_ {
+        self.points
+            .iter()
+            .copied()
+            .zip(self.points.iter().copied().skip(1))
+    }
+
     /// Distance from an arbitrary point to the nearest track segment.
     pub fn distance_to(&self, x: f64, y: f64) -> f64 {
-        self.points
-            .windows(2)
-            .map(|w| segment_distance(w[0], w[1], (x, y)))
+        self.segments()
+            .map(|(a, b)| segment_distance(a, b, (x, y)))
             .fold(f64::INFINITY, f64::min)
     }
 
@@ -86,8 +93,8 @@ impl Track {
     /// Nearest point on the polyline to `(x, y)`.
     pub fn nearest_point(&self, x: f64, y: f64) -> (f64, f64) {
         let mut best = (f64::INFINITY, self.points[0]);
-        for w in self.points.windows(2) {
-            let p = segment_closest(w[0], w[1], (x, y));
+        for (a, b) in self.segments() {
+            let p = segment_closest(a, b, (x, y));
             let d = ((p.0 - x).powi(2) + (p.1 - y).powi(2)).sqrt();
             if d < best.0 {
                 best = (d, p);
@@ -218,8 +225,9 @@ impl CameraModel {
         // so a boundary pixel the capsule math places up to 100 nm off
         // (f64 error here is ~1e-15 m) still gets the exact test.
         let reach = half_line + 1e-7;
-        for row in 0..self.height {
-            // Row 0 = far edge.
+        // One row slice per image row (row 0 = far edge); `max(1)` only
+        // matters for a zero-width frame, which has no pixels.
+        for (row, pixels) in frame.pixels.chunks_exact_mut(self.width.max(1)).enumerate() {
             let ahead =
                 self.far_m - (self.far_m - self.near_m) * (row as f64 + 0.5) / self.height as f64;
             // The row's scan line in world space: W(s) = base + s·dir
@@ -227,22 +235,18 @@ impl CameraModel {
             let bx = pose.x + ahead * cos_t;
             let by = pose.y + ahead * sin_t;
             let dir = (-sin_t, cos_t);
-            for seg in track.points.windows(2) {
-                let Some((s_lo, s_hi)) = capsule_span(seg[0], seg[1], (bx, by), dir, reach) else {
+            for (a, b) in track.segments() {
+                let Some((s_lo, s_hi)) = capsule_span(a, b, (bx, by), dir, reach) else {
                     continue;
                 };
                 // Lateral → column (lateral = -half_width + (col+0.5)·mpc),
                 // widened one column each way as the conservative guard.
-                let c_lo = ((s_lo + self.half_width_m) / mpc - 0.5).floor() as i64 - 1;
-                let c_hi = ((s_hi + self.half_width_m) / mpc - 0.5).ceil() as i64 + 1;
-                if c_hi < 0 || c_lo >= self.width as i64 {
-                    continue;
-                }
-                let c_lo = c_lo.max(0) as usize;
-                let c_hi = (c_hi.max(0) as usize).min(self.width - 1);
-                for col in c_lo..=c_hi {
-                    let i = row * self.width + col;
-                    if frame.pixels[i] {
+                // `as usize` saturates, so a span off either side of the
+                // image clamps to it (and one wholly left of it is empty).
+                let c_lo = (((s_lo + self.half_width_m) / mpc - 0.5).floor() - 1.0) as usize;
+                let c_end = (((s_hi + self.half_width_m) / mpc - 0.5).ceil() + 2.0) as usize;
+                for (col, lit) in pixels.iter_mut().enumerate().take(c_end).skip(c_lo) {
+                    if *lit {
                         continue;
                     }
                     let lateral = -self.half_width_m + (col as f64 + 0.5) * mpc;
@@ -250,9 +254,7 @@ impl CameraModel {
                     // expressions, verbatim).
                     let wx = pose.x + ahead * cos_t - lateral * sin_t;
                     let wy = pose.y + ahead * sin_t + lateral * cos_t;
-                    if track.distance_to(wx, wy) <= half_line {
-                        frame.pixels[i] = true;
-                    }
+                    *lit = track.distance_to(wx, wy) <= half_line;
                 }
             }
         }
@@ -340,10 +342,10 @@ pub fn detect_edges(frame: &Frame) -> Vec<(usize, usize)> {
 /// [`detect_edges`] into a reusable buffer (cleared first).
 pub fn detect_edges_into(frame: &Frame, edges: &mut Vec<(usize, usize)>) {
     edges.clear();
-    for row in 0..frame.height() {
-        for col in 1..frame.width() {
-            if frame.get(row, col) != frame.get(row, col - 1) {
-                edges.push((row, col));
+    for (row, pixels) in frame.pixels.chunks_exact(frame.width.max(1)).enumerate() {
+        for (col, (left, right)) in pixels.iter().zip(pixels.iter().skip(1)).enumerate() {
+            if left != right {
+                edges.push((row, col + 1));
             }
         }
     }
@@ -372,14 +374,23 @@ impl HoughLine {
     }
 }
 
+/// Votes a (ρ, θ) cell needs before [`hough_lines`] reports it as a
+/// line. Must stay above zero: the vote loop finds the reported cells
+/// by watching counts cross it.
+pub const MIN_VOTES: u32 = 8;
+
+/// Edge points the probabilistic Hough draws per frame, at most.
+const MAX_SAMPLES: usize = 256;
+
+const THETA_BINS: usize = 45; // 4° steps over [0, π)
+
 /// Probabilistic Hough transform: votes a random subset of edge points
-/// into a quantised (ρ, θ) accumulator and returns lines above
-/// `min_votes`, strongest first.
+/// into a quantised (ρ, θ) accumulator and returns the lines with at
+/// least [`MIN_VOTES`] votes, strongest first.
 pub fn hough_lines(
     edges: &[(usize, usize)],
     frame_width: usize,
     frame_height: usize,
-    min_votes: u32,
     rng: &mut SimRng,
 ) -> Vec<HoughLine> {
     let mut scratch = HoughScratch::new();
@@ -388,7 +399,6 @@ pub fn hough_lines(
         edges,
         frame_width,
         frame_height,
-        min_votes,
         rng,
         &mut scratch,
         &mut lines,
@@ -396,15 +406,17 @@ pub fn hough_lines(
     lines
 }
 
-const THETA_BINS: usize = 45; // 4° steps over [0, π)
-
-/// Reusable accumulator storage for [`hough_lines_into`].
+/// Reusable storage for [`hough_lines_into`].
 #[derive(Debug, Clone, Default)]
 pub struct HoughScratch {
-    acc: Vec<u32>,
-    /// Memoized accumulator indices, [`THETA_BINS`] per edge point
-    /// (`u32::MAX` marks an out-of-range ρ bin).
-    votes: Vec<u32>,
+    /// The (ρ, θ) accumulator, one row of ρ bins per θ bin. A cell
+    /// gets at most one vote per sample, so it never exceeds
+    /// [`MAX_SAMPLES`] and fits a `u16`.
+    acc: Vec<u16>,
+    /// How many times the sampler drew each edge point.
+    draws: Vec<u16>,
+    /// Accumulator cells whose count reached [`MIN_VOTES`].
+    crossed: Vec<usize>,
 }
 
 impl HoughScratch {
@@ -414,19 +426,46 @@ impl HoughScratch {
     }
 }
 
+/// `x.round() as usize` for every `f64`, without calling `f64::round`,
+/// which baseline x86-64 (SSE2, no `roundsd`) compiles to a libm call.
+///
+/// Truncate, then add one when the exact fractional part `x - t` is at
+/// least one half (round half away from zero), as a compare rather than
+/// a branch. Below 2^53 that subtraction is exact; from there up every
+/// `f64` is an integer and the fraction is 0. Below 2^63 the truncation
+/// goes through `i64`, whose conversions are single SSE2 instructions,
+/// and NaN and negatives end at 0 as with `as usize`. From 2^63 up,
+/// where `i64` would saturate, the unsigned cast is exact or saturates.
+fn round_to_usize(x: f64) -> usize {
+    if x >= 9_223_372_036_854_775_808.0 {
+        return x as usize;
+    }
+    let t = x as i64;
+    let rounded = t + i64::from(x - t as f64 >= 0.5);
+    usize::try_from(rounded.max(0)).unwrap_or(usize::MAX)
+}
+
 /// [`hough_lines`] with caller-provided scratch and output buffers.
 ///
-/// Identical votes and lines: the per-bin trig values are hoisted into a
-/// table computed with the same `π·tb/bins` expression the inner loop
-/// used, so every `(ρ, θ)` pair — and thus every accumulator cell — is
-/// bitwise identical, at 45 trig calls per frame instead of 45 per
-/// sampled point. The RNG draw sequence is unchanged.
-#[allow(clippy::too_many_arguments)] // mirrors `hough_lines` plus the two buffers
+/// Returns the lines of the straightforward loop, which quantises all
+/// 45 θ bins of every sample with `f64::round` and then scans the whole
+/// accumulator, and makes the same RNG draws (`hough_reference` in the
+/// tests pins both bitwise). It does far less work per frame:
+///
+/// - The sampler's draws are counted per edge point first, then each
+///   distinct drawn point is quantised once and votes with its draw
+///   count as weight. Integer addition commutes, so every cell ends
+///   with the same count.
+/// - ρ bins come from `round_to_usize`, not a libm call; the per-bin
+///   `(cos θ, sin θ)` table uses the reference's `π·tb/bins` expression,
+///   so every `(ρ, θ)` is bitwise identical.
+/// - A cell is listed when its count reaches [`MIN_VOTES`]. Counts only
+///   grow, so each reported cell is listed exactly once, and sorting
+///   the list by index reproduces the order of the accumulator scan.
 pub fn hough_lines_into(
     edges: &[(usize, usize)],
     frame_width: usize,
     frame_height: usize,
-    min_votes: u32,
     rng: &mut SimRng,
     scratch: &mut HoughScratch,
     lines: &mut Vec<HoughLine>,
@@ -437,59 +476,54 @@ pub fn hough_lines_into(
     }
     let diag = ((frame_width * frame_width + frame_height * frame_height) as f64).sqrt();
     let rho_bins = (2.0 * diag).ceil() as usize + 1;
-    let acc = &mut scratch.acc;
-    acc.clear();
-    acc.resize(THETA_BINS * rho_bins, 0);
+    let HoughScratch {
+        acc,
+        draws,
+        crossed,
+    } = scratch;
+    // Probabilistic subsampling, with replacement: at most MAX_SAMPLES
+    // points, as in the progressive probabilistic Hough transform's
+    // random selection stage.
+    draws.clear();
+    draws.resize(edges.len(), 0);
+    for _ in 0..edges.len().min(MAX_SAMPLES) {
+        let point = rng.below(edges.len() as u64) as usize;
+        if let Some(n) = draws.get_mut(point) {
+            *n += 1;
+        }
+    }
     let mut trig = [(0.0f64, 0.0f64); THETA_BINS];
     for (tb, t) in trig.iter_mut().enumerate() {
         let theta = std::f64::consts::PI * tb as f64 / THETA_BINS as f64;
         *t = (theta.cos(), theta.sin());
     }
-    // Each edge point's 45 accumulator cells depend only on the point,
-    // and the sampler draws *with replacement* from a set that is
-    // usually far smaller than the sample budget — so the (ρ, θ)
-    // quantisation is memoized once per point (same expressions, same
-    // bins bitwise) and each sample reduces to 45 integer adds.
-    let memo = &mut scratch.votes;
-    memo.clear();
-    memo.reserve(edges.len() * THETA_BINS);
-    for &(row, col) in edges {
-        for (tb, &(cos_t, sin_t)) in trig.iter().enumerate() {
-            let rho = col as f64 * cos_t + row as f64 * sin_t;
-            let rb = (rho + diag).round() as usize;
-            memo.push(if rb < rho_bins {
-                // THETA_BINS·rho_bins ≈ 6.5k cells — far below u32::MAX.
-                (tb * rho_bins + rb) as u32
-            } else {
-                u32::MAX
-            });
+    acc.clear();
+    acc.resize(THETA_BINS * rho_bins, 0);
+    crossed.clear();
+    for (&(row, col), &weight) in edges.iter().zip(draws.iter()) {
+        if weight == 0 {
+            continue;
         }
-    }
-    // Probabilistic subsampling: at most 256 points, as in the
-    // progressive probabilistic Hough transform's random selection stage.
-    let samples = edges.len().min(256);
-    for _ in 0..samples {
-        let point = rng.below(edges.len() as u64) as usize;
-        for &cell in &memo[point * THETA_BINS..(point + 1) * THETA_BINS] {
-            if cell != u32::MAX {
-                acc[cell as usize] += 1;
+        let rows = acc.chunks_exact_mut(rho_bins);
+        for ((tb, &(cos_t, sin_t)), acc_row) in trig.iter().enumerate().zip(rows) {
+            let rho = col as f64 * cos_t + row as f64 * sin_t;
+            let rb = round_to_usize(rho + diag);
+            if let Some(votes) = acc_row.get_mut(rb) {
+                let before = u32::from(*votes);
+                *votes += weight;
+                if before < MIN_VOTES && u32::from(*votes) >= MIN_VOTES {
+                    crossed.push(tb * rho_bins + rb);
+                }
             }
         }
     }
-    lines.extend(
-        acc.iter()
-            .enumerate()
-            .filter(|&(_, &v)| v >= min_votes)
-            .map(|(idx, &v)| {
-                let tb = idx / rho_bins;
-                let rb = idx % rho_bins;
-                HoughLine {
-                    rho: rb as f64 - diag,
-                    theta: std::f64::consts::PI * tb as f64 / THETA_BINS as f64,
-                    votes: v,
-                }
-            }),
-    );
+    crossed.sort_unstable();
+    lines.extend(crossed.iter().map(|&idx| HoughLine {
+        rho: (idx % rho_bins) as f64 - diag,
+        theta: std::f64::consts::PI * (idx / rho_bins) as f64 / THETA_BINS as f64,
+        // detlint:allow(S3) in-bounds: `crossed` only holds cells voted through `acc_row.get_mut` above
+        votes: u32::from(acc[idx]),
+    }));
     lines.sort_by_key(|l| std::cmp::Reverse(l.votes));
     lines.truncate(8);
 }
@@ -610,7 +644,6 @@ impl LineFollower {
             &self.edges,
             self.frame.width(),
             self.frame.height(),
-            8,
             rng,
             &mut self.hough,
             &mut self.lines,
@@ -659,6 +692,7 @@ mod tests {
     use super::*;
     use crate::dynamics::{LongitudinalModel, VehicleParams};
     use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
 
     #[test]
     fn track_distance_and_nearest() {
@@ -764,7 +798,7 @@ mod tests {
         );
         let edges = detect_edges(&frame);
         let mut rng = SimRng::seed_from(1);
-        let lines = hough_lines(&edges, frame.width(), frame.height(), 8, &mut rng);
+        let lines = hough_lines(&edges, frame.width(), frame.height(), &mut rng);
         assert!(!lines.is_empty());
         let best = lines[0];
         let col = best.col_at_row(frame.height() as f64 / 2.0).unwrap();
@@ -775,7 +809,7 @@ mod tests {
     #[test]
     fn hough_empty_edges_yields_no_lines() {
         let mut rng = SimRng::seed_from(1);
-        assert!(hough_lines(&[], 64, 32, 5, &mut rng).is_empty());
+        assert!(hough_lines(&[], 64, 32, &mut rng).is_empty());
     }
 
     #[test]
@@ -899,10 +933,12 @@ mod tests {
         );
     }
 
-    /// The pre-optimization vote loop: θ, cos θ and sin θ evaluated
-    /// inline for every sampled point. The production path hoists them
-    /// into a per-call table computed with the same expressions; this
-    /// reference pins that the hoist is bitwise-neutral.
+    /// The pre-optimization vote loop: θ, cos θ, sin θ and the libm
+    /// `round` evaluated inline for all 45 θ bins of every sample, then
+    /// a scan of the whole accumulator. The production path hoists the
+    /// trig, votes each distinct drawn point once with its draw count,
+    /// rounds without libm and lists cells as they cross the threshold;
+    /// this reference pins that all of that is bitwise-neutral.
     fn hough_reference(
         edges: &[(usize, usize)],
         frame_width: usize,
@@ -947,31 +983,90 @@ mod tests {
         lines
     }
 
-    #[test]
-    fn hoisted_trig_matches_inline_reference_bitwise() {
-        let cam = CameraModel::default();
-        let track = Track::l_corner(3.0);
-        let mut rng_a = SimRng::seed_from(77);
-        let mut rng_b = SimRng::seed_from(77);
-        for i in 0..12 {
-            let pose = BicycleState {
-                x: 0.3 * f64::from(i),
-                y: 0.02 * f64::from(i),
-                theta: 0.03 * f64::from(i),
-            };
-            let frame = cam.capture(&pose, &track);
-            let edges = detect_edges(&frame);
-            let expect = hough_reference(&edges, frame.width(), frame.height(), 8, &mut rng_a);
-            let got = hough_lines(&edges, frame.width(), frame.height(), 8, &mut rng_b);
-            assert_eq!(expect.len(), got.len());
-            for (e, g) in expect.iter().zip(&got) {
-                assert_eq!(e.rho.to_bits(), g.rho.to_bits());
-                assert_eq!(e.theta.to_bits(), g.theta.to_bits());
-                assert_eq!(e.votes, g.votes);
-            }
+    /// Runs the production Hough and [`hough_reference`] on the same
+    /// input from the same RNG state and requires every line's ρ/θ bits
+    /// and votes, and the next RNG draw, to match.
+    fn assert_matches_reference(
+        edges: &[(usize, usize)],
+        width: usize,
+        height: usize,
+        seed: u64,
+    ) -> Result<(), TestCaseError> {
+        let mut rng_ref = SimRng::seed_from(seed);
+        let mut rng = SimRng::seed_from(seed);
+        let expect = hough_reference(edges, width, height, MIN_VOTES, &mut rng_ref);
+        let got = hough_lines(edges, width, height, &mut rng);
+        prop_assert_eq!(expect.len(), got.len());
+        for (e, g) in expect.iter().zip(&got) {
+            prop_assert_eq!(e.rho.to_bits(), g.rho.to_bits());
+            prop_assert_eq!(e.theta.to_bits(), g.theta.to_bits());
+            prop_assert_eq!(e.votes, g.votes);
         }
-        // Same number of RNG draws on both paths.
-        assert_eq!(rng_a.next_u64(), rng_b.next_u64());
+        prop_assert_eq!(rng_ref.next_u64(), rng.next_u64());
+        Ok(())
+    }
+
+    /// Synthetic edge points inside (and, for `spill > 0`, beyond) a
+    /// `width × height` frame; points past the frame push ρ out of the
+    /// accumulator on both sides.
+    fn synthetic_edges(
+        raw: &[(u16, u16)],
+        width: usize,
+        height: usize,
+        spill: usize,
+    ) -> Vec<(usize, usize)> {
+        raw.iter()
+            .map(|&(r, c)| {
+                (
+                    usize::from(r) % (height + spill),
+                    usize::from(c) % (width + spill),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn rounding_matches_libm_round_on_fixed_cases() {
+        let mut cases = vec![
+            0.49999999999999994,
+            0.5,
+            -0.0,
+            0.0,
+            -0.5,
+            -1.5,
+            -0.49999999999999994,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::MIN,
+            2f64.powi(52) + 1.0,
+            2f64.powi(52) - 0.5,
+            2f64.powi(53) + 2.0,
+            2f64.powi(63),
+            2f64.powi(64),
+            2f64.powi(64) - 2048.0,
+            1e300,
+            -1e300,
+        ];
+        for k in 0..200 {
+            let half = f64::from(k) + 0.5;
+            cases.extend([
+                half,
+                f64::from_bits(half.to_bits() - 1),
+                f64::from_bits(half.to_bits() + 1),
+            ]);
+        }
+        for x in cases {
+            assert_eq!(
+                round_to_usize(x),
+                x.round() as usize,
+                "x = {x:e} ({:#x})",
+                x.to_bits()
+            );
+        }
     }
 
     #[test]
@@ -1000,13 +1095,11 @@ mod tests {
             let fresh_edges = detect_edges(&fresh);
             detect_edges_into(&frame, &mut edges);
             assert_eq!(fresh_edges, edges, "edges {i}");
-            let fresh_lines =
-                hough_lines(&fresh_edges, fresh.width(), fresh.height(), 8, &mut rng_a);
+            let fresh_lines = hough_lines(&fresh_edges, fresh.width(), fresh.height(), &mut rng_a);
             hough_lines_into(
                 &edges,
                 frame.width(),
                 frame.height(),
-                8,
                 &mut rng_b,
                 &mut scratch,
                 &mut lines,
@@ -1065,6 +1158,71 @@ mod tests {
     }
 
     proptest! {
+        #[test]
+        fn rounding_matches_libm_round(
+            bits in any::<u64>(),
+            k in 0u64..1 << 20,
+            ulps in -3i64..=3,
+        ) {
+            // Arbitrary bit patterns (mostly huge, tiny, NaN or
+            // negative), plus values within a few ulps of k + 0.5, where
+            // a rounding shortcut would go wrong.
+            let near_half = f64::from_bits((k as f64 + 0.5).to_bits().wrapping_add_signed(ulps));
+            for x in [f64::from_bits(bits), near_half, -near_half] {
+                prop_assert_eq!(round_to_usize(x), x.round() as usize, "x = {:e}", x);
+            }
+        }
+
+        #[test]
+        fn hough_matches_reference_on_track_frames(
+            corner in any::<bool>(),
+            x in -0.5f64..4.0,
+            y in -0.3f64..0.3,
+            theta in -0.8f64..0.8,
+            seed in any::<u64>(),
+        ) {
+            let cam = CameraModel::default();
+            let track = if corner { Track::l_corner(3.0) } else { Track::straight(10.0) };
+            let frame = cam.capture(&BicycleState { x, y, theta }, &track);
+            let edges = detect_edges(&frame);
+            assert_matches_reference(&edges, frame.width(), frame.height(), seed)?;
+        }
+
+        #[test]
+        fn hough_matches_reference_beyond_the_sample_cap(
+            raw in proptest::collection::vec((any::<u16>(), any::<u16>()), 257..700),
+            width in 1usize..90,
+            height in 1usize..50,
+            spill in 0usize..40,
+            seed in any::<u64>(),
+        ) {
+            // More points than MAX_SAMPLES: not every point is drawn, and
+            // dense synthetic sets push many cells past MIN_VOTES.
+            let edges = synthetic_edges(&raw, width, height, spill);
+            assert_matches_reference(&edges, width, height, seed)?;
+        }
+
+        #[test]
+        fn hough_matches_reference_on_tiny_edge_sets(
+            raw in proptest::collection::vec((any::<u16>(), any::<u16>()), 1..=3),
+            copies in 2usize..=60,
+            width in 1usize..90,
+            height in 1usize..50,
+            seed in any::<u64>(),
+        ) {
+            // One to three points and as many draws: repeated draws give
+            // a point a vote weight above one.
+            let edges = synthetic_edges(&raw, width, height, 0);
+            assert_matches_reference(&edges, width, height, seed)?;
+            // The same points listed `copies` times each: enough draws
+            // land on them for their cells to reach MIN_VOTES.
+            let repeated: Vec<_> = edges
+                .iter()
+                .flat_map(|&e| std::iter::repeat_n(e, copies))
+                .collect();
+            assert_matches_reference(&repeated, width, height, seed)?;
+        }
+
         #[test]
         fn capture_candidate_filter_is_bitwise_neutral(
             x in -2.0f64..6.0,

@@ -173,3 +173,34 @@ fn ablation_fps_dominates_step1_to_2() {
         "2 FPS gap {g_slow} ms vs 8 FPS gap {g_fast} ms"
     );
 }
+
+/// At this seed the camera never detects the crossing pedestrian, so
+/// the run has neither Table II intervals nor a Table III braking
+/// distance. Both tables must leave it out and count it rather than
+/// panic.
+#[test]
+fn a_run_without_detection_is_counted_not_fatal() {
+    const UNDETECTED_SEED: u64 = 262_573_973_800;
+    let t3 = experiments::table3(
+        &Runner::from_env(),
+        &ScenarioConfig {
+            seed: UNDETECTED_SEED - 1000,
+            ..ScenarioConfig::default()
+        },
+        1,
+    );
+    assert!(t3.braking_m.is_empty());
+    assert_eq!(t3.incomplete, 1);
+    assert!(t3.render().contains("1 incomplete run(s) left out"));
+    let t2 = experiments::table2(
+        &Runner::from_env(),
+        &ScenarioConfig {
+            seed: UNDETECTED_SEED,
+            ..ScenarioConfig::default()
+        },
+        1,
+    );
+    assert!(t2.total.is_empty() && t2.records.is_empty());
+    assert_eq!(t2.incomplete, 1);
+    assert!(t2.render().contains("1 incomplete run(s) left out"));
+}

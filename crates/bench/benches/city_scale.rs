@@ -14,6 +14,9 @@
 //!   than the exhaustive O(N²) reference, which must nonetheless
 //!   produce the bit-identical record.
 //!
+//! The file also records the host: logical CPUs, threads used and the
+//! build profile.
+//!
 //! Set `BENCH_QUICK=1` for a seconds-long smoke run (small node counts,
 //! short horizon) that exercises the JSON schema but not the bars.
 
@@ -127,6 +130,14 @@ fn main() {
     let culled_speedup = exhaustive_secs / culled_secs.max(1e-12);
 
     let m = CityMeasurement {
+        nproc: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        // Every run above is one `run_city` call on this thread.
+        threads: 1,
+        profile: if cfg!(debug_assertions) {
+            "debug"
+        } else {
+            "release"
+        },
         rows,
         culled_speedup,
     };
@@ -147,7 +158,13 @@ fn main() {
         std::process::exit(1);
     }
 
-    println!("city_scale{}", if quick { " (quick)" } else { "" });
+    println!(
+        "city_scale{} on {} CPU(s), {} thread, {} build",
+        if quick { " (quick)" } else { "" },
+        m.nproc,
+        m.threads,
+        m.profile
+    );
     for row in &m.rows {
         println!(
             "  N={:<5} {:>8.3} s  {:>12.0} events/s  {:>8.2} ns/event  {:>10.0} allocs/run  CBR {:.4}",

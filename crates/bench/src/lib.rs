@@ -236,6 +236,12 @@ pub struct CityBenchRow {
 /// The full city-scale measurement written to `BENCH_city.json`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CityMeasurement {
+    /// Logical CPUs available to the bench process.
+    pub nproc: usize,
+    /// Worker threads the runs used.
+    pub threads: usize,
+    /// Build profile of the bench binary (`"release"` or `"debug"`).
+    pub profile: &'static str,
     /// One row per node count, in sweep order.
     pub rows: Vec<CityBenchRow>,
     /// Wall-clock speedup of the culled channel over the exhaustive
@@ -262,7 +268,10 @@ fn city_row_json(row: &CityBenchRow) -> String {
 pub fn city_json(m: &CityMeasurement) -> String {
     let rows: Vec<String> = m.rows.iter().map(city_row_json).collect();
     format!(
-        "{{\n  \"bench\": \"city_scale\",\n  \"rows\": [\n{}\n  ],\n  \"culled_speedup\": {:.3}\n}}\n",
+        "{{\n  \"bench\": \"city_scale\",\n  \"nproc\": {},\n  \"threads\": {},\n  \"profile\": \"{}\",\n  \"rows\": [\n{}\n  ],\n  \"culled_speedup\": {:.3}\n}}\n",
+        m.nproc,
+        m.threads,
+        m.profile,
         rows.join(",\n"),
         m.culled_speedup
     )
@@ -274,8 +283,12 @@ pub fn city_json_path() -> std::path::PathBuf {
 }
 
 /// Keys every valid `BENCH_city.json` must carry (with finite,
-/// non-negative numeric values).
-pub const CITY_JSON_REQUIRED_KEYS: [&str; 10] = [
+/// non-negative numeric values). The host facts `nproc` and `threads`
+/// must also be at least 1, and a non-empty `"profile"` string must
+/// name the build profile.
+pub const CITY_JSON_REQUIRED_KEYS: [&str; 12] = [
+    "nproc",
+    "threads",
     "nodes",
     "seconds",
     "events",
@@ -301,8 +314,9 @@ pub const CITY_MIN_CULLED_SPEEDUP: f64 = 5.0;
 
 /// Validates the *schema* of a `BENCH_city.json` document: non-empty,
 /// brace-balanced, every required key present with finite non-negative
-/// values. Quick (`BENCH_QUICK=1`) runs produce documents that pass
-/// this but not necessarily [`validate_city_baseline`].
+/// values, and the host facts filled in. Quick (`BENCH_QUICK=1`) runs
+/// produce documents that pass this but not necessarily
+/// [`validate_city_baseline`].
 ///
 /// # Errors
 ///
@@ -334,9 +348,21 @@ pub fn validate_city_json(src: &str) -> Result<(), String> {
             if !v.is_finite() || v < 0.0 {
                 return Err(format!("field {key:?} has invalid value {v}"));
             }
+            if (key == "nproc" || key == "threads") && v < 1.0 {
+                return Err(format!("host fact {key:?} is {v}, expected at least 1"));
+            }
         }
     }
-    Ok(())
+    let profile = src
+        .split_once("\"profile\"")
+        .and_then(|(_, rest)| rest.trim_start().strip_prefix(':'))
+        .and_then(|rest| rest.trim_start().strip_prefix('"'))
+        .and_then(|rest| rest.split_once('"'))
+        .map(|(value, _)| value);
+    match profile {
+        Some(p) if !p.is_empty() => Ok(()),
+        _ => Err("missing the build \"profile\" string".to_owned()),
+    }
 }
 
 /// Validates the tracked `BENCH_city.json` baseline: the schema checks
@@ -508,9 +534,38 @@ mod tests {
             denm_latency_ms: 0.4,
         };
         CityMeasurement {
+            nproc: 2,
+            threads: 1,
+            profile: "release",
             rows: vec![row(100, 120.0), row(500, 130.0), row(2000, 150.0)],
             culled_speedup: 9.0,
         }
+    }
+
+    #[test]
+    fn city_validator_requires_host_facts() {
+        let json = city_json(&sample_city_measurement());
+        assert!(json.contains("\"nproc\": 2"), "{json}");
+        assert!(json.contains("\"threads\": 1"), "{json}");
+        assert!(json.contains("\"profile\": \"release\""), "{json}");
+        // Each host fact's line removed in turn.
+        for fact in ["\"nproc\"", "\"threads\"", "\"profile\""] {
+            let without: String = json
+                .lines()
+                .filter(|line| !line.contains(fact))
+                .map(|line| format!("{line}\n"))
+                .collect();
+            let err = validate_city_json(&without).unwrap_err();
+            assert!(err.contains(fact.trim_matches('"')), "{fact}: {err}");
+        }
+        // Present but empty or zero.
+        let mut m = sample_city_measurement();
+        m.profile = "";
+        assert!(validate_city_json(&city_json(&m)).is_err());
+        let mut m = sample_city_measurement();
+        m.threads = 0;
+        let err = validate_city_json(&city_json(&m)).unwrap_err();
+        assert!(err.contains("threads"), "{err}");
     }
 
     #[test]

@@ -25,7 +25,6 @@
 //! DCC window rolls walk contiguous arrays.
 
 use crate::station::StationArena;
-use phy80211p::channel::LinkCache;
 use phy80211p::dcc::DccState;
 use phy80211p::ofdm::airtime;
 use phy80211p::{Channel, ChannelConfig, DataRate, Position2D, SpatialGrid};
@@ -227,7 +226,6 @@ pub fn run_city(config: &CityConfig) -> CityRecord {
     let mut setup_rng = root.fork("city/setup");
 
     let channel = Channel::new(urban_channel_config());
-    let mut cache = LinkCache::new();
     // The grid query radius must bound *both* frame types; the shorter
     // frame has the lower delivery floor and therefore the larger
     // cutoff, but compute both rather than assuming.
@@ -307,7 +305,6 @@ pub fn run_city(config: &CityConfig) -> CityRecord {
             }
             events += broadcast(
                 &channel,
-                &mut cache,
                 &root,
                 &grid,
                 BroadcastFrame {
@@ -343,7 +340,6 @@ pub fn run_city(config: &CityConfig) -> CityRecord {
                 let start = now + SimDuration::from_nanos(denm_queue_ns);
                 events += broadcast(
                     &channel,
-                    &mut cache,
                     &root,
                     &grid,
                     BroadcastFrame {
@@ -424,10 +420,8 @@ struct BroadcastFrame {
 /// evaluated receiver's randomness comes from a stream forked on the
 /// `(frame, receiver)` label — so the two modes produce bit-identical
 /// records and differ only in evaluations performed.
-#[allow(clippy::too_many_arguments)] // one call site per frame type
 fn broadcast<F>(
     channel: &Channel,
-    cache: &mut LinkCache,
     root: &SimRng,
     grid: &SpatialGrid,
     frame: BroadcastFrame,
@@ -461,14 +455,13 @@ where
         };
         let label = (frame.frame_id << 32) | u64::from(rx);
         let mut rx_rng = root.fork_u64(label);
-        let outcome = channel.transmit_cached(
+        let outcome = channel.transmit(
             frame.start,
             frame.tx_pos,
             rx_pos,
             frame.len_bytes,
             frame.rate,
             &mut rx_rng,
-            cache,
         );
         evaluations += 1;
         let dx = rx_pos.x - frame.tx_pos.x;

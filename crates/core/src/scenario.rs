@@ -30,7 +30,7 @@ use perception::detector::{Detection, YoloModel};
 use perception::hazard::{HazardAdvertisementService, HazardConfig, HazardDecision};
 use perception::tracker::{Tracker, TrackerConfig};
 use phy80211p::cellular::{CellularLink, CellularProfile};
-use phy80211p::channel::{Channel, ChannelConfig, LinkCache};
+use phy80211p::channel::{Channel, ChannelConfig};
 use phy80211p::edca::Medium;
 use phy80211p::ofdm::airtime;
 use phy80211p::Position2D;
@@ -384,7 +384,6 @@ pub struct Scenario {
     frame_pool: Vec<Vec<u8>>,
     denm_scratch: Vec<geonet::GnPacket>,
     poll_phase: SimDuration,
-    link_cache: LinkCache,
     // Fault plane.
     injector: FaultInjector,
     watchdog: Option<V2xWatchdog>,
@@ -479,7 +478,6 @@ impl Scenario {
             frame_pool: Vec::new(),
             denm_scratch: Vec::new(),
             poll_phase,
-            link_cache: LinkCache::new(),
             // Forking is draw-free, so carving out a dedicated fault
             // stream leaves every other stream's sequence untouched.
             injector: FaultInjector::new(config.fault_plan.clone(), root.fork("faults")),
@@ -754,14 +752,13 @@ impl Scenario {
         // Congestion feedback: both radios hear the frame.
         self.obu.observe_channel_busy(now, at);
         self.rsu.observe_channel_busy(now, at);
-        let outcome = self.channel.transmit_cached(
+        let outcome = self.channel.transmit(
             start,
             self.obu.position(),
             self.rsu.position(),
             frame.len(),
             self.obu.config().data_rate,
             &mut self.rng_channel,
-            &mut self.link_cache,
         );
         if outcome.delivered {
             // Bit corruption mutates the on-air frame; the RSU's real
@@ -995,14 +992,13 @@ impl Scenario {
                     self.medium.occupy(start + at);
                     self.obu.observe_channel_busy(now, at);
                     self.rsu.observe_channel_busy(now, at);
-                    let outcome = self.channel.transmit_cached(
+                    let outcome = self.channel.transmit(
                         start,
                         self.rsu.position(),
                         self.obu.position(),
                         bytes.len(),
                         self.rsu.config().data_rate,
                         &mut self.rng_channel,
-                        &mut self.link_cache,
                     );
                     if outcome.delivered {
                         // RX chain processing (kernel + OpenC2X stack)
@@ -1202,14 +1198,13 @@ impl Scenario {
         self.medium.occupy(start + at);
         self.obu.observe_channel_busy(now, at);
         self.rsu.observe_channel_busy(now, at);
-        let outcome = self.channel.transmit_cached(
+        let outcome = self.channel.transmit(
             start,
             self.rsu.position(),
             self.obu.position(),
             bytes.len(),
             self.rsu.config().data_rate,
             &mut self.rng_channel,
-            &mut self.link_cache,
         );
         if outcome.delivered {
             let frame = match self.injector.corrupt_frame(now, &bytes) {

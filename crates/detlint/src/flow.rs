@@ -13,9 +13,9 @@
 //! | R3 | `&mut` RNG used inside a closure iterating a hash-ordered collection |
 //!
 //! R2 covers both explicit `if`/`else` arms and the cache-hit shape
-//! (`if let … { return …; }` whose continuation draws) — the exact
-//! hazard `LinkCache::transmit_cached` had to dodge by keeping the
-//! shadowing draw *outside* the memoised math. Branching on static
+//! (`if let … { return …; }` whose continuation draws): a memo or early
+//! exit must not skip a draw the other path makes, so draws belong
+//! ahead of the branch, outside any memoised math. Branching on static
 //! configuration (`if cfg.sigma > 0.0 { rng.normal(…) }`) is lexically
 //! indistinguishable from branching on per-run state, so such sites
 //! carry a justified `detlint:allow(R2)` explaining why the condition
@@ -150,7 +150,7 @@ fn check_draw_divergence(
                         fmt_draws(&rest_draws)
                     ),
                     snippet: snippet(t.line),
-                    hint: "keep RNG draws outside memoised/early-return paths (see LinkCache::transmit_cached) or justify with detlint:allow(R2)",
+                    hint: "draw the same RNG calls on every path: hoist draws ahead of the early return, or justify with detlint:allow(R2)",
                 });
             }
         }

@@ -284,9 +284,10 @@ pub fn explain(rule: &str) -> Option<&'static str> {
             "R2 — draw-order divergence.\nA branch whose arms draw different RNG call \
                  multisets (or a cache-hit early return that skips draws the fall-through \
                  path performs) shifts every later draw in the stream, so bitwise \
-                 reproducibility silently depends on cache state. Hoist draws out of the \
-                 branch, keep them out of memoised paths (see LinkCache::transmit_cached), \
-                 or justify a per-run-constant condition with detlint:allow(R2)."
+                 reproducibility silently depends on which path ran. Make every path draw \
+                 the same calls in the same order: hoist draws out of the branch and ahead \
+                 of any early return, or justify a per-run-constant condition with \
+                 detlint:allow(R2)."
         }
         "R3" => {
             "R3 — RNG under hash iteration.\nDrawing from an RNG inside a closure that \

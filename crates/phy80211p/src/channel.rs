@@ -12,7 +12,6 @@
 use crate::ofdm::{airtime, DataRate, Modulation};
 use sim_core::math::q_function;
 use sim_core::{SimDuration, SimRng, SimTime};
-use std::collections::BTreeMap;
 
 /// Speed of light, m/s.
 const C_M_PER_S: f64 = 299_792_458.0;
@@ -327,16 +326,11 @@ impl Channel {
             fer,
         }
     }
-    /// [`Channel::transmit`] with the deterministic math memoised in
-    /// `cache`.
+
+    /// [`Channel::transmit`], unchanged; `_cache` is ignored.
     ///
-    /// Bitwise identical to the uncached path: the cache is keyed on the
-    /// *exact bit patterns* of its inputs (`f64::to_bits` of the
-    /// post-shadowing SNR, frame length, data rate), so a hit returns
-    /// the very same `f64` the formula would produce, and the RNG draw
-    /// order (shadowing normal, then delivery Bernoulli) is unchanged.
-    /// Shadowing stays a fresh per-frame draw — only the pure
-    /// SNR→FER/airtime math is memoised.
+    /// Kept, with [`LinkCache`], only because `perfbench` still names
+    /// them; both go with the next change to `perfbench`.
     #[allow(clippy::too_many_arguments)] // mirrors `transmit` plus the cache
     pub fn transmit_cached(
         &self,
@@ -346,86 +340,29 @@ impl Channel {
         len_bytes: usize,
         rate: DataRate,
         rng: &mut SimRng,
-        cache: &mut LinkCache,
+        _cache: &mut LinkCache,
     ) -> TransmitOutcome {
-        // detlint:allow(R2) sigma is static channel config, constant for a whole run
-        let shadow_db = if self.config.shadowing_sigma_db > 0.0 {
-            rng.normal(0.0, self.config.shadowing_sigma_db)
-        } else {
-            0.0
-        };
-        let rx_power = self.mean_rx_power_dbm(tx, rx) + shadow_db;
-        let snr_db = rx_power - self.config.noise_floor_dbm;
-        let fer = cache.fer(self, snr_db, len_bytes, rate);
-        let delivered = !rng.bernoulli(fer);
-        let propagation = SimDuration::from_secs_f64(tx.distance(rx) / C_M_PER_S);
-        let arrival = start + cache.airtime(len_bytes, rate) + propagation;
-        TransmitOutcome {
-            delivered,
-            arrival,
-            snr_db,
-            fer,
-        }
+        self.transmit(start, tx, rx, len_bytes, rate, rng)
     }
 }
 
-/// Memo cache for the deterministic parts of the link model
-/// (SNR→frame-error-rate curves and frame airtimes).
+/// What remains of a removed FER/airtime memo: it never hit, because
+/// shadowing gives every frame a fresh SNR (DESIGN.md §9 item 3).
 ///
-/// One instance is meant to live next to each simulated radio channel
-/// (e.g. per scenario run). Keys are exact input bit patterns — no
-/// quantisation — so a cached value is the *same* `f64` the direct
-/// computation returns; see [`Channel::transmit_cached`]. `BTreeMap`
-/// keeps iteration (and therefore any future debug dump) deterministic.
-///
-/// Entries are bounded: when the FER map reaches its cap (a campaign
-/// with per-frame shadowing produces a fresh SNR per frame) it is
-/// cleared outright, which keeps the memory footprint flat and the
-/// behaviour independent of hash or eviction order.
+/// Kept, with [`Channel::transmit_cached`], only because `perfbench`
+/// still names them; all three go with the next change to `perfbench`.
 #[derive(Debug, Clone, Default)]
-pub struct LinkCache {
-    fer: BTreeMap<(u64, usize, u8), f64>,
-    airtime: BTreeMap<(usize, u8), SimDuration>,
-}
+pub struct LinkCache;
 
 impl LinkCache {
-    /// FER entries kept before the map is cleared.
-    const MAX_FER_ENTRIES: usize = 8192;
-
-    /// Creates an empty cache.
+    /// Creates the (empty) cache.
     pub fn new() -> Self {
-        Self::default()
+        Self
     }
 
-    /// Number of FER entries currently cached.
+    /// Always 0: the cache stores nothing.
     pub fn fer_entries(&self) -> usize {
-        self.fer.len()
-    }
-
-    /// Memoised [`Channel::frame_error_rate`]; bit-for-bit equal to the
-    /// direct call.
-    pub fn fer(&mut self, channel: &Channel, snr_db: f64, len_bytes: usize, rate: DataRate) -> f64 {
-        let key = (snr_db.to_bits(), len_bytes, rate as u8);
-        if let Some(&v) = self.fer.get(&key) {
-            return v;
-        }
-        let v = channel.frame_error_rate(snr_db, len_bytes, rate);
-        if self.fer.len() >= Self::MAX_FER_ENTRIES {
-            self.fer.clear();
-        }
-        self.fer.insert(key, v);
-        v
-    }
-
-    /// Memoised [`airtime`]; bit-for-bit equal to the direct call.
-    pub fn airtime(&mut self, len_bytes: usize, rate: DataRate) -> SimDuration {
-        let key = (len_bytes, rate as u8);
-        if let Some(&v) = self.airtime.get(&key) {
-            return v;
-        }
-        let v = airtime(len_bytes, rate);
-        self.airtime.insert(key, v);
-        v
+        0
     }
 }
 
@@ -659,22 +596,6 @@ mod tests {
         assert!(denser < r0, "{denser} vs {r0}");
     }
 
-    #[test]
-    fn link_cache_clears_at_capacity_and_stays_correct() {
-        let ch = lab_channel();
-        let mut cache = LinkCache::new();
-        // Fill past the cap with distinct SNR keys; the map clears once
-        // and keeps answering with exact values.
-        for i in 0..(8192 + 10) {
-            let snr = i as f64 * 1e-3;
-            let cached = cache.fer(&ch, snr, 100, DataRate::Mbps6);
-            let direct = ch.frame_error_rate(snr, 100, DataRate::Mbps6);
-            assert_eq!(cached.to_bits(), direct.to_bits(), "i={i}");
-        }
-        assert!(cache.fer_entries() <= 8192);
-        assert!(cache.fer_entries() > 0);
-    }
-
     proptest! {
         #[test]
         fn fer_is_probability(snr in -20.0f64..50.0, len in 1usize..2000) {
@@ -686,31 +607,6 @@ mod tests {
         }
 
         #[test]
-        fn cached_fer_and_airtime_agree_bit_for_bit(
-            snr in -30.0f64..60.0,
-            len in 1usize..2000,
-            rate_idx in 0usize..8,
-        ) {
-            // The memo cache must be invisible: cached values carry the
-            // exact bit pattern of the direct computation, on first fill
-            // and on every subsequent hit.
-            let ch = lab_channel();
-            let rate = DataRate::ALL[rate_idx];
-            let mut cache = LinkCache::new();
-            let direct_fer = ch.frame_error_rate(snr, len, rate);
-            let direct_at = airtime(len, rate);
-            for pass in 0..2 {
-                let cached_fer = cache.fer(&ch, snr, len, rate);
-                prop_assert_eq!(
-                    cached_fer.to_bits(),
-                    direct_fer.to_bits(),
-                    "fer drift on pass {}", pass
-                );
-                prop_assert_eq!(cache.airtime(len, rate), direct_at);
-            }
-        }
-
-        #[test]
         fn transmit_cached_matches_transmit_exactly(
             seed in 0u64..1000,
             dist in 0.5f64..400.0,
@@ -718,10 +614,9 @@ mod tests {
             rate_idx in 0usize..8,
             sigma in 0.0f64..6.0,
         ) {
-            // Same seed, same frames: the cached transmit path produces
+            // Same seed, same frames: the `transmit_cached` shim produces
             // bit-identical outcomes AND leaves the RNG in the same
-            // state as the uncached path (the determinism contract the
-            // campaign tables rely on).
+            // state as `transmit` (the shim's whole contract).
             let ch = Channel::new(ChannelConfig {
                 shadowing_sigma_db: sigma,
                 ..ChannelConfig::default()

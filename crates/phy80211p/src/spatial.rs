@@ -9,7 +9,13 @@
 //! the few cells overlapping the cutoff circle instead of scanning the
 //! fleet.
 //!
-//! Determinism: cells live in a `BTreeMap` (ordered iteration), the
+//! Layout: one `BTreeMap` entry per occupied cell *column*, holding
+//! that column's `(row, station)` pairs sorted. A query walks the
+//! columns its window spans with one ordered `range` and, in each,
+//! binary-searches to the window's first row and scans to its last, so
+//! its cost follows the stations it looks at, not the cells it spans.
+//!
+//! Determinism: columns live in a `BTreeMap` (ordered iteration), the
 //! candidate list is sorted by station index before it is returned, and
 //! the grid itself never touches an RNG. Callers draw per-receiver
 //! randomness from streams forked per `(node, frame)`
@@ -47,7 +53,8 @@ const MAX_CELL_SPAN: f64 = 4096.0;
 #[derive(Debug, Clone)]
 pub struct SpatialGrid {
     cell_m: f64,
-    cells: BTreeMap<(i64, i64), Vec<u32>>,
+    /// Per cell column `kx`, its stations as `(ky, station)`, sorted.
+    columns: BTreeMap<i64, Vec<(i64, u32)>>,
     /// Current cell key per station (for incremental relocation).
     keys: Vec<(i64, i64)>,
     /// Station positions, mirrored so queries can distance-filter.
@@ -68,7 +75,7 @@ impl SpatialGrid {
         );
         Self {
             cell_m,
-            cells: BTreeMap::new(),
+            columns: BTreeMap::new(),
             keys: Vec::new(),
             px: Vec::new(),
             py: Vec::new(),
@@ -100,11 +107,19 @@ impl SpatialGrid {
         )
     }
 
+    /// Files station `idx` under cell `(kx, ky)`, keeping the column
+    /// sorted.
+    fn place(&mut self, (kx, ky): (i64, i64), idx: u32) {
+        let column = self.columns.entry(kx).or_default();
+        let at = column.partition_point(|&entry| entry < (ky, idx));
+        column.insert(at, (ky, idx));
+    }
+
     /// Adds a station at `pos`; returns its dense index.
     pub fn insert(&mut self, pos: Position2D) -> u32 {
         let idx = self.keys.len() as u32;
         let key = self.cell_of(pos.x, pos.y);
-        self.cells.entry(key).or_default().push(idx);
+        self.place(key, idx);
         self.keys.push(key);
         self.px.push(pos.x);
         self.py.push(pos.y);
@@ -118,38 +133,36 @@ impl SpatialGrid {
     /// Unknown indices are ignored.
     pub fn relocate(&mut self, idx: u32, pos: Position2D) {
         let i = idx as usize;
-        let Some(old_key) = self.keys.get(i).copied() else {
+        let new_key = self.cell_of(pos.x, pos.y);
+        let Some(key) = self.keys.get_mut(i) else {
             return;
         };
+        let (old_kx, old_ky) = std::mem::replace(key, new_key);
         if let Some(x) = self.px.get_mut(i) {
             *x = pos.x;
         }
         if let Some(y) = self.py.get_mut(i) {
             *y = pos.y;
         }
-        let new_key = self.cell_of(pos.x, pos.y);
-        if new_key == old_key {
+        if new_key == (old_kx, old_ky) {
             return;
         }
-        if let Some(bucket) = self.cells.get_mut(&old_key) {
-            if let Some(at) = bucket.iter().position(|&s| s == idx) {
-                bucket.swap_remove(at);
+        if let Some(column) = self.columns.get_mut(&old_kx) {
+            if let Ok(at) = column.binary_search(&(old_ky, idx)) {
+                column.remove(at);
             }
         }
-        self.cells.entry(new_key).or_default().push(idx);
-        if let Some(k) = self.keys.get_mut(i) {
-            *k = new_key;
-        }
+        self.place(new_key, idx);
     }
 
     /// Rebuilds the grid from scratch for the given positions, recycling
-    /// the cell buckets' allocations.
+    /// the columns' allocations.
     pub fn rebuild<I>(&mut self, positions: I)
     where
         I: IntoIterator<Item = Position2D>,
     {
-        for bucket in self.cells.values_mut() {
-            bucket.clear();
+        for column in self.columns.values_mut() {
+            column.clear();
         }
         self.keys.clear();
         self.px.clear();
@@ -162,10 +175,10 @@ impl SpatialGrid {
     /// Collects (into `out`, cleared first) the indices of every station
     /// within `radius` metres of `center`, sorted ascending.
     ///
-    /// The result is exact, not a superset: cells overlapping the circle
-    /// are gathered and each candidate is distance-filtered against the
-    /// mirrored positions. A non-finite or absurdly large radius falls
-    /// back to every station.
+    /// The result is exact, not a superset: stations in the cells
+    /// overlapping the circle are gathered and each is distance-filtered
+    /// against the mirrored positions. A non-finite or absurdly large
+    /// radius falls back to every station.
     pub fn candidates_within(&self, center: Position2D, radius: f64, out: &mut Vec<u32>) {
         out.clear();
         if radius < 0.0 {
@@ -179,21 +192,19 @@ impl SpatialGrid {
         let r2 = radius * radius;
         let (kx0, ky0) = self.cell_of(center.x - radius, center.y - radius);
         let (kx1, ky1) = self.cell_of(center.x + radius, center.y + radius);
-        for kx in kx0..=kx1 {
-            for ky in ky0..=ky1 {
-                let Some(bucket) = self.cells.get(&(kx, ky)) else {
+        // `x - r <= x + r` for `r >= 0` and `cell_of` is monotone, so
+        // `kx0 <= kx1` (an inverted range would panic).
+        for (_, column) in self.columns.range(kx0..=kx1) {
+            let first = column.partition_point(|&(ky, _)| ky < ky0);
+            for &(_, idx) in column.iter().skip(first).take_while(|&&(ky, _)| ky <= ky1) {
+                let i = idx as usize;
+                let (Some(&x), Some(&y)) = (self.px.get(i), self.py.get(i)) else {
                     continue;
                 };
-                for &idx in bucket {
-                    let i = idx as usize;
-                    let (Some(&x), Some(&y)) = (self.px.get(i), self.py.get(i)) else {
-                        continue;
-                    };
-                    let dx = x - center.x;
-                    let dy = y - center.y;
-                    if dx * dx + dy * dy <= r2 {
-                        out.push(idx);
-                    }
+                let dx = x - center.x;
+                let dy = y - center.y;
+                if dx * dx + dy * dy <= r2 {
+                    out.push(idx);
                 }
             }
         }
@@ -298,7 +309,117 @@ mod tests {
         assert!(out.is_empty());
     }
 
+    /// Brute force with the grid's own predicate (squared distance), so
+    /// a station exactly on the circle is judged the same way by both.
+    fn in_radius(positions: &[Position2D], center: Position2D, radius: f64) -> Vec<u32> {
+        positions
+            .iter()
+            .enumerate()
+            .filter(|(_, p)| {
+                let (dx, dy) = (p.x - center.x, p.y - center.y);
+                dx * dx + dy * dy <= radius * radius
+            })
+            .map(|(i, _)| i as u32)
+            .collect()
+    }
+
+    /// A station position: mostly in a 1.2 km square around the origin,
+    /// sometimes far out, or at a magnitude whose cell key saturates.
+    fn station_position(rng: &mut SimRng) -> Position2D {
+        match rng.below(10) {
+            0 => Position2D::new(rng.uniform(-1e9, 1e9), rng.uniform(-1e9, 1e9)),
+            1 => Position2D::new(-1e300, 1e300),
+            _ => Position2D::new(rng.uniform(-600.0, 600.0), rng.uniform(-600.0, 600.0)),
+        }
+    }
+
+    /// Where a station at `p` is moved: within its cell, to another row
+    /// of its column, to another column, onto another station, or to a
+    /// fresh (possibly far) position.
+    fn moved(rng: &mut SimRng, p: Position2D, cell: f64, others: &[Position2D]) -> Position2D {
+        let sign = if rng.below(2) == 0 { 1.0 } else { -1.0 };
+        let hop = sign * (1 + rng.below(3)) as f64 * cell;
+        match rng.below(5) {
+            0 => Position2D::new(
+                ((p.x / cell).floor() + rng.uniform(0.0, 1.0)) * cell,
+                ((p.y / cell).floor() + rng.uniform(0.0, 1.0)) * cell,
+            ),
+            1 => Position2D::new(p.x, p.y + hop),
+            2 => Position2D::new(p.x + hop, p.y + rng.uniform(-cell, cell)),
+            3 => others
+                .get(rng.below(others.len() as u64) as usize)
+                .copied()
+                .unwrap_or(p),
+            _ => station_position(rng),
+        }
+    }
+
     proptest! {
+        /// Inserts, relocations, rebuilds and unknown indices, each step
+        /// followed by a query checked against brute force.
+        #[test]
+        fn grid_matches_brute_force_under_edits(
+            seed in 0u64..1_000_000,
+            cell in 5.0f64..120.0,
+        ) {
+            let mut rng = SimRng::seed_from(seed);
+            let mut positions: Vec<Position2D> =
+                (0..rng.below(40)).map(|_| station_position(&mut rng)).collect();
+            let mut grid = SpatialGrid::new(cell);
+            grid.rebuild(positions.iter().copied());
+            let mut out = Vec::new();
+            for step in 0..200 {
+                let n = positions.len() as u64;
+                match rng.below(10) {
+                    0 => {
+                        let p = station_position(&mut rng);
+                        positions.push(p);
+                        prop_assert_eq!(grid.insert(p) as u64, n);
+                    }
+                    1 => {
+                        positions.truncate(rng.below(n + 1) as usize);
+                        for _ in 0..rng.below(30) {
+                            positions.push(station_position(&mut rng));
+                        }
+                        grid.rebuild(positions.iter().copied());
+                    }
+                    2 => {
+                        let unknown = if rng.below(2) == 0 { n as u32 } else { u32::MAX };
+                        grid.relocate(unknown, station_position(&mut rng));
+                    }
+                    _ if n > 0 => {
+                        let i = rng.below(n) as usize;
+                        let to = moved(&mut rng, positions[i], cell, &positions);
+                        positions[i] = to;
+                        grid.relocate(i as u32, to);
+                    }
+                    _ => {}
+                }
+                prop_assert_eq!(grid.len(), positions.len());
+                // Centre on a station (coincident ones included) or
+                // anywhere; the radius is random, zero, or exactly the
+                // distance to some station.
+                let center = match positions.get(rng.below(n.max(1)) as usize) {
+                    Some(&p) if rng.below(2) == 0 => p,
+                    _ => station_position(&mut rng),
+                };
+                let radius = match (rng.below(4), positions.last()) {
+                    (0, _) => 0.0,
+                    (1, Some(p)) => p.distance(center).min(400.0),
+                    _ => rng.uniform(0.0, 400.0),
+                };
+                grid.candidates_within(center, radius, &mut out);
+                prop_assert_eq!(
+                    &out,
+                    &in_radius(&positions, center, radius),
+                    "step {} centre {:?} radius {}",
+                    step,
+                    center,
+                    radius
+                );
+            }
+        }
+
         #[test]
         fn grid_is_exact_for_random_fleets(
             seed in 0u64..500,

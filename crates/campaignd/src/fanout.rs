@@ -1,20 +1,20 @@
 //! Chunk fan-out over socket workers.
 //!
-//! [`SocketFanout`] is the campaign server's executor core: the exact
-//! coordinator algorithm of `shard::ShardExecutor`, with
-//! [`TcpTransport`] links to already-running socket workers in place of
-//! re-exec'd pipe children. The determinism contract is inherited
-//! unchanged — chunks come from the shared [`runner::chunk_bounds`]
-//! math over the row-major flattened grid, are merged strictly in chunk
-//! order, and any chunk whose worker fails, stalls, or refuses is
-//! re-executed in-process ([`shard::protocol::compute_chunk`]) for
-//! identical bytes. Worker count, worker death, and worker order
-//! therefore never change a single output byte.
+//! [`SocketFanout::run_flat`] is the workspace's one chunk coordinator:
+//! chunks come from the shared [`runner::chunk_bounds`] math over the
+//! row-major flattened grid, every assignment is sent eagerly over a
+//! [`TcpTransport`] so workers compute concurrently, chunks are
+//! collected and merged strictly in chunk order, and any chunk whose
+//! worker fails, stalls, or refuses is re-executed in-process
+//! ([`shard::protocol::compute_chunk`]) for identical bytes. Worker
+//! count, worker death, and worker order therefore never change a
+//! single output byte. [`FanoutExecutor`] puts the same loop behind the
+//! [`Executor`] trait.
 
-use its_testbed::campaign::{grid_fingerprint, CampaignSpec, Executor};
+use its_testbed::campaign::{grid_fingerprint, CampaignSpec, Executor, Serial};
 use its_testbed::RunRecord;
 use shard::protocol::{compute_chunk, encode_assignment, grid_offsets, Assignment, FLAT_GRID};
-use shard::transport::{collect_chunk, ChunkFailure, FrameTransport, TcpTransport};
+use shard::transport::{collect_chunk, ChunkFailure, TcpTransport};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
@@ -136,39 +136,30 @@ impl SocketFanout {
     }
 }
 
-/// Socket workers as a first-class [`Executor`]: the campaign-side
-/// counterpart of `shard::ShardExecutor`, binding one campaign grid and
-/// fanning matching submissions over [`SocketFanout`]'s TCP links.
+/// Socket workers as a first-class [`Executor`]: binds one campaign
+/// grid and fans matching submissions over one [`SocketFanout`].
 ///
-/// The executor contract is inherited from the fanout: a grid whose
-/// fingerprint matches the bound campaign runs across the workers and
-/// merges byte-identically to [`its_testbed::campaign::Serial`]; any
-/// other grid (which the workers could not re-derive, so every chunk
-/// would be refused) is computed locally — degraded, never wrong.
+/// A grid whose fingerprint matches the bound campaign runs across the
+/// workers and merges byte-identically to [`Serial`]; any other grid
+/// (which the workers could not re-derive, so every chunk would be
+/// refused) is computed locally — degraded, never wrong.
 /// `run_indexed` keeps the trait's deterministic serial default:
 /// arbitrary closures cannot be shipped to worker processes, so
 /// non-spec sweeps (the city benchmark, the cooperative fault sweep)
 /// run in-process with unchanged bytes.
 #[derive(Debug)]
 pub struct FanoutExecutor {
-    campaign: String,
-    grid: Vec<CampaignSpec>,
-    grid_fp: u64,
+    fanout: SocketFanout,
     workers: Vec<SocketAddr>,
-    timeout: Duration,
     fallback_grids: AtomicUsize,
 }
 
 impl FanoutExecutor {
     /// Binds `campaign`'s derived `grid` to the given socket `workers`.
     pub fn new(campaign: &str, grid: Vec<CampaignSpec>, workers: Vec<SocketAddr>) -> Self {
-        let grid_fp = grid_fingerprint(&grid);
         Self {
-            campaign: campaign.to_owned(),
-            grid,
-            grid_fp,
+            fanout: SocketFanout::new(campaign, grid),
             workers,
-            timeout: Duration::from_secs(120),
             fallback_grids: AtomicUsize::new(0),
         }
     }
@@ -176,13 +167,25 @@ impl FanoutExecutor {
     /// Replaces the per-chunk result timeout (default 120 s).
     #[must_use]
     pub fn with_timeout(mut self, timeout: Duration) -> Self {
-        self.timeout = timeout;
+        self.fanout = self.fanout.with_timeout(timeout);
         self
     }
 
     /// Grids executed locally because they were not the bound campaign.
     pub fn fallback_grids(&self) -> usize {
         self.fallback_grids.load(Ordering::Relaxed)
+    }
+
+    /// Chunks of the bound campaign re-executed in-process because a
+    /// worker failed, timed out, or refused its assignment.
+    pub fn fallback_chunks(&self) -> usize {
+        self.fanout.fallback_chunks()
+    }
+
+    /// The subset of [`Self::fallback_chunks`] caused by the per-chunk
+    /// timeout specifically.
+    pub fn timed_out_chunks(&self) -> usize {
+        self.fanout.timed_out_chunks()
     }
 }
 
@@ -196,18 +199,11 @@ impl Executor for FanoutExecutor {
     }
 
     fn execute_grid(&self, specs: &[CampaignSpec]) -> Vec<Vec<RunRecord>> {
-        let flat = if grid_fingerprint(specs) == self.grid_fp {
-            SocketFanout::new(&self.campaign, self.grid.clone())
-                .with_timeout(self.timeout)
-                .run_flat(&self.workers)
-        } else {
+        if grid_fingerprint(specs) != self.fanout.grid_fp {
             self.fallback_grids.fetch_add(1, Ordering::Relaxed);
-            let offsets = grid_offsets(specs);
-            (0..offsets.last().copied().unwrap_or(0))
-                .map(|j| shard::protocol::flat_job(specs, &offsets, j))
-                .collect()
-        };
-        let mut records = flat.into_iter();
+            return Serial.execute_grid(specs);
+        }
+        let mut records = self.fanout.run_flat(&self.workers).into_iter();
         specs
             .iter()
             .map(|spec| records.by_ref().take(spec.runs).collect())
@@ -218,7 +214,7 @@ impl Executor for FanoutExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use its_testbed::campaign::{CampaignRegistry, Serial};
+    use its_testbed::campaign::CampaignRegistry;
     use its_testbed::ScenarioConfig;
     use shard::transport::serve_connections;
     use std::net::TcpListener;
@@ -292,12 +288,24 @@ mod tests {
     #[test]
     fn fanout_executor_matches_serial_over_workers() {
         let workers: Vec<SocketAddr> = (0..2).map(|_| spawn_worker()).collect();
-        let exec = FanoutExecutor::new("demo", demo_grid(), workers);
+        let exec = FanoutExecutor::new("demo", demo_grid(), workers.clone());
         assert_eq!(
             exec.execute_grid(&demo_grid()),
             Serial.execute_grid(&demo_grid())
         );
         assert_eq!(exec.fallback_grids(), 0);
+        assert_eq!(exec.fallback_chunks(), 0);
+        // A dead worker's chunk is re-run locally, and the executor
+        // reports it.
+        let dead: SocketAddr = "127.0.0.1:9".parse().unwrap();
+        let with_dead = [workers, vec![dead]].concat();
+        let exec = FanoutExecutor::new("demo", demo_grid(), with_dead);
+        assert_eq!(
+            exec.execute_grid(&demo_grid()),
+            Serial.execute_grid(&demo_grid())
+        );
+        assert_eq!(exec.fallback_chunks(), 1);
+        assert_eq!(exec.timed_out_chunks(), 0);
         // A foreign grid is computed locally — identical bytes, counted.
         let foreign = vec![CampaignSpec::new(
             ScenarioConfig {

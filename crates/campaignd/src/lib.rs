@@ -1,12 +1,12 @@
 //! Campaign-as-a-service: socket workers and an HTTP campaign server
 //! over the shard protocol (DESIGN.md §14).
 //!
-//! Crate `shard` runs a campaign across worker *processes* it spawns
-//! itself. This crate decouples the two halves: workers are long-lived
-//! socket servers ([`shard::transport::serve_connections`], started
-//! with the hidden `--shard-listen` flag or as in-process threads) that
-//! register with a coordinator's [`WorkerPool`], and campaigns arrive
-//! over HTTP as [`its_testbed::submission`] frames naming a
+//! Crate `shard` defines the worker protocol and its socket carrier;
+//! this crate coordinates it. Workers are long-lived socket servers
+//! ([`shard::transport::serve_connections`], started with the hidden
+//! `--shard-listen` flag or as in-process threads) that register with a
+//! coordinator's [`WorkerPool`], and campaigns arrive over HTTP as
+//! [`its_testbed::submission`] frames naming a
 //! [`CampaignRegistry`](its_testbed::campaign::CampaignRegistry) entry.
 //! The [`CampaignServer`] validates each submission against its own
 //! derivation (404 unknown, 409 fingerprint mismatch, 503 queue
@@ -22,9 +22,9 @@
 //!   registrations.
 //! * [`queue::SubmissionQueue`] — bounded FIFO making concurrent
 //!   submissions execute one at a time, in arrival order.
-//! * [`fanout::SocketFanout`] — the coordinator algorithm of
-//!   `shard::ShardExecutor` over `TcpTransport` links, with the same
-//!   degraded-never-wrong chunk fallback.
+//! * [`fanout::SocketFanout`] — the chunk coordinator over
+//!   `TcpTransport` links, with degraded-never-wrong chunk fallback;
+//!   [`fanout::FanoutExecutor`] puts it behind the `Executor` trait.
 //! * [`server::CampaignServer`] — the HTTP front door, reusing
 //!   [`openc2x::http::HttpServer`].
 //! * [`client`] — submit-by-name helpers, including

@@ -219,9 +219,8 @@ impl RunningCampaignServer {
     }
 
     /// Chunks any submission so far re-executed in-process because a
-    /// worker failed — the campaign-server analogue of
-    /// `ShardExecutor::fallback_chunks`, asserted by the worker-kill
-    /// recovery test.
+    /// worker failed ([`SocketFanout::fallback_chunks`] summed over
+    /// submissions), asserted by the worker-kill recovery test.
     pub fn fallback_chunks(&self) -> usize {
         self.stats.fallback_chunks.load(Ordering::Relaxed)
     }

@@ -9,8 +9,8 @@
 //!   semantics every other executor must reproduce bitwise),
 //! * [`Runner`] — the in-process thread pool of `crates/runner`
 //!   (DESIGN.md §8),
-//! * `shard::ShardExecutor` — the multi-process coordinator of
-//!   `crates/shard` (DESIGN.md §10).
+//! * `campaignd::FanoutExecutor` — socket worker processes behind the
+//!   chunk coordinator of `crates/campaignd` (DESIGN.md §10/§14).
 //!
 //! Every experiment entry point ([`crate::experiments`],
 //! [`crate::ablation`], [`crate::congestion`]) takes `&impl Executor`,
@@ -130,8 +130,8 @@ impl CampaignSpec {
 ///
 /// A registry is plain data: names and `fn() -> Vec<CampaignSpec>`
 /// pointers. Because deriving a campaign is pure code, two processes
-/// (a shard coordinator and its re-exec'd worker, or a campaign server
-/// and a socket worker on another host) construct the same registry and
+/// (a campaign server and its re-exec'd socket worker, or a socket
+/// worker on another host) construct the same registry and
 /// identify a campaign across the process boundary by name plus grid
 /// fingerprint instead of by serialising configuration — see
 /// [`grid_fingerprint`] and DESIGN.md §10/§14.

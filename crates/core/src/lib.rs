@@ -40,8 +40,8 @@
 //! [`campaign::CampaignSpec`]s executed through the generic
 //! [`campaign::Executor`] interface: [`campaign::Serial`] (a plain
 //! loop), the deterministic thread pool [`Runner`] (crate `runner`,
-//! `RUNNER_THREADS` overrides the worker count), or the multi-process
-//! shard coordinator (crate `shard`, DESIGN.md §10). All executors share
+//! `RUNNER_THREADS` overrides the worker count), or socket worker
+//! processes (crate `campaignd`, DESIGN.md §10). All executors share
 //! the static-chunk/index-merge contract, so results are bitwise
 //! identical however a campaign is run. [`wire`] gives [`RunRecord`] the
 //! versioned binary encoding the shard protocol ships between processes.

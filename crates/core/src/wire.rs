@@ -257,7 +257,7 @@ impl RunRecord {
 
     /// Decodes one frame from the reader's current position, leaving the
     /// reader just past it — the streaming form the shard coordinator
-    /// uses to peel consecutive records off a worker's pipe.
+    /// uses to peel consecutive records off a worker's result stream.
     pub fn decode_from(r: &mut ByteReader<'_>) -> Result<Self, WireError> {
         let len = r.u32()? as usize;
         let payload = r.take(len)?;

@@ -17,6 +17,9 @@
 //! calls that actually resolve cross-crate still add the local edge),
 //! which is the safe direction for a lint — reachability may only grow.
 //! Test-region functions neither join the graph nor contribute edges.
+//! An entry that names no non-test fn of its (scanned) crate is itself
+//! a finding: a renamed or deleted entry would otherwise drop out of
+//! the walk without a trace.
 //!
 //! `assert!`/`debug_assert!` are deliberately *not* flagged: the
 //! workspace uses them to turn logic errors into loud failures
@@ -97,6 +100,8 @@ pub fn check_crate(cfg: &Config, krate: &str, files: &[FileTokens<'_>], out: &mu
         if bodies.contains_key(*e) {
             reached.insert((*e).to_string(), vec![(*e).to_string()]);
             queue.push((*e).to_string());
+        } else {
+            out.push(stale_entry(krate, e, files));
         }
     }
     let mut head = 0;
@@ -159,6 +164,28 @@ pub fn check_crate(cfg: &Config, krate: &str, files: &[FileTokens<'_>], out: &mu
                 });
             }
         }
+    }
+}
+
+/// The finding for an entry that names no non-test fn of `krate`,
+/// placed at the top of the crate root (or of its first scanned file).
+fn stale_entry(krate: &str, entry: &str, files: &[FileTokens<'_>]) -> Finding {
+    let root = format!("crates/{krate}/src/lib.rs");
+    let file = files
+        .iter()
+        .find(|f| f.rel_path == root)
+        .or(files.first())
+        .map_or(root, |f| f.rel_path.to_owned());
+    Finding {
+        file,
+        line: 1,
+        col: 1,
+        rule: "S3",
+        message: format!(
+            "entry `{krate}::{entry}` names no non-test fn in crate `{krate}`, so the walk skips it"
+        ),
+        snippet: format!("{krate}::{entry}"),
+        hint: "point rules.S3.entries at the function's current name, or remove the entry",
     }
 }
 
@@ -340,6 +367,22 @@ mod tests {
             &["demo::handle"],
         );
         assert!(f.is_empty());
+    }
+
+    #[test]
+    fn stale_entry_is_reported() {
+        let f = s3(
+            &[(
+                "crates/demo/src/lib.rs",
+                "fn handle() {}\n#[cfg(test)]\nmod tests { fn renamed() {} }",
+            )],
+            &["demo::handle", "demo::renamed"],
+        );
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].rule, "S3");
+        assert_eq!(f[0].file, "crates/demo/src/lib.rs");
+        assert_eq!(f[0].line, 1);
+        assert!(f[0].message.contains("`demo::renamed`"), "{}", f[0].message);
     }
 
     #[test]

@@ -272,7 +272,9 @@ pub fn explain(rule: &str) -> Option<&'static str> {
                  callable from the configured hot-path entry points (rules.S3.entries, \
                  `crate::function`). Reachable code must be free of panic!/unwrap/expect \
                  and []-indexing; the finding shows one call path from the entry. \
-                 Provably in-bounds access carries a justified detlint:allow(S3)."
+                 Provably in-bounds access carries a justified detlint:allow(S3). An \
+                 entry naming no non-test fn of its scanned crate is reported too, so a \
+                 rename cannot silently drop it from the walk."
         }
         "R1" => {
             "R1 — RNG stream collision.\nTwo fork(\"label\") calls with the same string \

@@ -2,7 +2,7 @@
 //!
 //! `crates/core/src/wire.rs` carries the testbed's only cross-process
 //! contract: the versioned `RunRecord` frame the shard coordinator
-//! reads off worker pipes. The v1→v2 transition established the
+//! reads off worker sockets. The v1→v2 transition established the
 //! compatibility rule — *layout changes only ever append fields, and
 //! every append bumps `WIRE_VERSION`* — but until now the rule lived in
 //! a doc comment and a captured-frame test. W1 makes it machine

@@ -1,73 +1,72 @@
-//! Multi-process campaign executor: deterministic sharding across
-//! worker processes (DESIGN.md §10/§14).
+//! The shard worker protocol and its socket carrier: how a campaign's
+//! chunks reach worker processes and come back (DESIGN.md §10/§14).
 //!
 //! The in-process thread [`runner::Runner`] parallelises a campaign with
-//! static contiguous chunks merged in index order. This crate extends
+//! static contiguous chunks merged in index order. This crate carries
 //! the same contract across *processes*, in two layers:
 //!
 //! * [`protocol`] — every byte of the worker protocol: the `"SHRD"`
 //!   assignment frame, the `"SHRS"`…`"SHRE"` result stream of
-//!   length-prefixed [`RunRecord`] frames ([`its_testbed::wire`]), the
-//!   registry-fingerprint handshake, and the shared chunk math. The
-//!   worker side is one function, [`protocol::serve_stream`], over
-//!   generic `Read`/`Write`.
-//! * [`transport`] — what carries those bytes: the
-//!   [`transport::FrameTransport`] trait with the child-process
-//!   [`transport::PipeTransport`] (re-exec with `--shard-worker`,
-//!   stdin/stdout pipes) and the socket [`transport::TcpTransport`]
-//!   (used by the `campaignd` campaign server and its `--shard-listen`
-//!   socket workers).
+//!   length-prefixed [`RunRecord`](its_testbed::RunRecord) frames
+//!   ([`its_testbed::wire`]), the registry-fingerprint handshake, and
+//!   the shared chunk math. The worker side is one function,
+//!   [`protocol::serve_stream`], over generic `Read`/`Write`.
+//! * [`transport`] — what carries those bytes: the coordinator's
+//!   [`transport::TcpTransport`] link, and the socket worker loop
+//!   ([`transport::serve_connections`]) that re-exec'd `--shard-listen`
+//!   processes and in-process test threads run.
 //!
-//! [`ShardExecutor`] is the coordinator: it assigns each worker a
-//! contiguous seed-index chunk computed with the very same
-//! [`runner::chunk_bounds`] math and merges chunks in worker order.
-//! Because jobs are pure functions of their index and the chunk/merge
-//! math is shared, shard-mode aggregates are **bitwise identical** to
-//! serial and to the thread runner at every worker count, including 1.
+//! The coordinator itself — chunk with [`runner::chunk_bounds`], send
+//! every assignment eagerly, collect in chunk order, re-run failed
+//! chunks in-process — is `campaignd::SocketFanout::run_flat`.
 //!
 //! # How a campaign crosses the process boundary
 //!
 //! Closures cannot be sent to another process, so workers *re-derive*
 //! the campaign from code: the host binary registers named campaigns in
-//! a [`CampaignRegistry`] (a name plus a plain `fn() -> Vec<CampaignSpec>`,
-//! shared repo-wide from [`its_testbed::campaign`]) and calls
-//! [`worker_main_if_requested`] first thing in `main`. The coordinator
-//! sends only the campaign name, a fingerprint of the specs it expects
+//! a [`CampaignRegistry`](its_testbed::campaign::CampaignRegistry) (a
+//! name plus a plain `fn() -> Vec<CampaignSpec>`) and calls
+//! [`transport::socket_worker_main_if_requested`] first thing in
+//! `main`. The coordinator sends only the campaign name, a fingerprint
+//! of the specs it expects
 //! ([`its_testbed::campaign::grid_fingerprint`]), and the chunk bounds;
 //! a worker whose derived specs do not match the fingerprint refuses
 //! the assignment, and the coordinator re-executes the chunk in-process
 //! — degraded to local execution, never to wrong results.
 //!
-//! # Failure handling
-//!
-//! A worker that dies, times out, returns a bad exit status, or produces
-//! an unparseable / wrong-length result stream has its chunk
-//! deterministically re-executed in-process by the coordinator. The
-//! merged output is therefore identical whether every worker succeeded
-//! or every worker was killed — [`ShardExecutor::fallback_chunks`]
-//! reports how many chunks took the fallback path so tests can assert
-//! the recovery actually happened.
-//!
 //! # Example
 //!
 //! ```no_run
-//! use its_testbed::campaign::{CampaignSpec, Executor, Serial};
+//! use its_testbed::campaign::{grid_fingerprint, CampaignRegistry, CampaignSpec};
 //! use its_testbed::ScenarioConfig;
-//! use shard::{CampaignRegistry, ShardExecutor};
+//! use shard::protocol::{compute_chunk, encode_assignment, Assignment, FLAT_GRID};
+//! use shard::transport::{collect_chunk, serve_connections, TcpTransport};
+//! use std::net::TcpListener;
+//! use std::time::Duration;
 //!
 //! fn demo_grid() -> Vec<CampaignSpec> {
 //!     vec![CampaignSpec::new(ScenarioConfig::default(), 16)]
 //! }
 //!
-//! fn main() {
+//! let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+//! let worker = listener.local_addr().unwrap();
+//! std::thread::spawn(move || {
 //!     let registry = CampaignRegistry::new().register("demo", demo_grid);
-//!     // Must run before anything else: re-exec'd children enter here.
-//!     shard::worker_main_if_requested(&registry);
+//!     serve_connections(&listener, &registry);
+//! });
 //!
-//!     let exec = ShardExecutor::new(4, "demo", &registry).unwrap();
-//!     let spec = &demo_grid()[0];
-//!     assert_eq!(spec.execute(&exec), spec.execute(&Serial));
-//! }
+//! let mut link = TcpTransport::connect(worker).unwrap();
+//! link.send_frame(&encode_assignment(&Assignment {
+//!     worker_index: 0,
+//!     campaign: "demo".into(),
+//!     grid_fp: grid_fingerprint(&demo_grid()),
+//!     spec_index: FLAT_GRID,
+//!     lo: 0,
+//!     hi: 16,
+//! }))
+//! .unwrap();
+//! let records = collect_chunk(&mut link, 16, Duration::from_secs(60)).unwrap();
+//! assert_eq!(records, compute_chunk(&demo_grid(), FLAT_GRID, 0, 16).unwrap());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -76,21 +75,6 @@
 
 pub mod protocol;
 pub mod transport;
-
-use its_testbed::campaign::{grid_fingerprint, CampaignSpec, Executor};
-use its_testbed::RunRecord;
-use protocol::{
-    encode_assignment, flat_job, grid_offsets, serve_stream, Assignment, ServeOutcome, FLAT_GRID,
-};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Duration;
-use transport::{collect_chunk, ChunkFailure, FrameTransport, PipeTransport};
-
-pub use its_testbed::campaign::CampaignRegistry;
-
-/// The hidden argv flag that switches a re-exec'd binary into worker
-/// mode.
-pub const WORKER_FLAG: &str = "--shard-worker";
 
 /// Fault-injection environment variable: a comma-separated list of
 /// worker indices that must die mid-protocol (after the result magic,
@@ -101,8 +85,8 @@ pub const KILL_ENV: &str = "SHARD_INJECT_KILL";
 /// Fault-injection environment variable: a comma-separated list of
 /// worker indices that must hang forever after reading their
 /// assignment, never writing a byte. Exercises the coordinator's
-/// result-timeout path ([`ShardExecutor::timed_out_chunks`]): the hung
-/// child is killed and its chunk re-executed in-process.
+/// result-timeout path: the hung connection is shut down and its chunk
+/// re-executed in-process.
 pub const HANG_ENV: &str = "SHARD_INJECT_HANG";
 
 /// Errors surfaced by the shard layer.
@@ -155,282 +139,5 @@ impl From<geonet::GeonetError> for ShardError {
 impl From<its_testbed::wire::WireError> for ShardError {
     fn from(e: its_testbed::wire::WireError) -> Self {
         ShardError::Protocol(e.to_string())
-    }
-}
-
-/// Enters worker mode — and never returns — when `--shard-worker` is on
-/// the command line; otherwise does nothing.
-///
-/// Host binaries (examples, `harness = false` tests) must call this
-/// before any other work, with the same registry the coordinator uses,
-/// so re-exec'd children handle their assignment instead of re-running
-/// `main`.
-pub fn worker_main_if_requested(registry: &CampaignRegistry) {
-    if !std::env::args().any(|a| a == WORKER_FLAG) {
-        return;
-    }
-    let code = match run_worker(registry) {
-        Ok(ServeOutcome::Completed) => 0,
-        // An injected kill dies mid-protocol with a distinctive status.
-        Ok(ServeOutcome::InjectedKill) => 9,
-        Err(e) => {
-            eprintln!("shard worker: {e}");
-            3
-        }
-    };
-    std::process::exit(code);
-}
-
-fn run_worker(registry: &CampaignRegistry) -> Result<ServeOutcome, ShardError> {
-    let stdin = std::io::stdin();
-    let stdout = std::io::stdout();
-    serve_stream(&mut stdin.lock(), &mut stdout.lock(), registry)
-}
-
-/// The multi-process campaign executor (coordinator side).
-///
-/// Bound to one named campaign of a [`CampaignRegistry`]: `execute` /
-/// `execute_grid` shard the campaign across `workers` re-exec'd
-/// processes when the requested specs match the registered ones, and
-/// re-execute any failed chunk in-process. See the crate docs for the
-/// protocol and the determinism argument.
-#[derive(Debug)]
-pub struct ShardExecutor {
-    workers: usize,
-    campaign: String,
-    grid: Vec<CampaignSpec>,
-    grid_fp: u64,
-    timeout: Duration,
-    fallback_chunks: AtomicUsize,
-    timed_out_chunks: AtomicUsize,
-}
-
-impl ShardExecutor {
-    /// An executor sharding the registry's `campaign` across `workers`
-    /// processes (clamped to at least 1).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShardError::UnknownCampaign`] when the registry does
-    /// not know `campaign`.
-    pub fn new(
-        workers: usize,
-        campaign: &str,
-        registry: &CampaignRegistry,
-    ) -> Result<Self, ShardError> {
-        let grid = registry
-            .derive(campaign)
-            .ok_or_else(|| ShardError::UnknownCampaign(campaign.to_owned()))?;
-        let grid_fp = grid_fingerprint(&grid);
-        Ok(Self {
-            workers: workers.max(1),
-            campaign: campaign.to_owned(),
-            grid,
-            grid_fp,
-            timeout: Duration::from_secs(120),
-            fallback_chunks: AtomicUsize::new(0),
-            timed_out_chunks: AtomicUsize::new(0),
-        })
-    }
-
-    /// Replaces the per-worker result timeout (default 120 s). A worker
-    /// that exceeds it is killed and its chunk re-executed in-process.
-    #[must_use]
-    pub fn with_timeout(mut self, timeout: Duration) -> Self {
-        self.timeout = timeout;
-        self
-    }
-
-    /// The configured worker-process count.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// How many chunks have been re-executed in-process because a worker
-    /// failed, timed out, or refused the assignment. Zero on the happy
-    /// path; the kill-injection tests assert it is non-zero after a
-    /// recovery.
-    pub fn fallback_chunks(&self) -> usize {
-        self.fallback_chunks.load(Ordering::Relaxed)
-    }
-
-    /// How many of the [`Self::fallback_chunks`] were caused by the
-    /// per-worker result timeout specifically (a hung or wedged worker
-    /// that was killed). The hang-injection test asserts this is the
-    /// failure class actually exercised.
-    pub fn timed_out_chunks(&self) -> usize {
-        self.timed_out_chunks.load(Ordering::Relaxed)
-    }
-
-    /// Shards `jobs` flat indices across the worker processes and merges
-    /// the chunks in worker order. `spec_index` selects a single spec of
-    /// the campaign grid or, as [`protocol::FLAT_GRID`], the row-major
-    /// flattened grid. Chunks whose worker fails are re-derived
-    /// in-process with `rerun` — identical bytes, by purity of the jobs.
-    fn run_sharded(
-        &self,
-        spec_index: u32,
-        jobs: usize,
-        rerun: &dyn Fn(usize, usize) -> Vec<RunRecord>,
-    ) -> Vec<RunRecord> {
-        if jobs == 0 {
-            return Vec::new();
-        }
-        let workers = self.workers.min(jobs);
-        let exe = std::env::current_exe().ok();
-        let chunks: Vec<(usize, usize)> = (0..workers)
-            .map(|w| runner::chunk_bounds(jobs, workers, w))
-            .collect();
-
-        // Assign every worker its chunk up front — each PipeTransport
-        // starts its stdout reader at send_frame, so workers compute
-        // concurrently while we collect in chunk order below.
-        let links: Vec<Option<PipeTransport>> = chunks
-            .iter()
-            .enumerate()
-            .map(|(w, &(lo, hi))| {
-                let exe = exe.as_ref()?;
-                let mut link = PipeTransport::spawn(exe).ok()?;
-                let frame = encode_assignment(&Assignment {
-                    worker_index: w as u32,
-                    campaign: self.campaign.clone(),
-                    grid_fp: self.grid_fp,
-                    spec_index,
-                    lo: lo as u64,
-                    hi: hi as u64,
-                });
-                link.send_frame(&frame).ok()?;
-                Some(link)
-            })
-            .collect();
-
-        let mut out = Vec::with_capacity(jobs);
-        for (link, &(lo, hi)) in links.into_iter().zip(&chunks) {
-            let collected = match link {
-                Some(mut link) => collect_chunk(&mut link, hi - lo, self.timeout),
-                None => Err(ChunkFailure::Failed("worker failed to spawn".into())),
-            };
-            match collected {
-                Ok(records) => out.extend(records),
-                Err(failure) => {
-                    if failure == ChunkFailure::TimedOut {
-                        self.timed_out_chunks.fetch_add(1, Ordering::Relaxed);
-                    }
-                    self.fallback_chunks.fetch_add(1, Ordering::Relaxed);
-                    out.extend(rerun(lo, hi));
-                }
-            }
-        }
-        out
-    }
-
-    /// Position of `spec` in the bound campaign grid, by fingerprint.
-    fn position_of(&self, spec: &CampaignSpec) -> Option<u32> {
-        let fp = spec.fingerprint();
-        self.grid
-            .iter()
-            .position(|s| s.fingerprint() == fp)
-            .map(|k| k as u32)
-    }
-}
-
-impl Executor for ShardExecutor {
-    fn execute(&self, spec: &CampaignSpec) -> Vec<RunRecord> {
-        match self.position_of(spec) {
-            Some(index) => self.run_sharded(index, spec.runs, &|lo, hi| {
-                (lo..hi).map(|i| spec.run_job(i)).collect()
-            }),
-            None => {
-                // The spec is not part of the bound campaign: workers
-                // could not re-derive it, so run it locally. Degraded,
-                // never wrong.
-                self.fallback_chunks.fetch_add(1, Ordering::Relaxed);
-                (0..spec.runs).map(|i| spec.run_job(i)).collect()
-            }
-        }
-    }
-
-    fn execute_grid(&self, specs: &[CampaignSpec]) -> Vec<Vec<RunRecord>> {
-        let flat = if grid_fingerprint(specs) == self.grid_fp {
-            let offsets = grid_offsets(specs);
-            let total = *offsets.last().unwrap_or(&0);
-            self.run_sharded(FLAT_GRID, total, &|lo, hi| {
-                (lo..hi).map(|j| flat_job(specs, &offsets, j)).collect()
-            })
-        } else {
-            // Not the registered grid: every chunk would be refused, so
-            // go straight to local execution.
-            self.fallback_chunks.fetch_add(1, Ordering::Relaxed);
-            let offsets = grid_offsets(specs);
-            (0..*offsets.last().unwrap_or(&0))
-                .map(|j| flat_job(specs, &offsets, j))
-                .collect()
-        };
-        let mut records = flat.into_iter();
-        specs
-            .iter()
-            .map(|spec| records.by_ref().take(spec.runs).collect())
-            .collect()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use its_testbed::ScenarioConfig;
-
-    fn demo_grid() -> Vec<CampaignSpec> {
-        vec![
-            CampaignSpec::new(
-                ScenarioConfig {
-                    seed: 7000,
-                    ..ScenarioConfig::default()
-                },
-                3,
-            ),
-            CampaignSpec::with_seed_offset(
-                ScenarioConfig {
-                    seed: 7000,
-                    ..ScenarioConfig::default()
-                },
-                1000,
-                2,
-            ),
-        ]
-    }
-
-    fn registry() -> CampaignRegistry {
-        CampaignRegistry::new().register("demo", demo_grid)
-    }
-
-    #[test]
-    fn registry_lookup() {
-        let r = registry();
-        assert!(r.derive("demo").is_some());
-        assert!(r.derive("nope").is_none());
-        assert_eq!(r.names().collect::<Vec<_>>(), vec!["demo"]);
-        assert!(matches!(
-            ShardExecutor::new(2, "nope", &r),
-            Err(ShardError::UnknownCampaign(_))
-        ));
-    }
-
-    #[test]
-    fn unregistered_spec_falls_back_locally() {
-        // The unit-test binary is a libtest harness, so real worker
-        // re-exec is exercised in tests/shard_determinism.rs; here we
-        // pin the local fallback path.
-        let exec = ShardExecutor::new(2, "demo", &registry()).unwrap();
-        let foreign = CampaignSpec::new(
-            ScenarioConfig {
-                seed: 1234,
-                ..ScenarioConfig::default()
-            },
-            2,
-        );
-        let records = foreign.execute(&exec);
-        assert_eq!(records.len(), 2);
-        assert_eq!(records[0], foreign.run_job(0));
-        assert!(exec.fallback_chunks() > 0);
     }
 }

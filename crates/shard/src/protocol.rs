@@ -1,16 +1,14 @@
-//! The transport-agnostic shard frame protocol (DESIGN.md §10/§14).
+//! The shard frame protocol (DESIGN.md §10/§14).
 //!
 //! This module owns every byte of the worker protocol — the `"SHRD"`
 //! assignment frame, the `"SHRS"`…`"SHRE"` result stream of
-//! length-prefixed wire-v2 [`RunRecord`] frames, and the
+//! length-prefixed wire [`RunRecord`] frames, and the
 //! registry-fingerprint handshake — with **no** knowledge of what
-//! carries those bytes. The coordinator side ships them over a
-//! [`FrameTransport`](crate::transport::FrameTransport) (a child-process
-//! pipe or a `TcpStream`); the worker side is [`serve_stream`], which
-//! reads one assignment from any `Read`, answers on any `Write`, and is
-//! shared verbatim by the re-exec'd pipe worker and the socket worker
-//! loop — so the bytes on a pipe and the bytes on a socket are
-//! identical by construction.
+//! carries those bytes. The coordinator ships them over a
+//! [`TcpTransport`](crate::transport::TcpTransport); the worker side is
+//! [`serve_stream`], which reads one assignment from any `Read` and
+//! answers on any `Write`, so the codec is tested in memory exactly as
+//! the socket worker loop runs it.
 
 use crate::ShardError;
 use geonet::bytesio::{ByteReader, ByteWriterExt};
@@ -199,7 +197,7 @@ pub fn grid_offsets(grid: &[CampaignSpec]) -> Vec<usize> {
 
 /// Runs flat job `j` of the grid: row-major, spec-major / run-minor —
 /// the same flattening `Runner::execute_grid` uses.
-pub fn flat_job(grid: &[CampaignSpec], offsets: &[usize], j: usize) -> RunRecord {
+fn flat_job(grid: &[CampaignSpec], offsets: &[usize], j: usize) -> RunRecord {
     let k = match offsets.binary_search(&j) {
         Ok(k) => k,
         Err(k) => k - 1,
@@ -267,28 +265,24 @@ pub enum ServeOutcome {
     /// The assignment was computed and the full result stream written.
     Completed,
     /// [`crate::KILL_ENV`] named this worker index: the result magic was
-    /// written and then the stream abandoned mid-protocol. The caller
-    /// decides what "dying" means on its transport — the pipe worker
-    /// exits 9, the socket worker drops the connection.
+    /// written and then the stream abandoned mid-protocol; the socket
+    /// worker then drops the connection.
     InjectedKill,
 }
 
 /// Serves one assignment: the worker side of the shard protocol, over
 /// any transport.
 ///
-/// Reads `input` to end-of-stream (the pipe worker's closed stdin, or a
-/// socket peer's write-half shutdown), decodes the assignment, applies
-/// the kill/hang fault injections, verifies the registry fingerprint
-/// handshake, computes the chunk, and writes the result stream to
-/// `output`. Both the re-exec'd `--shard-worker` process and the socket
-/// worker loop call exactly this function, so worker behaviour cannot
-/// diverge between transports.
+/// Reads `input` to end-of-stream (the coordinator's write-half
+/// shutdown), decodes the assignment, applies the kill/hang fault
+/// injections, verifies the registry fingerprint handshake, computes
+/// the chunk, and writes the result stream to `output`.
 ///
 /// # Errors
 ///
 /// Returns a [`ShardError`] for I/O failures, malformed assignments,
-/// unknown campaigns, and fingerprint mismatches; the caller surfaces
-/// it on its transport (exit status, dropped connection).
+/// unknown campaigns, and fingerprint mismatches; the socket worker
+/// surfaces it by dropping the connection.
 pub fn serve_stream(
     input: &mut dyn Read,
     output: &mut dyn Write,

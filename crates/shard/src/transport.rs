@@ -1,24 +1,15 @@
-//! Byte carriers for the shard frame protocol (DESIGN.md §14).
+//! The socket carrier for the shard frame protocol (DESIGN.md §14).
 //!
 //! [`protocol`](crate::protocol) defines the frames; this module moves
-//! them. The coordinator side is the [`FrameTransport`] trait — ship an
-//! assignment frame, then collect the complete result stream under a
-//! deadline — with two implementations:
+//! them. The coordinator side is [`TcpTransport`]: it connects to a
+//! socket worker, writes the assignment, and shuts down the write half
+//! so the worker sees end-of-assignment; a reader thread drains the
+//! result stream, so workers on different links compute concurrently
+//! while the coordinator collects in chunk order under a deadline.
+//! [`collect_chunk`] decodes what arrives.
 //!
-//! * [`PipeTransport`] — re-execs the current binary with
-//!   `--shard-worker` and speaks over its stdin/stdout pipes. This is
-//!   the original `crates/shard` path, preserved bit-for-bit: the
-//!   assignment is written and the pipe closed, the child's stdout is
-//!   drained by a reader thread, and a worker that dies, hangs, or
-//!   misbehaves is reaped exactly as before.
-//! * [`TcpTransport`] — connects to a socket worker, writes the
-//!   assignment, and shuts down the write half so the worker sees the
-//!   same end-of-stream the pipe worker sees when stdin closes. The
-//!   result stream is drained by an identical reader thread, so the
-//!   timeout semantics match the pipe path.
-//!
-//! The worker side of the socket path is [`serve_connections`]: a loop
-//! that answers one assignment per connection through the shared
+//! The worker side is [`serve_connections`]: a loop that answers one
+//! assignment per connection through the shared
 //! [`serve_stream`](crate::protocol::serve_stream). Workers announce
 //! their listening address to a coordinator with [`announce_worker`]
 //! (`"SHRG"` registration frame), either from inside a test process or
@@ -32,14 +23,13 @@ use its_testbed::campaign::CampaignRegistry;
 use its_testbed::RunRecord;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::process::{Child, Command, Stdio};
 use std::sync::mpsc;
 use std::time::Duration;
 
 /// The hidden argv flag that switches a re-exec'd binary into socket
 /// worker mode: `--shard-listen <coordinator-addr>` binds an ephemeral
 /// listener, announces it to the coordinator, and serves assignments
-/// forever. The pipe twin is [`crate::WORKER_FLAG`].
+/// forever.
 pub const LISTEN_FLAG: &str = "--shard-listen";
 
 /// Worker-registration frame magic (worker → coordinator control port).
@@ -49,172 +39,43 @@ const REGISTER_MAGIC: &[u8; 4] = b"SHRG";
 /// peer cannot wedge the serve loop forever.
 const WORKER_READ_TIMEOUT: Duration = Duration::from_secs(120);
 
-/// Why collecting a worker's result stream failed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TransportFailure {
-    /// The deadline passed with no complete stream; the peer was reaped
-    /// (child killed / socket shut down). Counted separately so tests
-    /// can assert the timeout path specifically was exercised.
-    TimedOut,
-    /// Anything else: I/O error, bad exit status, failed spawn.
-    Failed(String),
-}
-
-impl std::fmt::Display for TransportFailure {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TransportFailure::TimedOut => write!(f, "worker timed out"),
-            TransportFailure::Failed(what) => write!(f, "{what}"),
-        }
-    }
-}
-
-/// A coordinator's link to one worker, whatever carries the bytes.
-///
-/// The contract mirrors the protocol's shape: exactly one
-/// [`send_frame`](Self::send_frame) (the assignment, after which
-/// end-of-frame is signalled to the peer), then exactly one
-/// [`collect_frame`](Self::collect_frame) (the complete result stream,
-/// or a failure after which the peer has been reaped). Implementations
-/// start their reader eagerly at `send_frame`, so workers on different
-/// links compute concurrently while the coordinator collects in chunk
-/// order.
-pub trait FrameTransport {
-    /// Ships the encoded assignment frame and signals end-of-frame.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ShardError`] when the link is already known dead;
-    /// transports whose failures only surface later (the pipe) report
-    /// them at [`collect_frame`](Self::collect_frame) instead.
-    fn send_frame(&mut self, frame: &[u8]) -> Result<(), ShardError>;
-
-    /// Waits up to `timeout` for the peer's complete result stream.
-    ///
-    /// # Errors
-    ///
-    /// [`TransportFailure::TimedOut`] when the deadline fired (the peer
-    /// has been reaped), [`TransportFailure::Failed`] for every other
-    /// way a worker can disappoint.
-    fn collect_frame(&mut self, timeout: Duration) -> Result<Vec<u8>, TransportFailure>;
-}
-
 /// Why a chunk could not be obtained from a worker.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ChunkFailure {
-    /// The transport deadline fired.
+    /// The deadline passed with no complete stream; the connection was
+    /// shut down. Counted separately so tests can assert the timeout
+    /// path specifically was exercised.
     TimedOut,
-    /// Transport failure or an invalid / wrong-length result stream.
+    /// I/O error, or an invalid / wrong-length result stream.
     Failed(String),
 }
 
 /// Collects and decodes one chunk from a worker link: the coordinator's
-/// per-chunk protocol step, shared by the pipe executor and the
-/// campaign server's socket fan-out.
+/// per-chunk protocol step.
 ///
 /// # Errors
 ///
-/// [`ChunkFailure::TimedOut`] when the transport deadline fired,
-/// [`ChunkFailure::Failed`] for transport errors and for result streams
-/// that do not decode to exactly `expected` records.
+/// [`ChunkFailure::TimedOut`] when the deadline fired,
+/// [`ChunkFailure::Failed`] for I/O errors and for result streams that
+/// do not decode to exactly `expected` records.
 pub fn collect_chunk(
-    link: &mut dyn FrameTransport,
+    link: &mut TcpTransport,
     expected: usize,
     timeout: Duration,
 ) -> Result<Vec<RunRecord>, ChunkFailure> {
-    let bytes = link.collect_frame(timeout).map_err(|f| match f {
-        TransportFailure::TimedOut => ChunkFailure::TimedOut,
-        TransportFailure::Failed(what) => ChunkFailure::Failed(what),
-    })?;
+    let bytes = link.collect_frame(timeout)?;
     crate::protocol::decode_results(&bytes, expected)
         .map_err(|e| ChunkFailure::Failed(e.to_string()))
 }
 
-/// The child-process pipe transport: re-execs the current binary with
-/// [`crate::WORKER_FLAG`] and speaks the frame protocol over its
-/// stdin/stdout.
-#[derive(Debug)]
-pub struct PipeTransport {
-    child: Child,
-    rx: Option<mpsc::Receiver<std::io::Result<Vec<u8>>>>,
-}
-
-impl PipeTransport {
-    /// Spawns the worker process (not yet assigned).
-    ///
-    /// # Errors
-    ///
-    /// Returns the spawn error when the binary cannot be re-executed.
-    pub fn spawn(exe: &std::path::Path) -> Result<Self, ShardError> {
-        let child = Command::new(exe)
-            .arg(crate::WORKER_FLAG)
-            .stdin(Stdio::piped())
-            .stdout(Stdio::piped())
-            .stderr(Stdio::inherit())
-            .spawn()?;
-        Ok(Self { child, rx: None })
-    }
-}
-
-impl FrameTransport for PipeTransport {
-    fn send_frame(&mut self, frame: &[u8]) -> Result<(), ShardError> {
-        // The assignment is a few dozen bytes — far below the pipe
-        // buffer — so write-then-close cannot deadlock against the
-        // child's own writes. A failed write means the child is already
-        // gone; collection will notice and fall back.
-        if let Some(mut stdin) = self.child.stdin.take() {
-            let _ = stdin.write_all(frame);
-        }
-        let Some(mut stdout) = self.child.stdout.take() else {
-            let _ = self.child.kill();
-            let _ = self.child.wait();
-            return Err(ShardError::Io("worker stdout not captured".into()));
-        };
-        let (tx, rx) = mpsc::channel();
-        std::thread::spawn(move || {
-            let mut buf = Vec::new();
-            let result = stdout.read_to_end(&mut buf).map(|_| buf);
-            let _ = tx.send(result);
-        });
-        self.rx = Some(rx);
-        Ok(())
-    }
-
-    fn collect_frame(&mut self, timeout: Duration) -> Result<Vec<u8>, TransportFailure> {
-        let Some(rx) = self.rx.take() else {
-            return Err(TransportFailure::Failed(
-                "no assignment was sent on this link".into(),
-            ));
-        };
-        let bytes = match rx.recv_timeout(timeout) {
-            Ok(Ok(bytes)) => bytes,
-            Ok(Err(e)) => {
-                let _ = self.child.kill();
-                let _ = self.child.wait();
-                return Err(TransportFailure::Failed(e.to_string()));
-            }
-            Err(_) => {
-                let _ = self.child.kill();
-                let _ = self.child.wait();
-                return Err(TransportFailure::TimedOut);
-            }
-        };
-        let status = self
-            .child
-            .wait()
-            .map_err(|e| TransportFailure::Failed(e.to_string()))?;
-        if !status.success() {
-            return Err(TransportFailure::Failed(format!(
-                "worker exited with {status}"
-            )));
-        }
-        Ok(bytes)
-    }
-}
-
-/// The socket transport: speaks the frame protocol to a socket worker
-/// over one `TcpStream` per chunk. End-of-assignment is the write-half
-/// shutdown; end-of-results is the worker closing the connection.
+/// A coordinator's link to one socket worker: one `TcpStream` per
+/// chunk. End-of-assignment is the write-half shutdown; end-of-results
+/// is the worker closing the connection.
+///
+/// The contract mirrors the protocol's shape: exactly one
+/// [`send_frame`](Self::send_frame) (the assignment), then exactly one
+/// [`collect_frame`](Self::collect_frame) (the complete result stream,
+/// or a failure after which the connection has been shut down).
 #[derive(Debug)]
 pub struct TcpTransport {
     stream: TcpStream,
@@ -233,14 +94,18 @@ impl TcpTransport {
             rx: None,
         })
     }
-}
 
-impl FrameTransport for TcpTransport {
-    fn send_frame(&mut self, frame: &[u8]) -> Result<(), ShardError> {
+    /// Ships the encoded assignment frame, signals end-of-frame, and
+    /// starts the reader that drains the worker's result stream.
+    ///
+    /// # Errors
+    ///
+    /// Returns an I/O [`ShardError`] when the connection is already
+    /// dead.
+    pub fn send_frame(&mut self, frame: &[u8]) -> Result<(), ShardError> {
         self.stream.write_all(frame)?;
         self.stream.flush()?;
-        // The worker reads the assignment to end-of-stream, exactly as
-        // the pipe worker reads its closed stdin.
+        // The worker reads the assignment to end-of-stream.
         self.stream.shutdown(Shutdown::Write)?;
         let mut reader = self.stream.try_clone()?;
         let (tx, rx) = mpsc::channel();
@@ -253,20 +118,27 @@ impl FrameTransport for TcpTransport {
         Ok(())
     }
 
-    fn collect_frame(&mut self, timeout: Duration) -> Result<Vec<u8>, TransportFailure> {
+    /// Waits up to `timeout` for the worker's complete result stream.
+    ///
+    /// # Errors
+    ///
+    /// [`ChunkFailure::TimedOut`] when the deadline fired (the
+    /// connection has been shut down), [`ChunkFailure::Failed`] for I/O
+    /// errors and for a link that was never sent an assignment.
+    pub fn collect_frame(&mut self, timeout: Duration) -> Result<Vec<u8>, ChunkFailure> {
         let Some(rx) = self.rx.take() else {
-            return Err(TransportFailure::Failed(
+            return Err(ChunkFailure::Failed(
                 "no assignment was sent on this link".into(),
             ));
         };
         match rx.recv_timeout(timeout) {
             Ok(Ok(bytes)) => Ok(bytes),
-            Ok(Err(e)) => Err(TransportFailure::Failed(e.to_string())),
+            Ok(Err(e)) => Err(ChunkFailure::Failed(e.to_string())),
             Err(_) => {
                 // Reap the connection so the abandoned reader thread
                 // unblocks; the worker sees a reset and moves on.
                 let _ = self.stream.shutdown(Shutdown::Both);
-                Err(TransportFailure::TimedOut)
+                Err(ChunkFailure::TimedOut)
             }
         }
     }
@@ -377,8 +249,7 @@ pub fn run_socket_worker(
 ///
 /// Host binaries that spawn socket workers by re-exec (the campaign
 /// server example, the campaignd determinism test) must call this first
-/// thing in `main`, exactly like [`crate::worker_main_if_requested`]
-/// for pipe workers. The flag's value is the coordinator's control
+/// thing in `main`. The flag's value is the coordinator's control
 /// address: `--shard-listen 127.0.0.1:9000` or
 /// `--shard-listen=127.0.0.1:9000`.
 pub fn socket_worker_main_if_requested(registry: &CampaignRegistry) {
@@ -494,7 +365,7 @@ mod tests {
         let mut link = TcpTransport::connect(addr).expect("connect");
         assert!(matches!(
             link.collect_frame(Duration::from_millis(100)),
-            Err(TransportFailure::Failed(_))
+            Err(ChunkFailure::Failed(_))
         ));
     }
 

@@ -38,14 +38,6 @@ echo "==> detlint (JSON report -> target/detlint.json)"
 mkdir -p target
 cargo run -q -p detlint -- --quiet --format json | tee target/detlint.json >/dev/null
 
-# Shard smoke: run a small campaign across 2 worker processes and diff
-# its output against the in-example serial reference — the example exits
-# non-zero if the sharded bytes diverge (tests/shard_determinism.rs is
-# the full tier-1 matrix; this just proves the re-exec path works in the
-# checked-out tree).
-echo "==> shard smoke (distributed_campaign, 2 workers)"
-cargo run -q -p shard --example distributed_campaign --release -- --shard-workers 2 >/dev/null
-
 # Campaign-server smoke: boot 2 re-exec'd socket workers and the HTTP
 # campaign server, submit Table II through the client, and diff the
 # served stream against the in-example serial reference — the example

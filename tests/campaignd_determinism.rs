@@ -1,22 +1,29 @@
-//! Tier-1 regression test for the campaign server (DESIGN.md §14):
-//! table2, table3 and a multi-spec city-style sweep submitted over
-//! loopback HTTP produce **byte-identical** result streams to a plain
-//! serial loop at 1/2/4 re-exec'd socket workers — and stay identical
-//! when workers are killed mid-chunk, when they hang until the
-//! per-chunk timeout reaps their connection, and when two clients
-//! submit concurrently. Queue overflow answers a deterministic 503.
+//! Tier-1 regression test for campaigns on socket worker processes
+//! (DESIGN.md §10/§14). Over 1/2/4 re-exec'd socket workers, table2,
+//! table3 and the fault-sweep campaign (DESIGN.md §11) run through
+//! [`FanoutExecutor`] to **byte-identical** output, and table2, table3
+//! and a multi-spec city-style sweep submitted to the HTTP campaign
+//! server stream the serial bytes — both with no chunk falling back.
+//! Output stays identical when workers are killed mid-chunk (executor
+//! and server), when a worker hangs until the executor's per-chunk
+//! timeout shuts its connection, and when two clients submit
+//! concurrently. Queue overflow answers a deterministic 503. The
+//! 8-thread in-process runner is checked against the same references.
 //!
-//! `harness = false`: the server spawns this very binary as its socket
-//! workers, so `main` must dispatch `--shard-listen` before anything
-//! else instead of handing control to libtest.
+//! `harness = false`: the workers are this very binary re-exec'd, so
+//! `main` must dispatch `--shard-listen` before anything else instead of
+//! handing control to libtest.
 
-use campaignd::{client, CampaignServer, WorkerPool};
+use campaignd::{client, CampaignServer, FanoutExecutor, RunningCampaignServer, WorkerPool};
 use its_testbed::campaign::{CampaignRegistry, CampaignSpec, Executor, Serial};
+use its_testbed::experiments::{table2, table3, Table3};
+use its_testbed::faultsweep::{fault_sweep, fault_sweep_specs};
 use its_testbed::scenario::ScenarioConfig;
 use its_testbed::submission::{encode_submission, CampaignSubmission};
-use its_testbed::RunRecord;
+use its_testbed::{RunRecord, Runner};
 use shard::protocol::encode_results;
-use shard::KILL_ENV;
+use shard::{HANG_ENV, KILL_ENV};
+use std::net::SocketAddr;
 use std::time::Duration;
 
 /// Runs per table campaign: enough that 4 workers each get a multi-run
@@ -56,11 +63,31 @@ fn city_sweep_grid() -> Vec<CampaignSpec> {
         .collect()
 }
 
+/// Seeds per fault-sweep cell: the grid is 18 cells, so 2 seeds give 36
+/// flat jobs — enough for every worker count here to get real chunks.
+const FS_RUNS: usize = 2;
+
+fn fs_base() -> ScenarioConfig {
+    ScenarioConfig {
+        seed: 6000,
+        ..ScenarioConfig::default()
+    }
+}
+
+fn faultsweep_grid() -> Vec<CampaignSpec> {
+    fault_sweep_specs(&fs_base(), FS_RUNS)
+}
+
+// The table2/table3/faultsweep derivations mirror exactly what
+// `experiments::table2`/`table3` and `fault_sweep` build internally, so
+// the executor recognises their specs by fingerprint and fans them out
+// instead of falling back.
 fn registry() -> CampaignRegistry {
     CampaignRegistry::new()
         .register("table2", table2_grid)
         .register("table3", table3_grid)
         .register("city_sweep", city_sweep_grid)
+        .register("faultsweep", faultsweep_grid)
 }
 
 const CAMPAIGNS: [(&str, fn() -> Vec<CampaignSpec>); 3] = [
@@ -74,6 +101,10 @@ fn serial_stream(grid: &[CampaignSpec]) -> Vec<u8> {
     encode_results(&flat)
 }
 
+fn braking_bits(t: &Table3) -> Vec<u64> {
+    t.braking_m.iter().map(|b| b.to_bits()).collect()
+}
+
 fn check(name: &str, ok: bool, failures: &mut usize) {
     if ok {
         println!("ok   {name}");
@@ -83,20 +114,38 @@ fn check(name: &str, ok: bool, failures: &mut usize) {
     }
 }
 
-/// Boots `n` re-exec'd socket workers and a server over them.
-fn boot(n: usize) -> (campaignd::WorkerProcs, campaignd::RunningCampaignServer) {
+/// Re-execs `n` socket workers and waits for them to register. Workers
+/// inherit the environment at spawn, so injection variables must be set
+/// before this call.
+fn spawn_workers(n: usize) -> (campaignd::WorkerProcs, Vec<SocketAddr>) {
     let pool = WorkerPool::bind().expect("bind worker control port");
     let procs = campaignd::spawn_socket_workers(n, pool.ctrl_addr()).expect("spawn workers");
     assert!(
         pool.wait_for(n, Duration::from_secs(30)),
         "{n} workers failed to register"
     );
-    let server = CampaignServer::new(registry())
-        .with_workers(pool.workers())
+    (procs, pool.workers())
+}
+
+/// A campaign server fanning out to `workers`.
+fn serve(workers: &[SocketAddr]) -> RunningCampaignServer {
+    CampaignServer::new(registry())
+        .with_workers(workers.to_vec())
         .with_timeout(Duration::from_secs(300))
         .serve("127.0.0.1:0")
-        .expect("bind campaign server");
-    (procs, server)
+        .expect("bind campaign server")
+}
+
+/// The socket-worker executor bound to one registered campaign.
+fn executor(campaign: &str, workers: &[SocketAddr]) -> FanoutExecutor {
+    let grid = registry().derive(campaign).expect("registered");
+    FanoutExecutor::new(campaign, grid, workers.to_vec()).with_timeout(Duration::from_secs(300))
+}
+
+/// No chunk was re-run in-process and the grid was the bound one, so
+/// every record crossed a socket.
+fn no_fallback(exec: &FanoutExecutor) -> bool {
+    exec.fallback_chunks() == 0 && exec.fallback_grids() == 0
 }
 
 fn main() {
@@ -106,29 +155,76 @@ fn main() {
 
     let mut failures = 0usize;
 
-    // Reference streams from the plain serial loop.
+    // Reference streams and tables from the plain serial loop.
     let serial: Vec<(&str, Vec<u8>)> = CAMPAIGNS
         .iter()
         .map(|&(name, grid)| (name, serial_stream(&grid())))
         .collect();
+    let t2_serial = table2(&Serial, &base(), RUNS).render();
+    let t3_serial = braking_bits(&table3(&Serial, &base(), RUNS));
+    let fs_serial = fault_sweep(&Serial, &fs_base(), FS_RUNS);
+
+    // In-process thread pool at 8 workers (oversubscription is fine).
+    let threaded = Runner::new(8);
+    check(
+        "table2: 8-thread runner matches serial",
+        table2(&threaded, &base(), RUNS).render() == t2_serial,
+        &mut failures,
+    );
+    check(
+        "table3: 8-thread runner matches serial (bitwise)",
+        braking_bits(&table3(&threaded, &base(), RUNS)) == t3_serial,
+        &mut failures,
+    );
+    check(
+        "faultsweep: 8-thread runner matches serial",
+        fault_sweep(&threaded, &fs_base(), FS_RUNS) == fs_serial,
+        &mut failures,
+    );
 
     // The server's catalogue is the registry, in registration order.
     {
-        let (procs, server) = boot(1);
+        let (procs, workers) = spawn_workers(1);
+        let server = serve(&workers);
         let names = client::list_campaigns(server.addr()).expect("list campaigns");
         check(
             "GET /campaigns lists the registry in order",
-            names == vec!["table2", "table3", "city_sweep"],
+            names == vec!["table2", "table3", "city_sweep", "faultsweep"],
             &mut failures,
         );
         drop(procs);
         server.shutdown();
     }
 
-    // Byte identity at every worker count: the raw HTTP body must equal
-    // the serial result stream, with no chunk falling back in-process.
+    // Byte identity at every worker count, with no chunk falling back
+    // in-process: the executor's tables must equal serial, and the raw
+    // HTTP body must equal the serial result stream.
     for workers in [1usize, 2, 4] {
-        let (procs, server) = boot(workers);
+        let (procs, addrs) = spawn_workers(workers);
+
+        let exec = executor("table2", &addrs);
+        check(
+            &format!("table2: {workers}-worker executor matches serial, no fallback"),
+            table2(&exec, &base(), RUNS).render() == t2_serial && no_fallback(&exec),
+            &mut failures,
+        );
+        let exec = executor("table3", &addrs);
+        check(
+            &format!("table3: {workers}-worker executor matches serial (bitwise), no fallback"),
+            braking_bits(&table3(&exec, &base(), RUNS)) == t3_serial && no_fallback(&exec),
+            &mut failures,
+        );
+        let exec = executor("faultsweep", &addrs);
+        let sweep = fault_sweep(&exec, &fs_base(), FS_RUNS);
+        check(
+            &format!("faultsweep: {workers}-worker executor matches serial, no fallback"),
+            sweep == fs_serial
+                && sweep.fingerprint() == fs_serial.fingerprint()
+                && no_fallback(&exec),
+            &mut failures,
+        );
+
+        let server = serve(&addrs);
         for (name, expected) in &serial {
             let grid = registry.derive(name).expect("registered");
             let frame = encode_submission(&CampaignSubmission::for_grid(name, &grid));
@@ -149,13 +245,26 @@ fn main() {
     }
 
     // Kill injection: chunks 0 and 2 of 4 die mid-chunk (result magic
-    // written, records missing, connection dropped). The server must
-    // detect both truncations, re-run those chunks in-process, and
-    // still stream the exact serial bytes. Workers inherit the
-    // environment at spawn, so the variable is set before boot.
+    // written, records missing, connection dropped). The executor and
+    // the server must detect both truncations, re-run those chunks
+    // in-process, and still produce the exact serial bytes.
     std::env::set_var(KILL_ENV, "0,2");
     {
-        let (procs, server) = boot(4);
+        let (procs, addrs) = spawn_workers(4);
+        let exec = executor("table2", &addrs);
+        check(
+            "table2: 4-worker executor with killed chunks 0,2 matches serial, 2 fell back",
+            table2(&exec, &base(), RUNS).render() == t2_serial && exec.fallback_chunks() == 2,
+            &mut failures,
+        );
+        let exec = executor("table3", &addrs);
+        check(
+            "table3: 4-worker executor with killed chunks 0,2 matches serial, 2 fell back",
+            braking_bits(&table3(&exec, &base(), RUNS)) == t3_serial && exec.fallback_chunks() == 2,
+            &mut failures,
+        );
+
+        let server = serve(&addrs);
         let grid = table2_grid();
         let frame = encode_submission(&CampaignSubmission::for_grid("table2", &grid));
         let resp = client::submit_raw(server.addr(), &frame).expect("submit");
@@ -174,11 +283,34 @@ fn main() {
     }
     std::env::remove_var(KILL_ENV);
 
+    // Hang injection: chunk 1 of 4 reads its assignment and then never
+    // writes a byte. The executor's result timeout must shut the
+    // connection, count the chunk as timed out, re-run it in-process,
+    // and still merge to the exact serial bytes.
+    std::env::set_var(HANG_ENV, "1");
+    {
+        let (procs, addrs) = spawn_workers(4);
+        let exec = executor("table2", &addrs).with_timeout(Duration::from_secs(5));
+        check(
+            "table2: 4-worker executor with hung chunk 1 matches serial",
+            table2(&exec, &base(), RUNS).render() == t2_serial,
+            &mut failures,
+        );
+        check(
+            "hang injection tripped the chunk timeout",
+            exec.timed_out_chunks() == 1 && exec.fallback_chunks() == 1,
+            &mut failures,
+        );
+        drop(procs);
+    }
+    std::env::remove_var(HANG_ENV);
+
     // Two concurrent clients: submissions are queued FIFO and executed
     // one at a time, so each client's stream is complete, unmixed, and
     // byte-identical to its own serial reference.
     {
-        let (procs, server) = boot(2);
+        let (procs, addrs) = spawn_workers(2);
+        let server = serve(&addrs);
         let addr = server.addr();
         let handles: Vec<_> = [("table2", table2_grid()), ("table3", table3_grid())]
             .into_iter()

@@ -1,8 +1,7 @@
 //! The cooperative fault sweep (platoon + intersection under
 //! node-targeted fault campaigns, DESIGN.md §15) must be byte-identical
 //! however it is executed: serial in-process, the deterministic thread
-//! pool, the multi-process shard coordinator, and the campaign server's
-//! socket-worker executor.
+//! pool, and the campaign server's socket-worker executor.
 //!
 //! Sweep jobs are not plain scenario-spec runs, so every executor
 //! reaches them through [`Executor::run_indexed`]'s in-process path —
@@ -18,13 +17,12 @@ use its_testbed::faultsweep::INTENSITIES;
 use its_testbed::intersection::{IntersectionConfig, IntersectionScenario, SecondHazard};
 use its_testbed::{Runner, ScenarioConfig};
 use shard::transport::serve_connections;
-use shard::ShardExecutor;
 use std::net::{SocketAddr, TcpListener};
 
 const BASE_SEED: u64 = 4100;
 const RUNS: usize = 1;
 
-/// A registry entry so the socket-backed executors can be constructed;
+/// A registry entry so the socket-worker executor can be constructed;
 /// coop-sweep jobs run through `run_indexed`, not through this grid.
 fn anchor_grid() -> Vec<CampaignSpec> {
     vec![CampaignSpec::new(
@@ -65,16 +63,6 @@ fn coop_sweep_is_byte_identical_across_executors() {
         serial_fp
     );
 
-    // Multi-process shard coordinator (run_indexed stays in-process).
-    let registry = CampaignRegistry::new().register("coop_anchor", anchor_grid);
-    let shard = ShardExecutor::new(4, "coop_anchor", &registry).expect("anchor registered");
-    assert_eq!(
-        coop_sweep_frames(&shard, BASE_SEED, RUNS),
-        serial_frames,
-        "4-worker shard frames diverged"
-    );
-    assert_eq!(coop_sweep(&shard, BASE_SEED, RUNS).fingerprint(), serial_fp);
-
     // Campaign server's socket-worker executor, with live TCP workers.
     let workers: Vec<SocketAddr> = (0..2).map(|_| spawn_worker()).collect();
     let fanout = FanoutExecutor::new("coop_anchor", anchor_grid(), workers);
@@ -94,6 +82,7 @@ fn coop_sweep_is_byte_identical_across_executors() {
         Serial.execute_grid(&anchor_grid())
     );
     assert_eq!(fanout.fallback_grids(), 0);
+    assert_eq!(fanout.fallback_chunks(), 0);
 }
 
 #[test]

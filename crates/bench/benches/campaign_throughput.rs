@@ -3,6 +3,9 @@
 //! env/machine-picked worker count, then writes `BENCH_campaign.json`
 //! at the repository root so the numbers are tracked in git.
 //!
+//! The file records its host facts: the CPUs available (`nproc`) and
+//! the build profile, next to each side's thread count.
+//!
 //! Reported per side: wall-clock seconds, completed runs/sec, ns per
 //! dispatched simulation event (Table II sub-campaign), and a heap
 //! allocation proxy from a counting global allocator. Aggregate
@@ -114,6 +117,8 @@ fn main() {
     assert_eq!(serial.events_total, parallel.events_total);
 
     let m = CampaignMeasurement {
+        nproc: bench::host_nproc(),
+        profile: bench::build_profile(),
         runs,
         events_per_run: serial.events_total as f64 / runs as f64,
         serial: serial.side,
@@ -134,8 +139,10 @@ fn main() {
     }
 
     println!(
-        "campaign_throughput ({runs} runs/table{})",
-        if quick { ", quick" } else { "" }
+        "campaign_throughput ({runs} runs/table{}) on {} CPU(s), {} build",
+        if quick { ", quick" } else { "" },
+        m.nproc,
+        m.profile
     );
     println!(
         "  serial   ({} thread):  {:>8.2} runs/s  {:>8.1} ns/event  {:>10.1} allocs/run",

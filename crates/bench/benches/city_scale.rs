@@ -130,14 +130,10 @@ fn main() {
     let culled_speedup = exhaustive_secs / culled_secs.max(1e-12);
 
     let m = CityMeasurement {
-        nproc: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        nproc: bench::host_nproc(),
         // Every run above is one `run_city` call on this thread.
         threads: 1,
-        profile: if cfg!(debug_assertions) {
-            "debug"
-        } else {
-            "release"
-        },
+        profile: bench::build_profile(),
         rows,
         culled_speedup,
     };

@@ -47,10 +47,30 @@ pub struct CampaignSide {
     pub alloc_bytes_per_run: f64,
 }
 
+/// Logical CPUs available to this process: the `nproc` host fact of
+/// every tracked bench file.
+pub fn host_nproc() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// Build profile of the bench binary (`"release"` or `"debug"`): the
+/// `profile` host fact of every tracked bench file.
+pub fn build_profile() -> &'static str {
+    if cfg!(debug_assertions) {
+        "debug"
+    } else {
+        "release"
+    }
+}
+
 /// The full campaign-throughput measurement written to
 /// `BENCH_campaign.json`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CampaignMeasurement {
+    /// Logical CPUs available to the bench process.
+    pub nproc: usize,
+    /// Build profile of the bench binary (`"release"` or `"debug"`).
+    pub profile: &'static str,
     /// Runs per table (the campaign executes `2 × runs` scenarios).
     pub runs: usize,
     /// Mean events dispatched per Table II run (workload fingerprint).
@@ -81,7 +101,9 @@ fn side_json(side: &CampaignSide) -> String {
 /// Renders the measurement as the `BENCH_campaign.json` document.
 pub fn campaign_json(m: &CampaignMeasurement) -> String {
     format!(
-        "{{\n  \"bench\": \"campaign_throughput\",\n  \"runs_per_table\": {},\n  \"events_per_run\": {:.1},\n  \"serial\": {},\n  \"parallel\": {},\n  \"table2_total_avg_ms\": {:.4},\n  \"table3_braking_avg_m\": {:.6}\n}}\n",
+        "{{\n  \"bench\": \"campaign_throughput\",\n  \"nproc\": {},\n  \"profile\": \"{}\",\n  \"runs_per_table\": {},\n  \"events_per_run\": {:.1},\n  \"serial\": {},\n  \"parallel\": {},\n  \"table2_total_avg_ms\": {:.4},\n  \"table3_braking_avg_m\": {:.6}\n}}\n",
+        m.nproc,
+        m.profile,
         m.runs,
         m.events_per_run,
         side_json(&m.serial),
@@ -156,9 +178,36 @@ pub fn json_number_fields(src: &str) -> Vec<(String, f64)> {
 /// noise, not a result.
 pub const CAMPAIGN_MIN_PARALLEL_THREADS: usize = 2;
 
+/// Checks the host facts every tracked bench file records: an `nproc`
+/// of at least 1 and a non-empty build `"profile"` string.
+fn validate_host_facts(src: &str) -> Result<(), String> {
+    let nproc: Vec<f64> = json_number_fields(src)
+        .into_iter()
+        .filter(|(k, _)| k == "nproc")
+        .map(|(_, v)| v)
+        .collect();
+    if nproc.is_empty() {
+        return Err("missing numeric field \"nproc\"".to_owned());
+    }
+    if let Some(v) = nproc.into_iter().find(|&v| v < 1.0) {
+        return Err(format!("host fact \"nproc\" is {v}, expected at least 1"));
+    }
+    let profile = src
+        .split_once("\"profile\"")
+        .and_then(|(_, rest)| rest.trim_start().strip_prefix(':'))
+        .and_then(|rest| rest.trim_start().strip_prefix('"'))
+        .and_then(|rest| rest.split_once('"'))
+        .map(|(value, _)| value);
+    match profile {
+        Some(p) if !p.is_empty() => Ok(()),
+        _ => Err("missing the build \"profile\" string".to_owned()),
+    }
+}
+
 /// Validates a `BENCH_campaign.json` document: non-empty, every
-/// required key present with a finite, non-negative value, and the
-/// `parallel` side measured at [`CAMPAIGN_MIN_PARALLEL_THREADS`] or more.
+/// required key present with a finite, non-negative value, the host
+/// facts (`nproc`, `profile`) filled in, and the `parallel` side
+/// measured at [`CAMPAIGN_MIN_PARALLEL_THREADS`] or more.
 ///
 /// # Errors
 ///
@@ -192,6 +241,7 @@ pub fn validate_campaign_json(src: &str) -> Result<(), String> {
             }
         }
     }
+    validate_host_facts(src)?;
     // The first "threads" after the "parallel" key is that side's.
     let parallel_threads = src
         .find("\"parallel\"")
@@ -348,21 +398,12 @@ pub fn validate_city_json(src: &str) -> Result<(), String> {
             if !v.is_finite() || v < 0.0 {
                 return Err(format!("field {key:?} has invalid value {v}"));
             }
-            if (key == "nproc" || key == "threads") && v < 1.0 {
+            if key == "threads" && v < 1.0 {
                 return Err(format!("host fact {key:?} is {v}, expected at least 1"));
             }
         }
     }
-    let profile = src
-        .split_once("\"profile\"")
-        .and_then(|(_, rest)| rest.trim_start().strip_prefix(':'))
-        .and_then(|rest| rest.trim_start().strip_prefix('"'))
-        .and_then(|rest| rest.split_once('"'))
-        .map(|(value, _)| value);
-    match profile {
-        Some(p) if !p.is_empty() => Ok(()),
-        _ => Err("missing the build \"profile\" string".to_owned()),
-    }
+    validate_host_facts(src)
 }
 
 /// Validates the tracked `BENCH_city.json` baseline: the schema checks
@@ -464,6 +505,8 @@ mod tests {
             alloc_bytes_per_run: 850_000.0,
         };
         CampaignMeasurement {
+            nproc: 8,
+            profile: "release",
             runs: 256,
             events_per_run: 9_000.0,
             serial: side(1, 40.0),
@@ -508,6 +551,32 @@ mod tests {
         // A document without a parallel side is rejected too.
         let serial_only = campaign_json(&m).replace("\"parallel\"", "\"other\"");
         assert!(validate_campaign_json(&serial_only).is_err());
+    }
+
+    #[test]
+    fn campaign_validator_requires_host_facts() {
+        let json = campaign_json(&sample_measurement());
+        assert!(json.contains("\"nproc\": 8"), "{json}");
+        assert!(json.contains("\"profile\": \"release\""), "{json}");
+        // Each host fact's line removed in turn.
+        for fact in ["\"nproc\"", "\"profile\""] {
+            let without: String = json
+                .lines()
+                .filter(|line| !line.contains(fact))
+                .map(|line| format!("{line}\n"))
+                .collect();
+            let err = validate_campaign_json(&without).unwrap_err();
+            assert!(err.contains(fact.trim_matches('"')), "{fact}: {err}");
+        }
+        // Present but empty or zero.
+        let mut m = sample_measurement();
+        m.profile = "";
+        let err = validate_campaign_json(&campaign_json(&m)).unwrap_err();
+        assert!(err.contains("profile"), "{err}");
+        let mut m = sample_measurement();
+        m.nproc = 0;
+        let err = validate_campaign_json(&campaign_json(&m)).unwrap_err();
+        assert!(err.contains("nproc"), "{err}");
     }
 
     #[test]

@@ -71,8 +71,9 @@ impl Response {
 
     /// A plain-text response with an arbitrary status code — the
     /// campaign server's 409 Conflict (submission fingerprint mismatch)
-    /// and 503 Service Unavailable (queue full) answers come through
-    /// here.
+    /// and 503 Service Unavailable (queue full) answers, and the
+    /// server's own 413 for a body above [`MAX_BODY_BYTES`], come
+    /// through here.
     pub fn with_status(status: u16, reason: &str) -> Self {
         Self {
             status,
@@ -87,11 +88,18 @@ impl Response {
             400 => "Bad Request",
             404 => "Not Found",
             409 => "Conflict",
+            413 => "Content Too Large",
             503 => "Service Unavailable",
             _ => "Unknown",
         }
     }
 }
+
+/// The largest request body the server accepts, in bytes. A request
+/// whose `Content-Length` is larger gets 413 before any body byte is
+/// read or allocated. The largest legitimate request is far smaller: a
+/// campaign submission is ~50 bytes, a DENM a few hundred.
+pub const MAX_BODY_BYTES: usize = 1 << 20;
 
 /// A registered route handler.
 type Handler = Box<dyn Fn(&Request) -> Response + Send + Sync>;
@@ -184,8 +192,12 @@ fn handle_connection(
     let mut reader = BufReader::new(stream.try_clone()?);
     let request = match parse_request(&mut reader) {
         Ok(r) => r,
-        Err(_) => {
-            write_response(&stream, &Response::bad_request("malformed request"))?;
+        Err(e) => {
+            let response = match e {
+                RequestError::TooLarge => Response::with_status(413, "request body too large"),
+                RequestError::Malformed => Response::bad_request("malformed request"),
+            };
+            write_response(&stream, &response)?;
             return Ok(());
         }
     };
@@ -197,18 +209,26 @@ fn handle_connection(
     write_response(&stream, &response)
 }
 
-fn parse_request(reader: &mut BufReader<TcpStream>) -> std::io::Result<Request> {
+/// Why a request could not be parsed.
+enum RequestError {
+    /// `Content-Length` exceeds [`MAX_BODY_BYTES`].
+    TooLarge,
+    /// No method or path, a short body, or a read error.
+    Malformed,
+}
+
+impl From<std::io::Error> for RequestError {
+    fn from(_: std::io::Error) -> Self {
+        Self::Malformed
+    }
+}
+
+fn parse_request(reader: &mut BufReader<TcpStream>) -> Result<Request, RequestError> {
     let mut line = String::new();
     reader.read_line(&mut line)?;
     let mut parts = line.split_whitespace();
-    let method = parts
-        .next()
-        .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidData, "no method"))?
-        .to_owned();
-    let path = parts
-        .next()
-        .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidData, "no path"))?
-        .to_owned();
+    let method = parts.next().ok_or(RequestError::Malformed)?.to_owned();
+    let path = parts.next().ok_or(RequestError::Malformed)?.to_owned();
     let mut headers = BTreeMap::new();
     loop {
         let mut h = String::new();
@@ -225,6 +245,9 @@ fn parse_request(reader: &mut BufReader<TcpStream>) -> std::io::Result<Request> 
         .get("content-length")
         .and_then(|v| v.parse().ok())
         .unwrap_or(0);
+    if len > MAX_BODY_BYTES {
+        return Err(RequestError::TooLarge);
+    }
     let mut body = vec![0u8; len];
     reader.read_exact(&mut body)?;
     Ok(Request {

@@ -5,19 +5,19 @@
 //! follow-ups. Events at the same instant are delivered in FIFO order of
 //! scheduling (a stable tie-break), which is what makes traces repeatable.
 //!
-//! Two queue implementations share one contract:
+//! [`EventQueue`] is a *calendar queue*: a slab of event slots recycled
+//! through a free list (no per-schedule allocation in steady state)
+//! chained into time-window buckets, with a day cursor that walks the
+//! calendar. Schedule and pop are O(1) for the short-horizon
+//! schedule-after pattern the testbed generates. See DESIGN.md §12 for
+//! the bucket-width choice, the resize policy and the determinism
+//! argument.
 //!
-//! * [`EventQueue`] — the production *calendar queue*: a slab of event
-//!   slots recycled through a free list (no per-schedule allocation in
-//!   steady state) chained into time-window buckets, with a day cursor
-//!   that walks the calendar. Schedule and pop are O(1) for the
-//!   short-horizon schedule-after pattern the testbed generates. See
-//!   DESIGN.md §12 for the bucket-width choice, the resize policy and
-//!   the determinism argument.
-//! * [`ReferenceQueue`] — the original `BinaryHeap` implementation, kept
-//!   verbatim as the executable specification of the ordering contract.
-//!   The differential harness (`tests/queue_differential.rs`) pins the
-//!   calendar queue's pop order bitwise against it.
+//! The original `BinaryHeap` queue is kept verbatim as test support
+//! (`tests/support/reference_queue.rs`), the executable specification
+//! of the ordering contract: this module's unit tests and the
+//! differential harness (`tests/queue_differential.rs`) pin the
+//! calendar queue's pop order bitwise against it.
 //!
 //! # Ordering contract (both queues)
 //!
@@ -31,8 +31,6 @@
 //! implementations (covered by `seq_wrap_orders_post_wrap_first`).
 
 use crate::time::{SimDuration, SimTime};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Sentinel index terminating slab chains (free list and bucket chains).
 const SLOT_NONE: u32 = u32::MAX;
@@ -70,9 +68,9 @@ struct Slot<E> {
 
 /// Calendar-queue event scheduler with stable same-instant ordering.
 ///
-/// Drop-in replacement for the original heap-based queue (now
-/// [`ReferenceQueue`]): same API, same panics, bitwise-identical pop
-/// order. See the crate-level example for end-to-end usage.
+/// Drop-in replacement for the original heap-based queue (now the
+/// tests' `ReferenceQueue`): same API, same panics, bitwise-identical
+/// pop order. See the crate-level example for end-to-end usage.
 #[derive(Debug)]
 pub struct EventQueue<E> {
     /// Slab of event slots; vacant slots are threaded on `free_head`.
@@ -374,138 +372,6 @@ impl<E> EventQueue<E> {
     }
 }
 
-/// A pending event in the reference queue: ordered by time, then by
-/// insertion sequence.
-#[derive(Debug)]
-struct Pending<E> {
-    time: SimTime,
-    seq: u64,
-    event: E,
-}
-
-impl<E> PartialEq for Pending<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<E> Eq for Pending<E> {}
-impl<E> PartialOrd for Pending<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Pending<E> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
-    }
-}
-
-/// The original min-heap event queue, kept as the executable
-/// specification of the ordering contract. Same API and same panics as
-/// [`EventQueue`]; the differential proptest harness asserts the two
-/// produce bitwise-identical pop sequences.
-#[derive(Debug)]
-pub struct ReferenceQueue<E> {
-    heap: BinaryHeap<Reverse<Pending<E>>>,
-    seq: u64,
-    now: SimTime,
-    dispatched: u64,
-}
-
-impl<E> Default for ReferenceQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> ReferenceQueue<E> {
-    /// Creates an empty queue positioned at [`SimTime::ZERO`].
-    pub fn new() -> Self {
-        Self {
-            heap: BinaryHeap::new(),
-            seq: 0,
-            now: SimTime::ZERO,
-            dispatched: 0,
-        }
-    }
-
-    /// Current simulation time (the timestamp of the last dispatched
-    /// event, or zero before the first).
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Number of events dispatched so far.
-    pub fn dispatched(&self) -> u64 {
-        self.dispatched
-    }
-
-    /// Number of events still pending.
-    pub fn pending(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Schedules `event` at the absolute instant `time`.
-    ///
-    /// # Panics
-    ///
-    /// Panics (release builds included) if `time` is before the queue's
-    /// current time — scheduling into the past is always a logic error.
-    pub fn schedule_at(&mut self, time: SimTime, event: E) {
-        assert!(
-            time >= self.now,
-            "cannot schedule into the past ({} < {})",
-            time,
-            self.now
-        );
-        let seq = self.seq;
-        self.seq = self.seq.wrapping_add(1);
-        self.heap.push(Reverse(Pending { time, seq, event }));
-    }
-
-    /// Schedules `event` at `base + delay` (same contract as
-    /// [`EventQueue::schedule_after`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `base + delay` is before the queue's current time.
-    pub fn schedule_after(&mut self, base: SimTime, delay: SimDuration, event: E) {
-        self.schedule_at(base + delay, event);
-    }
-
-    /// Pops the next event if one exists at or before `until`.
-    pub fn pop_next(&mut self, until: SimTime) -> Option<(SimTime, E)> {
-        if let Some(Reverse(head)) = self.heap.peek() {
-            if head.time > until {
-                return None;
-            }
-        }
-        self.heap.pop().map(|Reverse(p)| {
-            self.now = p.time;
-            self.dispatched += 1;
-            (p.time, p.event)
-        })
-    }
-
-    /// Batch form of [`ReferenceQueue::pop_next`]; same contract as
-    /// [`EventQueue::pop_batch`].
-    pub fn pop_batch(&mut self, until: SimTime, out: &mut Vec<E>) -> Option<SimTime> {
-        let (t, e) = self.pop_next(until)?;
-        out.push(e);
-        while let Some((_, e2)) = self.pop_next(t) {
-            out.push(e2);
-        }
-        Some(t)
-    }
-
-    /// Test support: forces the FIFO tie-break counter (see
-    /// [`EventQueue::force_seq`]).
-    #[doc(hidden)]
-    pub fn force_seq(&mut self, seq: u64) {
-        self.seq = seq;
-    }
-}
-
 /// Consumer of dispatched events.
 pub trait EventHandler {
     /// The event type flowing through the queue.
@@ -576,7 +442,12 @@ pub fn run_until_idle<H: EventHandler>(
 }
 
 #[cfg(test)]
+#[path = "../tests/support/reference_queue.rs"]
+mod reference_queue;
+
+#[cfg(test)]
 mod tests {
+    use super::reference_queue::ReferenceQueue;
     use super::*;
 
     #[derive(Default)]

@@ -46,6 +46,11 @@
 #![deny(rust_2018_idioms)]
 #![warn(missing_docs)]
 
+// Test-support files shared with the integration tests name this crate
+// `sim_core`, as the integration tests do.
+#[cfg(test)]
+extern crate self as sim_core;
+
 mod clock;
 mod engine;
 pub mod math;
@@ -54,7 +59,7 @@ mod time;
 mod trace;
 
 pub use clock::{NodeClock, NtpModel};
-pub use engine::{run, run_batched, run_until_idle, EventHandler, EventQueue, ReferenceQueue};
+pub use engine::{run, run_batched, run_until_idle, EventHandler, EventQueue};
 pub use rng::{RngCore, SimRng};
 pub use time::{SimDuration, SimTime};
 pub use trace::{Trace, TraceEvent};

@@ -13,7 +13,11 @@
 //! are exactly the cases where only the FIFO seq tie-break determines
 //! handler order.
 
-use sim_core::{EventQueue, ReferenceQueue, SimTime};
+#[path = "support/reference_queue.rs"]
+mod reference_queue;
+
+use reference_queue::ReferenceQueue;
+use sim_core::{EventQueue, SimTime};
 
 /// `(dispatch_step, time_ns)` for every schedule call of the captured
 /// run, in call order.

@@ -10,8 +10,12 @@
 //! (popped events, timestamps, `now`, `pending`, `dispatched`) to match
 //! exactly, step by step.
 
+#[path = "support/reference_queue.rs"]
+mod reference_queue;
+
 use proptest::prelude::*;
-use sim_core::{EventQueue, ReferenceQueue, SimDuration, SimTime};
+use reference_queue::ReferenceQueue;
+use sim_core::{EventQueue, SimDuration, SimTime};
 
 /// One step of a queue program, decoded from `(op, raw)` fuzz words.
 #[derive(Debug, Clone, Copy)]

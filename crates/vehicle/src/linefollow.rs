@@ -19,6 +19,7 @@ use crate::dynamics::BicycleState;
 use crate::pid::Pid;
 use sim_core::SimRng;
 use std::cell::RefCell;
+use std::cmp::Reverse;
 
 /// Ground-truth track: a polyline of the tape line on the floor.
 #[derive(Debug, Clone, PartialEq)]
@@ -78,6 +79,17 @@ impl Track {
             .fold(f64::INFINITY, f64::min)
     }
 
+    /// The square of [`Track::distance_to`] before its rounded `sqrt`:
+    /// the smallest squared segment distance. `sqrt` is correctly
+    /// rounded, hence monotone, so `distance_to(x, y)` is exactly
+    /// `distance_sq_to(x, y).sqrt()`, NaN distances being skipped by
+    /// `f64::min` in both.
+    fn distance_sq_to(&self, x: f64, y: f64) -> f64 {
+        self.segments()
+            .map(|(a, b)| segment_distance_sq(a, b, (x, y)))
+            .fold(f64::INFINITY, f64::min)
+    }
+
     /// Signed lateral offset of a pose from the track: positive when the
     /// track is to the left of the heading direction.
     pub fn lateral_offset(&self, pose: &BicycleState) -> f64 {
@@ -116,8 +128,73 @@ fn segment_closest(a: (f64, f64), b: (f64, f64), p: (f64, f64)) -> (f64, f64) {
 }
 
 fn segment_distance(a: (f64, f64), b: (f64, f64), p: (f64, f64)) -> f64 {
+    segment_distance_sq(a, b, p).sqrt()
+}
+
+fn segment_distance_sq(a: (f64, f64), b: (f64, f64), p: (f64, f64)) -> f64 {
     let c = segment_closest(a, b, p);
-    ((c.0 - p.0).powi(2) + (c.1 - p.1).powi(2)).sqrt()
+    (c.0 - p.0).powi(2) + (c.1 - p.1).powi(2)
+}
+
+/// The largest `f64` whose square root is at most `h`, so that for every
+/// non-negative or NaN `d`, `d.sqrt() <= h` exactly when
+/// `d <= sqrt_threshold(h)`.
+///
+/// `sqrt` is correctly rounded and therefore monotone: every `d` up to
+/// the threshold has a root no larger than the threshold's, and every
+/// `d` above it is at least its successor, whose root exceeds `h`.
+/// `h * h` lands within an ulp or two of the boundary, and the loops
+/// step it there. A NaN or negative `h` admits no `d`, and neither does
+/// `-∞`; `h = +∞` admits every non-NaN `d`, and so does `+∞`.
+fn sqrt_threshold(h: f64) -> f64 {
+    if h.is_nan() || h < 0.0 {
+        return f64::NEG_INFINITY;
+    }
+    let mut t = h * h;
+    while t.sqrt() > h {
+        t = t.next_down();
+    }
+    while t < f64::INFINITY && t.next_up().sqrt() <= h {
+        t = t.next_up();
+    }
+    t
+}
+
+/// 2^52: from here up in magnitude every `f64` is an integer.
+const INTEGRAL_F64: f64 = 4_503_599_627_370_496.0;
+
+/// `x.floor()`, bit for bit, without the libm call baseline x86-64
+/// makes for it (see [`round_to_usize`]).
+///
+/// Below 2^52 in magnitude the `i64` round trip truncates exactly, and
+/// `copysign` gives a zero result the sign of `x`, as truncation does.
+/// Stepping down one where that rounded up is exact too. From 2^52 up
+/// every `f64` is already an integer, and NaN and ±∞ pass through.
+fn floor_f64(x: f64) -> f64 {
+    if x.abs() < INTEGRAL_F64 {
+        let t = (x as i64 as f64).copysign(x);
+        if t > x {
+            t - 1.0
+        } else {
+            t
+        }
+    } else {
+        x
+    }
+}
+
+/// `x.ceil()`, bit for bit, by the truncation of [`floor_f64`].
+fn ceil_f64(x: f64) -> f64 {
+    if x.abs() < INTEGRAL_F64 {
+        let t = (x as i64 as f64).copysign(x);
+        if t < x {
+            t + 1.0
+        } else {
+            t
+        }
+    } else {
+        x
+    }
 }
 
 /// A binary camera frame (bird's-eye projection of the floor ahead).
@@ -210,7 +287,10 @@ impl CameraModel {
     /// those get the exact `distance_to` test, evaluated with the
     /// original expressions so every lit pixel is bitwise identical.
     /// Typical frames test a handful of columns per row instead of all
-    /// of them.
+    /// of them. The test compares the squared distance with
+    /// [`sqrt_threshold`] of the half-width, which needs no `sqrt`, and
+    /// the column span rounds with [`floor_f64`]/[`ceil_f64`], which need
+    /// no libm; both agree bit for bit with what they stand for.
     pub fn capture_into(&self, pose: &BicycleState, track: &Track, frame: &mut Frame) {
         frame.width = self.width;
         frame.height = self.height;
@@ -220,6 +300,7 @@ impl CameraModel {
         let sin_t = pose.theta.sin();
         let mpc = self.meters_per_col();
         let half_line = self.line_width_m / 2.0;
+        let max_dist_sq = sqrt_threshold(half_line);
         // Candidate reach: the exact test lights pixels at distance
         // ≤ half_line; candidates are taken out to half_line + 1e-7 m,
         // so a boundary pixel the capsule math places up to 100 nm off
@@ -243,8 +324,8 @@ impl CameraModel {
                 // widened one column each way as the conservative guard.
                 // `as usize` saturates, so a span off either side of the
                 // image clamps to it (and one wholly left of it is empty).
-                let c_lo = (((s_lo + self.half_width_m) / mpc - 0.5).floor() - 1.0) as usize;
-                let c_end = (((s_hi + self.half_width_m) / mpc - 0.5).ceil() + 2.0) as usize;
+                let c_lo = (floor_f64((s_lo + self.half_width_m) / mpc - 0.5) - 1.0) as usize;
+                let c_end = (ceil_f64((s_hi + self.half_width_m) / mpc - 0.5) + 2.0) as usize;
                 for (col, lit) in pixels.iter_mut().enumerate().take(c_end).skip(c_lo) {
                     if *lit {
                         continue;
@@ -254,7 +335,7 @@ impl CameraModel {
                     // expressions, verbatim).
                     let wx = pose.x + ahead * cos_t - lateral * sin_t;
                     let wy = pose.y + ahead * sin_t + lateral * cos_t;
-                    *lit = track.distance_to(wx, wy) <= half_line;
+                    *lit = track.distance_sq_to(wx, wy) <= max_dist_sq;
                 }
             }
         }
@@ -339,16 +420,46 @@ pub fn detect_edges(frame: &Frame) -> Vec<(usize, usize)> {
     edges
 }
 
+/// Pixels per window of [`detect_edges_into`]'s dark-window skip.
+const EDGE_WINDOW: usize = 16;
+
 /// [`detect_edges`] into a reusable buffer (cleared first).
+///
+/// Finds the edges of the plain pairwise scan, in the same order, but
+/// skips dark windows. Each row is cut into windows of [`EDGE_WINDOW`]
+/// pixels, and the pairs whose left pixel lies in a window are compared
+/// only if that window or the pixel just past it is lit: a transition
+/// needs a lit pixel on one side, so a dark stretch holds none. A frame
+/// of a thin line is mostly dark.
 pub fn detect_edges_into(frame: &Frame, edges: &mut Vec<(usize, usize)>) {
     edges.clear();
     for (row, pixels) in frame.pixels.chunks_exact(frame.width.max(1)).enumerate() {
-        for (col, (left, right)) in pixels.iter().zip(pixels.iter().skip(1)).enumerate() {
-            if left != right {
-                edges.push((row, col + 1));
+        let mut windows = pixels.chunks(EDGE_WINDOW).peekable();
+        let mut start = 0;
+        while let Some(window) = windows.next() {
+            // The right-hand pixel of the window's last pair, if any.
+            let next = windows.peek().and_then(|w| w.first()).copied();
+            if next == Some(true) || !is_dark(window) {
+                for (i, (left, right)) in window.iter().zip(window.iter().skip(1)).enumerate() {
+                    if left != right {
+                        edges.push((row, start + i + 1));
+                    }
+                }
+                if let (Some(&last), Some(next)) = (window.last(), next) {
+                    if last != next {
+                        edges.push((row, start + window.len()));
+                    }
+                }
             }
+            start += window.len();
         }
     }
+}
+
+/// Whether no pixel of `window` is lit. A full window compares as one
+/// block of bytes.
+fn is_dark(window: &[bool]) -> bool {
+    window == [false; EDGE_WINDOW] || window.iter().all(|&p| !p)
 }
 
 /// A detected line in (ρ, θ) form with its vote count.
@@ -406,6 +517,9 @@ pub fn hough_lines(
     lines
 }
 
+/// Lines [`hough_lines_into`] returns, at most.
+const MAX_LINES: usize = 8;
+
 /// Reusable storage for [`hough_lines_into`].
 #[derive(Debug, Clone, Default)]
 pub struct HoughScratch {
@@ -415,14 +529,95 @@ pub struct HoughScratch {
     acc: Vec<u16>,
     /// How many times the sampler drew each edge point.
     draws: Vec<u16>,
-    /// Accumulator cells whose count reached [`MIN_VOTES`].
-    crossed: Vec<usize>,
+    /// Accumulator cells whose count reached [`MIN_VOTES`], as
+    /// `(final votes, cell index)`; the votes are filled in after the
+    /// vote loop.
+    crossed: Vec<(Reverse<u16>, usize)>,
+    /// The frame geometry `memo` is laid out for, once there is one.
+    geometry: Option<HoughGeometry>,
+    /// ρ-bin memo: for each in-frame point (row < height, col ≤ width)
+    /// and θ bin, one byte holding the point's ρ bin + 1, [`RHO_UNSET`]
+    /// before it is first quantised, or [`RHO_OFF`] when it falls off
+    /// the accumulator. Empty when the ρ range does not fit a byte.
+    memo: Vec<u8>,
+}
+
+/// ρ-memo byte of a (point, θ) pair not yet quantised.
+const RHO_UNSET: u8 = 0;
+
+/// ρ-memo byte of a (point, θ) pair whose ρ falls off the accumulator.
+const RHO_OFF: u8 = u8::MAX;
+
+/// What the vote needs to know about one frame geometry.
+#[derive(Debug, Clone, Copy)]
+struct HoughGeometry {
+    width: usize,
+    height: usize,
+    /// The frame diagonal, which offsets ρ to a non-negative bin.
+    diag: f64,
+    /// ρ bins per θ bin.
+    rho_bins: usize,
+    /// `(cos θ, sin θ)` per θ bin, from the reference's `π·tb/bins`.
+    trig: [(f64, f64); THETA_BINS],
+}
+
+impl HoughGeometry {
+    fn of_frame(width: usize, height: usize) -> Self {
+        let diag = ((width * width + height * height) as f64).sqrt();
+        let mut trig = [(0.0, 0.0); THETA_BINS];
+        for (tb, t) in trig.iter_mut().enumerate() {
+            let theta = std::f64::consts::PI * tb as f64 / THETA_BINS as f64;
+            *t = (theta.cos(), theta.sin());
+        }
+        Self {
+            width,
+            height,
+            diag,
+            rho_bins: (2.0 * diag).ceil() as usize + 1,
+            trig,
+        }
+    }
+
+    /// The ρ bin of point `(row, col)` at the θ bin whose cos and sin
+    /// are given, by the reference's expression; bins from `rho_bins` up
+    /// are off the accumulator. Both the memo and the direct path
+    /// quantise through this.
+    fn rho_bin(&self, row: usize, col: usize, (cos_t, sin_t): (f64, f64)) -> usize {
+        let rho = col as f64 * cos_t + row as f64 * sin_t;
+        round_to_usize(rho + self.diag)
+    }
+
+    /// Whether a memo byte can hold every ρ bin + 1 below [`RHO_OFF`].
+    fn memo_fits(&self) -> bool {
+        self.rho_bins < usize::from(RHO_OFF)
+    }
+
+    /// The memo's byte range for in-frame point `(row, col)`, one byte
+    /// per θ bin, or `None` for a point outside the frame.
+    fn memo_range(&self, row: usize, col: usize) -> Option<std::ops::Range<usize>> {
+        (row < self.height && col <= self.width).then(|| {
+            let start = (row * (self.width + 1) + col) * THETA_BINS;
+            start..start + THETA_BINS
+        })
+    }
 }
 
 impl HoughScratch {
     /// Creates empty scratch storage (allocated on first use).
     pub fn new() -> Self {
         Self::default()
+    }
+}
+
+/// Adds `weight` votes to accumulator cell `idx`, and lists the cell in
+/// `crossed` when its count reaches [`MIN_VOTES`].
+fn add_votes(acc: &mut [u16], idx: usize, weight: u16, crossed: &mut Vec<(Reverse<u16>, usize)>) {
+    if let Some(votes) = acc.get_mut(idx) {
+        let before = u32::from(*votes);
+        *votes += weight;
+        if before < MIN_VOTES && u32::from(*votes) >= MIN_VOTES {
+            crossed.push((Reverse(0), idx));
+        }
     }
 }
 
@@ -453,15 +648,20 @@ fn round_to_usize(x: f64) -> usize {
 /// tests pins both bitwise). It does far less work per frame:
 ///
 /// - The sampler's draws are counted per edge point first, then each
-///   distinct drawn point is quantised once and votes with its draw
-///   count as weight. Integer addition commutes, so every cell ends
-///   with the same count.
-/// - ρ bins come from `round_to_usize`, not a libm call; the per-bin
-///   `(cos θ, sin θ)` table uses the reference's `π·tb/bins` expression,
-///   so every `(ρ, θ)` is bitwise identical.
+///   distinct drawn point votes once with its draw count as weight.
+///   Integer addition commutes, so every cell ends with the same count.
+/// - ρ bins come from `round_to_usize`, not a libm call, and the
+///   `(cos θ, sin θ)` table uses the reference's `π·tb/bins`
+///   expression, so every `(ρ, θ)` is bitwise identical.
+/// - The scratch memoises each in-frame point's ρ bins, so a point is
+///   quantised only the first time a frame drawn with this scratch
+///   draws it. The memo and the θ table are rebuilt when the frame
+///   geometry changes; points outside the frame, and geometries whose
+///   ρ range does not fit a byte, are quantised on every draw.
 /// - A cell is listed when its count reaches [`MIN_VOTES`]. Counts only
-///   grow, so each reported cell is listed exactly once, and sorting
-///   the list by index reproduces the order of the accumulator scan.
+///   grow, so each reported cell is listed exactly once, and only the
+///   strongest eight, by votes and then index, become lines: the order
+///   of the reference's stable sort of its index-ordered scan.
 pub fn hough_lines_into(
     edges: &[(usize, usize)],
     frame_width: usize,
@@ -474,13 +674,25 @@ pub fn hough_lines_into(
     if edges.is_empty() {
         return;
     }
-    let diag = ((frame_width * frame_width + frame_height * frame_height) as f64).sqrt();
-    let rho_bins = (2.0 * diag).ceil() as usize + 1;
     let HoughScratch {
         acc,
         draws,
         crossed,
+        geometry,
+        memo,
     } = scratch;
+    let geo = match geometry {
+        Some(geo) if geo.width == frame_width && geo.height == frame_height => geo,
+        _ => {
+            let geo = geometry.insert(HoughGeometry::of_frame(frame_width, frame_height));
+            memo.clear();
+            if geo.memo_fits() {
+                memo.resize(frame_height * (frame_width + 1) * THETA_BINS, RHO_UNSET);
+            }
+            geo
+        }
+    };
+    let rho_bins = geo.rho_bins;
     // Probabilistic subsampling, with replacement: at most MAX_SAMPLES
     // points, as in the progressive probabilistic Hough transform's
     // random selection stage.
@@ -492,40 +704,57 @@ pub fn hough_lines_into(
             *n += 1;
         }
     }
-    let mut trig = [(0.0f64, 0.0f64); THETA_BINS];
-    for (tb, t) in trig.iter_mut().enumerate() {
-        let theta = std::f64::consts::PI * tb as f64 / THETA_BINS as f64;
-        *t = (theta.cos(), theta.sin());
-    }
     acc.clear();
     acc.resize(THETA_BINS * rho_bins, 0);
+    let acc = acc.as_mut_slice();
     crossed.clear();
     for (&(row, col), &weight) in edges.iter().zip(draws.iter()) {
         if weight == 0 {
             continue;
         }
-        let rows = acc.chunks_exact_mut(rho_bins);
-        for ((tb, &(cos_t, sin_t)), acc_row) in trig.iter().enumerate().zip(rows) {
-            let rho = col as f64 * cos_t + row as f64 * sin_t;
-            let rb = round_to_usize(rho + diag);
-            if let Some(votes) = acc_row.get_mut(rb) {
-                let before = u32::from(*votes);
-                *votes += weight;
-                if before < MIN_VOTES && u32::from(*votes) >= MIN_VOTES {
-                    crossed.push(tb * rho_bins + rb);
+        let cells = geo.memo_range(row, col).and_then(|r| memo.get_mut(r));
+        if let Some(cells) = cells {
+            // A point's bytes are filled together, so the first tells.
+            if cells.first() == Some(&RHO_UNSET) {
+                for (cell, &trig) in cells.iter_mut().zip(&geo.trig) {
+                    // `memo_fits` keeps every on-accumulator bin + 1 below RHO_OFF.
+                    let rb = geo.rho_bin(row, col, trig);
+                    *cell = if rb < rho_bins { rb as u8 + 1 } else { RHO_OFF };
                 }
+            }
+            let mut row_start = 0;
+            for &cell in cells.iter() {
+                if cell != RHO_OFF {
+                    add_votes(acc, row_start + usize::from(cell) - 1, weight, crossed);
+                }
+                row_start += rho_bins;
+            }
+        } else {
+            let mut row_start = 0;
+            for &trig in &geo.trig {
+                let rb = geo.rho_bin(row, col, trig);
+                if rb < rho_bins {
+                    add_votes(acc, row_start + rb, weight, crossed);
+                }
+                row_start += rho_bins;
             }
         }
     }
+    for (votes, idx) in crossed.iter_mut() {
+        // detlint:allow(S3) in-bounds: `crossed` only holds cells voted through `acc.get_mut` in `add_votes`
+        *votes = Reverse(acc[*idx]);
+    }
     crossed.sort_unstable();
-    lines.extend(crossed.iter().map(|&idx| HoughLine {
-        rho: (idx % rho_bins) as f64 - diag,
-        theta: std::f64::consts::PI * (idx / rho_bins) as f64 / THETA_BINS as f64,
-        // detlint:allow(S3) in-bounds: `crossed` only holds cells voted through `acc_row.get_mut` above
-        votes: u32::from(acc[idx]),
-    }));
-    lines.sort_by_key(|l| std::cmp::Reverse(l.votes));
-    lines.truncate(8);
+    lines.extend(
+        crossed
+            .iter()
+            .take(MAX_LINES)
+            .map(|&(Reverse(votes), idx)| HoughLine {
+                rho: (idx % rho_bins) as f64 - geo.diag,
+                theta: std::f64::consts::PI * (idx / rho_bins) as f64 / THETA_BINS as f64,
+                votes: u32::from(votes),
+            }),
+    );
 }
 
 /// Recycled vision-pipeline buffers: frame pixels, edge points, Hough
@@ -1157,7 +1386,363 @@ mod tests {
         }
     }
 
+    #[test]
+    fn capture_lights_a_pixel_exactly_on_the_line_edge() {
+        // Half-width 1.5/64 m puts the centres of columns 30 and 33 at
+        // exactly that distance from the line, when the car sits on it
+        // heading along it: their squared distance is the threshold
+        // itself, so a strict comparison would leave them dark.
+        let cam = CameraModel {
+            line_width_m: 3.0 / 64.0,
+            ..CameraModel::default()
+        };
+        let half_line = cam.line_width_m / 2.0;
+        assert_eq!(
+            sqrt_threshold(half_line).to_bits(),
+            (half_line * half_line).to_bits()
+        );
+        let pose = BicycleState {
+            x: 1.0,
+            y: 0.0,
+            theta: 0.0,
+        };
+        let track = Track::straight(10.0);
+        let got = cam.capture(&pose, &track);
+        assert_eq!(capture_reference(&cam, &pose, &track), got);
+        for row in 0..cam.height {
+            assert!(got.get(row, 30) && got.get(row, 33), "row {row}");
+            assert!(!got.get(row, 29) && !got.get(row, 34), "row {row}");
+        }
+    }
+
+    /// `got` is `want` bit for bit, or both are NaN.
+    fn same_float(got: f64, want: f64) -> bool {
+        got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan())
+    }
+
+    fn assert_floor_ceil_match_libm(x: f64) -> Result<(), TestCaseError> {
+        prop_assert!(same_float(floor_f64(x), x.floor()), "floor({:e})", x);
+        prop_assert!(same_float(ceil_f64(x), x.ceil()), "ceil({:e})", x);
+        Ok(())
+    }
+
+    #[test]
+    fn floor_and_ceil_match_libm_on_fixed_cases() {
+        let p52 = 2f64.powi(52);
+        let mut cases = vec![
+            0.0,
+            -0.0,
+            0.5,
+            -0.5,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::MAX,
+            f64::MIN,
+            p52 - 1.0,
+            p52 - 0.5,
+            p52,
+            p52 + 1.0,
+            -(p52 - 1.0),
+            -(p52 - 0.5),
+            -p52,
+            -(p52 + 1.0),
+            2f64.powi(63),
+            -2f64.powi(63),
+            2f64.powi(64),
+        ];
+        for k in -300..=300 {
+            let x = f64::from(k);
+            let half = x + 0.5;
+            cases.extend([
+                x,
+                x.next_up(),
+                x.next_down(),
+                half,
+                half.next_up(),
+                half.next_down(),
+            ]);
+        }
+        for x in cases {
+            assert_floor_ceil_match_libm(x).unwrap();
+        }
+    }
+
+    /// Checks [`sqrt_threshold`]'s defining property at `h`, and that it
+    /// decides `d.sqrt() <= h` for every `d` within a few ulps of it.
+    fn assert_threshold_property(h: f64) -> Result<(), TestCaseError> {
+        let t = sqrt_threshold(h);
+        if h >= 0.0 {
+            prop_assert!(t.sqrt() <= h, "h = {:e}: T = {:e} has a root above h", h, t);
+            prop_assert!(
+                t.is_infinite() || t.next_up().sqrt() > h,
+                "h = {:e}: T = {:e} is not the largest",
+                h,
+                t
+            );
+        }
+        let mut near = vec![0.0, f64::INFINITY, f64::NAN, h * h];
+        let mut d = t;
+        for _ in 0..4 {
+            near.extend([d, t + (t - d)]);
+            d = d.next_down();
+        }
+        let mut d = t;
+        for _ in 0..4 {
+            d = d.next_up();
+            near.push(d);
+        }
+        for d in near.into_iter().filter(|d| d.is_nan() || *d >= 0.0) {
+            prop_assert_eq!(d.sqrt() <= h, d <= t, "h = {:e}, d = {:e}", h, d);
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn sqrt_threshold_fixed_cases() {
+        let cam = CameraModel::default();
+        for h in [
+            cam.line_width_m / 2.0,
+            1.5 / 64.0,
+            0.0,
+            -0.0,
+            1.0,
+            2.0,
+            f64::from_bits(1),
+            f64::MIN_POSITIVE,
+            1e-160,
+            1e154,
+            1.4e154,
+            f64::MAX,
+            f64::INFINITY,
+            -1.0,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ] {
+            assert_threshold_property(h).unwrap();
+        }
+    }
+
+    /// The pre-optimization edge scan, verbatim: every horizontal pixel
+    /// pair of every row. `detect_edges_into` skips dark windows; this
+    /// reference pins that the skip never drops, adds or reorders an
+    /// edge.
+    fn detect_edges_reference(frame: &Frame) -> Vec<(usize, usize)> {
+        let mut edges = Vec::new();
+        for (row, pixels) in frame.pixels.chunks_exact(frame.width.max(1)).enumerate() {
+            for (col, (left, right)) in pixels.iter().zip(pixels.iter().skip(1)).enumerate() {
+                if left != right {
+                    edges.push((row, col + 1));
+                }
+            }
+        }
+        edges
+    }
+
+    /// A `width`-pixel frame (`width >= 1`) whose first rows are all
+    /// dark, all lit, and lit on exactly each window's first and last
+    /// pixel, followed by one row per seed: a thin lit run like the
+    /// camera's line, one lit pixel on a window boundary, or random
+    /// pixels.
+    fn edge_test_frame(width: usize, seeds: &[u64]) -> Frame {
+        let mut pixels: Vec<bool> = Vec::new();
+        pixels.extend((0..width).map(|_| false));
+        pixels.extend((0..width).map(|_| true));
+        pixels
+            .extend((0..width).map(|c| c % EDGE_WINDOW == 0 || c % EDGE_WINDOW == EDGE_WINDOW - 1));
+        for &seed in seeds {
+            let mut rng = SimRng::seed_from(seed);
+            let w = width as u64;
+            match seed % 3 {
+                0 => {
+                    let start = rng.below(w) as usize;
+                    let end = start + 1 + rng.below(6) as usize;
+                    pixels.extend((0..width).map(|c| (start..end).contains(&c)));
+                }
+                1 => {
+                    let boundary = rng.below(w / EDGE_WINDOW as u64 + 1) as usize * EDGE_WINDOW;
+                    let lit = boundary.saturating_sub(usize::from(rng.bernoulli(0.5)));
+                    pixels.extend((0..width).map(|c| c == lit));
+                }
+                _ => pixels.extend((0..width).map(|_| rng.bernoulli(0.3))),
+            }
+        }
+        Frame {
+            width,
+            height: pixels.len() / width,
+            pixels,
+        }
+    }
+
+    #[test]
+    fn edge_scan_matches_reference_at_every_width() {
+        let empty = Frame {
+            width: 0,
+            height: 3,
+            pixels: Vec::new(),
+        };
+        assert_eq!(detect_edges(&empty), detect_edges_reference(&empty));
+        for width in 1..=130 {
+            let mut frame = edge_test_frame(width, &[]);
+            // One row per column with only that pixel lit, and one with
+            // only that pixel dark.
+            for lit in [true, false] {
+                for col in 0..width {
+                    frame.pixels.extend((0..width).map(|c| (c == col) == lit));
+                }
+            }
+            frame.height = frame.pixels.len() / width;
+            assert_eq!(
+                detect_edges(&frame),
+                detect_edges_reference(&frame),
+                "width {width}"
+            );
+        }
+    }
+
+    /// Camera-frame and dense synthetic edge sets for the geometry tests.
+    fn memo_test_edge_sets() -> Vec<Vec<(usize, usize)>> {
+        let cam = CameraModel::default();
+        let track = Track::l_corner(3.0);
+        let mut sets: Vec<_> = (0..6)
+            .map(|i| {
+                let pose = BicycleState {
+                    x: 0.5 * f64::from(i),
+                    y: 0.04 * f64::from(i) - 0.1,
+                    theta: 0.1 * f64::from(i) - 0.2,
+                };
+                detect_edges(&cam.capture(&pose, &track))
+            })
+            .collect();
+        let mut rng = SimRng::seed_from(11);
+        let raw: Vec<(u16, u16)> = (0..300)
+            .map(|_| (rng.next_u64() as u16, rng.next_u64() as u16))
+            .collect();
+        sets.push(synthetic_edges(&raw, 64, 32, 8));
+        sets
+    }
+
+    #[test]
+    fn one_scratch_across_geometries_matches_reference() {
+        let big = HoughGeometry::of_frame(200, 100);
+        assert!(
+            big.rho_bins >= 255,
+            "the last geometry must bypass the memo"
+        );
+        let mut scratch = HoughScratch::new();
+        let mut lines = Vec::new();
+        let sets = memo_test_edge_sets();
+        for (g, (width, height)) in [(64, 32), (80, 40), (64, 32), (200, 100)]
+            .into_iter()
+            .enumerate()
+        {
+            for (s, edges) in sets.iter().enumerate() {
+                let seed = (g * 100 + s) as u64;
+                let mut rng_ref = SimRng::seed_from(seed);
+                let mut rng = SimRng::seed_from(seed);
+                let expect = hough_reference(edges, width, height, MIN_VOTES, &mut rng_ref);
+                hough_lines_into(edges, width, height, &mut rng, &mut scratch, &mut lines);
+                assert_eq!(expect.len(), lines.len(), "{width}x{height}, set {s}");
+                for (e, l) in expect.iter().zip(&lines) {
+                    assert_eq!(
+                        e.rho.to_bits(),
+                        l.rho.to_bits(),
+                        "{width}x{height}, set {s}"
+                    );
+                    assert_eq!(
+                        e.theta.to_bits(),
+                        l.theta.to_bits(),
+                        "{width}x{height}, set {s}"
+                    );
+                    assert_eq!(e.votes, l.votes, "{width}x{height}, set {s}");
+                }
+                assert_eq!(rng_ref.next_u64(), rng.next_u64());
+            }
+            let memo_len = if (width, height) == (200, 100) {
+                0
+            } else {
+                height * (width + 1) * THETA_BINS
+            };
+            assert_eq!(scratch.memo.len(), memo_len, "{width}x{height}");
+        }
+    }
+
+    #[test]
+    fn every_memo_byte_of_the_default_camera_is_the_direct_quantisation() {
+        let cam = CameraModel::default();
+        let (width, height) = (cam.width, cam.height);
+        let mut scratch = HoughScratch::new();
+        let mut lines = Vec::new();
+        let mut rng = SimRng::seed_from(3);
+        // A one-point frame draws its point, so this fills every byte.
+        for row in 0..height {
+            for col in 0..=width {
+                hough_lines_into(
+                    &[(row, col)],
+                    width,
+                    height,
+                    &mut rng,
+                    &mut scratch,
+                    &mut lines,
+                );
+            }
+        }
+        let diag = ((width * width + height * height) as f64).sqrt();
+        let rho_bins = (2.0 * diag).ceil() as usize + 1;
+        assert_eq!(scratch.memo.len(), height * (width + 1) * THETA_BINS);
+        for (i, &byte) in scratch.memo.iter().enumerate() {
+            let (point, tb) = (i / THETA_BINS, i % THETA_BINS);
+            let (row, col) = (point / (width + 1), point % (width + 1));
+            let theta = std::f64::consts::PI * tb as f64 / THETA_BINS as f64;
+            let rho = col as f64 * theta.cos() + row as f64 * theta.sin();
+            let rb = (rho + diag).round() as usize;
+            let want = if rb < rho_bins {
+                u8::try_from(rb + 1).unwrap()
+            } else {
+                RHO_OFF
+            };
+            assert_eq!(byte, want, "row {row}, col {col}, θ bin {tb}");
+        }
+    }
+
     proptest! {
+        #[test]
+        fn floor_and_ceil_match_libm(
+            bits in any::<u64>(),
+            k in -(1i64 << 53)..1 << 53,
+            ulps in -3i64..=3,
+        ) {
+            // Arbitrary bit patterns, plus values within a few ulps of an
+            // integer and of a half-integer.
+            let near = |x: f64| f64::from_bits(x.to_bits().wrapping_add_signed(ulps));
+            for x in [f64::from_bits(bits), near(k as f64), near(k as f64 + 0.5)] {
+                assert_floor_ceil_match_libm(x)?;
+            }
+        }
+
+        #[test]
+        fn sqrt_threshold_decides_the_root_test(
+            bits in any::<u64>(),
+            h in 0.0f64..1.0,
+        ) {
+            assert_threshold_property(f64::from_bits(bits))?;
+            assert_threshold_property(h)?;
+        }
+
+        #[test]
+        fn edge_scan_matches_reference(
+            width in 1usize..=130,
+            seeds in proptest::collection::vec(any::<u64>(), 0..12),
+        ) {
+            let frame = edge_test_frame(width, &seeds);
+            prop_assert_eq!(detect_edges(&frame), detect_edges_reference(&frame));
+        }
+
         #[test]
         fn rounding_matches_libm_round(
             bits in any::<u64>(),

@@ -118,6 +118,41 @@ fn malformed_denm_rejected_with_400() {
     server.shutdown();
 }
 
+/// Sends a `POST` head declaring `content_length` body bytes, sends no
+/// body, and returns the raw reply.
+fn post_head_only(addr: std::net::SocketAddr, content_length: u64) -> String {
+    use std::io::{Read, Write};
+
+    let mut stream = std::net::TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(5)))
+        .unwrap();
+    let head = format!(
+        "POST /request_denm HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {content_length}\r\n\r\n"
+    );
+    stream.write_all(head.as_bytes()).unwrap();
+    let mut reply = String::new();
+    stream.read_to_string(&mut reply).unwrap();
+    reply
+}
+
+#[test]
+fn oversized_body_is_refused_with_413_and_the_server_keeps_serving() {
+    let obu = Arc::new(ObuApi::new());
+    let server = obu.serve("127.0.0.1:0").unwrap();
+    // A 1 TiB body used to be allocated up front, aborting the process.
+    // The server must answer from the head alone.
+    let over_cap = openc2x::http::MAX_BODY_BYTES as u64 + 1;
+    for content_length in [1_099_511_627_776, over_cap] {
+        let reply = post_head_only(server.addr(), content_length);
+        assert!(reply.starts_with("HTTP/1.1 413 "), "reply: {reply}");
+    }
+    // The same server still answers a normal request.
+    let r = post(server.addr(), "/request_denm", b"").unwrap();
+    assert_eq!((r.status, r.body.len()), (200, 0));
+    server.shutdown();
+}
+
 #[test]
 fn wrong_method_or_path_is_404() {
     let obu = Arc::new(ObuApi::new());

@@ -26,8 +26,7 @@
 
 use crate::station::StationArena;
 use phy80211p::dcc::DccState;
-use phy80211p::ofdm::airtime;
-use phy80211p::{Channel, ChannelConfig, DataRate, Position2D, SpatialGrid};
+use phy80211p::{Channel, ChannelConfig, DataRate, FrameLink, Position2D, SpatialGrid};
 use sim_core::{SimDuration, SimRng, SimTime};
 
 /// Configuration of a city-scale run.
@@ -111,9 +110,11 @@ pub struct CityRecord {
     /// Mean DENM reception latency (queueing behind same-tick CAM
     /// airtime near the RSU, plus airtime and propagation), ms.
     pub mean_denm_latency_ms: f64,
-    /// Per-receiver channel evaluations performed (each costs the two
-    /// RNG draws of [`phy80211p::Channel::transmit`]). The benchmark's
-    /// events/s denominator.
+    /// Per-receiver channel evaluations performed: one
+    /// [`phy80211p::Channel::deliver`] call each, which forks the
+    /// receiver's stream and draws its shadowing, and runs the FER math
+    /// and the delivery draw only above the frame's saturation SNR. The
+    /// benchmark's events/s denominator.
     pub events: u64,
     /// The most restrictive DCC state any station reached.
     pub worst_dcc_state: DccState,
@@ -253,8 +254,8 @@ pub fn run_city(config: &CityConfig) -> CityRecord {
         .filter(|i| config.rsu_every > 0 && (*i as usize) % config.rsu_every == 0)
         .collect();
 
-    let cam_airtime = airtime(config.cam_len_bytes, config.data_rate);
-    let denm_airtime = airtime(config.denm_len_bytes, config.data_rate);
+    let cam_link = channel.frame_link(config.cam_len_bytes, config.data_rate);
+    let denm_link = channel.frame_link(config.denm_len_bytes, config.data_rate);
 
     let mut frame_id: u64 = 0;
     let mut events: u64 = 0;
@@ -299,7 +300,7 @@ pub fn run_city(config: &CityConfig) -> CityRecord {
                     let dx = tx_pos.x - rsu_pos.x;
                     let dy = tx_pos.y - rsu_pos.y;
                     if dx * dx + dy * dy <= cutoff2 {
-                        denm_queue_ns = denm_queue_ns.saturating_add(cam_airtime.as_nanos());
+                        denm_queue_ns = denm_queue_ns.saturating_add(cam_link.airtime().as_nanos());
                     }
                 }
             }
@@ -311,18 +312,16 @@ pub fn run_city(config: &CityConfig) -> CityRecord {
                     frame_id,
                     tx,
                     tx_pos,
-                    len_bytes: config.cam_len_bytes,
-                    rate: config.data_rate,
-                    airtime: cam_airtime,
+                    link: cam_link,
                     start: now,
                     cutoff,
                     exhaustive: config.exhaustive,
                     n_stations: config.n_stations as u32,
                 },
                 &mut candidates,
-                |rx, outcome, arena: &mut StationArena| {
+                |rx, arrival, arena: &mut StationArena| {
                     cam_opportunities += 1;
-                    if outcome.delivered {
+                    if arrival.is_some() {
                         cam_deliveries += 1;
                         arena.record_rx(rx);
                     }
@@ -346,21 +345,18 @@ pub fn run_city(config: &CityConfig) -> CityRecord {
                         frame_id,
                         tx: rsu,
                         tx_pos: rsu_pos,
-                        len_bytes: config.denm_len_bytes,
-                        rate: config.data_rate,
-                        airtime: denm_airtime,
+                        link: denm_link,
                         start,
                         cutoff,
                         exhaustive: config.exhaustive,
                         n_stations: config.n_stations as u32,
                     },
                     &mut candidates,
-                    |rx, outcome, arena: &mut StationArena| {
-                        if outcome.delivered {
+                    |rx, arrival, arena: &mut StationArena| {
+                        if let Some(arrival) = arrival {
                             denm_receptions += 1;
-                            denm_latency_ns_sum += u128::from(
-                                outcome.arrival.saturating_duration_since(now).as_nanos(),
-                            );
+                            denm_latency_ns_sum +=
+                                u128::from(arrival.saturating_duration_since(now).as_nanos());
                             arena.record_rx(rx);
                         }
                     },
@@ -402,9 +398,7 @@ struct BroadcastFrame {
     frame_id: u64,
     tx: u32,
     tx_pos: Position2D,
-    len_bytes: usize,
-    rate: DataRate,
-    airtime: SimDuration,
+    link: FrameLink,
     start: SimTime,
     cutoff: f64,
     exhaustive: bool,
@@ -419,7 +413,8 @@ struct BroadcastFrame {
 /// observe busy airtime and count toward delivery metrics, and each
 /// evaluated receiver's randomness comes from a stream forked on the
 /// `(frame, receiver)` label — so the two modes produce bit-identical
-/// records and differ only in evaluations performed.
+/// records and differ only in evaluations performed. `on_in_cutoff`
+/// gets the arrival time of a delivered frame, `None` otherwise.
 fn broadcast<F>(
     channel: &Channel,
     root: &SimRng,
@@ -430,12 +425,13 @@ fn broadcast<F>(
     arena: &mut StationArena,
 ) -> u64
 where
-    F: FnMut(u32, &phy80211p::TransmitOutcome, &mut StationArena),
+    F: FnMut(u32, Option<SimTime>, &mut StationArena),
 {
     let cutoff2 = frame.cutoff * frame.cutoff;
+    let airtime = frame.link.airtime();
     let mut evaluations: u64 = 0;
     // The transmitter's own radio is busy for the frame duration too.
-    arena.note_busy(frame.tx, frame.airtime);
+    arena.note_busy(frame.tx, airtime);
     if frame.exhaustive {
         candidates.clear();
         candidates.extend(0..frame.n_stations);
@@ -454,21 +450,19 @@ where
             continue;
         };
         let label = (frame.frame_id << 32) | u64::from(rx);
-        let mut rx_rng = root.fork_u64(label);
-        let outcome = channel.transmit(
+        let arrival = channel.deliver(
+            &frame.link,
             frame.start,
             frame.tx_pos,
             rx_pos,
-            frame.len_bytes,
-            frame.rate,
-            &mut rx_rng,
+            root.fork_u64(label),
         );
         evaluations += 1;
         let dx = rx_pos.x - frame.tx_pos.x;
         let dy = rx_pos.y - frame.tx_pos.y;
         if dx * dx + dy * dy <= cutoff2 {
-            arena.note_busy(rx, frame.airtime);
-            on_in_cutoff(rx, &outcome, arena);
+            arena.note_busy(rx, airtime);
+            on_in_cutoff(rx, arrival, arena);
         }
     }
     evaluations

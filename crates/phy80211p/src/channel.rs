@@ -25,6 +25,12 @@ pub const CULL_EPS: f64 = 1e-6;
 /// before it is culled. `P(N(0, σ) > 4.75 σ) ≈ 1e-6 = CULL_EPS`.
 pub const CULL_SHADOW_SIGMAS: f64 = 4.75;
 
+/// How far a [`FrameLink`]'s saturation SNR sits below the largest SNR
+/// at which [`Channel::frame_error_rate`] is exactly 1.0, dB. It absorbs
+/// last-ulp wiggles of the floating-point FER chain near that boundary
+/// (DESIGN.md §13).
+const SATURATION_MARGIN_DB: f64 = 0.05;
+
 /// A point in the laboratory frame, metres.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Position2D {
@@ -146,6 +152,27 @@ pub struct TransmitOutcome {
     pub snr_db: f64,
     /// Frame error probability that was sampled against.
     pub fer: f64,
+}
+
+/// One frame type's link constants for [`Channel::deliver`], built once
+/// per run by [`Channel::frame_link`].
+#[derive(Debug, Clone, Copy)]
+pub struct FrameLink {
+    len_bytes: usize,
+    rate: DataRate,
+    airtime: SimDuration,
+    /// [`Channel::frame_error_rate`] is exactly 1.0 at every SNR below
+    /// this, dB: the largest SNR where it is 1.0, less
+    /// [`SATURATION_MARGIN_DB`]. −∞ when the frame is too short for FER
+    /// to reach 1.0 at any SNR.
+    saturation_snr_db: f64,
+}
+
+impl FrameLink {
+    /// Airtime of the frame.
+    pub fn airtime(&self) -> SimDuration {
+        self.airtime
+    }
 }
 
 /// The broadcast channel.
@@ -294,6 +321,59 @@ impl Channel {
         }
     }
 
+    /// The largest SNR (dB) at which [`Channel::frame_error_rate`] is
+    /// exactly 1.0 for a frame of `len_bytes` at `rate`, or −∞ if FER
+    /// stays below 1.0 even at an SNR of −∞.
+    ///
+    /// Bisects the FER curve over the total order of `f64` bit patterns
+    /// between −∞ and +∞: each step halves the interval of remaining
+    /// floats, so 64 steps pin the boundary to adjacent floats, and the
+    /// search needs no bracket constants.
+    fn fer_saturation_boundary_db(&self, len_bytes: usize, rate: DataRate) -> f64 {
+        let saturated = |snr_db: f64| self.frame_error_rate(snr_db, len_bytes, rate) >= 1.0;
+        if !saturated(f64::NEG_INFINITY) {
+            return f64::NEG_INFINITY;
+        }
+        // `lo` only ever holds an SNR where FER was found to be 1.0.
+        let (mut lo, mut hi) = (order_key(f64::NEG_INFINITY), order_key(f64::INFINITY));
+        while hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            if saturated(from_order_key(mid)) {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        from_order_key(lo)
+    }
+
+    /// The link constants of a frame of `len_bytes` at `rate`, for
+    /// [`Channel::deliver`]: its airtime, and the SNR below which its
+    /// FER is exactly 1.0 (DESIGN.md §13).
+    pub fn frame_link(&self, len_bytes: usize, rate: DataRate) -> FrameLink {
+        FrameLink {
+            len_bytes,
+            rate,
+            airtime: airtime(len_bytes, rate),
+            saturation_snr_db: self.fer_saturation_boundary_db(len_bytes, rate)
+                - SATURATION_MARGIN_DB,
+        }
+    }
+
+    /// Draws the shadowing of one frame from `tx` to `rx` and returns the
+    /// SNR it sees, dB. The one SNR expression of `transmit` and
+    /// `deliver`.
+    fn draw_snr_db(&self, tx: Position2D, rx: Position2D, rng: &mut SimRng) -> f64 {
+        // detlint:allow(R2) sigma is static channel config, constant for a whole run
+        let shadow_db = if self.config.shadowing_sigma_db > 0.0 {
+            rng.normal(0.0, self.config.shadowing_sigma_db)
+        } else {
+            0.0
+        };
+        let rx_power = self.mean_rx_power_dbm(tx, rx) + shadow_db;
+        rx_power - self.config.noise_floor_dbm
+    }
+
     /// Simulates one broadcast frame from `tx` as seen by `rx`.
     ///
     /// `start` is the instant the first bit hits the air (i.e. after MAC
@@ -307,24 +387,46 @@ impl Channel {
         rate: DataRate,
         rng: &mut SimRng,
     ) -> TransmitOutcome {
-        // detlint:allow(R2) sigma is static channel config, constant for a whole run
-        let shadow_db = if self.config.shadowing_sigma_db > 0.0 {
-            rng.normal(0.0, self.config.shadowing_sigma_db)
-        } else {
-            0.0
-        };
-        let rx_power = self.mean_rx_power_dbm(tx, rx) + shadow_db;
-        let snr_db = rx_power - self.config.noise_floor_dbm;
+        let snr_db = self.draw_snr_db(tx, rx, rng);
         let fer = self.frame_error_rate(snr_db, len_bytes, rate);
         let delivered = !rng.bernoulli(fer);
-        let propagation = SimDuration::from_secs_f64(tx.distance(rx) / C_M_PER_S);
-        let arrival = start + airtime(len_bytes, rate) + propagation;
+        let arrival = arrival_time(start, airtime(len_bytes, rate), tx, rx);
         TransmitOutcome {
             delivered,
             arrival,
             snr_db,
             fer,
         }
+    }
+
+    /// [`Channel::transmit`] for a caller that reads only whether the
+    /// frame decoded and when: the arrival time if it did, `None` if not.
+    ///
+    /// `rng` is the receiver's own stream, taken by value: below
+    /// `link`'s saturation SNR the frame error rate is exactly 1.0, so
+    /// `transmit`'s Bernoulli draw (`f64() < 1.0`) fails every time, and
+    /// `deliver` returns `None` without the FER math or that draw. No
+    /// caller can observe the skipped draw. Propagation and arrival are
+    /// computed only for delivered frames.
+    pub fn deliver(
+        &self,
+        link: &FrameLink,
+        start: SimTime,
+        tx: Position2D,
+        rx: Position2D,
+        mut rng: SimRng,
+    ) -> Option<SimTime> {
+        let snr_db = self.draw_snr_db(tx, rx, &mut rng);
+        // Strict, so a −∞ threshold skips nothing and a NaN SNR takes
+        // the full path.
+        if snr_db < link.saturation_snr_db {
+            return None;
+        }
+        let fer = self.frame_error_rate(snr_db, link.len_bytes, link.rate);
+        if rng.bernoulli(fer) {
+            return None;
+        }
+        Some(arrival_time(start, link.airtime, tx, rx))
     }
 
     /// [`Channel::transmit`], unchanged; `_cache` is ignored.
@@ -344,6 +446,32 @@ impl Channel {
     ) -> TransmitOutcome {
         self.transmit(start, tx, rx, len_bytes, rate, rng)
     }
+}
+
+/// When the last bit of a frame that started at `start` reaches `rx`:
+/// `start + airtime + propagation`.
+fn arrival_time(start: SimTime, airtime: SimDuration, tx: Position2D, rx: Position2D) -> SimTime {
+    start + airtime + SimDuration::from_secs_f64(tx.distance(rx) / C_M_PER_S)
+}
+
+/// Maps `x` to a key whose unsigned order is the total order of `f64`
+/// (−NaN < −∞ < … < −0 < +0 < … < +∞ < +NaN).
+fn order_key(x: f64) -> u64 {
+    let bits = x.to_bits();
+    if bits >> 63 == 0 {
+        bits | 1 << 63
+    } else {
+        !bits
+    }
+}
+
+/// The inverse of [`order_key`].
+fn from_order_key(key: u64) -> f64 {
+    f64::from_bits(if key >> 63 == 1 {
+        key & !(1 << 63)
+    } else {
+        !key
+    })
 }
 
 /// What remains of a removed FER/airtime memo: it never hit, because
@@ -596,7 +724,199 @@ mod tests {
         assert!(denser < r0, "{denser} vs {r0}");
     }
 
+    /// The lab-default and the city's urban configuration (10 dBm,
+    /// path-loss exponent 3.2).
+    fn lab_and_urban() -> [Channel; 2] {
+        [
+            lab_channel(),
+            Channel::new(ChannelConfig {
+                tx_power_dbm: 10.0,
+                path_loss_exponent: 3.2,
+                ..ChannelConfig::default()
+            }),
+        ]
+    }
+
+    #[test]
+    fn order_key_follows_the_float_order() {
+        let xs = [
+            f64::NEG_INFINITY,
+            f64::MIN,
+            -1.0,
+            -f64::MIN_POSITIVE,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE,
+            1.0,
+            f64::MAX,
+            f64::INFINITY,
+        ];
+        for pair in xs.windows(2) {
+            assert!(order_key(pair[0]) < order_key(pair[1]), "{pair:?}");
+        }
+        for x in xs {
+            assert_eq!(from_order_key(order_key(x)).to_bits(), x.to_bits());
+        }
+        assert_eq!(order_key(-0.0) + 1, order_key(0.0));
+        assert_eq!(order_key(1.0) + 1, order_key(1.0f64.next_up()));
+    }
+
+    #[test]
+    fn saturation_threshold_is_sound() {
+        for ch in lab_and_urban() {
+            for rate in DataRate::ALL {
+                for len in [1usize, 6, 7, 50, 100, 120, 1500] {
+                    let t = ch.frame_link(len, rate).saturation_snr_db;
+                    let fer = |snr: f64| ch.frame_error_rate(snr, len, rate);
+                    // At −400 dB the Eb/N0 floor holds BER at its cap, so
+                    // FER is as large as it gets: the frame can saturate
+                    // exactly when FER is 1.0 there.
+                    if fer(-400.0) < 1.0 {
+                        assert_eq!(t, f64::NEG_INFINITY, "{rate} {len} B");
+                        let mut snr = -400.0;
+                        while snr < 100.0 {
+                            assert!(fer(snr) < 1.0, "{rate} {len} B at {snr} dB");
+                            snr += 0.25;
+                        }
+                        continue;
+                    }
+                    assert!(t.is_finite(), "{rate} {len} B: threshold {t}");
+                    // Dense sweep from −400 dB up to the threshold: coarse
+                    // far below it, 0.001 dB over its last 5 dB.
+                    let mut snr = -400.0;
+                    while snr < t {
+                        assert_eq!(fer(snr), 1.0, "{rate} {len} B at {snr} dB (threshold {t})");
+                        snr += if snr < t - 5.0 { 0.5 } else { 0.001 };
+                    }
+                    // The threshold and every float within 2^16 ulps below it.
+                    let mut x = t;
+                    for _ in 0..=1 << 16 {
+                        assert_eq!(fer(x), 1.0, "{rate} {len} B at {x:e} dB (threshold {t})");
+                        x = x.next_down();
+                    }
+                    // Tight: just past the margin FER is below 1.0.
+                    let past = t + SATURATION_MARGIN_DB + 1e-6;
+                    assert!(fer(past) < 1.0, "{rate} {len} B: not tight at {past} dB");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn threshold_is_minus_infinity_exactly_for_frames_too_short_to_saturate() {
+        // 1 − y rounds to 1.0 only when y ≤ 2^-54. At the Eb/N0 floor
+        // BER sits at its cap c, so a frame of b bits can saturate iff
+        // (1 − c)^b ≤ 2^-54: c = 0.5 (BPSK, QPSK) needs b ≥ 54, i.e.
+        // 7 bytes; c = 0.375 (16-QAM) needs b ≥ 80, 10 bytes; c = 7/24
+        // (64-QAM) needs b ≥ 109, 14 bytes.
+        for ch in lab_and_urban() {
+            for rate in DataRate::ALL {
+                let shortest = match rate.modulation() {
+                    Modulation::Bpsk | Modulation::Qpsk => 7,
+                    Modulation::Qam16 => 10,
+                    Modulation::Qam64 => 14,
+                };
+                for len in 0..=shortest + 2 {
+                    let t = ch.frame_link(len, rate).saturation_snr_db;
+                    if len < shortest {
+                        assert_eq!(t, f64::NEG_INFINITY, "{rate} {len} B");
+                    } else {
+                        assert!(t.is_finite(), "{rate} {len} B: threshold {t}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn frame_link_carries_the_airtime() {
+        for rate in DataRate::ALL {
+            for len in [0usize, 1, 100, 1500] {
+                let link = lab_channel().frame_link(len, rate);
+                assert_eq!(link.airtime(), airtime(len, rate));
+            }
+        }
+    }
+
+    #[test]
+    fn deliver_skips_nothing_when_fer_cannot_saturate() {
+        // A 1-byte frame has a −∞ threshold: even at an SNR of −∞ (an
+        // infinitely lossy obstacle) BER stays just under 0.5, FER just
+        // under 1 − 2^-8, and about one frame in 256 decodes. `deliver`
+        // must run the FER math and the draw there too.
+        let ch = Channel::new(ChannelConfig {
+            shadowing_sigma_db: 0.0,
+            obstacles: vec![Obstacle {
+                min: Position2D::new(1.0, -1.0),
+                max: Position2D::new(2.0, 1.0),
+                extra_loss_db: f64::INFINITY,
+            }],
+            ..ChannelConfig::default()
+        });
+        let link = ch.frame_link(1, DataRate::Mbps6);
+        assert_eq!(link.saturation_snr_db, f64::NEG_INFINITY);
+        let (tx, rx) = (Position2D::new(0.0, 0.0), Position2D::new(3.0, 0.0));
+        let delivered = (0..4000u64)
+            .filter(|&k| {
+                let mut rng = SimRng::seed_from(k);
+                let out = ch.transmit(SimTime::ZERO, tx, rx, 1, DataRate::Mbps6, &mut rng);
+                assert_eq!(out.snr_db, f64::NEG_INFINITY);
+                let got = ch.deliver(&link, SimTime::ZERO, tx, rx, SimRng::seed_from(k));
+                assert_eq!(got, out.delivered.then_some(out.arrival), "stream {k}");
+                got.is_some()
+            })
+            .count();
+        assert!((5..=40).contains(&delivered), "{delivered} of 4000 decoded");
+    }
+
     proptest! {
+        #[test]
+        fn deliver_matches_transmit(
+            seed in any::<u64>(),
+            len in 1usize..=2000,
+            rate_idx in 0usize..8,
+            sigma_idx in 0usize..3,
+            urban in any::<bool>(),
+            obstacle in any::<bool>(),
+            heading in 0.0f64..std::f64::consts::TAU,
+            start_ns in 0u64..10_000_000_000,
+        ) {
+            // 256 receivers per case: one at the transmitter, the rest
+            // log-spaced from 1 cm to 30 km, so every case crosses the
+            // sub-metre path-loss floor, the saturation threshold and
+            // the culling cutoff (142 m urban, ~12 km lab).
+            let mut config = ChannelConfig {
+                shadowing_sigma_db: [0.0, 3.0, 6.0][sigma_idx],
+                ..ChannelConfig::default()
+            };
+            if urban {
+                config.tx_power_dbm = 10.0;
+                config.path_loss_exponent = 3.2;
+            }
+            if obstacle {
+                // A wall across the x axis at 5–6 m.
+                config.obstacles.push(Obstacle {
+                    min: Position2D::new(5.0, -1e5),
+                    max: Position2D::new(6.0, 1e5),
+                    extra_loss_db: 20.0,
+                });
+            }
+            let ch = Channel::new(config);
+            let rate = DataRate::ALL[rate_idx];
+            let link = ch.frame_link(len, rate);
+            let start = SimTime::from_nanos(start_ns);
+            let tx = Position2D::new(0.0, 0.0);
+            let root = SimRng::seed_from(seed);
+            for k in 0..256u64 {
+                let d = if k == 0 { 0.0 } else { 10f64.powf(-2.0 + 6.5 * (k - 1) as f64 / 254.0) };
+                let rx = Position2D::new(d * heading.cos(), d * heading.sin());
+                let mut rng = root.fork_u64(k);
+                let want = ch.transmit(start, tx, rx, len, rate, &mut rng);
+                let got = ch.deliver(&link, start, tx, rx, root.fork_u64(k));
+                prop_assert_eq!(got, want.delivered.then_some(want.arrival), "receiver {} at {} m", k, d);
+            }
+        }
+
         #[test]
         fn fer_is_probability(snr in -20.0f64..50.0, len in 1usize..2000) {
             let ch = lab_channel();

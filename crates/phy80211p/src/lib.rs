@@ -39,7 +39,7 @@ pub mod edca;
 pub mod ofdm;
 pub mod spatial;
 
-pub use channel::{Channel, ChannelConfig, Obstacle, Position2D, TransmitOutcome};
+pub use channel::{Channel, ChannelConfig, FrameLink, Obstacle, Position2D, TransmitOutcome};
 pub use edca::{AccessCategory, EdcaMac, EdcaParams, Medium};
 pub use ofdm::{airtime, DataRate};
 pub use spatial::SpatialGrid;

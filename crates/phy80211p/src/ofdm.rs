@@ -148,6 +148,15 @@ mod tests {
     }
 
     #[test]
+    fn airtime_of_the_documented_gn_frames() {
+        // The collision DENM's ~96 B GN frame (EXPERIMENTS.md) and the
+        // ~120 B frame of DESIGN.md §4, both charged without MAC
+        // header, LLC or FCS: 17 and 21 data symbols.
+        assert_eq!(airtime(96, DataRate::Mbps6).as_micros(), 176);
+        assert_eq!(airtime(120, DataRate::Mbps6).as_micros(), 208);
+    }
+
+    #[test]
     fn airtime_monotone_in_length() {
         for rate in DataRate::ALL {
             let mut prev = SimDuration::ZERO;
@@ -186,13 +195,29 @@ mod tests {
     proptest! {
         #[test]
         fn airtime_matches_formula(len in 0usize..4096) {
-            let rate = DataRate::Mbps6;
-            let bits = 16 + 8 * len as u64 + 6;
-            let syms = bits.div_ceil(48);
-            prop_assert_eq!(
-                airtime(len, rate).as_micros(),
-                32 + 8 + syms * 8
-            );
+            // N_DBPS is the nominal rate times the 8 µs symbol, from the
+            // literal rates in kbit/s: 3 Mbit/s → 24 … 27 Mbit/s → 216.
+            for (rate, kbps) in [
+                (DataRate::Mbps3, 3_000),
+                (DataRate::Mbps4_5, 4_500),
+                (DataRate::Mbps6, 6_000),
+                (DataRate::Mbps9, 9_000),
+                (DataRate::Mbps12, 12_000),
+                (DataRate::Mbps18, 18_000),
+                (DataRate::Mbps24, 24_000),
+                (DataRate::Mbps27, 27_000),
+            ] {
+                let n_dbps = kbps * 8 / 1_000;
+                let bits = 16 + 8 * len as u64 + 6;
+                let syms = bits.div_ceil(n_dbps);
+                prop_assert_eq!(
+                    airtime(len, rate).as_micros(),
+                    32 + 8 + syms * 8,
+                    "{} at {} B",
+                    rate,
+                    len
+                );
+            }
         }
     }
 }

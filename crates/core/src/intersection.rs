@@ -12,27 +12,22 @@
 //! roles "for convenience"; this module implements the full two-vehicle
 //! arrangement.)
 
+use crate::chain::{Chain, ChainEvent, ChainParams, GEO_ORIGIN};
+use crate::scenario::ScenarioConfig;
 use facilities::cpm::{CpService, CpServiceConfig, Cpm, CpmPerceivedObject, ObjectClass};
 use facilities::ldm::PerceivedObject;
-use faults::{FaultInjector, FaultNode, FaultPlan, FaultStats};
-use its_messages::common::{ReferencePosition, StationType};
+use faults::{FaultNode, FaultPlan, FaultStats};
+use its_messages::common::{ReferencePosition, StationId, StationType};
 use openc2x::node::{lab_to_geo, ItsStation, PollingModel, StationConfig};
 use perception::camera::{GroundTruthTarget, RoadSideCamera, TargetAppearance};
 use perception::detector::YoloModel;
 use phy80211p::channel::{Channel, ChannelConfig, Obstacle};
-use phy80211p::edca::Medium;
-use phy80211p::ofdm::airtime;
 use phy80211p::Position2D;
 use sim_core::{
     run_batched, EventHandler, EventQueue, NodeClock, NtpModel, SimDuration, SimRng, SimTime, Trace,
 };
 use vehicle::dynamics::{LongitudinalModel, VehicleParams};
 use vehicle::planner::{MotionPlanner, StopPolicy};
-
-use its_messages::common::StationId;
-
-/// Geographic anchor of the intersection (the conflict point).
-const GEO_ORIGIN: (f64, f64) = (41.178, -8.608);
 
 /// A second, simultaneous hazard: a stalled obstacle on the
 /// protagonist's exit leg, just past the blind corner. The road-side
@@ -156,7 +151,8 @@ pub struct IntersectionRecord {
     pub denm_sent: bool,
     /// Whether it reached the protagonist's OBU.
     pub denm_delivered: bool,
-    /// When the protagonist's power was commanded off.
+    /// When the protagonist's ECU commanded the power cut (the chain's
+    /// step 5; the cut itself lands after the Teensy/ESC latency).
     pub actuation: Option<SimTime>,
     /// Whether the protagonist came to a stop before the crossing.
     pub protagonist_stopped: bool,
@@ -199,42 +195,36 @@ pub enum Event {
         /// Estimated distance of the road user from the conflict point.
         estimated_distance_m: f64,
     },
-    /// Edge → RSU trigger POST arrives.
-    TriggerArrives,
-    /// DENM frame arrives at the protagonist's OBU.
-    ObuRx,
-    /// Protagonist's polling loop fires.
-    VehiclePoll,
-    /// Poll response reaches the control logic: cut power.
-    PowerCut,
     /// A CPM frame arrives at the protagonist's OBU.
     CpmRx {
         /// UPER bytes of the CPM (possibly corrupted on the air).
         bytes: Vec<u8>,
     },
+    /// A step of the detection-to-action chain (trigger POST to power
+    /// cut).
+    Chain(ChainEvent),
+}
+
+impl From<ChainEvent> for Event {
+    fn from(event: ChainEvent) -> Self {
+        Self::Chain(event)
+    }
 }
 
 /// The assembled intersection scenario.
 pub struct IntersectionScenario {
     config: IntersectionConfig,
+    /// The detector's stream (YOLO draws).
     rng: SimRng,
-    channel: Channel,
-    medium: Medium,
-    rsu: ItsStation,
-    obu: ItsStation,
-    ecu_clock: NodeClock,
+    // Stations, air, timing/channel streams and fault plane.
+    chain: Chain,
     protagonist: LongitudinalModel,
     road_user: LongitudinalModel,
     planner: MotionPlanner,
     throttle_on: bool,
-    denm_pending: bool,
-    denm_triggered: bool,
-    poll_phase: SimDuration,
-    // Fault plane + cooperative perception.
-    injector: FaultInjector,
+    // Cooperative perception.
     cp: Option<CpService>,
     rsu_ref: ReferencePosition,
-    rsu_obstacle_est: Option<f64>,
     obstacle_known: Option<SimTime>,
     record: IntersectionRecord,
     done: bool,
@@ -278,18 +268,11 @@ impl IntersectionScenario {
             extra_loss_db: config.corner_loss_db,
         });
 
-        let mut rng = root.fork("run");
-        let poll_phase =
-            SimDuration::from_secs_f64(rng.f64() * config.polling.period.as_secs_f64());
         let mut protagonist = LongitudinalModel::new(config.vehicle);
         protagonist.set_speed(config.protagonist_speed_mps);
         let mut road_user = LongitudinalModel::new(config.vehicle);
         road_user.set_speed(config.road_user_speed_mps);
 
-        // Forking is draw-free on the parent, so carving out the fault
-        // stream leaves the legacy "clocks"/"run" sequences untouched —
-        // the empty-plan no-op invariant.
-        let injector = FaultInjector::new(config.fault_plan.clone(), root.fork("faults"));
         let cp = config.cpm.map(|cfg| {
             CpService::new(
                 StationId::new(15).expect("static id"), // detlint:allow(S3) static id 15 is always in the station-id range
@@ -299,31 +282,28 @@ impl IntersectionScenario {
         });
         let (rsu_lat, rsu_lon) = lab_to_geo(GEO_ORIGIN, rsu.position());
         let rsu_ref = ReferencePosition::from_degrees(rsu_lat, rsu_lon);
+        let chain_params = ChainParams {
+            polling: config.polling,
+            ..ChainParams::from(&ScenarioConfig::default())
+        };
+        let channel = Channel::new(channel_cfg);
+        let plan = config.fault_plan.clone();
 
         Self {
-            channel: Channel::new(channel_cfg),
-            medium: Medium::new(),
-            rsu,
-            obu,
-            ecu_clock,
+            chain: Chain::new(&root, chain_params, plan, rsu, obu, ecu_clock, channel),
+            rng: root.fork("detector"),
             protagonist,
             road_user,
             planner: MotionPlanner::new(0.214, StopPolicy::AnyDenm),
             throttle_on: true,
-            denm_pending: false,
-            denm_triggered: false,
-            poll_phase,
-            injector,
             cp,
             rsu_ref,
-            rsu_obstacle_est: None,
             obstacle_known: None,
             record: IntersectionRecord {
                 min_separation_m: f64::INFINITY,
                 ..IntersectionRecord::default()
             },
             done: false,
-            rng,
             config,
         }
     }
@@ -356,24 +336,22 @@ impl IntersectionScenario {
                 self.config.camera.next_frame_completion(SimTime::ZERO),
                 Event::CameraFrame,
             );
-            queue.schedule_at(
-                self.config
-                    .polling
-                    .next_poll(SimTime::ZERO, self.poll_phase),
-                Event::VehiclePoll,
-            );
+            self.chain.start(&mut queue);
         }
         let timeout = SimTime::ZERO + self.config.timeout;
         // Same-instant events dispatch as one batch; order is identical
         // to the serial loop (see `sim_core::run_batched`).
         let mut batch = Vec::with_capacity(8);
         run_batched(&mut self, &mut queue, timeout, &mut batch);
-        self.record.fault = self.injector.stats();
+        self.record.denm_delivered = self.chain.steps.obu_recv.is_some();
+        self.record.actuation = self.chain.steps.actuation.map(|(t, _)| t);
+        self.record.fault = self.chain.injector.stats();
         self.record
     }
 
     fn on_control_tick(&mut self, now: SimTime, queue: &mut EventQueue<Event>) {
         let dt = self.config.control_period.as_secs_f64();
+        self.throttle_on &= !self.chain.steps.power_cut;
         let throttle = if self.throttle_on { 0.214 } else { 0.0 };
         self.protagonist.step(dt, throttle);
         self.road_user.step(dt, 0.214);
@@ -459,44 +437,33 @@ impl IntersectionScenario {
         }
 
         // Protagonist CAM beaconing feeds the RSU's LDM.
-        self.obu.set_position(self.protagonist_position());
-        self.obu.set_motion(self.protagonist.speed_mps(), 270.0);
+        self.chain.obu.set_position(self.protagonist_position());
+        self.chain
+            .obu
+            .set_motion(self.protagonist.speed_mps(), 270.0);
         if self.config.with_infrastructure {
-            if let Ok(Some(cam_packet)) = self.obu.poll_cam(now) {
+            if let Ok(Some(cam_packet)) = self.chain.obu.poll_cam(now) {
                 // Fault plane: a silenced OBU transmitter (or crashed
                 // OBU) keeps the CAM off the air; the CA service already
                 // consumed its cadence, so the next CAM is unaffected.
-                let lost = self.injector.node_down(now, FaultNode::Obu)
-                    || self.injector.radio_drop(now, FaultNode::Obu);
-                if !lost {
-                    let bytes = cam_packet.to_bytes();
-                    let start =
-                        self.obu
-                            .channel_access(now, &cam_packet, &self.medium, &mut self.rng);
-                    let at = airtime(bytes.len(), self.obu.config().data_rate);
-                    self.medium.occupy(start + at);
-                    let outcome = self.channel.transmit(
-                        start,
-                        self.obu.position(),
-                        self.rsu.position(),
-                        bytes.len(),
-                        self.obu.config().data_rate,
-                        &mut self.rng,
-                    );
-                    if outcome.delivered && !self.injector.node_down(now, FaultNode::Rsu) {
-                        // Bit corruption mutates the on-air frame; the
-                        // real GeoNetworking decoder rejects (or
-                        // survives) the result.
-                        let wire = match self.injector.corrupt_frame(now, &bytes) {
-                            Some(corrupted) => corrupted,
-                            None => bytes,
-                        };
-                        // Lab-scale link to the LoS RSU: deliver directly.
-                        match geonet::GnPacket::from_bytes(&wire) {
+                let injector = &mut self.chain.injector;
+                let lost = injector.node_down(now, FaultNode::Obu)
+                    || injector.radio_drop(now, FaultNode::Obu);
+                let bytes = cam_packet.to_bytes();
+                let delivered = if lost {
+                    None
+                } else {
+                    self.chain.on_air(now, false, &bytes)
+                };
+                if let Some((arrival, corrupted)) = delivered {
+                    // Lab-scale link to the LoS RSU: deliver directly,
+                    // through the real GeoNetworking decoder.
+                    if !self.chain.injector.node_down(now, FaultNode::Rsu) {
+                        match geonet::GnPacket::from_bytes(&corrupted.unwrap_or(bytes)) {
                             Ok(packet) => {
-                                self.rsu.on_packet(outcome.arrival.max(now), &packet);
+                                self.chain.rsu.on_packet(arrival.max(now), &packet);
                             }
-                            Err(_) => self.injector.note_rejected(),
+                            Err(_) => self.chain.injector.note_rejected(),
                         }
                     }
                 }
@@ -511,8 +478,9 @@ impl IntersectionScenario {
     fn on_camera_frame(&mut self, now: SimTime, queue: &mut EventQueue<Event>) {
         // Fault plane: a crashed edge host or a dropped frame skips this
         // period's processing entirely; the camera cadence is untouched.
+        let injector = &mut self.chain.injector;
         let frame_lost =
-            self.injector.node_down(now, FaultNode::Edge) || self.injector.drop_camera_frame(now);
+            injector.node_down(now, FaultNode::Edge) || injector.drop_camera_frame(now);
         // The camera watches the road user's leg (+y).
         let distance = self.road_user_distance();
         let mut road_user_seen = false;
@@ -525,7 +493,7 @@ impl IntersectionScenario {
             };
             if self.config.camera.sees(&target) {
                 road_user_seen = true;
-                let inference = self.rng.normal(0.18, 0.02).clamp(0.05, 0.249);
+                let inference = self.chain.timing.normal(0.18, 0.02).clamp(0.05, 0.249);
                 let detections = self.config.yolo.process_frame(
                     now,
                     std::slice::from_ref(&target),
@@ -535,7 +503,7 @@ impl IntersectionScenario {
                     // Detector-miss faults discard the output *after*
                     // the legacy RNG draws, so the faultless sequence is
                     // untouched.
-                    if !self.injector.drop_detection(now) {
+                    if !self.chain.injector.drop_detection(now) {
                         queue.schedule_after(
                             now,
                             SimDuration::from_secs_f64(inference),
@@ -550,7 +518,7 @@ impl IntersectionScenario {
         if !frame_lost {
             // A hallucinated detection feeds the hazard service a target
             // that is not there (drawn from the injector's own stream).
-            if let Some((phantom_m, _confidence)) = self.injector.phantom_detection(now) {
+            if let Some((phantom_m, _confidence)) = self.chain.injector.phantom_detection(now) {
                 queue.schedule_after(
                     now,
                     SimDuration::from_millis(180),
@@ -573,8 +541,9 @@ impl IntersectionScenario {
     /// sees as a CPM and broadcasts it toward the protagonist. Object
     /// geometry is the ground truth the camera model already vetted, so
     /// building the message draws no randomness — with `cpm: None`
-    /// (the default) this method returns before touching `self.rng` and
-    /// the legacy event/RNG sequence is byte-identical.
+    /// (the default) this method returns before touching any stream and
+    /// the event/RNG sequence is byte-identical. The CPM goes straight to
+    /// the channel, without EDCA access.
     fn generate_cpm(
         &mut self,
         now: SimTime,
@@ -585,7 +554,7 @@ impl IntersectionScenario {
         let Some(cp) = self.cp.as_mut() else {
             return;
         };
-        let rsu_pos = self.rsu.position();
+        let rsu_pos = self.chain.rsu.position();
         let mut objects = Vec::with_capacity(2);
         if road_user_seen {
             objects.push(CpmPerceivedObject::from_planar(
@@ -616,21 +585,22 @@ impl IntersectionScenario {
         self.record.cpm_sent += 1;
         // Fault plane: a crashed or silenced RSU keeps the CPM off the
         // air (the CP service already consumed its cadence).
-        if self.injector.node_down(now, FaultNode::Rsu)
-            || self.injector.radio_drop(now, FaultNode::Rsu)
+        let chain = &mut self.chain;
+        if chain.injector.node_down(now, FaultNode::Rsu)
+            || chain.injector.radio_drop(now, FaultNode::Rsu)
         {
             return;
         }
-        let outcome = self.channel.transmit(
+        let outcome = chain.channel.transmit(
             now,
             rsu_pos,
-            self.obu.position(),
+            chain.obu.position(),
             bytes.len(),
-            self.rsu.config().data_rate,
-            &mut self.rng,
+            chain.rsu.config().data_rate,
+            &mut chain.radio,
         );
         if outcome.delivered {
-            let wire = match self.injector.corrupt_frame(now, &bytes) {
+            let wire = match chain.injector.corrupt_frame(now, &bytes) {
                 Some(corrupted) => corrupted,
                 None => bytes,
             };
@@ -644,14 +614,14 @@ impl IntersectionScenario {
     /// payoff; an `Obstacle`-class object arms the second-hazard brake.
     fn on_cpm_rx(&mut self, now: SimTime, bytes: &[u8]) {
         // A crashed OBU never decodes the frame.
-        if self.injector.node_down(now, FaultNode::Obu) {
+        if self.chain.injector.node_down(now, FaultNode::Obu) {
             return;
         }
         let cpm = match Cpm::from_bytes(bytes) {
             Ok(cpm) => cpm,
             Err(_) => {
                 // Corrupted on the air and rejected by the real decoder.
-                self.injector.note_rejected();
+                self.chain.injector.note_rejected();
                 return;
             }
         };
@@ -660,7 +630,7 @@ impl IntersectionScenario {
             .config
             .second_hazard
             .map_or(0.0, |h| h.own_sensor_range_m);
-        let rsu_pos = self.rsu.position();
+        let rsu_pos = self.chain.rsu.position();
         let protagonist = self.protagonist_position();
         for object in &cpm.perceived_objects {
             let (dx, dy) = object.offset_m();
@@ -673,7 +643,7 @@ impl IntersectionScenario {
                 ObjectClass::Person => "person",
                 ObjectClass::Obstacle => "obstacle",
             };
-            self.obu.ldm_mut().insert_object(
+            self.chain.obu.ldm_mut().insert_object(
                 now,
                 PerceivedObject {
                     id: u32::from(object.object_id),
@@ -688,7 +658,6 @@ impl IntersectionScenario {
             }
             if object.class == ObjectClass::Obstacle && self.obstacle_known.is_none() {
                 self.obstacle_known = Some(now);
-                self.rsu_obstacle_est = Some(range_m);
                 self.record.trace.record_fmt(
                     now,
                     "obu",
@@ -705,7 +674,7 @@ impl IntersectionScenario {
         estimated_distance_m: f64,
         queue: &mut EventQueue<Event>,
     ) {
-        if self.denm_triggered || estimated_distance_m > self.config.action_point_m {
+        if self.record.denm_sent || estimated_distance_m > self.config.action_point_m {
             return;
         }
         // Conflict prediction: correlate the camera track with the
@@ -713,6 +682,7 @@ impl IntersectionScenario {
         let (lat, lon) = lab_to_geo(GEO_ORIGIN, Position2D::new(0.0, 0.0));
         let conflict_point = ReferencePosition::from_degrees(lat, lon);
         let Some(protagonist_cam) = self
+            .chain
             .rsu
             .ldm()
             .stations_within(&conflict_point, 100.0)
@@ -774,7 +744,6 @@ impl IntersectionScenario {
             );
             return;
         }
-        self.denm_triggered = true;
         self.record.denm_sent = true;
         self.record.trace.record_fmt(
             now,
@@ -782,127 +751,10 @@ impl IntersectionScenario {
             "conflict",
             format_args!("tA={t_protagonist:.2}s tB={t_road_user:.2}s -> DENM"),
         );
-        // Assessment + edge→RSU HTTP POST.
-        let assess = self.rng.normal(0.003, 0.001).max(0.0005);
-        let http = 0.012 + self.rng.exponential(0.009).min(0.027);
-        queue.schedule_after(
-            now,
-            SimDuration::from_secs_f64(assess + http),
-            Event::TriggerArrives,
-        );
-    }
-
-    fn on_trigger_arrives(&mut self, now: SimTime, queue: &mut EventQueue<Event>) {
-        let (lat, lon) = lab_to_geo(GEO_ORIGIN, Position2D::new(0.0, 0.0));
-        let request = facilities::den::DenRequest::one_shot(
-            self.rsu.wall(now),
-            ReferencePosition::from_degrees(lat, lon),
-            its_messages::cause_codes::CauseCode::CollisionRisk(
-                its_messages::cause_codes::CollisionRiskSubCause::CrossingCollisionRisk,
-            ),
-        );
-        self.rsu.trigger_denm(now, request);
-        let build = SimDuration::from_secs_f64(self.rng.normal(0.002, 0.0005).max(0.0002));
-        let handoff = now + build;
-        let packets = match self.rsu.poll_denm(now) {
-            Ok(p) => p,
-            Err(_) => return,
-        };
-        for packet in packets {
-            let bytes = packet.to_bytes();
-            // Fault plane: a crashed or silenced RSU keeps the DENM off
-            // the air entirely.
-            if self.injector.node_down(handoff, FaultNode::Rsu)
-                || self.injector.radio_drop(handoff, FaultNode::Rsu)
-            {
-                continue;
-            }
-            let start = self
-                .rsu
-                .channel_access(handoff, &packet, &self.medium, &mut self.rng);
-            let at = airtime(bytes.len(), self.rsu.config().data_rate);
-            self.medium.occupy(start + at);
-            let outcome = self.channel.transmit(
-                start,
-                self.rsu.position(),
-                self.obu.position(),
-                bytes.len(),
-                self.rsu.config().data_rate,
-                &mut self.rng,
-            );
-            if outcome.delivered {
-                // Bit corruption feeds the damaged frame through the
-                // real GeoNetworking decoder; a reject drops the DENM.
-                match self.injector.corrupt_frame(start, &bytes) {
-                    Some(corrupted) => match geonet::GnPacket::from_bytes(&corrupted) {
-                        Ok(_) => queue.schedule_at(outcome.arrival, Event::ObuRx),
-                        Err(_) => self.injector.note_rejected(),
-                    },
-                    None => queue.schedule_at(outcome.arrival, Event::ObuRx),
-                }
-            }
-        }
-        self.record
-            .trace
-            .record(now, "rsu", "denm_tx", "collision risk");
-    }
-
-    fn on_obu_rx(&mut self, now: SimTime) {
-        // A crashed OBU never takes delivery.
-        if self.injector.node_down(now, FaultNode::Obu) {
-            return;
-        }
-        if !self.record.denm_delivered {
-            self.record.denm_delivered = true;
-            self.record
-                .trace
-                .record(now, "obu", "denm_rx", "pending for poll");
-        }
-        self.denm_pending = true;
-    }
-
-    fn on_vehicle_poll(&mut self, now: SimTime, queue: &mut EventQueue<Event>) {
-        if self.denm_pending && self.record.actuation.is_none() {
-            self.denm_pending = false;
-            let rtt = self
-                .config
-                .polling
-                .sample_http_rtt(&mut self.rng)
-                .min(self.config.polling.http_base * 4);
-            // Fault plane: a stalled HTTP exchange costs one extra
-            // polling period before the command lands.
-            let stall = if self.injector.http_stall(now) {
-                self.config.polling.period
-            } else {
-                SimDuration::from_nanos(0)
-            };
-            queue.schedule_after(now, rtt + stall, Event::PowerCut);
-        }
-        if !self.done && self.record.actuation.is_none() {
-            queue.schedule_at(
-                self.config
-                    .polling
-                    .next_poll(now + SimDuration::from_nanos(1), self.poll_phase),
-                Event::VehiclePoll,
-            );
-        }
-    }
-
-    fn on_power_cut(&mut self, now: SimTime) {
-        // A crashed ECU loses the power-cut command: the vehicle keeps
-        // rolling — the catastrophic end of the degradation ladder.
-        if self.injector.node_down(now, FaultNode::Ecu) {
-            return;
-        }
-        if self.record.actuation.is_none() {
-            self.record.actuation = Some(now);
-            self.planner.force_stop();
-            self.throttle_on = false;
-            let _ = self.ecu_clock.wall_millis(now);
-            self.record
-                .trace
-                .record(now, "ecu", "power_cut", "emergency brake");
-        }
+        // The edge node's assessment, then the trigger POST.
+        let assess = self.chain.timing.normal(0.003, 0.001).max(0.0005);
+        let decided_at = now + SimDuration::from_secs_f64(assess);
+        self.chain.post_trigger(decided_at, queue);
     }
 }
 
@@ -919,11 +771,15 @@ impl EventHandler for IntersectionScenario {
             Event::DetectionOutput {
                 estimated_distance_m,
             } => self.on_detection_output(now, estimated_distance_m, queue),
-            Event::TriggerArrives => self.on_trigger_arrives(now, queue),
-            Event::ObuRx => self.on_obu_rx(now),
-            Event::VehiclePoll => self.on_vehicle_poll(now, queue),
-            Event::PowerCut => self.on_power_cut(now),
             Event::CpmRx { bytes } => self.on_cpm_rx(now, &bytes),
+            Event::Chain(event) => self.chain.handle(
+                now,
+                event,
+                queue,
+                &mut self.record.trace,
+                &mut self.planner,
+                None,
+            ),
         }
     }
 }

@@ -52,6 +52,7 @@
 
 pub mod ablation;
 pub mod campaign;
+mod chain;
 pub mod city;
 pub mod congestion;
 pub mod coopsweep;

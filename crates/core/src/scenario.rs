@@ -20,19 +20,21 @@
 //! millisecond log resolution, so the per-step intervals include the same
 //! measurement noise as the paper's Table II.
 
+use crate::chain::{
+    Chain, ChainBuffers, ChainEvent, DENM_BUILD_MEAN_S, GEO_ORIGIN, TRIGGER_HTTP_BASE,
+    TRIGGER_HTTP_JITTER_MEAN,
+};
 use facilities::ldm::PerceivedObject;
-use faults::{CoopStats, FaultInjector, FaultNode, FaultPlan, FaultStats};
+use faults::{CoopStats, FaultNode, FaultPlan, FaultStats};
 use its_messages::common::{ReferencePosition, StationId};
-use openc2x::http::{poll_with_retry, RetryPolicy};
+use openc2x::http::RetryPolicy;
 use openc2x::node::{lab_to_geo, FrameOutcome, ItsStation, PollingModel, StationConfig};
 use perception::camera::{GroundTruthTarget, RoadSideCamera, TargetAppearance};
 use perception::detector::{Detection, YoloModel};
 use perception::hazard::{HazardAdvertisementService, HazardConfig, HazardDecision};
 use perception::tracker::{Tracker, TrackerConfig};
-use phy80211p::cellular::{CellularLink, CellularProfile};
+use phy80211p::cellular::CellularProfile;
 use phy80211p::channel::{Channel, ChannelConfig};
-use phy80211p::edca::Medium;
-use phy80211p::ofdm::airtime;
 use phy80211p::Position2D;
 use sim_core::{
     run_batched, EventHandler, EventQueue, NodeClock, NtpModel, SimDuration, SimRng, SimTime, Trace,
@@ -150,9 +152,9 @@ impl Default for ScenarioConfig {
             inference_mean_s: 0.180,
             inference_std_s: 0.020,
             appearance: TargetAppearance::WithStopSign,
-            trigger_http_base: SimDuration::from_millis(12),
-            trigger_http_jitter_mean: SimDuration::from_millis(9),
-            denm_build_mean_s: 0.002,
+            trigger_http_base: TRIGGER_HTTP_BASE,
+            trigger_http_jitter_mean: TRIGGER_HTTP_JITTER_MEAN,
+            denm_build_mean_s: DENM_BUILD_MEAN_S,
             denm_repetition: None,
             polling: PollingModel::default(),
             teensy: TeensyLink::default(),
@@ -171,9 +173,6 @@ impl Default for ScenarioConfig {
         }
     }
 }
-
-/// The geographic anchor of the laboratory origin.
-const GEO_ORIGIN: (f64, f64) = (41.178, -8.608);
 
 /// Result of one run: the six step timestamps plus derived quantities.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -275,10 +274,12 @@ impl RunRecord {
 // worker threads and moves each `RunRecord` back to the index-ordered
 // merge; pin those auto-trait bounds here so a future non-thread-safe
 // field fails at this definition, not at a distant runner call site.
+// The calendar queue stores events inline, so pin the event size too.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<ScenarioConfig>();
     assert_send_sync::<RunRecord>();
+    assert!(std::mem::size_of::<Event>() <= 56);
 };
 
 /// Discrete events of the scenario (public because [`Scenario`]
@@ -293,32 +294,13 @@ pub enum Event {
     CameraFrame,
     /// YOLO output for a captured frame.
     DetectionOutput(Detection),
-    /// The `trigger_denm` POST arrives at the RSU.
-    TriggerArrives,
-    /// The encoded DENM is handed to the RSU MAC.
-    RsuMacHandoff,
-    /// The DENM frame (or cellular message) arrives at the OBU.
-    ObuRx {
-        /// Shared bytes of the DENM payload (encoded once at the RSU;
-        /// every hop and repetition clones the `Arc`, not the bytes).
-        denm_bytes: std::sync::Arc<[u8]>,
-    },
     /// A CAM frame arrives at the RSU.
     RsuCamRx {
         /// Wire bytes of the full GN frame. The buffer comes from the
-        /// scenario's frame pool and returns to it after delivery, so
-        /// the steady-state beacon loop allocates nothing.
+        /// chain's frame pool and returns to it after delivery, so the
+        /// steady-state beacon loop allocates nothing.
         frame: Vec<u8>,
     },
-    /// The vehicle's polling script fires.
-    VehiclePoll,
-    /// The poll response (carrying a DENM) reaches the control logic.
-    PlannerNotified {
-        /// Shared bytes of the DENM payload.
-        denm_bytes: std::sync::Arc<[u8]>,
-    },
-    /// The physical power cut takes effect at the ESC.
-    PowerCutApplied,
     /// The RSU beacons a liveness CAM (only scheduled when the vehicle's
     /// V2X watchdog is configured).
     RsuHeartbeat,
@@ -327,11 +309,20 @@ pub enum Event {
         /// Wire bytes of the full GN frame (pooled, like `RsuCamRx`).
         frame: Vec<u8>,
     },
+    /// A step of the detection-to-action chain (trigger POST to power
+    /// cut).
+    Chain(ChainEvent),
+}
+
+impl From<ChainEvent> for Event {
+    fn from(event: ChainEvent) -> Self {
+        Self::Chain(event)
+    }
 }
 
 /// Recycled per-run buffers: the event queue's slab and buckets, the
-/// batch-dispatch scratch, the CAM frame pool and the small handler
-/// scratch vectors. A campaign runs thousands of scenarios back to
+/// batch-dispatch scratch, the chain's frame pool and queues, and the
+/// detection scratch. A campaign runs thousands of scenarios back to
 /// back on each worker thread; recycling makes every run after the
 /// first reuse the previous run's capacity instead of re-growing it.
 /// Everything here is emptied before storage and reset on reuse
@@ -341,10 +332,8 @@ pub enum Event {
 struct RunScratch {
     queue: EventQueue<Event>,
     batch: Vec<Event>,
-    frames: Vec<Vec<u8>>,
     detections: Vec<Detection>,
-    pending: Vec<std::sync::Arc<[u8]>>,
-    denm_packets: Vec<geonet::GnPacket>,
+    chain: ChainBuffers,
 }
 
 thread_local! {
@@ -357,35 +346,21 @@ thread_local! {
 /// The assembled scenario state.
 pub struct Scenario {
     config: ScenarioConfig,
-    rng_channel: SimRng,
     rng_detector: SimRng,
-    rng_timing: SimRng,
-    channel: Channel,
-    cellular: Option<CellularLink>,
-    medium: Medium,
-    // Stations.
-    rsu: ItsStation,
-    obu: ItsStation,
+    // Stations, air, timing/channel streams and fault plane.
+    chain: Chain,
     // Edge perception.
     hazard: HazardAdvertisementService,
     tracker: Tracker,
     edge_clock: NodeClock,
-    ecu_clock: NodeClock,
     // Vehicle.
     car: LongitudinalModel,
     pose: BicycleState,
     follower: LineFollower,
     planner: MotionPlanner,
     track: Track,
-    throttle: f64,
     odometry: WheelOdometry,
-    pending_denm: Vec<std::sync::Arc<[u8]>>,
     detect_scratch: Vec<Detection>,
-    frame_pool: Vec<Vec<u8>>,
-    denm_scratch: Vec<geonet::GnPacket>,
-    poll_phase: SimDuration,
-    // Fault plane.
-    injector: FaultInjector,
     watchdog: Option<V2xWatchdog>,
     // Bookkeeping.
     record: RunRecord,
@@ -444,43 +419,22 @@ impl Scenario {
             y: 0.0,
             theta: std::f64::consts::PI, // driving toward the camera (-x)
         };
-        let mut rng_timing = root.fork("timing");
-        let poll_phase =
-            SimDuration::from_secs_f64(rng_timing.f64() * config.polling.period.as_secs_f64());
-
-        let cellular = match config.denm_link {
-            DenmLink::Cellular(profile) => Some(CellularLink::new(profile)),
-            DenmLink::Its80211p => None,
-        };
+        let channel = Channel::new(config.channel.clone());
+        let plan = config.fault_plan.clone();
 
         Self {
-            channel: Channel::new(config.channel.clone()),
-            cellular,
-            medium: Medium::new(),
-            rng_channel: root.fork("channel"),
+            chain: Chain::new(&root, (&config).into(), plan, rsu, obu, ecu_clock, channel),
             rng_detector: root.fork("detector"),
-            rng_timing,
-            rsu,
-            obu,
             hazard: HazardAdvertisementService::new(hazard_cfg),
             tracker: Tracker::new(TrackerConfig::default()),
             edge_clock,
-            ecu_clock,
             car,
             pose,
             follower: LineFollower::new(),
             planner: MotionPlanner::new(config.cruise_throttle, config.stop_policy),
             track: Track::straight(config.start_distance_m + 2.0),
-            throttle: config.cruise_throttle,
             odometry: WheelOdometry::new(3480.0),
-            pending_denm: Vec::new(),
             detect_scratch: Vec::new(),
-            frame_pool: Vec::new(),
-            denm_scratch: Vec::new(),
-            poll_phase,
-            // Forking is draw-free, so carving out a dedicated fault
-            // stream leaves every other stream's sequence untouched.
-            injector: FaultInjector::new(config.fault_plan.clone(), root.fork("faults")),
             watchdog: config.watchdog.map(V2xWatchdog::new),
             record: RunRecord::default(),
             done: false,
@@ -506,25 +460,18 @@ impl Scenario {
     /// Runs the scenario to completion (or timeout) and returns the
     /// record.
     pub fn run(mut self) -> RunRecord {
-        let mut scratch = RUN_SCRATCH
+        let scratch = RUN_SCRATCH
             .with(|s| s.borrow_mut().take())
             .unwrap_or_default();
         let mut queue = scratch.queue;
-        self.frame_pool = scratch.frames;
+        self.chain.buffers = scratch.chain;
         self.detect_scratch = scratch.detections;
-        self.pending_denm = scratch.pending;
-        self.denm_scratch = scratch.denm_packets;
         queue.schedule_at(SimTime::ZERO, Event::ControlTick);
         queue.schedule_at(
             self.config.camera.next_frame_completion(SimTime::ZERO),
             Event::CameraFrame,
         );
-        queue.schedule_at(
-            self.config
-                .polling
-                .next_poll(SimTime::ZERO, self.poll_phase),
-            Event::VehiclePoll,
-        );
+        self.chain.start(&mut queue);
         // The heartbeat stream only exists when the watchdog does, so a
         // watchdog-less run keeps the baseline event schedule bit for bit.
         if let Some(wcfg) = self.config.watchdog {
@@ -545,18 +492,20 @@ impl Scenario {
         // Return the run's buffers to the thread's scratch slot, empty.
         queue.reset();
         batch.clear();
-        self.pending_denm.clear();
         self.detect_scratch.clear();
-        scratch = RunScratch {
+        let scratch = RunScratch {
             queue,
             batch,
-            frames: std::mem::take(&mut self.frame_pool),
             detections: std::mem::take(&mut self.detect_scratch),
-            pending: std::mem::take(&mut self.pending_denm),
-            denm_packets: std::mem::take(&mut self.denm_scratch),
+            chain: self.chain.take_buffers(),
         };
         RUN_SCRATCH.with(|s| *s.borrow_mut() = Some(scratch));
-        let mut fault = self.injector.stats();
+        let steps = self.chain.steps;
+        (self.record.step3_rsu_send, self.record.step3_wall_ms) = steps.rsu_send.unzip();
+        (self.record.step4_obu_recv, self.record.step4_wall_ms) = steps.obu_recv.unzip();
+        (self.record.step5_actuation, self.record.step5_wall_ms) = steps.actuation.unzip();
+        self.record.denm_delivered = steps.obu_recv.is_some();
+        let mut fault = self.chain.injector.stats();
         if let Some(wd) = &self.watchdog {
             let trips = wd.trips();
             fault.watchdog_speed_caps = trips.speed_caps;
@@ -566,17 +515,6 @@ impl Scenario {
         self.record.coop.failsafe_stops = u64::from(fault.failsafe_stop);
         self.record.fault = fault;
         self.record
-    }
-
-    /// Whether the fault plane can change this run's behaviour at all.
-    /// Gates the overrun outcome so baseline runs never evaluate it.
-    fn fault_active(&self) -> bool {
-        !self.config.fault_plan.is_empty() || self.watchdog.is_some()
-    }
-
-    /// A node-local wall-clock reading with any injected drift applied.
-    fn skewed_wall(&self, wall_ms: u64, now: SimTime, node: FaultNode) -> u64 {
-        wall_ms.saturating_add_signed(self.injector.clock_skew_ms(now, node))
     }
 
     /// True distance from the camera to the vehicle front.
@@ -601,17 +539,12 @@ impl Scenario {
             .follower
             .steering(&self.pose, &self.track, dt, &mut self.rng_detector);
         let cmd = self.planner.plan(steer);
+        // The physical cut is what stops the car; until it lands, the
+        // old throttle stays active.
         let throttle = match cmd {
-            vehicle::actuators::ActuatorCommand::Drive { throttle, .. } => {
-                // The physical cut is what stops the car; until
-                // PowerCutApplied fires, the old throttle stays active.
-                if self.throttle > 0.0 {
-                    throttle
-                } else {
-                    0.0
-                }
-            }
-            vehicle::actuators::ActuatorCommand::CutPower => self.throttle,
+            _ if self.chain.steps.power_cut => 0.0,
+            vehicle::actuators::ActuatorCommand::Drive { throttle, .. } => throttle,
+            vehicle::actuators::ActuatorCommand::CutPower => self.config.cruise_throttle,
         };
         let steer_cmd = match cmd {
             vehicle::actuators::ActuatorCommand::Drive { steering_rad, .. } => steering_rad,
@@ -635,10 +568,8 @@ impl Scenario {
         }
 
         // Step 6: standstill after the power cut.
-        if self.record.step6_halt.is_none()
-            && self.record.step5_actuation.is_some()
-            && self.car.speed_mps() <= 0.0
-        {
+        let commanded = self.chain.steps.actuation.is_some();
+        if self.record.step6_halt.is_none() && commanded && self.car.speed_mps() <= 0.0 {
             self.record.step6_halt = Some(now);
             self.record.odometer_at_halt_m = Some(self.car.distance_m());
             self.record.halt_distance_to_camera_m = Some(self.pose.x);
@@ -657,14 +588,14 @@ impl Scenario {
         // Step 6 stays unset — the paper's chain did not act — but the
         // halt position is recorded as the safety outcome.
         if self.record.step6_halt.is_none()
-            && self.record.step5_actuation.is_none()
+            && !commanded
             && self.car.speed_mps() <= 0.0
             && self
                 .watchdog
                 .as_ref()
                 .is_some_and(|wd| wd.level() == DegradationLevel::ControlledStop)
         {
-            self.injector.stats_mut().failsafe_stop = true;
+            self.chain.injector.stats_mut().failsafe_stop = true;
             self.record.odometer_at_halt_m = Some(self.car.distance_m());
             self.record.halt_distance_to_camera_m = Some(self.pose.x);
             self.record.trace.record_fmt(
@@ -679,9 +610,11 @@ impl Scenario {
 
         // Overrun: under faults the emergency chain can fail outright;
         // driving past the camera is the collision outcome and ends the
-        // run. Never evaluated on the baseline path.
-        if self.fault_active() && self.pose.x <= 0.0 {
-            self.injector.stats_mut().overran_camera = true;
+        // run. Never evaluated on the baseline path (no fault plan, no
+        // watchdog).
+        let fault_active = !self.chain.injector.is_noop() || self.watchdog.is_some();
+        if fault_active && self.pose.x <= 0.0 {
+            self.chain.injector.stats_mut().overran_camera = true;
             self.record.trace.record_fmt(
                 now,
                 "world",
@@ -692,93 +625,50 @@ impl Scenario {
             return;
         }
 
-        // Keep the OBU position in sync and poll the CA service. Speed
-        // comes from the wheel encoder (what the real OBU would see),
-        // not from ground truth.
+        // Keep the OBU position in sync and beacon its CAM to the RSU.
+        // Speed comes from the wheel encoder (what the real OBU would
+        // see), not from ground truth.
         let ticks = self.odometry.advance(ds);
         let measured_speed = self.odometry.speed_from_window(ticks, dt);
-        self.obu
-            .set_position(Position2D::new(self.pose.x, self.pose.y));
-        self.obu
-            .set_motion(measured_speed, 270.0 /* heading -x ≈ west */);
-        let obu_down = self.injector.node_down(now, FaultNode::Obu);
-        if !obu_down {
-            let mut frame = self.take_frame();
-            if self.obu.poll_cam_frame(now, &mut frame).unwrap_or(false)
-                && !self.injector.radio_drop(now, FaultNode::Obu)
-            {
-                self.transmit_cam_frame(now, frame, queue);
+        let obu = &mut self.chain.obu;
+        obu.set_position(Position2D::new(self.pose.x, self.pose.y));
+        obu.set_motion(measured_speed, 270.0 /* heading -x ≈ west */);
+        if !self.chain.injector.node_down(now, FaultNode::Obu) {
+            let mut frame = self.chain.take_frame();
+            let sent = self
+                .chain
+                .obu
+                .poll_cam_frame(now, &mut frame)
+                .unwrap_or(false)
+                && !self.chain.injector.radio_drop(now, FaultNode::Obu);
+            let delivered = if sent {
+                self.chain.on_air(now, false, &frame)
             } else {
-                self.recycle_frame(frame);
+                None
+            };
+            match delivered {
+                Some((arrival, corrupted)) => {
+                    // A frame corrupted on the air goes to the RSU's real
+                    // GeoNetworking decoder to reject (or survive).
+                    if let Some(corrupted) = corrupted {
+                        self.chain
+                            .recycle_frame(std::mem::replace(&mut frame, corrupted));
+                    }
+                    queue.schedule_at(arrival, Event::RsuCamRx { frame });
+                }
+                None => self.chain.recycle_frame(frame),
             }
         }
 
-        if !self.done {
-            queue.schedule_after(now, self.config.control_period, Event::ControlTick);
-        }
-    }
-
-    /// A cleared frame buffer from the pool (or a fresh one).
-    fn take_frame(&mut self) -> Vec<u8> {
-        self.frame_pool.pop().unwrap_or_default()
-    }
-
-    /// Returns a frame buffer to the pool for reuse.
-    fn recycle_frame(&mut self, mut frame: Vec<u8>) {
-        frame.clear();
-        self.frame_pool.push(frame);
-    }
-
-    /// Puts an OBU CAM frame on the air: channel access, airtime,
-    /// congestion feedback, loss, corruption, and — when delivered —
-    /// the RSU's receive event. Consumes the buffer either way (an
-    /// undelivered frame goes back to the pool).
-    fn transmit_cam_frame(
-        &mut self,
-        now: SimTime,
-        mut frame: Vec<u8>,
-        queue: &mut EventQueue<Event>,
-    ) {
-        // The frame was just written by the OBU, so it parses.
-        let Ok(f) = geonet::GnFrame::parse(&frame) else {
-            self.recycle_frame(frame);
-            return;
-        };
-        let start = self
-            .obu
-            .channel_access_frame(now, &f, &self.medium, &mut self.rng_timing);
-        let at = airtime(frame.len(), self.obu.config().data_rate);
-        self.medium.occupy(start + at);
-        // Congestion feedback: both radios hear the frame.
-        self.obu.observe_channel_busy(now, at);
-        self.rsu.observe_channel_busy(now, at);
-        let outcome = self.channel.transmit(
-            start,
-            self.obu.position(),
-            self.rsu.position(),
-            frame.len(),
-            self.obu.config().data_rate,
-            &mut self.rng_channel,
-        );
-        if outcome.delivered {
-            // Bit corruption mutates the on-air frame; the RSU's real
-            // GeoNetworking decoder gets to reject (or survive) the
-            // result.
-            if let Some(corrupted) = self.injector.corrupt_frame(now, &frame) {
-                self.recycle_frame(frame);
-                frame = corrupted;
-            }
-            queue.schedule_at(outcome.arrival, Event::RsuCamRx { frame });
-        } else {
-            self.recycle_frame(frame);
-        }
+        queue.schedule_after(now, self.config.control_period, Event::ControlTick);
     }
 
     fn on_camera_frame(&mut self, now: SimTime, queue: &mut EventQueue<Event>) {
         // A crashed edge node captures nothing (frames resume on
         // reboot); a dropped frame is lost but the pipeline keeps going.
-        let edge_down = self.injector.node_down(now, FaultNode::Edge);
-        let frame_lost = !edge_down && self.injector.drop_camera_frame(now);
+        let injector = &mut self.chain.injector;
+        let edge_down = injector.node_down(now, FaultNode::Edge);
+        let frame_lost = !edge_down && injector.drop_camera_frame(now);
         // Capture the world now; the detection output appears after the
         // inference latency.
         let target = GroundTruthTarget {
@@ -791,7 +681,8 @@ impl Scenario {
         };
         if !edge_down && !frame_lost && self.config.camera.sees(&target) {
             let inference = self
-                .rng_timing
+                .chain
+                .timing
                 .normal(self.config.inference_mean_s, self.config.inference_std_s)
                 .clamp(0.05, 0.249);
             let output_at = now + SimDuration::from_secs_f64(inference);
@@ -804,7 +695,7 @@ impl Scenario {
                 &mut detections,
             );
             for d in detections.drain(..) {
-                if self.injector.drop_detection(now) {
+                if self.chain.injector.drop_detection(now) {
                     continue;
                 }
                 queue.schedule_at(output_at, Event::DetectionOutput(d));
@@ -814,7 +705,7 @@ impl Scenario {
         // Detector hallucination: a phantom object independent of any
         // real target, emitted after the nominal inference latency.
         if !edge_down && !frame_lost {
-            if let Some((distance, confidence)) = self.injector.phantom_detection(now) {
+            if let Some((distance, confidence)) = self.chain.injector.phantom_detection(now) {
                 let output_at = now + SimDuration::from_secs_f64(self.config.inference_mean_s);
                 let phantom = Detection {
                     target_id: self.next_object_id,
@@ -826,12 +717,10 @@ impl Scenario {
                 queue.schedule_at(output_at, Event::DetectionOutput(phantom));
             }
         }
-        if !self.done {
-            queue.schedule_at(
-                self.config.camera.next_frame_completion(now),
-                Event::CameraFrame,
-            );
-        }
+        queue.schedule_at(
+            self.config.camera.next_frame_completion(now),
+            Event::CameraFrame,
+        );
     }
 
     fn on_detection_output(
@@ -841,7 +730,7 @@ impl Scenario {
         queue: &mut EventQueue<Event>,
     ) {
         // The edge node crashed between capture and inference output.
-        if self.injector.node_down(now, FaultNode::Edge) {
+        if self.chain.injector.node_down(now, FaultNode::Edge) {
             return;
         }
         // Record the object in the (RSU-hosted) LDM like OpenC2X does.
@@ -857,16 +746,17 @@ impl Scenario {
             confidence: detection.confidence,
         };
         self.next_object_id += 1;
-        self.rsu.ldm_mut().insert_object(now, obj);
+        self.chain.rsu.ldm_mut().insert_object(now, obj);
 
         let wall = its_messages::common::TimestampIts::new(
             self.edge_clock.wall_millis(now) & ((1 << 42) - 1),
         )
         .expect("edge wall clock in range"); // detlint:allow(S3) masked to 42 bits on the line above, always in range
+        let chain = &mut self.chain;
         let decision = match self.config.hazard_rule {
             HazardRule::ActionPoint => {
                 self.hazard
-                    .assess(&detection, self.rsu.ldm(), wall, &mut self.rng_timing)
+                    .assess(&detection, chain.rsu.ldm(), wall, &mut chain.timing)
             }
             HazardRule::TimeToCollision { ttc_s, min_hits } => {
                 self.tracker.update(now, std::slice::from_ref(&detection));
@@ -877,10 +767,10 @@ impl Scenario {
                             &track,
                             min_hits,
                             ttc_s,
-                            self.rsu.ldm(),
+                            chain.rsu.ldm(),
                             wall,
                             now,
-                            &mut self.rng_timing,
+                            &mut chain.timing,
                         )
                     }
                     None => HazardDecision::OutsideActionPoint,
@@ -891,8 +781,8 @@ impl Scenario {
             // Step 2: "the YOLO software registers the time the vehicle
             // is crossing the Action Point".
             self.record.step2_detection = Some(now);
-            self.record.step2_wall_ms =
-                Some(self.skewed_wall(self.edge_clock.wall_millis(now), now, FaultNode::Edge));
+            let wall = self.edge_clock.wall_millis(now);
+            self.record.step2_wall_ms = Some(self.chain.skewed_wall(wall, now, FaultNode::Edge));
             self.record.odometer_at_detection_m = Some(self.car.distance_m());
             self.record.speed_at_detection_mps = self.car.speed_mps();
             self.record.detection_distance_m = Some(detection.estimated_distance_m);
@@ -905,267 +795,8 @@ impl Scenario {
                     detection.estimated_distance_m, detection.label
                 ),
             );
-            // The trigger POST crosses the edge→RSU LAN. The jitter tail
-            // is truncated at 3× its mean: on an otherwise idle LAN the
-            // TCP exchange has a bounded worst case (the paper's five
-            // runs show #2→#3 spanning only 21–34 ms).
-            let jitter_mean = self.config.trigger_http_jitter_mean.as_secs_f64().max(1e-9);
-            let jitter = self
-                .rng_timing
-                .exponential(jitter_mean)
-                .min(3.0 * jitter_mean);
-            let http = self.config.trigger_http_base + SimDuration::from_secs_f64(jitter);
-            queue.schedule_at(decided_at + http, Event::TriggerArrives);
+            self.chain.post_trigger(decided_at, queue);
         }
-    }
-
-    fn on_trigger_arrives(&mut self, now: SimTime, queue: &mut EventQueue<Event>) {
-        // A crashed RSU never sees the POST; its volatile DEN state is
-        // gone, so the trigger is simply lost.
-        if self.injector.node_down(now, FaultNode::Rsu) {
-            return;
-        }
-        // The RSU's DEN app builds and encodes the DENM.
-        let build = SimDuration::from_secs_f64(
-            self.rng_timing
-                .normal(
-                    self.config.denm_build_mean_s,
-                    self.config.denm_build_mean_s / 4.0,
-                )
-                .max(0.0002),
-        );
-        let (lat, lon) = lab_to_geo(GEO_ORIGIN, Position2D::new(0.0, 0.0));
-        let wall = self.rsu.wall(now);
-        let mut request = facilities::den::DenRequest::one_shot(
-            wall,
-            ReferencePosition::from_degrees(lat, lon),
-            its_messages::cause_codes::CauseCode::CollisionRisk(
-                its_messages::cause_codes::CollisionRiskSubCause::CrossingCollisionRisk,
-            ),
-        );
-        if let Some((interval, duration)) = self.config.denm_repetition {
-            request.repetition_interval = Some(interval);
-            request.repetition_duration = Some(duration);
-        }
-        self.rsu.trigger_denm(now, request);
-        queue.schedule_after(now, build, Event::RsuMacHandoff);
-    }
-
-    fn on_rsu_mac_handoff(&mut self, now: SimTime, queue: &mut EventQueue<Event>) {
-        if self.injector.node_down(now, FaultNode::Rsu) {
-            return;
-        }
-        let mut packets = std::mem::take(&mut self.denm_scratch);
-        packets.clear();
-        if self.rsu.poll_denm_into(now, &mut packets).is_err() {
-            self.denm_scratch = packets;
-            return;
-        }
-        for packet in &packets {
-            // Step 3: the RSU registers the send time (first copy only —
-            // repetitions do not rewrite the measurement).
-            if self.record.step3_rsu_send.is_none() {
-                self.record.step3_rsu_send = Some(now);
-                self.record.step3_wall_ms =
-                    Some(self.skewed_wall(self.rsu.wall(now).millis(), now, FaultNode::Rsu));
-            }
-            self.record.trace.record_fmt(
-                now,
-                "rsu",
-                "denm_tx",
-                format_args!("{} bytes", packet.wire_size()),
-            );
-            // Radio faults sit between the MAC and the channel model:
-            // the RSU believes it sent (step 3 stands) but nothing is
-            // ever on the air.
-            if self.injector.radio_drop(now, FaultNode::Rsu) {
-                continue;
-            }
-            match self.config.denm_link {
-                DenmLink::Its80211p => {
-                    let mut bytes = self.take_frame();
-                    packet.as_frame().write_to(&mut bytes);
-                    let start =
-                        self.rsu
-                            .channel_access(now, packet, &self.medium, &mut self.rng_timing);
-                    let at = airtime(bytes.len(), self.rsu.config().data_rate);
-                    self.medium.occupy(start + at);
-                    self.obu.observe_channel_busy(now, at);
-                    self.rsu.observe_channel_busy(now, at);
-                    let outcome = self.channel.transmit(
-                        start,
-                        self.rsu.position(),
-                        self.obu.position(),
-                        bytes.len(),
-                        self.rsu.config().data_rate,
-                        &mut self.rng_channel,
-                    );
-                    if outcome.delivered {
-                        // RX chain processing (kernel + OpenC2X stack)
-                        // before the OBU's application stamps reception.
-                        let rx_proc = SimDuration::from_secs_f64(
-                            self.rng_timing.normal(0.0012, 0.0004).max(0.0002),
-                        );
-                        // Bit corruption hits the full GN frame on the
-                        // air; the real GeoNetworking parser decides
-                        // whether anything survives to the facilities
-                        // layer (which then re-judges the DENM bytes).
-                        let payload = match self.injector.corrupt_frame(now, &bytes) {
-                            None => Some(packet.payload.clone()),
-                            Some(corrupted) => match geonet::GnPacket::from_bytes(&corrupted) {
-                                Ok(p) => Some(p.payload),
-                                Err(_) => {
-                                    self.injector.note_rejected();
-                                    None
-                                }
-                            },
-                        };
-                        if let Some(denm_bytes) = payload {
-                            queue.schedule_at(
-                                outcome.arrival + rx_proc,
-                                Event::ObuRx { denm_bytes },
-                            );
-                        }
-                    }
-                    self.recycle_frame(bytes);
-                }
-                DenmLink::Cellular(_) => {
-                    let link = self.cellular.as_ref().expect("cellular link configured"); // detlint:allow(S3) handoff events are only scheduled when a cellular link exists
-                    let outcome = link.send(now, &mut self.rng_timing);
-                    if outcome.delivered {
-                        queue.schedule_at(
-                            outcome.arrival,
-                            Event::ObuRx {
-                                denm_bytes: packet.payload.clone(),
-                            },
-                        );
-                    }
-                }
-            }
-        }
-        packets.clear();
-        self.denm_scratch = packets;
-        // Repetitions: poll again when the DEN service next has one due.
-        if !self.done {
-            if let Some(next) = self.rsu.next_denm_due() {
-                queue.schedule_at(next.max(now), Event::RsuMacHandoff);
-            }
-        }
-    }
-
-    fn on_obu_rx(&mut self, now: SimTime, denm_bytes: std::sync::Arc<[u8]>) {
-        if self.injector.node_down(now, FaultNode::Obu) {
-            return;
-        }
-        // With the fault plane active the OBU's facilities layer
-        // re-validates the payload (corruption may have survived the GN
-        // header): a mangled DENM is rejected before the application
-        // ever sees it, and a decodable one doubles as a watchdog
-        // heartbeat. Skipped entirely on the baseline path.
-        if self.fault_active() {
-            if its_messages::denm::Denm::from_bytes(&denm_bytes).is_err() {
-                self.injector.note_rejected();
-                return;
-            }
-            if let Some(wd) = self.watchdog.as_mut() {
-                wd.heartbeat(now);
-            }
-        }
-        // Step 4: OBU registers DENM reception (first copy only).
-        if self.record.step4_obu_recv.is_none() {
-            self.record.step4_obu_recv = Some(now);
-            self.record.step4_wall_ms =
-                Some(self.skewed_wall(self.obu.wall(now).millis(), now, FaultNode::Obu));
-            self.record.denm_delivered = true;
-            self.record.trace.record_fmt(
-                now,
-                "obu",
-                "denm_rx",
-                format_args!("{} bytes", denm_bytes.len()),
-            );
-        }
-        self.pending_denm.push(denm_bytes);
-    }
-
-    fn on_vehicle_poll(&mut self, now: SimTime, queue: &mut EventQueue<Event>) {
-        // A crashed ECU skips this poll period but keeps the schedule:
-        // the polling script restarts with the node and resumes below.
-        let ecu_down = self.injector.node_down(now, FaultNode::Ecu);
-        if !ecu_down && !self.pending_denm.is_empty() {
-            // The blocking GET runs the deterministic bounded
-            // retry/backoff schedule; injected stalls are judged at the
-            // simulated instant each attempt would start.
-            let policy = self.config.poll_retry;
-            let injector = &mut self.injector;
-            match poll_with_retry(&policy, |_, offset| injector.http_stall(now + offset)) {
-                Ok(outcome) => {
-                    let denm_bytes = self.pending_denm.remove(0);
-                    // Localhost RTT with a truncated tail (same rationale
-                    // as the trigger POST above).
-                    let rtt = self
-                        .config
-                        .polling
-                        .sample_http_rtt(&mut self.rng_timing)
-                        .min(self.config.polling.http_base * 4);
-                    queue.schedule_after(
-                        now,
-                        outcome.delay + rtt,
-                        Event::PlannerNotified { denm_bytes },
-                    );
-                }
-                Err(_) => {
-                    // Budget exhausted: the DENM stays queued on the OBU
-                    // for the next poll period.
-                    self.injector.stats_mut().http_giveups += 1;
-                }
-            }
-        }
-        if !self.done && self.record.step5_actuation.is_none() {
-            queue.schedule_at(
-                self.config
-                    .polling
-                    .next_poll(now + SimDuration::from_nanos(1), self.poll_phase),
-                Event::VehiclePoll,
-            );
-        }
-    }
-
-    fn on_planner_notified(
-        &mut self,
-        now: SimTime,
-        denm_bytes: std::sync::Arc<[u8]>,
-        queue: &mut EventQueue<Event>,
-    ) {
-        if self.injector.node_down(now, FaultNode::Ecu) {
-            return;
-        }
-        let Ok(denm) = its_messages::denm::Denm::from_bytes(&denm_bytes) else {
-            self.injector.note_rejected();
-            return;
-        };
-        let newly_stopped = self.planner.on_denm(&denm);
-        if newly_stopped && self.record.step5_actuation.is_none() {
-            // Step 5: the ECU registers the command to the actuators.
-            let issue =
-                SimDuration::from_secs_f64(self.rng_timing.normal(0.0003, 0.0001).max(0.00005));
-            let at = now + issue;
-            self.record.step5_actuation = Some(at);
-            self.record.step5_wall_ms =
-                Some(self.skewed_wall(self.ecu_clock.wall_millis(at), at, FaultNode::Ecu));
-            self.record
-                .trace
-                .record(at, "ecu", "cut_cmd", "power cut commanded");
-            // The physical cut lands after the Teensy/ESC path.
-            let physical = self.config.teensy.sample_latency(&mut self.rng_timing);
-            queue.schedule_at(at + physical, Event::PowerCutApplied);
-        }
-    }
-
-    fn on_power_cut(&mut self, now: SimTime) {
-        self.throttle = 0.0;
-        self.record
-            .trace
-            .record(now, "ecu", "power_cut", "ESC output disabled");
     }
 
     /// The RSU's liveness beacon (only scheduled with a watchdog): a
@@ -1179,59 +810,53 @@ impl Scenario {
         else {
             return;
         };
-        if !self.done {
-            queue.schedule_after(now, period, Event::RsuHeartbeat);
-        }
-        if self.injector.node_down(now, FaultNode::Rsu)
-            || self.injector.radio_drop(now, FaultNode::Rsu)
+        queue.schedule_after(now, period, Event::RsuHeartbeat);
+        if self.chain.injector.node_down(now, FaultNode::Rsu)
+            || self.chain.injector.radio_drop(now, FaultNode::Rsu)
         {
             return;
         }
-        let Ok(packet) = self.rsu.heartbeat_cam(now) else {
+        let Ok(packet) = self.chain.rsu.heartbeat_cam(now) else {
             return;
         };
         let bytes = packet.to_bytes();
-        let start = self
-            .rsu
-            .channel_access(now, &packet, &self.medium, &mut self.rng_timing);
-        let at = airtime(bytes.len(), self.rsu.config().data_rate);
-        self.medium.occupy(start + at);
-        self.obu.observe_channel_busy(now, at);
-        self.rsu.observe_channel_busy(now, at);
-        let outcome = self.channel.transmit(
-            start,
-            self.rsu.position(),
-            self.obu.position(),
-            bytes.len(),
-            self.rsu.config().data_rate,
-            &mut self.rng_channel,
-        );
-        if outcome.delivered {
-            let frame = match self.injector.corrupt_frame(now, &bytes) {
-                Some(corrupted) => corrupted,
-                None => bytes,
-            };
-            queue.schedule_at(outcome.arrival, Event::ObuCamRx { frame });
+        if let Some((arrival, corrupted)) = self.chain.on_air(now, true, &bytes) {
+            let frame = corrupted.unwrap_or(bytes);
+            queue.schedule_at(arrival, Event::ObuCamRx { frame });
         }
     }
 
+    fn on_rsu_cam_rx(&mut self, now: SimTime, frame: Vec<u8>) {
+        match geonet::GnFrame::parse(&frame) {
+            Ok(f) => {
+                if !self.chain.injector.node_down(now, FaultNode::Rsu)
+                    && self.chain.rsu.on_frame(now, &f) != FrameOutcome::Ignored
+                {
+                    self.record.cams_received += 1;
+                }
+            }
+            Err(_) => self.chain.injector.note_rejected(),
+        }
+        self.chain.recycle_frame(frame);
+    }
+
     fn on_obu_cam_rx(&mut self, now: SimTime, frame: Vec<u8>) {
-        if self.injector.node_down(now, FaultNode::Obu) {
-            self.recycle_frame(frame);
+        if self.chain.injector.node_down(now, FaultNode::Obu) {
+            self.chain.recycle_frame(frame);
             return;
         }
         match geonet::GnFrame::parse(&frame) {
             Ok(f) => {
                 // Only a CAM the full stack accepted counts as liveness.
-                if self.obu.on_frame(now, &f) != FrameOutcome::Ignored {
+                if self.chain.obu.on_frame(now, &f) != FrameOutcome::Ignored {
                     if let Some(wd) = self.watchdog.as_mut() {
                         wd.heartbeat(now);
                     }
                 }
             }
-            Err(_) => self.injector.note_rejected(),
+            Err(_) => self.chain.injector.note_rejected(),
         }
-        self.recycle_frame(frame);
+        self.chain.recycle_frame(frame);
     }
 }
 
@@ -1246,29 +871,17 @@ impl EventHandler for Scenario {
             Event::ControlTick => self.on_control_tick(now, queue),
             Event::CameraFrame => self.on_camera_frame(now, queue),
             Event::DetectionOutput(d) => self.on_detection_output(now, d, queue),
-            Event::TriggerArrives => self.on_trigger_arrives(now, queue),
-            Event::RsuMacHandoff => self.on_rsu_mac_handoff(now, queue),
-            Event::ObuRx { denm_bytes } => self.on_obu_rx(now, denm_bytes),
-            Event::RsuCamRx { frame } => {
-                match geonet::GnFrame::parse(&frame) {
-                    Ok(f) => {
-                        if !self.injector.node_down(now, FaultNode::Rsu)
-                            && self.rsu.on_frame(now, &f) != FrameOutcome::Ignored
-                        {
-                            self.record.cams_received += 1;
-                        }
-                    }
-                    Err(_) => self.injector.note_rejected(),
-                }
-                self.recycle_frame(frame);
-            }
-            Event::VehiclePoll => self.on_vehicle_poll(now, queue),
-            Event::PlannerNotified { denm_bytes } => {
-                self.on_planner_notified(now, denm_bytes, queue)
-            }
-            Event::PowerCutApplied => self.on_power_cut(now),
+            Event::RsuCamRx { frame } => self.on_rsu_cam_rx(now, frame),
             Event::RsuHeartbeat => self.on_rsu_heartbeat(now, queue),
             Event::ObuCamRx { frame } => self.on_obu_cam_rx(now, frame),
+            Event::Chain(event) => self.chain.handle(
+                now,
+                event,
+                queue,
+                &mut self.record.trace,
+                &mut self.planner,
+                self.watchdog.as_mut(),
+            ),
         }
     }
 }

@@ -72,8 +72,9 @@ impl Response {
     /// A plain-text response with an arbitrary status code — the
     /// campaign server's 409 Conflict (submission fingerprint mismatch)
     /// and 503 Service Unavailable (queue full) answers, and the
-    /// server's own 413 for a body above [`MAX_BODY_BYTES`], come
-    /// through here.
+    /// server's own 413 for a body above [`MAX_BODY_BYTES`] and 431 for
+    /// a head above [`MAX_HEAD_BYTES`] or [`MAX_HEADERS`], come through
+    /// here.
     pub fn with_status(status: u16, reason: &str) -> Self {
         Self {
             status,
@@ -89,6 +90,7 @@ impl Response {
             404 => "Not Found",
             409 => "Conflict",
             413 => "Content Too Large",
+            431 => "Request Header Fields Too Large",
             503 => "Service Unavailable",
             _ => "Unknown",
         }
@@ -100,6 +102,16 @@ impl Response {
 /// read or allocated. The largest legitimate request is far smaller: a
 /// campaign submission is ~50 bytes, a DENM a few hundred.
 pub const MAX_BODY_BYTES: usize = 1 << 20;
+
+/// The largest request head (request line and header lines, line ends
+/// included) the server accepts, in bytes. The server reads at most one
+/// byte past it; a longer head gets 431 at that point. A client of this
+/// crate sends ~80 bytes of head.
+pub const MAX_HEAD_BYTES: usize = 8 * 1024;
+
+/// The most header lines a request may carry; the server answers 431 as
+/// soon as it has read one more.
+pub const MAX_HEADERS: usize = 64;
 
 /// A registered route handler.
 type Handler = Box<dyn Fn(&Request) -> Response + Send + Sync>;
@@ -195,6 +207,7 @@ fn handle_connection(
         Err(e) => {
             let response = match e {
                 RequestError::TooLarge => Response::with_status(413, "request body too large"),
+                RequestError::HeadTooLarge => Response::with_status(431, "request head too large"),
                 RequestError::Malformed => Response::bad_request("malformed request"),
             };
             write_response(&stream, &response)?;
@@ -213,7 +226,10 @@ fn handle_connection(
 enum RequestError {
     /// `Content-Length` exceeds [`MAX_BODY_BYTES`].
     TooLarge,
-    /// No method or path, a short body, or a read error.
+    /// The head exceeds [`MAX_HEAD_BYTES`] or [`MAX_HEADERS`].
+    HeadTooLarge,
+    /// No method or path, a head cut off before its blank line, a short
+    /// body, or a read error.
     Malformed,
 }
 
@@ -223,19 +239,42 @@ impl From<std::io::Error> for RequestError {
     }
 }
 
+/// Reads one head line into `line`, charging its bytes to `budget`.
+/// Spending the whole budget means the head is over its cap; stopping
+/// short of a line end means the peer closed before the head ended.
+fn read_head_line(
+    reader: &mut impl BufRead,
+    budget: &mut usize,
+    line: &mut Vec<u8>,
+) -> Result<(), RequestError> {
+    line.clear();
+    let n = reader.take(*budget as u64).read_until(b'\n', line)?;
+    *budget -= n;
+    match (*budget, line.last()) {
+        (0, _) => Err(RequestError::HeadTooLarge),
+        (_, Some(b'\n')) => Ok(()),
+        _ => Err(RequestError::Malformed),
+    }
+}
+
 fn parse_request(reader: &mut BufReader<TcpStream>) -> Result<Request, RequestError> {
-    let mut line = String::new();
-    reader.read_line(&mut line)?;
-    let mut parts = line.split_whitespace();
+    let mut budget = MAX_HEAD_BYTES + 1;
+    let mut line = Vec::new();
+    read_head_line(reader, &mut budget, &mut line)?;
+    let request_line = std::str::from_utf8(&line).map_err(|_| RequestError::Malformed)?;
+    let mut parts = request_line.split_whitespace();
     let method = parts.next().ok_or(RequestError::Malformed)?.to_owned();
     let path = parts.next().ok_or(RequestError::Malformed)?.to_owned();
     let mut headers = BTreeMap::new();
-    loop {
-        let mut h = String::new();
-        reader.read_line(&mut h)?;
+    for count in 0.. {
+        read_head_line(reader, &mut budget, &mut line)?;
+        let h = std::str::from_utf8(&line).map_err(|_| RequestError::Malformed)?;
         let h = h.trim_end();
         if h.is_empty() {
             break;
+        }
+        if count == MAX_HEADERS {
+            return Err(RequestError::HeadTooLarge);
         }
         if let Some((name, value)) = h.split_once(':') {
             headers.insert(name.trim().to_ascii_lowercase(), value.trim().to_owned());

@@ -298,6 +298,53 @@ mod tests {
         assert!(s.theta > 0.0);
     }
 
+    /// Closed-form coast-down stopping distance. With
+    /// m·v' = −(c0 + c1·v + c2·v²) and dx = v·dt,
+    /// x(v0) = m·∫₀^v0 v dv / (c0 + c1·v + c2·v²), and with D = b² − 4ac > 0
+    /// the antiderivative of v / (a·v² + b·v + c) is
+    /// ln(a·v² + b·v + c) / 2a − b / (2a·√D) · ln((2a·v + b − √D) / (2a·v + b + √D)).
+    fn closed_form_stop_m(p: &VehicleParams, v0: f64) -> f64 {
+        let (a, b, c) = (
+            p.aero_drag_n_per_mps2,
+            p.drivetrain_drag_n_per_mps,
+            p.rolling_resistance * p.mass_kg * 9.81,
+        );
+        let root_d = (b * b - 4.0 * a * c).sqrt();
+        let f = |v: f64| {
+            (a * v * v + b * v + c).ln() / (2.0 * a)
+                - b / (2.0 * a * root_d)
+                    * ((2.0 * a * v + b - root_d) / (2.0 * a * v + b + root_d)).ln()
+        };
+        p.mass_kg * (f(v0) - f(0.0))
+    }
+
+    fn integrated_stop_m(p: &VehicleParams, v0: f64, dt: f64) -> f64 {
+        let mut car = LongitudinalModel::new(*p);
+        car.set_speed(v0);
+        while car.speed_mps() > 0.0 {
+            car.step(dt, 0.0);
+        }
+        car.distance_m()
+    }
+
+    #[test]
+    fn coast_down_matches_the_closed_form_stopping_distance() {
+        let p = VehicleParams::default();
+        // 0.282469 m from 1.5 m/s, the paper's approach speed.
+        assert!((closed_form_stop_m(&p, 1.5) - 0.282_469).abs() < 1e-6);
+        for v0 in [0.5, 1.0, 1.5, 3.0] {
+            let exact = closed_form_stop_m(&p, v0);
+            // 1 ms, and the platoon's 2 ms step.
+            let err_1ms = integrated_stop_m(&p, v0, 0.001) / exact - 1.0;
+            let err_2ms = integrated_stop_m(&p, v0, 0.002) / exact - 1.0;
+            assert!(err_1ms.abs() < 0.005, "v0 {v0}: {err_1ms:+.4} at 1 ms");
+            assert!(err_2ms.abs() < 0.005, "v0 {v0}: {err_2ms:+.4} at 2 ms");
+            // Explicit Euler in velocity converges at first order.
+            let order = err_2ms / err_1ms;
+            assert!((1.8..=2.2).contains(&order), "v0 {v0}: ratio {order}");
+        }
+    }
+
     proptest! {
         #[test]
         fn speed_never_negative(v0 in 0.0f64..5.0, throttle in 0.0f64..1.0) {

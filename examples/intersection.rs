@@ -5,10 +5,14 @@
 //! ```sh
 //! cargo run --example intersection --release
 //! ```
+//!
+//! Exits 1 unless the seed-42 run with infrastructure stops clear of the
+//! crossing and the matching run without it collides (the smoke
+//! `scripts/check.sh` runs).
 
-use its_testbed::intersection::{IntersectionConfig, IntersectionScenario};
+use its_testbed::intersection::{IntersectionConfig, IntersectionRecord, IntersectionScenario};
 
-fn run_and_print(title: &str, config: IntersectionConfig) {
+fn run_and_print(title: &str, config: IntersectionConfig) -> IntersectionRecord {
     let record = IntersectionScenario::new(config).run();
     println!("{title}");
     println!(
@@ -32,13 +36,14 @@ fn run_and_print(title: &str, config: IntersectionConfig) {
         println!("    {e}");
     }
     println!();
+    record
 }
 
 fn main() {
     println!("Blind-corner intersection: protagonist (ETSI ITS OBU) meets a");
     println!("non-connected road user; the corner blocks vision and V2V radio.\n");
 
-    run_and_print(
+    let with = run_and_print(
         "with road-side infrastructure (camera + edge + RSU):",
         IntersectionConfig {
             seed: 42,
@@ -46,7 +51,7 @@ fn main() {
         },
     );
 
-    run_and_print(
+    let without = run_and_print(
         "without infrastructure (the ablation):",
         IntersectionConfig {
             seed: 42,
@@ -97,4 +102,15 @@ fn main() {
     println!("windows brake for near-misses too (phantom stops) and can even park");
     println!("the protagonist right at the crossing edge while the road user");
     println!("passes — counted above as collisions in the with-infrastructure runs.");
+
+    let stopped_clear =
+        with.protagonist_stopped && !with.collision && with.halt_margin_m.is_some_and(|m| m > 0.0);
+    if !stopped_clear || !without.collision {
+        eprintln!(
+            "intersection smoke failed: with infrastructure stopped clear = {stopped_clear}, \
+             without infrastructure collided = {}",
+            without.collision
+        );
+        std::process::exit(1);
+    }
 }

@@ -58,10 +58,13 @@ cargo run -q -p its-testbed --example fault_sweep --release -- --runs 2 >/dev/nu
 # Cooperative fault-cascade smoke (DESIGN.md §15): the blind-corner CPM
 # ablation must hold in the checked-out tree — the example exits
 # non-zero unless the CPM-on run clears the occluded obstacle the
-# CPM-off run collides with — and the platoon example must run its
+# CPM-off run collides with — the intersection example must stop clear
+# of the crossing through the shared detection-to-action chain (and
+# collide without infrastructure), and the platoon example must run its
 # degradation cascade under full leader radio silence.
-echo "==> cooperative fault-cascade smoke (blind_corner + platoon_braking)"
+echo "==> cooperative fault-cascade smoke (blind_corner + intersection + platoon_braking)"
 cargo run -q -p its-testbed --example blind_corner --release >/dev/null
+cargo run -q -p its-testbed --example intersection --release >/dev/null
 cargo run -q -p its-testbed --example platoon_braking --release -- --faults leader_silence:1.0 >/dev/null
 
 # Bench smoke: run the campaign-throughput bench in quick mode (32 runs

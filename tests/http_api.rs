@@ -153,6 +153,59 @@ fn oversized_body_is_refused_with_413_and_the_server_keeps_serving() {
     server.shutdown();
 }
 
+/// Sends `head` raw, half-closes the connection when `close` is set
+/// (otherwise leaves it open), and returns the raw reply.
+fn send_raw_head(addr: std::net::SocketAddr, head: &[u8], close: bool) -> String {
+    use std::io::{Read, Write};
+
+    let mut stream = std::net::TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(5)))
+        .unwrap();
+    stream.write_all(head).unwrap();
+    if close {
+        stream.shutdown(std::net::Shutdown::Write).unwrap();
+    }
+    let mut reply = String::new();
+    stream.read_to_string(&mut reply).unwrap();
+    reply
+}
+
+#[test]
+fn oversized_or_truncated_heads_are_refused_and_the_server_keeps_serving() {
+    use openc2x::http::{MAX_HEADERS, MAX_HEAD_BYTES};
+
+    let obu = Arc::new(ObuApi::new());
+    let server = obu.serve("127.0.0.1:0").unwrap();
+    let request_line = "POST /request_denm HTTP/1.1\r\n";
+
+    // A header line that takes the head one byte past the byte cap and
+    // never ends: the server reads exactly that far, then answers.
+    let mut long = request_line.to_owned();
+    long.push_str("X-Pad: ");
+    long.push_str(&"a".repeat(MAX_HEAD_BYTES + 1 - long.len()));
+    assert_eq!(long.len(), MAX_HEAD_BYTES + 1);
+    // One complete header line more than the count cap, no blank line.
+    let mut many = request_line.to_owned();
+    for i in 0..=MAX_HEADERS {
+        many.push_str(&format!("X-H{i}: v\r\n"));
+    }
+    assert!(many.len() < MAX_HEAD_BYTES);
+    // A head cut off before its blank line is malformed, not complete.
+    let cut = format!("{request_line}Host: testbed\r\nContent-Length: 0\r\n");
+    for (head, half_close, status) in [(long, false, 431), (many, false, 431), (cut, true, 400)] {
+        let reply = send_raw_head(server.addr(), head.as_bytes(), half_close);
+        assert!(
+            reply.starts_with(&format!("HTTP/1.1 {status} ")),
+            "reply: {reply}"
+        );
+        // The same server still answers a normal request.
+        let r = post(server.addr(), "/request_denm", b"").unwrap();
+        assert_eq!((r.status, r.body.len()), (200, 0));
+    }
+    server.shutdown();
+}
+
 #[test]
 fn wrong_method_or_path_is_404() {
     let obu = Arc::new(ObuApi::new());

@@ -195,6 +195,11 @@ pub enum Event {
         /// Estimated distance of the road user from the conflict point.
         estimated_distance_m: f64,
     },
+    /// A CAM frame from the protagonist arrives at the RSU.
+    RsuCamRx {
+        /// Wire bytes of the GN frame (possibly corrupted on the air).
+        bytes: Vec<u8>,
+    },
     /// A CPM frame arrives at the protagonist's OBU.
     CpmRx {
         /// UPER bytes of the CPM (possibly corrupted on the air).
@@ -456,16 +461,8 @@ impl IntersectionScenario {
                     self.chain.on_air(now, false, &bytes)
                 };
                 if let Some((arrival, corrupted)) = delivered {
-                    // Lab-scale link to the LoS RSU: deliver directly,
-                    // through the real GeoNetworking decoder.
-                    if !self.chain.injector.node_down(now, FaultNode::Rsu) {
-                        match geonet::GnPacket::from_bytes(&corrupted.unwrap_or(bytes)) {
-                            Ok(packet) => {
-                                self.chain.rsu.on_packet(arrival.max(now), &packet);
-                            }
-                            Err(_) => self.chain.injector.note_rejected(),
-                        }
-                    }
+                    let bytes = corrupted.unwrap_or(bytes);
+                    queue.schedule_at(arrival, Event::RsuCamRx { bytes });
                 }
             }
         }
@@ -605,6 +602,21 @@ impl IntersectionScenario {
                 None => bytes,
             };
             queue.schedule_at(outcome.arrival.max(now), Event::CpmRx { bytes: wire });
+        }
+    }
+
+    /// The protagonist's CAM reaches the RSU, which decodes it through
+    /// the real GeoNetworking stack into the LDM the conflict
+    /// prediction reads. A crashed RSU hears nothing.
+    fn on_rsu_cam_rx(&mut self, now: SimTime, bytes: &[u8]) {
+        if self.chain.injector.node_down(now, FaultNode::Rsu) {
+            return;
+        }
+        match geonet::GnPacket::from_bytes(bytes) {
+            Ok(packet) => {
+                self.chain.rsu.on_packet(now, &packet);
+            }
+            Err(_) => self.chain.injector.note_rejected(),
         }
     }
 
@@ -771,6 +783,7 @@ impl EventHandler for IntersectionScenario {
             Event::DetectionOutput {
                 estimated_distance_m,
             } => self.on_detection_output(now, estimated_distance_m, queue),
+            Event::RsuCamRx { bytes } => self.on_rsu_cam_rx(now, &bytes),
             Event::CpmRx { bytes } => self.on_cpm_rx(now, &bytes),
             Event::Chain(event) => self.chain.handle(
                 now,

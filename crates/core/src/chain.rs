@@ -39,39 +39,29 @@ use vehicle::watchdog::V2xWatchdog;
 /// The geographic anchor of the laboratory origin, where the hazard sits.
 pub(crate) const GEO_ORIGIN: (f64, f64) = (41.178, -8.608);
 /// Fixed part of the edge → RSU `trigger_denm` POST latency.
-pub(crate) const TRIGGER_HTTP_BASE: SimDuration = SimDuration::from_millis(12);
+const TRIGGER_HTTP_BASE: SimDuration = SimDuration::from_millis(12);
 /// Mean of the exponential jitter on that POST.
-pub(crate) const TRIGGER_HTTP_JITTER_MEAN: SimDuration = SimDuration::from_millis(9);
+const TRIGGER_HTTP_JITTER_MEAN: SimDuration = SimDuration::from_millis(9);
 /// Mean DENM build/encode time at the RSU, s.
-pub(crate) const DENM_BUILD_MEAN_S: f64 = 0.002;
+const DENM_BUILD_MEAN_S: f64 = 0.002;
 
 /// The chain's parameters: the collision scenario's, from its
 /// configuration. The other scenarios take those of the default
-/// configuration, with their own polling model.
+/// configuration.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ChainParams {
-    pub(crate) trigger_http_base: SimDuration,
-    pub(crate) trigger_http_jitter_mean: SimDuration,
-    pub(crate) denm_build_mean_s: f64,
     /// DENM repetition `(interval, duration)`; `None` sends one shot.
     pub(crate) denm_repetition: Option<(SimDuration, SimDuration)>,
     pub(crate) denm_link: DenmLink,
     pub(crate) polling: PollingModel,
-    pub(crate) poll_retry: RetryPolicy,
-    pub(crate) teensy: TeensyLink,
 }
 
 impl From<&ScenarioConfig> for ChainParams {
     fn from(config: &ScenarioConfig) -> Self {
         Self {
-            trigger_http_base: config.trigger_http_base,
-            trigger_http_jitter_mean: config.trigger_http_jitter_mean,
-            denm_build_mean_s: config.denm_build_mean_s,
             denm_repetition: config.denm_repetition,
             denm_link: config.denm_link,
             polling: config.polling,
-            poll_retry: config.poll_retry,
-            teensy: config.teensy,
         }
     }
 }
@@ -95,7 +85,7 @@ impl ChainParams {
         injector: &mut FaultInjector,
         rng: &mut SimRng,
     ) -> Option<SimDuration> {
-        match poll_with_retry(&self.poll_retry, |_, offset| {
+        match poll_with_retry(&RetryPolicy::default(), |_, offset| {
             injector.http_stall(now + offset)
         }) {
             Ok(outcome) => {
@@ -118,7 +108,7 @@ impl ChainParams {
     fn issue_and_cut(&self, now: SimTime, rng: &mut SimRng) -> (SimTime, SimTime) {
         let issue = SimDuration::from_secs_f64(rng.normal(0.0003, 0.0001).max(0.00005));
         let at = now + issue;
-        (at, at + self.teensy.sample_latency(rng))
+        (at, at + TeensyLink::default().sample_latency(rng))
     }
 
     /// The OBU → actuator stage in closed form for a DENM frame reaching
@@ -296,9 +286,9 @@ impl Chain {
         decided_at: SimTime,
         queue: &mut EventQueue<E>,
     ) {
-        let jitter_mean = self.params.trigger_http_jitter_mean.as_secs_f64().max(1e-9);
+        let jitter_mean = TRIGGER_HTTP_JITTER_MEAN.as_secs_f64().max(1e-9);
         let jitter = self.timing.exponential(jitter_mean).min(3.0 * jitter_mean);
-        let http = self.params.trigger_http_base + SimDuration::from_secs_f64(jitter);
+        let http = TRIGGER_HTTP_BASE + SimDuration::from_secs_f64(jitter);
         queue.schedule_at(decided_at + http, ChainEvent::TriggerArrives.into());
     }
 
@@ -370,7 +360,7 @@ impl Chain {
             return;
         }
         // The RSU's DEN app builds and encodes the DENM.
-        let mean = self.params.denm_build_mean_s;
+        let mean = DENM_BUILD_MEAN_S;
         let build = SimDuration::from_secs_f64(self.timing.normal(mean, mean / 4.0).max(0.0002));
         let (lat, lon) = lab_to_geo(GEO_ORIGIN, Position2D::new(0.0, 0.0));
         let mut request = DenRequest::one_shot(

@@ -17,6 +17,12 @@ use phy80211p::ofdm::airtime;
 use phy80211p::Position2D;
 use sim_core::{NodeClock, NtpModel, SimDuration, SimRng, SimTime};
 
+/// Station poll period: how often each checks its CA service.
+const POLL_PERIOD: SimDuration = SimDuration::from_millis(20);
+/// The stations' common speed, m/s. They drive in a loop so the CA
+/// position trigger keeps firing.
+const SPEED_MPS: f64 = 8.0;
+
 /// Configuration of the congestion experiment.
 #[derive(Debug, Clone)]
 pub struct CongestionConfig {
@@ -26,11 +32,6 @@ pub struct CongestionConfig {
     pub n_stations: usize,
     /// Simulated duration.
     pub duration: SimDuration,
-    /// Station poll period (how often each checks its CA service).
-    pub poll_period: SimDuration,
-    /// Stations drive in a loop so the CA position trigger keeps firing;
-    /// this is their common speed, m/s.
-    pub speed_mps: f64,
 }
 
 impl Default for CongestionConfig {
@@ -39,8 +40,6 @@ impl Default for CongestionConfig {
             seed: 1,
             n_stations: 10,
             duration: SimDuration::from_secs(20),
-            poll_period: SimDuration::from_millis(20),
-            speed_mps: 8.0,
         }
     }
 }
@@ -88,7 +87,7 @@ pub fn run_congestion(config: &CongestionConfig) -> CongestionRecord {
             let angle = std::f64::consts::TAU * i as f64 / config.n_stations as f64;
             let pos = Position2D::new(15.0 * angle.cos(), 15.0 * angle.sin());
             s.set_position(pos);
-            arena.push_station(pos, angle.to_degrees(), config.speed_mps);
+            arena.push_station(pos, angle.to_degrees(), SPEED_MPS);
             s
         })
         .collect();
@@ -104,7 +103,7 @@ pub fn run_congestion(config: &CongestionConfig) -> CongestionRecord {
         // Kinematics: one contiguous pass over the arena's flat arrays
         // keeps every station "driving" so the CA position trigger
         // fires at the maximum rate the gatekeeper allows.
-        let phase = config.speed_mps * now.as_secs_f64() / (std::f64::consts::TAU * 15.0);
+        let phase = SPEED_MPS * now.as_secs_f64() / (std::f64::consts::TAU * 15.0);
         let (xs, ys) = arena.coords_mut();
         for (i, (x, y)) in xs.iter_mut().zip(ys.iter_mut()).enumerate() {
             let angle = std::f64::consts::TAU * (i as f64 / n + phase);
@@ -120,7 +119,7 @@ pub fn run_congestion(config: &CongestionConfig) -> CongestionRecord {
                 station.set_position(pos);
             }
             let heading = arena.headings_deg().get(i).copied().unwrap_or(0.0);
-            station.set_motion(config.speed_mps, heading);
+            station.set_motion(SPEED_MPS, heading);
             if let Ok(Some(packet)) = station.poll_cam(now) {
                 let bytes = packet.to_bytes();
                 let at = airtime(bytes.len(), station.config().data_rate);
@@ -143,7 +142,7 @@ pub fn run_congestion(config: &CongestionConfig) -> CongestionRecord {
             }
             worst_state = worst_state.max(station.dcc().state());
         }
-        now += config.poll_period;
+        now += POLL_PERIOD;
     }
 
     // Mean CBR: the airtime every frame actually spent on the air over

@@ -13,12 +13,12 @@
 //! arrangement.)
 
 use crate::chain::{Chain, ChainEvent, ChainParams, GEO_ORIGIN};
-use crate::scenario::ScenarioConfig;
+use crate::scenario::{ScenarioConfig, INFERENCE_MEAN_S, INFERENCE_STD_S};
 use facilities::cpm::{CpService, CpServiceConfig, Cpm, CpmPerceivedObject, ObjectClass};
 use facilities::ldm::PerceivedObject;
 use faults::{FaultNode, FaultPlan, FaultStats};
 use its_messages::common::{ReferencePosition, StationId, StationType};
-use openc2x::node::{lab_to_geo, ItsStation, PollingModel, StationConfig};
+use openc2x::node::{lab_to_geo, ItsStation, StationConfig};
 use perception::camera::{GroundTruthTarget, RoadSideCamera, TargetAppearance};
 use perception::detector::YoloModel;
 use phy80211p::channel::{Channel, ChannelConfig, Obstacle};
@@ -28,6 +28,25 @@ use sim_core::{
 };
 use vehicle::dynamics::{LongitudinalModel, VehicleParams};
 use vehicle::planner::{MotionPlanner, StopPolicy};
+
+/// Approach speed of both vehicles, m/s: the speed the fixed 0.214
+/// throttle holds.
+const SPEED_MPS: f64 = 1.5;
+/// Throttle that holds [`SPEED_MPS`] against drag and rolling
+/// resistance.
+const CRUISE_THROTTLE: f64 = 0.214;
+/// The camera's Action Point on the road user's leg, m from the
+/// conflict point.
+const ACTION_POINT_M: f64 = 4.0;
+/// Separation below which the run counts as a collision, m
+/// (half-lengths of two 1/10-scale cars).
+const COLLISION_DISTANCE_M: f64 = 0.5;
+/// Extra attenuation of the corner building, dB (blocks the diagonal).
+const CORNER_LOSS_DB: f64 = 40.0;
+/// Control-loop period of both vehicles.
+const CONTROL_PERIOD: SimDuration = SimDuration::from_millis(20);
+/// Give-up horizon of a run.
+const TIMEOUT: SimDuration = SimDuration::from_secs(30);
 
 /// A second, simultaneous hazard: a stalled obstacle on the
 /// protagonist's exit leg, just past the blind corner. The road-side
@@ -64,42 +83,17 @@ impl Default for SecondHazard {
 pub struct IntersectionConfig {
     /// RNG seed.
     pub seed: u64,
-    /// Protagonist's approach speed, m/s.
-    pub protagonist_speed_mps: f64,
     /// Protagonist's start distance from the conflict point, m.
     pub protagonist_start_m: f64,
-    /// Road user's speed, m/s (it never brakes — it is not ETSI-capable).
-    pub road_user_speed_mps: f64,
-    /// Road user's start distance from the conflict point, m.
+    /// Road user's start distance from the conflict point, m. The road
+    /// user never brakes: it is not ETSI-capable.
     pub road_user_start_m: f64,
-    /// Camera's Action Point on the road user's leg, m from the
-    /// conflict point.
-    pub action_point_m: f64,
     /// Predicted-conflict window: a DENM is sent when the two predicted
     /// arrival times at the crossing differ by less than this, s.
     pub conflict_window_s: f64,
-    /// Separation below which the run counts as a collision, m
-    /// (half-lengths of two 1/10-scale cars).
-    pub collision_distance_m: f64,
     /// Whether the road-side infrastructure is present (ablation:
     /// without it the protagonist sails through).
     pub with_infrastructure: bool,
-    /// Extra attenuation of the corner building (blocks the diagonal).
-    pub corner_loss_db: f64,
-    /// Camera model (watching the road user's leg).
-    pub camera: RoadSideCamera,
-    /// Detector model.
-    pub yolo: YoloModel,
-    /// Vehicle-side polling model.
-    pub polling: PollingModel,
-    /// NTP model for the hosts.
-    pub ntp: NtpModel,
-    /// Vehicle dynamics (both vehicles).
-    pub vehicle: VehicleParams,
-    /// Control-loop period.
-    pub control_period: SimDuration,
-    /// Give-up horizon.
-    pub timeout: SimDuration,
     /// Fault schedule for the run. The default (empty) plan is a
     /// strict no-op: the injector draws no randomness and changes no
     /// control flow, so faultless runs stay byte-identical.
@@ -118,25 +112,10 @@ impl Default for IntersectionConfig {
     fn default() -> Self {
         Self {
             seed: 1,
-            protagonist_speed_mps: 1.5,
             protagonist_start_m: 6.0,
-            road_user_speed_mps: 1.5,
             road_user_start_m: 6.0,
-            action_point_m: 4.0,
             conflict_window_s: 1.5,
-            collision_distance_m: 0.5,
             with_infrastructure: true,
-            corner_loss_db: 40.0,
-            camera: RoadSideCamera {
-                max_range_m: 8.0,
-                ..RoadSideCamera::default()
-            },
-            yolo: YoloModel::default(),
-            polling: PollingModel::default(),
-            ntp: NtpModel::default(),
-            vehicle: VehicleParams::default(),
-            control_period: SimDuration::from_millis(20),
-            timeout: SimDuration::from_secs(30),
             fault_plan: FaultPlan::default(),
             cpm: None,
             second_hazard: None,
@@ -219,6 +198,8 @@ impl From<ChainEvent> for Event {
 /// The assembled intersection scenario.
 pub struct IntersectionScenario {
     config: IntersectionConfig,
+    /// The camera watching the road user's leg.
+    camera: RoadSideCamera,
     /// The detector's stream (YOLO draws).
     rng: SimRng,
     // Stations, air, timing/channel streams and fault plane.
@@ -248,9 +229,10 @@ impl IntersectionScenario {
     pub fn new(config: IntersectionConfig) -> Self {
         let root = SimRng::seed_from(config.seed);
         let mut rng_clocks = root.fork("clocks");
-        let rsu_clock = NodeClock::sample(&config.ntp, &mut rng_clocks, 0);
-        let obu_clock = NodeClock::sample(&config.ntp, &mut rng_clocks, 0);
-        let ecu_clock = NodeClock::sample(&config.ntp, &mut rng_clocks, 0);
+        let ntp = NtpModel::default();
+        let rsu_clock = NodeClock::sample(&ntp, &mut rng_clocks, 0);
+        let obu_clock = NodeClock::sample(&ntp, &mut rng_clocks, 0);
+        let ecu_clock = NodeClock::sample(&ntp, &mut rng_clocks, 0);
 
         let mut rsu = ItsStation::new(
             StationConfig::rsu(StationId::new(15).expect("static id")), // detlint:allow(S3) static id 15 is always in the station-id range
@@ -270,13 +252,13 @@ impl IntersectionScenario {
         channel_cfg.obstacles.push(Obstacle {
             min: Position2D::new(0.5, 0.5),
             max: Position2D::new(50.0, 50.0),
-            extra_loss_db: config.corner_loss_db,
+            extra_loss_db: CORNER_LOSS_DB,
         });
 
-        let mut protagonist = LongitudinalModel::new(config.vehicle);
-        protagonist.set_speed(config.protagonist_speed_mps);
-        let mut road_user = LongitudinalModel::new(config.vehicle);
-        road_user.set_speed(config.road_user_speed_mps);
+        let mut protagonist = LongitudinalModel::new(VehicleParams::default());
+        protagonist.set_speed(SPEED_MPS);
+        let mut road_user = LongitudinalModel::new(VehicleParams::default());
+        road_user.set_speed(SPEED_MPS);
 
         let cp = config.cpm.map(|cfg| {
             CpService::new(
@@ -287,19 +269,20 @@ impl IntersectionScenario {
         });
         let (rsu_lat, rsu_lon) = lab_to_geo(GEO_ORIGIN, rsu.position());
         let rsu_ref = ReferencePosition::from_degrees(rsu_lat, rsu_lon);
-        let chain_params = ChainParams {
-            polling: config.polling,
-            ..ChainParams::from(&ScenarioConfig::default())
-        };
+        let chain_params = ChainParams::from(&ScenarioConfig::default());
         let channel = Channel::new(channel_cfg);
         let plan = config.fault_plan.clone();
 
         Self {
             chain: Chain::new(&root, chain_params, plan, rsu, obu, ecu_clock, channel),
+            camera: RoadSideCamera {
+                max_range_m: 8.0,
+                ..RoadSideCamera::default()
+            },
             rng: root.fork("detector"),
             protagonist,
             road_user,
-            planner: MotionPlanner::new(0.214, StopPolicy::AnyDenm),
+            planner: MotionPlanner::new(CRUISE_THROTTLE, StopPolicy::AnyDenm),
             throttle_on: true,
             cp,
             rsu_ref,
@@ -338,12 +321,12 @@ impl IntersectionScenario {
         queue.schedule_at(SimTime::ZERO, Event::ControlTick);
         if self.config.with_infrastructure {
             queue.schedule_at(
-                self.config.camera.next_frame_completion(SimTime::ZERO),
+                self.camera.next_frame_completion(SimTime::ZERO),
                 Event::CameraFrame,
             );
             self.chain.start(&mut queue);
         }
-        let timeout = SimTime::ZERO + self.config.timeout;
+        let timeout = SimTime::ZERO + TIMEOUT;
         // Same-instant events dispatch as one batch; order is identical
         // to the serial loop (see `sim_core::run_batched`).
         let mut batch = Vec::with_capacity(8);
@@ -355,11 +338,15 @@ impl IntersectionScenario {
     }
 
     fn on_control_tick(&mut self, now: SimTime, queue: &mut EventQueue<Event>) {
-        let dt = self.config.control_period.as_secs_f64();
+        let dt = CONTROL_PERIOD.as_secs_f64();
         self.throttle_on &= !self.chain.steps.power_cut;
-        let throttle = if self.throttle_on { 0.214 } else { 0.0 };
+        let throttle = if self.throttle_on {
+            CRUISE_THROTTLE
+        } else {
+            0.0
+        };
         self.protagonist.step(dt, throttle);
-        self.road_user.step(dt, 0.214);
+        self.road_user.step(dt, CRUISE_THROTTLE);
 
         // Track separation and collisions.
         let sep = self
@@ -368,7 +355,7 @@ impl IntersectionScenario {
         if sep < self.record.min_separation_m {
             self.record.min_separation_m = sep;
         }
-        if sep <= self.config.collision_distance_m && !self.record.collision {
+        if sep <= COLLISION_DISTANCE_M && !self.record.collision {
             self.record.collision = true;
             self.record.trace.record_fmt(
                 now,
@@ -421,7 +408,7 @@ impl IntersectionScenario {
                     );
                 }
             }
-            if gap <= self.config.collision_distance_m && !self.record.collision {
+            if gap <= COLLISION_DISTANCE_M && !self.record.collision {
                 self.record.collision = true;
                 self.record.trace.record_fmt(
                     now,
@@ -468,7 +455,7 @@ impl IntersectionScenario {
         }
 
         if !self.done {
-            queue.schedule_after(now, self.config.control_period, Event::ControlTick);
+            queue.schedule_after(now, CONTROL_PERIOD, Event::ControlTick);
         }
     }
 
@@ -488,10 +475,14 @@ impl IntersectionScenario {
                 bearing_deg: 0.0,
                 appearance: TargetAppearance::WithStopSign,
             };
-            if self.config.camera.sees(&target) {
+            if self.camera.sees(&target) {
                 road_user_seen = true;
-                let inference = self.chain.timing.normal(0.18, 0.02).clamp(0.05, 0.249);
-                let detections = self.config.yolo.process_frame(
+                let inference = self
+                    .chain
+                    .timing
+                    .normal(INFERENCE_MEAN_S, INFERENCE_STD_S)
+                    .clamp(0.05, 0.249);
+                let detections = YoloModel::default().process_frame(
                     now,
                     std::slice::from_ref(&target),
                     &mut self.rng,
@@ -527,10 +518,7 @@ impl IntersectionScenario {
             self.generate_cpm(now, road_user_seen, distance, queue);
         }
         if !self.done {
-            queue.schedule_at(
-                self.config.camera.next_frame_completion(now),
-                Event::CameraFrame,
-            );
+            queue.schedule_at(self.camera.next_frame_completion(now), Event::CameraFrame);
         }
     }
 
@@ -686,7 +674,7 @@ impl IntersectionScenario {
         estimated_distance_m: f64,
         queue: &mut EventQueue<Event>,
     ) {
-        if self.record.denm_sent || estimated_distance_m > self.config.action_point_m {
+        if self.record.denm_sent || estimated_distance_m > ACTION_POINT_M {
             return;
         }
         // Conflict prediction: correlate the camera track with the
@@ -746,7 +734,7 @@ impl IntersectionScenario {
             .unwrap_or(0.0)
             .max(0.05);
         let t_protagonist = pr_distance / pr_speed;
-        let t_road_user = estimated_distance_m / self.config.road_user_speed_mps.max(0.05);
+        let t_road_user = estimated_distance_m / SPEED_MPS;
         if (t_protagonist - t_road_user).abs() > self.config.conflict_window_s {
             self.record.trace.record_fmt(
                 now,

@@ -17,7 +17,6 @@
 use crate::chain::{ChainParams, GEO_ORIGIN};
 use crate::scenario::ScenarioConfig;
 use faults::{FaultInjector, FaultNode, FaultPlan, FaultStats};
-use openc2x::node::PollingModel;
 use phy80211p::cellular::{CellularLink, CellularProfile};
 use phy80211p::channel::{Channel, ChannelConfig};
 use phy80211p::edca::{AccessCategory, EdcaMac, Medium};
@@ -26,6 +25,17 @@ use phy80211p::Position2D;
 use sim_core::{SimDuration, SimRng, SimTime};
 use vehicle::dynamics::{LongitudinalModel, VehicleParams};
 use vehicle::watchdog::{DegradationLevel, V2xWatchdog, WatchdogConfig};
+
+/// Cruise speed, m/s: the speed the fixed 0.214 throttle holds.
+const SPEED_MPS: f64 = 1.5;
+/// Leader's distance from the RSU at DENM send, m.
+const LEADER_DISTANCE_M: f64 = 3.0;
+/// DENM frame size on the air, bytes.
+const FRAME_BYTES: usize = 110;
+/// Data rate of the 802.11p transmissions.
+const DATA_RATE: DataRate = DataRate::Mbps6;
+/// Per-hop forwarding processing delay (decode + re-encode), s.
+const FORWARD_PROCESSING_S: f64 = 0.004;
 
 /// How the DENM reaches the platoon.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -46,24 +56,8 @@ pub struct PlatoonConfig {
     pub n_vehicles: usize,
     /// Bumper-to-bumper gap at cruise, m.
     pub gap_m: f64,
-    /// Cruise speed, m/s.
-    pub speed_mps: f64,
-    /// Leader's distance from the RSU at DENM send, m.
-    pub leader_distance_m: f64,
     /// DENM delivery arrangement.
     pub link: PlatoonLink,
-    /// Vehicle-side polling model (every vehicle polls its own OBU).
-    pub polling: PollingModel,
-    /// Wireless channel.
-    pub channel: ChannelConfig,
-    /// DENM frame size on the air, bytes.
-    pub frame_bytes: usize,
-    /// Data rate for 802.11p transmissions.
-    pub data_rate: DataRate,
-    /// Per-hop forwarding processing delay (decode + re-encode), s.
-    pub forward_processing_s: f64,
-    /// Vehicle dynamics.
-    pub vehicle: VehicleParams,
     /// Emergency-braking-as-fail-safe variant: the leader brakes
     /// immediately on its own sensors (at the RSU send instant), while
     /// the followers still depend on the (relayed) DENM — the classic
@@ -86,15 +80,7 @@ impl Default for PlatoonConfig {
             seed: 1,
             n_vehicles: 4,
             gap_m: 1.2,
-            speed_mps: 1.5,
-            leader_distance_m: 3.0,
             link: PlatoonLink::DirectGbc,
-            polling: PollingModel::default(),
-            channel: ChannelConfig::default(),
-            frame_bytes: 110,
-            data_rate: DataRate::Mbps6,
-            forward_processing_s: 0.004,
-            vehicle: VehicleParams::default(),
             leader_brakes_on_detection: false,
             fault_plan: FaultPlan::default(),
             watchdog: None,
@@ -158,20 +144,24 @@ pub fn run_platoon(config: &PlatoonConfig) -> PlatoonRecord {
     let mut member_injectors: Vec<FaultInjector> = (0..config.n_vehicles)
         .map(|i| FaultInjector::new(config.fault_plan.clone(), member_root.fork_u64(i as u64)))
         .collect();
-    let channel = Channel::new(config.channel.clone());
+    let channel = Channel::new(ChannelConfig::default());
+    let vehicle = VehicleParams::default();
+    // Every vehicle polls its own OBU through the chain's OBU →
+    // actuator stage.
+    let stage = ChainParams::from(&ScenarioConfig::default());
     let mac = EdcaMac::new();
     let mut medium = Medium::new();
     let rsu_pos = Position2D::new(0.0, 1.0);
 
     // Vehicle i cruises at x = leader_distance + i·(gap + length).
-    let spacing = config.gap_m + config.vehicle.length_m;
+    let spacing = config.gap_m + vehicle.length_m;
     let positions: Vec<Position2D> = (0..config.n_vehicles)
-        .map(|i| Position2D::new(config.leader_distance_m + i as f64 * spacing, 0.0))
+        .map(|i| Position2D::new(LEADER_DISTANCE_M + i as f64 * spacing, 0.0))
         .collect();
 
     // Phase of each vehicle's polling loop.
     let phases: Vec<SimDuration> = (0..config.n_vehicles)
-        .map(|_| SimDuration::from_secs_f64(rng.f64() * config.polling.period.as_secs_f64()))
+        .map(|_| SimDuration::from_secs_f64(rng.f64() * stage.polling.period.as_secs_f64()))
         .collect();
 
     // --- DENM propagation: arrival time per vehicle (None = lost). ---
@@ -180,7 +170,7 @@ pub fn run_platoon(config: &PlatoonConfig) -> PlatoonRecord {
     match config.link {
         PlatoonLink::DirectGbc => {
             let start = mac.access_time(send, AccessCategory::Voice, &medium, &mut rng);
-            let at = airtime(config.frame_bytes, config.data_rate);
+            let at = airtime(FRAME_BYTES, DATA_RATE);
             medium.occupy(start + at);
             for (i, pos) in positions.iter().enumerate() {
                 // Fault plane: the medium loses this receiver's copy
@@ -192,14 +182,7 @@ pub fn run_platoon(config: &PlatoonConfig) -> PlatoonRecord {
                 {
                     continue;
                 }
-                let out = channel.transmit(
-                    start,
-                    rsu_pos,
-                    *pos,
-                    config.frame_bytes,
-                    config.data_rate,
-                    &mut rng,
-                );
+                let out = channel.transmit(start, rsu_pos, *pos, FRAME_BYTES, DATA_RATE, &mut rng);
                 if out.delivered {
                     arrivals[i] = Some(out.arrival);
                 }
@@ -220,7 +203,7 @@ pub fn run_platoon(config: &PlatoonConfig) -> PlatoonRecord {
                 let area_centre = openc2x::node::lab_to_geo(
                     GEO_ORIGIN,
                     Position2D::new(
-                        config.leader_distance_m + spacing * (config.n_vehicles as f64) / 2.0,
+                        LEADER_DISTANCE_M + spacing * (config.n_vehicles as f64) / 2.0,
                         0.0,
                     ),
                 );
@@ -239,7 +222,7 @@ pub fn run_platoon(config: &PlatoonConfig) -> PlatoonRecord {
                     area,
                     geonet::headers::TrafficClass::dp0(),
                     geonet::btp::BtpPort::DENM,
-                    vec![0u8; config.frame_bytes.saturating_sub(60)],
+                    vec![0u8; FRAME_BYTES.saturating_sub(60)],
                 );
                 let mut t = out.arrival;
                 for i in 1..config.n_vehicles {
@@ -250,7 +233,7 @@ pub fn run_platoon(config: &PlatoonConfig) -> PlatoonRecord {
                         }
                         geonet::forwarding::ForwardDecision::Discard(_) => break,
                     }
-                    t += SimDuration::from_secs_f64(config.forward_processing_s);
+                    t += SimDuration::from_secs_f64(FORWARD_PROCESSING_S);
                     // Fault plane: hop i−1 → i dies when the forwarding
                     // member's transmitter is silenced or the receiving
                     // member is crashed; the rest of the chain starves.
@@ -260,14 +243,14 @@ pub fn run_platoon(config: &PlatoonConfig) -> PlatoonRecord {
                         break;
                     }
                     let start = mac.access_time(t, AccessCategory::Voice, &medium, &mut rng);
-                    let at = airtime(config.frame_bytes, config.data_rate);
+                    let at = airtime(FRAME_BYTES, DATA_RATE);
                     medium.occupy(start + at);
                     let hop = channel.transmit(
                         start,
                         positions[i - 1],
                         positions[i],
-                        config.frame_bytes,
-                        config.data_rate,
+                        FRAME_BYTES,
+                        DATA_RATE,
                         &mut rng,
                     );
                     if !hop.delivered {
@@ -284,10 +267,6 @@ pub fn run_platoon(config: &PlatoonConfig) -> PlatoonRecord {
     // chain, the poll loop with its retry/backoff, the ECU and the
     // Teensy. Each entry is (command, physical cut). ---
     let horizon = SimTime::from_millis(2 * 30_000);
-    let stage = ChainParams {
-        polling: config.polling,
-        ..ChainParams::from(&ScenarioConfig::default())
-    };
     let mut action_times: Vec<Option<(SimTime, SimTime)>> = vec![None; config.n_vehicles];
     for (i, arrival) in arrivals.iter().enumerate() {
         if i == 0 && config.leader_brakes_on_detection {
@@ -340,8 +319,8 @@ pub fn run_platoon(config: &PlatoonConfig) -> PlatoonRecord {
     let mut stop_profiles: Vec<Vec<(f64, f64)>> = Vec::with_capacity(config.n_vehicles);
     let mut latched_stops = 0usize;
     for (i, action_time) in action_times.iter().take(config.n_vehicles).enumerate() {
-        let mut car = LongitudinalModel::new(config.vehicle);
-        car.set_speed(config.speed_mps);
+        let mut car = LongitudinalModel::new(vehicle);
+        car.set_speed(SPEED_MPS);
         // Position along the travel direction (vehicles drive in −x).
         let cut_at = action_time.map(|(_, cut)| cut.as_secs_f64());
         let mut profile = Vec::new();

@@ -20,14 +20,10 @@
 //! millisecond log resolution, so the per-step intervals include the same
 //! measurement noise as the paper's Table II.
 
-use crate::chain::{
-    Chain, ChainBuffers, ChainEvent, DENM_BUILD_MEAN_S, GEO_ORIGIN, TRIGGER_HTTP_BASE,
-    TRIGGER_HTTP_JITTER_MEAN,
-};
+use crate::chain::{Chain, ChainBuffers, ChainEvent, GEO_ORIGIN};
 use facilities::ldm::PerceivedObject;
 use faults::{CoopStats, FaultNode, FaultPlan, FaultStats};
 use its_messages::common::{ReferencePosition, StationId};
-use openc2x::http::RetryPolicy;
 use openc2x::node::{lab_to_geo, FrameOutcome, ItsStation, PollingModel, StationConfig};
 use perception::camera::{GroundTruthTarget, RoadSideCamera, TargetAppearance};
 use perception::detector::{Detection, YoloModel};
@@ -39,7 +35,6 @@ use phy80211p::Position2D;
 use sim_core::{
     run_batched, EventHandler, EventQueue, NodeClock, NtpModel, SimDuration, SimRng, SimTime, Trace,
 };
-use vehicle::actuators::TeensyLink;
 use vehicle::dynamics::{BicycleState, LongitudinalModel, VehicleParams};
 use vehicle::linefollow::{LineFollower, Track};
 use vehicle::planner::{MotionPlanner, StopPolicy};
@@ -70,6 +65,11 @@ pub enum DenmLink {
     Cellular(CellularProfile),
 }
 
+/// Mean YOLO inference latency (capture → output), s.
+pub(crate) const INFERENCE_MEAN_S: f64 = 0.180;
+/// Std-dev of the inference latency, s.
+pub(crate) const INFERENCE_STD_S: f64 = 0.020;
+
 /// Full configuration of one collision-avoidance run.
 #[derive(Debug, Clone)]
 pub struct ScenarioConfig {
@@ -87,26 +87,14 @@ pub struct ScenarioConfig {
     pub camera: RoadSideCamera,
     /// Object-detector model.
     pub yolo: YoloModel,
-    /// Mean YOLO inference latency (capture → output), s.
-    pub inference_mean_s: f64,
-    /// Std-dev of inference latency, s.
-    pub inference_std_s: f64,
     /// Appearance of the vehicle for the detector.
     pub appearance: TargetAppearance,
-    /// Fixed part of the edge→RSU `trigger_denm` HTTP POST latency.
-    pub trigger_http_base: SimDuration,
-    /// Mean of the exponential jitter on that POST.
-    pub trigger_http_jitter_mean: SimDuration,
-    /// Mean DENM build/encode time at the RSU, s.
-    pub denm_build_mean_s: f64,
     /// DENM repetition: `(interval, duration)`. The paper's application
     /// sends one shot (`None`); repetition makes the warning robust to
     /// frame loss on obstructed channels.
     pub denm_repetition: Option<(SimDuration, SimDuration)>,
     /// Vehicle-side polling of the OBU HTTP API.
     pub polling: PollingModel,
-    /// Jetson→Teensy→ESC actuation path.
-    pub teensy: TeensyLink,
     /// Wireless channel configuration.
     pub channel: ChannelConfig,
     /// RSU antenna position in the lab frame, m.
@@ -117,8 +105,6 @@ pub struct ScenarioConfig {
     pub control_period: SimDuration,
     /// Vehicle dynamics parameters.
     pub vehicle: VehicleParams,
-    /// DENM stop policy at the vehicle.
-    pub stop_policy: StopPolicy,
     /// Hazard trigger rule at the edge node.
     pub hazard_rule: HazardRule,
     /// RSU→OBU link for DENMs.
@@ -134,9 +120,6 @@ pub struct ScenarioConfig {
     /// honour the degradation ladder; `None` (the default) leaves the
     /// baseline event schedule untouched.
     pub watchdog: Option<WatchdogConfig>,
-    /// Bounded retry/backoff for the vehicle's OBU poll. Only consulted
-    /// when a poll attempt stalls, so it cannot perturb healthy runs.
-    pub poll_retry: RetryPolicy,
 }
 
 impl Default for ScenarioConfig {
@@ -149,27 +132,19 @@ impl Default for ScenarioConfig {
             action_point_m: 1.52,
             camera: RoadSideCamera::default(),
             yolo: YoloModel::default(),
-            inference_mean_s: 0.180,
-            inference_std_s: 0.020,
             appearance: TargetAppearance::WithStopSign,
-            trigger_http_base: TRIGGER_HTTP_BASE,
-            trigger_http_jitter_mean: TRIGGER_HTTP_JITTER_MEAN,
-            denm_build_mean_s: DENM_BUILD_MEAN_S,
             denm_repetition: None,
             polling: PollingModel::default(),
-            teensy: TeensyLink::default(),
             channel: ChannelConfig::default(),
             rsu_position: Position2D::new(0.0, 1.0),
             ntp: NtpModel::default(),
             control_period: SimDuration::from_millis(20),
             vehicle: VehicleParams::default(),
-            stop_policy: StopPolicy::AnyDenm,
             hazard_rule: HazardRule::ActionPoint,
             denm_link: DenmLink::Its80211p,
             timeout: SimDuration::from_secs(30),
             fault_plan: FaultPlan::default(),
             watchdog: None,
-            poll_retry: RetryPolicy::default(),
         }
     }
 }
@@ -431,7 +406,7 @@ impl Scenario {
             car,
             pose,
             follower: LineFollower::new(),
-            planner: MotionPlanner::new(config.cruise_throttle, config.stop_policy),
+            planner: MotionPlanner::new(config.cruise_throttle, StopPolicy::AnyDenm),
             track: Track::straight(config.start_distance_m + 2.0),
             odometry: WheelOdometry::new(3480.0),
             detect_scratch: Vec::new(),
@@ -683,7 +658,7 @@ impl Scenario {
             let inference = self
                 .chain
                 .timing
-                .normal(self.config.inference_mean_s, self.config.inference_std_s)
+                .normal(INFERENCE_MEAN_S, INFERENCE_STD_S)
                 .clamp(0.05, 0.249);
             let output_at = now + SimDuration::from_secs_f64(inference);
             let mut detections = std::mem::take(&mut self.detect_scratch);
@@ -706,7 +681,7 @@ impl Scenario {
         // real target, emitted after the nominal inference latency.
         if !edge_down && !frame_lost {
             if let Some((distance, confidence)) = self.chain.injector.phantom_detection(now) {
-                let output_at = now + SimDuration::from_secs_f64(self.config.inference_mean_s);
+                let output_at = now + SimDuration::from_secs_f64(INFERENCE_MEAN_S);
                 let phantom = Detection {
                     target_id: self.next_object_id,
                     label: "phantom",

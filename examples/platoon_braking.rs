@@ -80,8 +80,8 @@ fn main() {
     };
 
     println!(
-        "Platoon of {} vehicles at {:.1} m/s, {:.1} m gaps (faults: {fault_label})\n",
-        base.n_vehicles, base.speed_mps, base.gap_m
+        "Platoon of {} vehicles at 1.5 m/s, {:.1} m gaps (faults: {fault_label})\n",
+        base.n_vehicles, base.gap_m
     );
 
     let direct = run_platoon(&base);

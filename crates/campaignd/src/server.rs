@@ -82,6 +82,7 @@ impl CampaignServer {
     /// being executed; an arrival beyond it is answered 503. Zero
     /// refuses every submission.
     #[must_use]
+    // detlint:allow(U1) tests/campaignd_determinism.rs drives a zero-depth queue into its 503 back-pressure path
     pub fn with_queue_depth(mut self, depth: usize) -> Self {
         self.queue_depth = depth;
         self

@@ -181,6 +181,7 @@ fn aggregate(scenario: &str, class: &str, intensity: f64, records: &[RunRecord])
 
 /// Runs the full cross-scenario sweep on `exec` with `runs` seeds per
 /// cell, seeds starting at `base_seed`.
+// detlint:allow(U1) the cooperative-sweep table that tests/cooperative_faults.rs and tests/coop_golden.rs pin
 pub fn coop_sweep(exec: &impl Executor, base_seed: u64, runs: usize) -> CoopSweep {
     let records = exec.run_indexed(job_count(runs), |j| run_job(base_seed, runs, j));
     let mut rows = Vec::with_capacity(COOP_SCENARIOS.len() * COOP_FAULT_CLASSES.len());
@@ -199,6 +200,7 @@ pub fn coop_sweep(exec: &impl Executor, base_seed: u64, runs: usize) -> CoopSwee
 /// The raw outcome frames of the sweep, wire-encoded back to back —
 /// the byte string the cross-executor tests compare, and exactly what
 /// a shard worker would ship.
+// detlint:allow(U1) the sweep's wire frames that tests/cooperative_faults.rs compares across executors
 pub fn coop_sweep_frames(exec: &impl Executor, base_seed: u64, runs: usize) -> Vec<u8> {
     let records = exec.run_indexed(job_count(runs), |j| run_job(base_seed, runs, j));
     let mut out = Vec::new();

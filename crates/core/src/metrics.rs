@@ -56,6 +56,7 @@ impl Edf {
     }
 
     /// F(x): fraction of samples ≤ `x`.
+    // detlint:allow(U1) tests/experiments.rs reads the Figure 11 EDF at a given delay
     pub fn fraction_at_or_below(&self, x: f64) -> f64 {
         let count = self.sorted.partition_point(|&s| s <= x);
         count as f64 / self.sorted.len() as f64
@@ -226,7 +227,7 @@ impl ConfidenceInterval {
 }
 
 /// Percentile-bootstrap confidence interval for an arbitrary statistic
-/// of the EDF's samples. Deterministic given the seed (uses [`SimRng`]).
+/// of the EDF's samples. Deterministic given the seed (uses [`SimRng`](sim_core::SimRng)).
 ///
 /// The paper reports five-run averages with no error bars; with a
 /// simulated testbed we can put uncertainty on every number.

@@ -75,6 +75,7 @@ impl BrakingProfile {
     }
 
     /// Stopping time from `v0`, seconds.
+    #[cfg(test)]
     pub fn stopping_time(&self, v0: f64) -> f64 {
         let mut v = v0;
         let mut t = 0.0;
@@ -109,6 +110,7 @@ pub fn extrapolate_braking_distance(
 
 /// Adds the reaction/latency travel to a braking distance: the distance
 /// covered at `speed` during `latency_s` before the brakes act.
+#[cfg(test)]
 pub fn total_stopping_distance(braking_m: f64, speed: f64, latency_s: f64) -> f64 {
     braking_m + speed * latency_s
 }

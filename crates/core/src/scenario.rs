@@ -231,14 +231,6 @@ impl RunRecord {
         Some(self.odometer_at_halt_m? - self.odometer_at_detection_m?)
     }
 
-    /// Figure 10: detection-to-stop period (simulation truth).
-    pub fn detection_to_stop(&self) -> Option<SimDuration> {
-        Some(
-            self.step6_halt?
-                .saturating_duration_since(self.step2_detection?),
-        )
-    }
-
     /// Whether the emergency pipeline completed end to end.
     pub fn completed(&self) -> bool {
         self.step6_halt.is_some() && self.step5_actuation.is_some()

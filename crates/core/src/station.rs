@@ -150,13 +150,9 @@ impl StationArena {
         &self.speeds_mps
     }
 
-    /// Mutable speeds for a contiguous kinematics pass.
-    pub fn speeds_mps_mut(&mut self) -> &mut [f64] {
-        &mut self.speeds_mps
-    }
-
     /// DCC ladder state of station `idx` (Relaxed for unknown indices,
     /// matching a station that never saw a busy channel).
+    #[cfg(test)]
     pub fn dcc_state_of(&self, idx: u32) -> DccState {
         self.dcc_states
             .get(idx as usize)
@@ -165,6 +161,7 @@ impl StationArena {
     }
 
     /// Most recently completed CBR window value for station `idx`.
+    #[cfg(test)]
     pub fn last_cbr_of(&self, idx: u32) -> f64 {
         self.last_cbr.get(idx as usize).copied().unwrap_or(0.0)
     }
@@ -247,6 +244,7 @@ impl StationArena {
     }
 
     /// Total receptions across the fleet.
+    #[cfg(test)]
     pub fn rx_total(&self) -> u64 {
         self.rx_counts
             .iter()
@@ -254,6 +252,7 @@ impl StationArena {
     }
 
     /// Transmission count of station `idx` (0 for unknown indices).
+    #[cfg(test)]
     pub fn tx_count_of(&self, idx: u32) -> u64 {
         self.tx_counts.get(idx as usize).copied().unwrap_or(0)
     }

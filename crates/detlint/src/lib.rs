@@ -36,6 +36,7 @@ pub mod lexer;
 pub mod parse;
 pub mod rules;
 pub mod schema;
+pub mod surface;
 
 pub use config::{Config, ConfigError};
 pub use rules::Finding;
@@ -129,6 +130,24 @@ pub fn run(root: &Path, cfg: &Config) -> std::io::Result<Report> {
     // W1 — wire-schema snapshot.
     if enabled("W1") {
         check_wire(root, cfg, &scanned, &mut report.findings);
+    }
+
+    // U1 — uncalled public functions; examples and the benchmark's
+    // sources count as callers.
+    if enabled("U1") {
+        let mut caller_files = Vec::new();
+        for dir in surface::CALLER_ROOTS {
+            let base = root.join(dir);
+            if base.is_dir() {
+                collect_rs_files(&base, cfg, &mut caller_files)?;
+            }
+        }
+        caller_files.sort();
+        let callers = caller_files
+            .iter()
+            .map(|path| std::fs::read_to_string(path).map(|source| lexer::lex(&source)))
+            .collect::<std::io::Result<Vec<_>>>()?;
+        surface::check(&scanned, &callers, &mut report.findings);
     }
 
     report
@@ -303,6 +322,8 @@ mod tests {
         let mut cfg = Config::default();
         cfg.w1_wire = "crates/demo/src/wire.rs".into();
         cfg.w1_schema = "wire.schema".into();
+        // The planted codec's encoder has no caller; this test is about W1.
+        cfg.disabled.push("U1".into());
 
         // No snapshot committed yet: exactly one W1 finding.
         let report = run(&dir, &cfg).unwrap();

@@ -81,7 +81,9 @@ fn main() -> ExitCode {
                 ExitCode::SUCCESS
             }
             None => {
-                eprintln!("detlint: unknown rule ID `{rule}` (rules: D1-D4, S1-S3, R1-R3, W1, A1)");
+                eprintln!(
+                    "detlint: unknown rule ID `{rule}` (rules: D1-D4, S1-S3, R1-R3, W1, U1, A1)"
+                );
                 ExitCode::from(2)
             }
         };

@@ -18,12 +18,13 @@
 //! | S1 | crate roots carry the workspace lint header block |
 //! | S2 | no `unwrap`/`expect`/`panic!` family in per-event hot paths |
 //! | A1 | `detlint:allow` annotations must name rules and a justification |
+//! | U1 | every `pub fn` has a caller in non-test code ([`crate::surface`]) |
 //!
 //! The flow-aware v2 families live in their own modules but share this
 //! finding type and allow machinery: [`crate::flow`] (R1/R2/R3,
 //! RNG-stream discipline), [`crate::callgraph`] (S3,
-//! panic-reachability) and [`crate::schema`] (W1, wire-schema
-//! snapshot).
+//! panic-reachability), [`crate::schema`] (W1, wire-schema
+//! snapshot) and [`crate::surface`] (U1, uncalled public functions).
 
 use crate::config::Config;
 use crate::flow;
@@ -302,6 +303,15 @@ pub fn explain(rule: &str) -> Option<&'static str> {
                  snapshot. Reorders, removals and type changes fail; appending fields \
                  passes only together with a WIRE_VERSION bump. Regenerate the snapshot \
                  deliberately with detlint --update-schema."
+        }
+        "U1" => {
+            "U1 — uncalled public functions.\nA pub fn in a crate's sources whose name \
+                 appears in no non-test code of the repository (other crates, the \
+                 examples, the benches and perfbench/src count; #[cfg(test)] regions, \
+                 tests/ directories and use re-exports do not) is surface that only \
+                 tests hold up. Delete it, move it under #[cfg(test)], or keep it with a \
+                 detlint:allow(U1) naming who needs it. The match is by name, so a \
+                 name shared with any other identifier never fires."
         }
         "A1" => {
             "A1 — allow hygiene.\ndetlint:allow annotations must name at least one rule ID \
@@ -611,7 +621,7 @@ mod tests {
     #[test]
     fn explain_covers_every_rule_id() {
         for id in [
-            "D1", "D2", "D3", "D4", "S1", "S2", "S3", "R1", "R2", "R3", "W1", "A1",
+            "D1", "D2", "D3", "D4", "S1", "S2", "S3", "R1", "R2", "R3", "W1", "U1", "A1",
         ] {
             assert!(explain(id).is_some(), "missing explanation for {id}");
         }

@@ -10,7 +10,7 @@
 use std::path::{Path, PathBuf};
 
 use detlint::lexer::lex;
-use detlint::{callgraph, parse, rules, schema, Config, Finding};
+use detlint::{callgraph, parse, rules, schema, surface, Config, Finding};
 use proptest::prelude::*;
 
 fn fixture(name: &str) -> String {
@@ -73,6 +73,21 @@ fn s3_fixture_fires_exactly_once() {
         !findings[0].message.contains("cold_diagnostics"),
         "unreachable fn must not be flagged"
     );
+}
+
+#[test]
+fn u1_fixture_fires_exactly_once() {
+    let source = fixture("u1_uncalled_pub_fn.rs");
+    let scanned = vec![(
+        "crates/demo/src/u1_uncalled_pub_fn.rs".to_owned(),
+        source.clone(),
+        lex(&source),
+    )];
+    let mut findings: Vec<Finding> = Vec::new();
+    surface::check(&scanned, &[], &mut findings);
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    assert_eq!(findings[0].rule, "U1");
+    assert!(findings[0].message.contains("`pub fn orphan`"));
 }
 
 /// The committed `wire.schema` must be exactly what the extractor

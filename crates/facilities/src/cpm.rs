@@ -20,13 +20,13 @@
 //! use its_messages::common::{ReferencePosition, StationId, StationType};
 //!
 //! # fn main() -> Result<(), uper::UperError> {
-//! let cpm = Cpm::new(
+//! let mut cpm = Cpm::new(
 //!     StationId::new(15)?,
 //!     StationType::RoadSideUnit,
 //!     ReferencePosition::from_degrees(41.178, -8.608),
 //!     1234,
-//! )?
-//! .with_object(CpmPerceivedObject::from_planar(
+//! )?;
+//! cpm.perceived_objects.push(CpmPerceivedObject::from_planar(
 //!     2,
 //!     3.5,
 //!     -1.0,
@@ -272,6 +272,7 @@ impl Cpm {
     /// [`Self::MAX_OBJECTS`] are silently dropped — encoding would
     /// reject the container otherwise.
     #[must_use]
+    #[cfg(test)]
     pub fn with_object(mut self, object: CpmPerceivedObject) -> Self {
         if self.perceived_objects.len() < Self::MAX_OBJECTS {
             self.perceived_objects.push(object);

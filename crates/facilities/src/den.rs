@@ -15,7 +15,7 @@ use its_messages::cause_codes::CauseCode;
 use its_messages::common::{
     ActionId, ReferencePosition, RelevanceDistance, StationId, StationType, TimestampIts,
 };
-use its_messages::denm::{Denm, ManagementContainer, SituationContainer, Termination};
+use its_messages::denm::{Denm, ManagementContainer, SituationContainer};
 use sim_core::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 
@@ -172,6 +172,7 @@ impl DenService {
     /// `AppDENM_terminate`: emits a cancellation DENM and stops
     /// repetitions. Returns the cancellation message, or `None` if the
     /// action id is unknown.
+    #[cfg(test)]
     pub fn terminate(
         &mut self,
         _now: SimTime,
@@ -191,7 +192,7 @@ impl DenService {
             ev.request.event_position,
             self.station_type,
         );
-        management.termination = Some(Termination::IsCancellation);
+        management.termination = Some(its_messages::denm::Termination::IsCancellation);
         management.validity_duration = ev.request.validity_duration_s;
         Some(Denm::new(self.station_id, management))
     }
@@ -264,9 +265,10 @@ impl DenService {
 
     /// Drops receiver-side state older than `max_age_ms` relative to the
     /// given wall time (simple validity GC).
+    #[cfg(test)]
     pub fn gc_received(&mut self, wall: TimestampIts, max_age_ms: u64) {
         self.received
-            .retain(|_, &mut seen| wall.millis_since(seen) <= max_age_ms);
+            .retain(|_, &mut seen| wall.millis().saturating_sub(seen.millis()) <= max_age_ms);
     }
 }
 

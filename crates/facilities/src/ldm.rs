@@ -157,6 +157,7 @@ impl Ldm {
     }
 
     /// All perceived objects within `radius_m` of `centre`, nearest first.
+    #[cfg(test)]
     pub fn objects_within(
         &self,
         centre: &ReferencePosition,
@@ -189,6 +190,7 @@ impl Ldm {
 
     /// Drops every record not refreshed within `max_age_ms` of `now`.
     /// Returns the number of records removed.
+    #[cfg(test)]
     pub fn gc(&mut self, now: SimTime, max_age_ms: u64) -> usize {
         let before = self.stations.len() + self.events.len() + self.objects.len();
         let fresh =

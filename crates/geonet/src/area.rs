@@ -60,6 +60,7 @@ impl GeoArea {
 
     /// Creates a rectangular area (half-sides `a`, `b`, rotated by
     /// `angle_deg` from North).
+    #[cfg(test)]
     pub fn rectangle(lat_deg: f64, lon_deg: f64, a_m: f64, b_m: f64, angle_deg: f64) -> Self {
         Self {
             latitude: (lat_deg * 1e7).round() as i32,
@@ -73,6 +74,7 @@ impl GeoArea {
 
     /// Creates an elliptical area (semi-axes `a`, `b`, rotated by
     /// `angle_deg` from North).
+    #[cfg(test)]
     pub fn ellipse(lat_deg: f64, lon_deg: f64, a_m: f64, b_m: f64, angle_deg: f64) -> Self {
         Self {
             angle_deg: (angle_deg.rem_euclid(360.0)).round() as u16 % 360,

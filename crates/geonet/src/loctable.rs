@@ -26,13 +26,16 @@ pub struct LocTableEntry {
 
 /// The Location Table of one GeoNetworking router.
 ///
+/// Entries never expire: the standard's entry lifetime (20 s by
+/// default) is not modelled.
+///
 /// # Example
 ///
 /// ```
 /// use geonet::loctable::LocationTable;
 /// use geonet::{GnAddress, LongPositionVector};
 ///
-/// let mut table = LocationTable::new(1_000);
+/// let mut table = LocationTable::new();
 /// let pv = LongPositionVector::new(GnAddress::new(7), 100, 41.178, -8.608, 1.5, 90.0);
 /// table.update(pv, 100);
 /// assert_eq!(table.len(), 1);
@@ -43,18 +46,12 @@ pub struct LocTableEntry {
 #[derive(Debug, Clone, Default)]
 pub struct LocationTable {
     entries: Vec<LocTableEntry>,
-    /// Entries older than this are purged by [`LocationTable::purge`].
-    lifetime_ms: u64,
 }
 
 impl LocationTable {
-    /// Creates a table with the given entry lifetime (EN 302 636-4-1
-    /// default is 20 s).
-    pub fn new(lifetime_ms: u64) -> Self {
-        Self {
-            entries: Vec::new(),
-            lifetime_ms,
-        }
+    /// Creates an empty table.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Number of known stations.
@@ -137,18 +134,19 @@ impl LocationTable {
         }
     }
 
-    /// Drops entries not refreshed within the lifetime. Returns how many
-    /// were removed.
-    pub fn purge(&mut self, now_ms: u64) -> usize {
+    /// Drops entries not refreshed within `lifetime_ms`. Returns how
+    /// many were removed.
+    #[cfg(test)]
+    pub fn purge(&mut self, now_ms: u64, lifetime_ms: u64) -> usize {
         let before = self.entries.len();
-        let lifetime = self.lifetime_ms;
         self.entries
-            .retain(|e| now_ms.saturating_sub(e.updated_ms) <= lifetime);
+            .retain(|e| now_ms.saturating_sub(e.updated_ms) <= lifetime_ms);
         before - self.entries.len()
     }
 
     /// Stations heard within `radius_m` of a point (degrees), nearest
     /// first — the neighbourhood view used by forwarding algorithms.
+    #[cfg(test)]
     pub fn neighbours_within(
         &self,
         lat_deg: f64,
@@ -182,7 +180,7 @@ mod tests {
 
     #[test]
     fn update_creates_then_refreshes() {
-        let mut t = LocationTable::new(1000);
+        let mut t = LocationTable::new();
         t.update(pv(7, 41.178), 100);
         t.update(pv(7, 41.179), 200);
         assert_eq!(t.len(), 1);
@@ -194,7 +192,7 @@ mod tests {
 
     #[test]
     fn duplicate_detection_basic() {
-        let mut t = LocationTable::new(1000);
+        let mut t = LocationTable::new();
         t.update(pv(7, 41.178), 0);
         assert!(!t.is_duplicate(GnAddress::new(7), 1));
         assert!(t.is_duplicate(GnAddress::new(7), 1));
@@ -205,7 +203,7 @@ mod tests {
 
     #[test]
     fn duplicate_detection_handles_wraparound() {
-        let mut t = LocationTable::new(1000);
+        let mut t = LocationTable::new();
         t.update(pv(7, 41.178), 0);
         assert!(!t.is_duplicate(GnAddress::new(7), 0xFFFE));
         assert!(!t.is_duplicate(GnAddress::new(7), 0xFFFF));
@@ -216,7 +214,7 @@ mod tests {
 
     #[test]
     fn duplicate_from_unknown_source_creates_placeholder() {
-        let mut t = LocationTable::new(1000);
+        let mut t = LocationTable::new();
         assert!(!t.is_duplicate(GnAddress::new(9), 3));
         assert!(t.is_duplicate(GnAddress::new(9), 3));
         assert_eq!(t.len(), 1);
@@ -224,10 +222,10 @@ mod tests {
 
     #[test]
     fn purge_expires_stale_entries() {
-        let mut t = LocationTable::new(1000);
+        let mut t = LocationTable::new();
         t.update(pv(1, 41.0), 0);
         t.update(pv(2, 41.1), 900);
-        assert_eq!(t.purge(1500), 1);
+        assert_eq!(t.purge(1500, 1000), 1);
         assert!(t.entry(GnAddress::new(1)).is_none());
         assert!(t.entry(GnAddress::new(2)).is_some());
     }
@@ -235,7 +233,7 @@ mod tests {
     #[test]
     fn neighbours_sorted_by_distance() {
         let m_per_deg = 111_194.9;
-        let mut t = LocationTable::new(1000);
+        let mut t = LocationTable::new();
         t.update(pv(1, 41.178 + 30.0 / m_per_deg), 0);
         t.update(pv(2, 41.178 + 5.0 / m_per_deg), 0);
         t.update(pv(3, 41.178 + 500.0 / m_per_deg), 0);

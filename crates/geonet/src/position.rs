@@ -68,11 +68,13 @@ impl LongPositionVector {
     }
 
     /// Latitude in degrees.
+    #[cfg(test)]
     pub fn latitude_deg(&self) -> f64 {
         f64::from(self.latitude) / 1e7
     }
 
     /// Longitude in degrees.
+    #[cfg(test)]
     pub fn longitude_deg(&self) -> f64 {
         f64::from(self.longitude) / 1e7
     }

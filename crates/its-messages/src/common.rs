@@ -150,6 +150,7 @@ impl TimestampIts {
     ///
     /// Returns [`UperError::OutOfRange`] for instants before the ITS
     /// epoch or beyond its 2^42 − 1 ms range (~year 2143).
+    #[cfg(test)]
     pub fn from_unix_ms(unix_ms: u64) -> uper::Result<Self> {
         let its = unix_ms.checked_sub(ITS_EPOCH_UNIX_MS).ok_or({
             UperError::OutOfRange {
@@ -162,6 +163,7 @@ impl TimestampIts {
     }
 
     /// This timestamp as Unix milliseconds.
+    #[cfg(test)]
     pub fn as_unix_ms(&self) -> u64 {
         self.0 + ITS_EPOCH_UNIX_MS
     }
@@ -188,6 +190,7 @@ impl TimestampIts {
     }
 
     /// Difference `self - earlier` in milliseconds (saturating at zero).
+    #[cfg(test)]
     pub fn millis_since(&self, earlier: TimestampIts) -> u64 {
         self.0.saturating_sub(earlier.0)
     }
@@ -324,11 +327,6 @@ impl Altitude {
             });
         }
         Ok(Self(cm))
-    }
-
-    /// Altitude in metres (`None` if unavailable).
-    pub fn as_meters(&self) -> Option<f64> {
-        (*self != Self::UNAVAILABLE).then(|| f64::from(self.0) / 100.0)
     }
 }
 
@@ -779,6 +777,7 @@ impl RelevanceDistance {
     const VARIANTS: u64 = 8;
 
     /// Upper bound of the band in metres (`f64::INFINITY` for the last).
+    #[cfg(test)]
     pub fn upper_bound_m(&self) -> f64 {
         match self {
             RelevanceDistance::LessThan50m => 50.0,

@@ -241,12 +241,6 @@ impl SituationContainer {
             linked_cause: None,
         })
     }
-
-    /// Attaches a linked cause.
-    pub fn with_linked_cause(mut self, cause: CauseCode) -> Self {
-        self.linked_cause = Some(cause);
-        self
-    }
 }
 
 impl Codec for SituationContainer {
@@ -361,18 +355,21 @@ impl LocationContainer {
     }
 
     /// Sets the event speed.
+    #[cfg(test)]
     pub fn with_event_speed(mut self, speed: Speed) -> Self {
         self.event_speed = Some(speed);
         self
     }
 
     /// Sets the event heading.
+    #[cfg(test)]
     pub fn with_event_heading(mut self, heading: Heading) -> Self {
         self.event_position_heading = Some(heading);
         self
     }
 
     /// Sets the road type.
+    #[cfg(test)]
     pub fn with_road_type(mut self, road_type: RoadType) -> Self {
         self.road_type = Some(road_type);
         self
@@ -689,12 +686,14 @@ impl Denm {
     }
 
     /// Attaches a Location container.
+    #[cfg(test)]
     pub fn with_location(mut self, location: LocationContainer) -> Self {
         self.location = Some(location);
         self
     }
 
     /// Attaches an À-la-carte container.
+    #[cfg(test)]
     pub fn with_alacarte(mut self, alacarte: AlacarteContainer) -> Self {
         self.alacarte = Some(alacarte);
         self

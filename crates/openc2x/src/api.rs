@@ -51,6 +51,7 @@ impl ObuApi {
     }
 
     /// DENMs currently waiting.
+    #[cfg(test)]
     pub fn pending_count(&self) -> usize {
         locked(&self.pending).len()
     }
@@ -154,6 +155,7 @@ impl WebInterface {
 
     /// Publishes a fresh LDM snapshot (the stack calls this after LDM
     /// updates).
+    // detlint:allow(U1) tests/http_api.rs serves an LDM snapshot through the web interface
     pub fn publish(&self, snapshot: impl Into<String>) {
         *locked(&self.snapshot) = snapshot.into();
     }

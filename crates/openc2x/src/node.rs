@@ -174,7 +174,7 @@ impl ItsStation {
             ca,
             den,
             ldm: Ldm::new(),
-            loc_table: LocationTable::new(20_000),
+            loc_table: LocationTable::new(),
             mac: EdcaMac::new(),
             dcc: DccGatekeeper::new(),
             position: Position2D::default(),
@@ -215,12 +215,14 @@ impl ItsStation {
     }
 
     /// The GeoNetworking location table (neighbour view).
+    #[cfg(test)]
     pub fn location_table(&self) -> &LocationTable {
         &self.loc_table
     }
 
     /// Renders the LDM as the text snapshot published to the
     /// [`crate::api::WebInterface`] (the OpenC2X web UI's data).
+    // detlint:allow(U1) tests/http_api.rs publishes it through the web interface
     pub fn ldm_snapshot(&self, now: SimTime) -> String {
         let mut out = format!(
             "station {} LDM @ {}\nstations: {}\nevents: {} ({} active)\nobjects: {}\n",
@@ -431,6 +433,7 @@ impl ItsStation {
     /// # Errors
     ///
     /// Returns an encoding error if a DENM violates a constraint.
+    // detlint:allow(U1) tests/stack_integration.rs and tests/fault_plane.rs take the RSU's DENM packets through it
     pub fn poll_denm(&mut self, now: SimTime) -> uper::Result<Vec<GnPacket>> {
         let mut packets = Vec::new();
         self.poll_denm_into(now, &mut packets)?;

@@ -95,6 +95,7 @@ impl HazardAdvertisementService {
     }
 
     /// Whether a DENM has already been triggered.
+    #[cfg(test)]
     pub fn has_triggered(&self) -> bool {
         self.triggered
     }

@@ -206,6 +206,7 @@ impl DccGatekeeper {
     }
 
     /// Disables the AC_VO exemption (strict gatekeeping for all traffic).
+    #[cfg(test)]
     pub fn without_voice_exemption(mut self) -> Self {
         self.exempt_voice = false;
         self
@@ -248,6 +249,7 @@ impl DccGatekeeper {
     }
 
     /// The earliest instant a non-exempt packet may be transmitted.
+    #[cfg(test)]
     pub fn next_tx_opportunity(&self, now: SimTime) -> SimTime {
         match self.last_tx {
             None => now,

@@ -263,6 +263,7 @@ impl BackoffState {
 
     /// Records a failed attempt: the window doubles (`2·cw + 1`) and
     /// saturates at CWmax.
+    // detlint:allow(U1) the retry law of BackoffState, an S3 hot-path entry that its doc example and tests drive
     pub fn on_retry(&mut self) {
         self.retries = self.retries.saturating_add(1);
         self.cw = self
@@ -274,6 +275,7 @@ impl BackoffState {
 
     /// Records a delivered frame: the window resets to CWmin and the
     /// retry counter clears.
+    // detlint:allow(U1) the reset law of BackoffState, an S3 hot-path entry that its doc example and tests drive
     pub fn on_success(&mut self) {
         self.retries = 0;
         self.cw = self.params.cw_min.min(self.params.cw_max);

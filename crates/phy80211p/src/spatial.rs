@@ -157,6 +157,7 @@ impl SpatialGrid {
 
     /// Rebuilds the grid from scratch for the given positions, recycling
     /// the columns' allocations.
+    // detlint:allow(U1) tests/culling_differential.rs rebuilds the grid from scratch as the relocate oracle
     pub fn rebuild<I>(&mut self, positions: I)
     where
         I: IntoIterator<Item = Position2D>,

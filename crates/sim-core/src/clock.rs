@@ -36,6 +36,7 @@ impl Default for NtpModel {
 impl NtpModel {
     /// A perfectly synchronised model (zero offset and drift), useful in
     /// unit tests.
+    // detlint:allow(U1) drift-free clocks for the stack, HTTP and failure-injection integration tests
     pub fn perfect() -> Self {
         Self {
             offset_std_us: 0.0,
@@ -71,6 +72,7 @@ pub struct NodeClock {
 
 impl NodeClock {
     /// A perfect clock with the given epoch.
+    // detlint:allow(U1) drift-free clocks for the stack, HTTP and failure-injection integration tests
     pub fn perfect(epoch_ms: u64) -> Self {
         Self {
             offset_ns: 0,

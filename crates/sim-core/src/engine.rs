@@ -204,7 +204,7 @@ impl<E> EventQueue<E> {
     /// Pops the next event if one exists at or before `until`.
     ///
     /// Public so the differential harness and batch drivers can drive
-    /// the queue directly; [`run`] remains the usual entry point.
+    /// the queue directly; [`run_batched`] remains the usual entry point.
     pub fn pop_next(&mut self, until: SimTime) -> Option<(SimTime, E)> {
         if self.len == 0 {
             return None;
@@ -259,8 +259,8 @@ impl<E> EventQueue<E> {
     /// and returns that timestamp. Batch drivers use this to dispatch
     /// same-instant events together; follow-ups a handler schedules at
     /// the same instant land in the *next* batch, which preserves the
-    /// exact global `(time, seq)` dispatch order of the one-at-a-time
-    /// [`run`] loop.
+    /// exact global `(time, seq)` dispatch order of a one-at-a-time
+    /// [`pop_next`](Self::pop_next) loop.
     pub fn pop_batch(&mut self, until: SimTime, out: &mut Vec<E>) -> Option<SimTime> {
         let (t, e) = self.pop_next(until)?;
         out.push(e);
@@ -274,6 +274,7 @@ impl<E> EventQueue<E> {
     /// exercise the documented wraparound ordering without scheduling
     /// 2^64 events. Not part of the scheduling API.
     #[doc(hidden)]
+    // detlint:allow(U1) the queue differential test starts both queues near the seq wrap
     pub fn force_seq(&mut self, seq: u64) {
         self.seq = seq;
     }
@@ -381,9 +382,10 @@ pub trait EventHandler {
     fn handle(&mut self, now: SimTime, event: Self::Event, queue: &mut EventQueue<Self::Event>);
 }
 
-/// Runs the simulation until the queue is empty or the next event is after
-/// `until`. Returns the time of the last dispatched event (or the queue's
-/// prior time if nothing ran).
+/// The one-at-a-time dispatch loop the tests hold [`run_batched`] to:
+/// runs until the queue is empty or the next event is after `until`
+/// and returns the time of the last dispatched event.
+#[cfg(test)]
 pub fn run<H: EventHandler>(
     handler: &mut H,
     queue: &mut EventQueue<H::Event>,
@@ -395,9 +397,12 @@ pub fn run<H: EventHandler>(
     queue.now()
 }
 
-/// Batched variant of [`run`]: pops every event of one instant in one
-/// queue operation, then hands them to the handler in FIFO order.
-/// Dispatch order is *identical* to [`run`] — same-instant follow-ups a
+/// Runs the simulation until the queue is empty or the next event is
+/// after `until`, and returns the time of the last dispatched event (or
+/// the queue's prior time if nothing ran). Pops every event of one
+/// instant in one queue operation, then hands them to the handler in
+/// FIFO order. Dispatch order is *identical* to a one-at-a-time
+/// [`EventQueue::pop_next`] loop — same-instant follow-ups a
 /// handler schedules mid-batch carry higher sequence numbers than the
 /// batch, so they run in the next batch exactly where the serial loop
 /// would have placed them. `scratch` is the caller-owned batch buffer,
@@ -424,6 +429,7 @@ pub fn run_batched<H: EventHandler>(
 /// # Panics
 ///
 /// Panics if more than `max_events` events are dispatched.
+#[cfg(test)]
 pub fn run_until_idle<H: EventHandler>(
     handler: &mut H,
     queue: &mut EventQueue<H::Event>,

@@ -8,7 +8,7 @@
 //! reproducible timeline:
 //!
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution simulated time,
-//! * [`EventQueue`] / [`run`] — a classic min-heap event scheduler with a
+//! * [`EventQueue`] / [`run_batched`] — a classic min-heap event scheduler with a
 //!   stable FIFO tie-break for events at the same instant,
 //! * [`SimRng`] — a seedable, forkable random source (xoshiro256++), so
 //!   every run is reproducible from a single `u64` seed,
@@ -20,7 +20,7 @@
 //! # Example
 //!
 //! ```
-//! use sim_core::{EventQueue, SimDuration, SimTime, run, EventHandler};
+//! use sim_core::{run_batched, EventHandler, EventQueue, SimDuration, SimTime};
 //!
 //! struct Counter(u32);
 //! impl EventHandler for Counter {
@@ -37,7 +37,8 @@
 //! let mut q = EventQueue::new();
 //! q.schedule_at(SimTime::ZERO, "tick");
 //! let mut c = Counter(0);
-//! let end = run(&mut c, &mut q, SimTime::from_secs(1));
+//! let mut batch = Vec::new();
+//! let end = run_batched(&mut c, &mut q, SimTime::from_secs(1), &mut batch);
 //! assert_eq!(c.0, 3);
 //! assert_eq!(end, SimTime::from_millis(20));
 //! ```
@@ -59,7 +60,7 @@ mod time;
 mod trace;
 
 pub use clock::{NodeClock, NtpModel};
-pub use engine::{run, run_batched, run_until_idle, EventHandler, EventQueue};
+pub use engine::{run_batched, EventHandler, EventQueue};
 pub use rng::{RngCore, SimRng};
 pub use time::{SimDuration, SimTime};
 pub use trace::{Trace, TraceEvent};

@@ -158,11 +158,13 @@ impl Trace {
     }
 
     /// Records matching `kind`.
+    #[cfg(test)]
     pub fn of_kind<'a>(&'a self, kind: &'a str) -> impl Iterator<Item = TraceEvent<'a>> + 'a {
         self.events().filter(move |e| e.kind == kind)
     }
 
     /// First record of the given kind, if any.
+    // detlint:allow(U1) tests/end_to_end.rs checks that each pipeline step left a trace record
     pub fn first_of_kind(&self, kind: &str) -> Option<TraceEvent<'_>> {
         self.events().find(|e| e.kind == kind)
     }

@@ -18,7 +18,6 @@ use crate::Result;
 /// let mut w = BitWriter::new();
 /// w.write_bits(0b101, 3);
 /// w.write_bool(true);
-/// assert_eq!(w.bit_len(), 4);
 /// let bytes = w.finish();
 /// assert_eq!(bytes, vec![0b1011_0000]);
 /// ```
@@ -43,6 +42,7 @@ impl BitWriter {
     }
 
     /// Number of bits written so far.
+    #[cfg(test)]
     pub fn bit_len(&self) -> usize {
         if self.bytes.is_empty() {
             0

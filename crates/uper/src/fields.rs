@@ -145,6 +145,7 @@ impl BitWriter {
     /// # Errors
     ///
     /// [`UperError::LengthTooLarge`] if `len >= 65536`.
+    #[cfg(test)]
     pub fn write_length(&mut self, len: usize) -> Result<()> {
         if len < 128 {
             // single byte, top bit 0
@@ -172,6 +173,7 @@ impl BitWriter {
     /// # Errors
     ///
     /// [`UperError::OutOfRange`] if `value < min`.
+    #[cfg(test)]
     pub fn write_semi_constrained_u64(&mut self, value: u64, min: u64) -> Result<()> {
         if value < min {
             return Err(UperError::OutOfRange {
@@ -214,6 +216,7 @@ impl BitWriter {
     /// # Errors
     ///
     /// [`UperError::OutOfRange`] if the length violates `size`.
+    #[cfg(test)]
     pub fn write_octet_string(&mut self, bytes: &[u8], size: SizeRange) -> Result<()> {
         self.write_size(bytes.len(), size)?;
         self.write_bytes(bytes);
@@ -226,6 +229,7 @@ impl BitWriter {
     ///
     /// [`UperError::InvalidCharacter`] for non-ASCII input,
     /// [`UperError::OutOfRange`] for a size violation.
+    #[cfg(test)]
     pub fn write_ia5_string(&mut self, s: &str, size: SizeRange) -> Result<()> {
         self.write_size(s.len(), size)?;
         for c in s.chars() {
@@ -277,6 +281,7 @@ impl BitWriter {
     /// # Errors
     ///
     /// [`UperError::OutOfRange`] if `bits` has set bits above `count`.
+    #[cfg(test)]
     pub fn write_bit_string(&mut self, bits: u64, count: u32) -> Result<()> {
         if count < 64 && bits >> count != 0 {
             return Err(UperError::OutOfRange {
@@ -291,6 +296,7 @@ impl BitWriter {
 
     /// Writes an ASN.1 extension marker bit (`...` in the module): `false`
     /// for the root alternatives, `true` for an extension addition.
+    #[cfg(test)]
     pub fn write_extension_marker(&mut self, extended: bool) {
         self.write_bool(extended);
     }
@@ -302,6 +308,7 @@ impl BitWriter {
     ///
     /// [`UperError::LengthTooLarge`] for values ≥ 64 that overflow the
     /// semi-constrained fallback length determinant.
+    #[cfg(test)]
     pub fn write_normally_small(&mut self, value: u64) -> Result<()> {
         if value < 64 {
             self.write_bool(false);
@@ -321,6 +328,7 @@ impl BitReader<'_> {
     /// # Errors
     ///
     /// [`UperError::UnexpectedEnd`] on truncation.
+    #[cfg(test)]
     pub fn read_bit_string(&mut self, count: u32) -> Result<u64> {
         self.read_bits(count)
     }
@@ -330,6 +338,7 @@ impl BitReader<'_> {
     /// # Errors
     ///
     /// [`UperError::UnexpectedEnd`] on truncation.
+    #[cfg(test)]
     pub fn read_extension_marker(&mut self) -> Result<bool> {
         self.read_bool()
     }
@@ -339,6 +348,7 @@ impl BitReader<'_> {
     /// # Errors
     ///
     /// [`UperError::UnexpectedEnd`] on truncation.
+    #[cfg(test)]
     pub fn read_normally_small(&mut self) -> Result<u64> {
         if self.read_bool()? {
             self.read_semi_constrained_u64(0)
@@ -411,6 +421,7 @@ impl BitReader<'_> {
     /// # Errors
     ///
     /// [`UperError::UnexpectedEnd`] on truncation.
+    #[cfg(test)]
     pub fn read_length(&mut self) -> Result<usize> {
         let first = self.read_bits(1)?;
         if first == 0 {
@@ -431,6 +442,7 @@ impl BitReader<'_> {
     ///
     /// [`UperError::UnexpectedEnd`] on truncation,
     /// [`UperError::LengthTooLarge`] if the offset does not fit in a `u64`.
+    #[cfg(test)]
     pub fn read_semi_constrained_u64(&mut self, min: u64) -> Result<u64> {
         let byte_len = self.read_length()?;
         if byte_len > 8 {
@@ -464,6 +476,7 @@ impl BitReader<'_> {
     /// # Errors
     ///
     /// [`UperError::UnexpectedEnd`] or [`UperError::OutOfRange`].
+    #[cfg(test)]
     pub fn read_octet_string(&mut self, size: SizeRange) -> Result<Vec<u8>> {
         let len = self.read_size(size)?;
         self.read_bytes(len)
@@ -475,6 +488,7 @@ impl BitReader<'_> {
     ///
     /// [`UperError::UnexpectedEnd`], [`UperError::OutOfRange`], or
     /// [`UperError::InvalidCharacter`].
+    #[cfg(test)]
     pub fn read_ia5_string(&mut self, size: SizeRange) -> Result<String> {
         let len = self.read_size(size)?;
         let mut s = String::with_capacity(len);

@@ -67,6 +67,7 @@ impl TeensyLink {
     }
 
     /// Worst-case latency (full MCU loop + full PWM period).
+    #[cfg(test)]
     pub fn worst_case_latency(&self) -> SimDuration {
         self.usart_time() + self.mcu_loop_period + self.pwm_period
     }

@@ -7,10 +7,11 @@
 //! the same stage structure on synthetic frames rendered from the ground
 //! truth track geometry:
 //!
-//! 1. [`CameraModel::capture`] — renders the floor line into a binary
-//!    bird's-eye image of the area ahead of the car,
-//! 2. [`detect_edges`] — extracts edge pixels (intensity transitions),
-//! 3. [`hough_lines`] — a probabilistic Hough vote (random edge-point
+//! 1. [`CameraModel::capture_into`] — renders the floor line into a
+//!    binary bird's-eye image of the area ahead of the car,
+//! 2. [`detect_edges_into`] — extracts edge pixels (intensity
+//!    transitions),
+//! 3. [`hough_lines_into`] — a probabilistic Hough vote (random edge-point
 //!    subsampling into a (ρ, θ) accumulator, as in Matas et al.),
 //! 4. [`LineFollower::steering`] — converts the strongest line into a
 //!    lateral error and runs it through the PID.
@@ -47,6 +48,7 @@ impl Track {
     /// the blind-corner intersection geometry. The corner radius (1.5 m)
     /// comfortably exceeds the vehicle's minimum turning radius
     /// (wheelbase 0.32 m / tan 0.35 rad ≈ 0.88 m).
+    #[cfg(test)]
     pub fn l_corner(leg_m: f64) -> Self {
         let mut pts = vec![(0.0, 0.0), (leg_m, 0.0)];
         // Rounded corner with a few knots.
@@ -73,13 +75,15 @@ impl Track {
     }
 
     /// Distance from an arbitrary point to the nearest track segment.
+    #[cfg(test)]
     pub fn distance_to(&self, x: f64, y: f64) -> f64 {
         self.segments()
             .map(|(a, b)| segment_distance(a, b, (x, y)))
             .fold(f64::INFINITY, f64::min)
     }
 
-    /// The square of [`Track::distance_to`] before its rounded `sqrt`:
+    /// The square of `Track::distance_to` (kept for the tests) before
+    /// its rounded `sqrt`:
     /// the smallest squared segment distance. `sqrt` is correctly
     /// rounded, hence monotone, so `distance_to(x, y)` is exactly
     /// `distance_sq_to(x, y).sqrt()`, NaN distances being skipped by
@@ -92,6 +96,7 @@ impl Track {
 
     /// Signed lateral offset of a pose from the track: positive when the
     /// track is to the left of the heading direction.
+    #[cfg(test)]
     pub fn lateral_offset(&self, pose: &BicycleState) -> f64 {
         // Find the nearest point on the polyline, then project into the
         // vehicle frame.
@@ -103,6 +108,7 @@ impl Track {
     }
 
     /// Nearest point on the polyline to `(x, y)`.
+    #[cfg(test)]
     pub fn nearest_point(&self, x: f64, y: f64) -> (f64, f64) {
         let mut best = (f64::INFINITY, self.points[0]);
         for (a, b) in self.segments() {
@@ -127,6 +133,7 @@ fn segment_closest(a: (f64, f64), b: (f64, f64), p: (f64, f64)) -> (f64, f64) {
     (a.0 + t * abx, a.1 + t * aby)
 }
 
+#[cfg(test)]
 fn segment_distance(a: (f64, f64), b: (f64, f64), p: (f64, f64)) -> f64 {
     segment_distance_sq(a, b, p).sqrt()
 }
@@ -222,6 +229,7 @@ impl Frame {
     }
 
     /// Fraction of lit pixels, useful as a "line visible" heuristic.
+    #[cfg(test)]
     pub fn fill_ratio(&self) -> f64 {
         let lit = self.pixels.iter().filter(|&&p| p).count();
         lit as f64 / self.pixels.len() as f64
@@ -265,6 +273,7 @@ impl CameraModel {
     }
 
     /// Renders the track as seen from `pose`.
+    #[cfg(test)]
     pub fn capture(&self, pose: &BicycleState, track: &Track) -> Frame {
         let mut frame = Frame {
             width: self.width,
@@ -288,8 +297,8 @@ impl CameraModel {
     /// original expressions so every lit pixel is bitwise identical.
     /// Typical frames test a handful of columns per row instead of all
     /// of them. The test compares the squared distance with
-    /// [`sqrt_threshold`] of the half-width, which needs no `sqrt`, and
-    /// the column span rounds with [`floor_f64`]/[`ceil_f64`], which need
+    /// `sqrt_threshold` of the half-width, which needs no `sqrt`, and
+    /// the column span rounds with `floor_f64`/`ceil_f64`, which need
     /// no libm; both agree bit for bit with what they stand for.
     pub fn capture_into(&self, pose: &BicycleState, track: &Track, frame: &mut Frame) {
         frame.width = self.width;
@@ -414,6 +423,7 @@ fn capsule_span(
 
 /// Extracts edge pixels: positions where the binary intensity changes
 /// horizontally (a cheap Canny stand-in on a binary frame).
+#[cfg(test)]
 pub fn detect_edges(frame: &Frame) -> Vec<(usize, usize)> {
     let mut edges = Vec::new();
     detect_edges_into(frame, &mut edges);
@@ -423,10 +433,12 @@ pub fn detect_edges(frame: &Frame) -> Vec<(usize, usize)> {
 /// Pixels per window of [`detect_edges_into`]'s dark-window skip.
 const EDGE_WINDOW: usize = 16;
 
-/// [`detect_edges`] into a reusable buffer (cleared first).
+/// Extracts edge pixels into a reusable buffer (cleared first):
+/// positions where the binary intensity changes horizontally (a cheap
+/// Canny stand-in on a binary frame).
 ///
 /// Finds the edges of the plain pairwise scan, in the same order, but
-/// skips dark windows. Each row is cut into windows of [`EDGE_WINDOW`]
+/// skips dark windows. Each row is cut into windows of `EDGE_WINDOW`
 /// pixels, and the pairs whose left pixel lies in a window are compared
 /// only if that window or the pixel just past it is lit: a transition
 /// needs a lit pixel on one side, so a dark stretch holds none. A frame
@@ -485,7 +497,7 @@ impl HoughLine {
     }
 }
 
-/// Votes a (ρ, θ) cell needs before [`hough_lines`] reports it as a
+/// Votes a (ρ, θ) cell needs before [`hough_lines_into`] reports it as a
 /// line. Must stay above zero: the vote loop finds the reported cells
 /// by watching counts cross it.
 pub const MIN_VOTES: u32 = 8;
@@ -498,6 +510,7 @@ const THETA_BINS: usize = 45; // 4° steps over [0, π)
 /// Probabilistic Hough transform: votes a random subset of edge points
 /// into a quantised (ρ, θ) accumulator and returns the lines with at
 /// least [`MIN_VOTES`] votes, strongest first.
+#[cfg(test)]
 pub fn hough_lines(
     edges: &[(usize, usize)],
     frame_width: usize,
@@ -640,7 +653,8 @@ fn round_to_usize(x: f64) -> usize {
     usize::try_from(rounded.max(0)).unwrap_or(usize::MAX)
 }
 
-/// [`hough_lines`] with caller-provided scratch and output buffers.
+/// Finds the strongest lines in an edge set with a probabilistic Hough
+/// vote, with caller-provided scratch and output buffers.
 ///
 /// Returns the lines of the straightforward loop, which quantises all
 /// 45 θ bins of every sample with `f64::round` and then scans the whole
@@ -893,6 +907,7 @@ impl LineFollower {
     }
 
     /// The last steering command issued.
+    #[cfg(test)]
     pub fn hold_last(&mut self) -> f64 {
         self.lost_frames += 1;
         self.last_steer

@@ -50,6 +50,7 @@ impl MessageHandler {
     }
 
     /// Whether an emergency stop has been latched.
+    #[cfg(test)]
     pub fn stop_latched(&self) -> bool {
         self.stop_cause.is_some()
     }
@@ -135,6 +136,7 @@ impl MotionPlanner {
     }
 
     /// Sets the throttle multiplier used in [`DegradationLevel::SpeedCap`].
+    #[cfg(test)]
     pub fn set_failsafe_scale(&mut self, scale: f64) {
         self.failsafe_scale = scale.clamp(0.0, 1.0);
     }
@@ -148,11 +150,6 @@ impl MotionPlanner {
     /// The degradation level currently honoured.
     pub fn degradation(&self) -> DegradationLevel {
         self.degradation
-    }
-
-    /// The message handler (to feed received DENMs).
-    pub fn handler_mut(&mut self) -> &mut MessageHandler {
-        &mut self.handler
     }
 
     /// Read access to the message handler.

@@ -77,11 +77,6 @@ impl ImuModel {
         }
     }
 
-    /// Seeds the heading estimate (e.g. from an initial alignment).
-    pub fn set_heading(&mut self, heading_rad: f64) {
-        self.heading_rad = heading_rad;
-    }
-
     /// Measures a true yaw rate over `dt` seconds, integrating the
     /// (noisy, biased) reading into the heading estimate. Returns the
     /// measured rate.

@@ -72,9 +72,9 @@ fn gate_actually_detects_planted_violations() {
     }
 }
 
-/// Same rot-guard for the v2 families: plant one violation per rule in
-/// a synthetic tree and require `run` to surface each, including the
-/// headline W1 demonstration — reordering two fields in a copy of the
+/// Same rot-guard for the v2 families and U1: plant one violation per
+/// rule in a synthetic tree and require `run` to surface each, including
+/// the headline W1 demonstration — reordering two fields in a copy of the
 /// real `wire.rs` must fail against the committed `wire.schema`.
 #[test]
 fn gate_detects_planted_flow_graph_and_wire_violations() {
@@ -120,10 +120,37 @@ fn decode_kind(frame: &[u8]) -> u8 {
     )
     .unwrap();
 
+    // U1: an uncalled public function, next to one that only an
+    // example calls (examples count as callers).
+    std::fs::write(
+        src.join("surface.rs"),
+        "pub fn never_called() -> u8 { 0 }\npub fn example_only() -> u8 { 1 }\n",
+    )
+    .unwrap();
+    std::fs::create_dir_all(dir.join("examples")).unwrap();
+    std::fs::write(
+        dir.join("examples/demo.rs"),
+        "fn main() { let _ = its_testbed::example_only(); }\n",
+    )
+    .unwrap();
+
     let report = detlint::run(&dir, &detlint::Config::default()).unwrap();
     std::fs::remove_dir_all(&dir).ok();
 
     let rules: Vec<&str> = report.findings.iter().map(|f| f.rule).collect();
+    // The copied wire codec's encoder has no caller in the planted tree
+    // either; only the example-called function must stay unflagged.
+    let u1: Vec<&str> = report
+        .findings
+        .iter()
+        .filter(|f| f.rule == "U1")
+        .map(|f| f.message.as_str())
+        .collect();
+    assert!(
+        u1.iter().any(|m| m.contains("`pub fn never_called`"))
+            && !u1.iter().any(|m| m.contains("example_only")),
+        "U1 should flag never_called and spare example_only: {u1:?}"
+    );
     for rule in ["R1", "R2", "R3", "S3", "W1"] {
         assert!(rules.contains(&rule), "missing {rule} in {rules:?}");
     }

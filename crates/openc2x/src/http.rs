@@ -72,9 +72,9 @@ impl Response {
     /// A plain-text response with an arbitrary status code — the
     /// campaign server's 409 Conflict (submission fingerprint mismatch)
     /// and 503 Service Unavailable (queue full) answers, and the
-    /// server's own 413 for a body above [`MAX_BODY_BYTES`] and 431 for
-    /// a head above [`MAX_HEAD_BYTES`] or [`MAX_HEADERS`], come through
-    /// here.
+    /// server's own 408 for a request not in by [`REQUEST_DEADLINE`],
+    /// 413 for a body above [`MAX_BODY_BYTES`] and 431 for a head above
+    /// [`MAX_HEAD_BYTES`] or [`MAX_HEADERS`], come through here.
     pub fn with_status(status: u16, reason: &str) -> Self {
         Self {
             status,
@@ -88,6 +88,7 @@ impl Response {
             200 => "OK",
             400 => "Bad Request",
             404 => "Not Found",
+            408 => "Request Timeout",
             409 => "Conflict",
             413 => "Content Too Large",
             431 => "Request Header Fields Too Large",
@@ -112,6 +113,11 @@ pub const MAX_HEAD_BYTES: usize = 8 * 1024;
 /// The most header lines a request may carry; the server answers 431 as
 /// soon as it has read one more.
 pub const MAX_HEADERS: usize = 64;
+
+/// How long a client has to send its whole request, head and body. A
+/// request not complete by then gets 408, however steadily its bytes
+/// trickle in, so no client holds a server thread for longer.
+pub const REQUEST_DEADLINE: Duration = Duration::from_secs(5);
 
 /// A registered route handler.
 type Handler = Box<dyn Fn(&Request) -> Response + Send + Sync>;
@@ -200,12 +206,16 @@ fn handle_connection(
     stream: TcpStream,
     routes: &[(String, String, Handler)],
 ) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(Duration::from_secs(5)))?;
-    let mut reader = BufReader::new(stream.try_clone()?);
+    let mut reader = BufReader::new(DeadlineReader {
+        stream: stream.try_clone()?,
+        // detlint:allow(D1) the request deadline bounds a host socket; no simulated time reads it
+        started: std::time::Instant::now(),
+    });
     let request = match parse_request(&mut reader) {
         Ok(r) => r,
         Err(e) => {
             let response = match e {
+                RequestError::TimedOut => Response::with_status(408, "request timeout"),
                 RequestError::TooLarge => Response::with_status(413, "request body too large"),
                 RequestError::HeadTooLarge => Response::with_status(431, "request head too large"),
                 RequestError::Malformed => Response::bad_request("malformed request"),
@@ -222,8 +232,30 @@ fn handle_connection(
     write_response(&stream, &response)
 }
 
+/// The connection's read side with one deadline for the whole request:
+/// each read waits at most until [`REQUEST_DEADLINE`] after `started`,
+/// then fails as timed out.
+struct DeadlineReader {
+    stream: TcpStream,
+    // detlint:allow(D1) the request deadline bounds a host socket; no simulated time reads it
+    started: std::time::Instant,
+}
+
+impl Read for DeadlineReader {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let left = REQUEST_DEADLINE.saturating_sub(self.started.elapsed());
+        if left.is_zero() {
+            return Err(std::io::ErrorKind::TimedOut.into());
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        self.stream.read(buf)
+    }
+}
+
 /// Why a request could not be parsed.
 enum RequestError {
+    /// The request was not complete by [`REQUEST_DEADLINE`].
+    TimedOut,
     /// `Content-Length` exceeds [`MAX_BODY_BYTES`].
     TooLarge,
     /// The head exceeds [`MAX_HEAD_BYTES`] or [`MAX_HEADERS`].
@@ -234,8 +266,12 @@ enum RequestError {
 }
 
 impl From<std::io::Error> for RequestError {
-    fn from(_: std::io::Error) -> Self {
-        Self::Malformed
+    fn from(e: std::io::Error) -> Self {
+        match e.kind() {
+            // A socket read timeout surfaces as `WouldBlock` on Unix.
+            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => Self::TimedOut,
+            _ => Self::Malformed,
+        }
     }
 }
 
@@ -257,7 +293,7 @@ fn read_head_line(
     }
 }
 
-fn parse_request(reader: &mut BufReader<TcpStream>) -> Result<Request, RequestError> {
+fn parse_request(reader: &mut impl BufRead) -> Result<Request, RequestError> {
     let mut budget = MAX_HEAD_BYTES + 1;
     let mut line = Vec::new();
     read_head_line(reader, &mut budget, &mut line)?;

@@ -206,6 +206,61 @@ fn oversized_or_truncated_heads_are_refused_and_the_server_keeps_serving() {
     server.shutdown();
 }
 
+/// A client that sends one byte a second never trips a per-read
+/// timeout; the deadline for the whole request answers it with 408
+/// anyway, and the server goes on serving.
+#[test]
+fn trickled_request_gets_408_at_the_deadline_and_the_server_keeps_serving() {
+    use std::io::{Read, Write};
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::time::Duration;
+
+    let obu = Arc::new(ObuApi::new());
+    let server = obu.serve("127.0.0.1:0").unwrap();
+    let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let done = Arc::new(AtomicBool::new(false));
+    let writer = {
+        let mut stream = stream.try_clone().unwrap();
+        let done = Arc::clone(&done);
+        std::thread::spawn(move || {
+            for byte in b"POST /request_denm HTTP/1.1\r\nHost: testbed\r\n\r\n" {
+                if done.load(Ordering::Relaxed) || stream.write_all(&[*byte]).is_err() {
+                    break;
+                }
+                std::thread::sleep(Duration::from_secs(1));
+            }
+        })
+    };
+    // detlint:allow(D1) times how long the real server takes to answer
+    let started = std::time::Instant::now();
+    let mut reply = Vec::new();
+    let mut chunk = [0u8; 256];
+    while !reply.windows(4).any(|w| w == b"\r\n\r\n") {
+        match stream.read(&mut chunk) {
+            Ok(0) | Err(_) => break,
+            Ok(n) => reply.extend_from_slice(&chunk[..n]),
+        }
+    }
+    let waited = started.elapsed();
+    done.store(true, Ordering::Relaxed);
+    writer.join().unwrap();
+    let reply = String::from_utf8_lossy(&reply);
+    assert!(reply.starts_with("HTTP/1.1 408 "), "reply: {reply}");
+    let deadline = openc2x::http::REQUEST_DEADLINE;
+    assert!(
+        waited >= deadline - Duration::from_millis(500)
+            && waited < deadline + Duration::from_secs(1),
+        "answered after {waited:?}"
+    );
+    // The same server still answers a normal request.
+    let r = post(server.addr(), "/request_denm", b"").unwrap();
+    assert_eq!((r.status, r.body.len()), (200, 0));
+    server.shutdown();
+}
+
 #[test]
 fn wrong_method_or_path_is_404() {
     let obu = Arc::new(ObuApi::new());

@@ -1,6 +1,6 @@
 //! Client side of the campaign server: submit by name, get records.
 //!
-//! A client shares the [`CampaignRegistry`] *code* with the server, so
+//! A client shares the [`CampaignRegistry`](its_testbed::campaign::CampaignRegistry) *code* with the server, so
 //! submitting is: derive the grid locally, build a
 //! [`CampaignSubmission`] carrying its shape and fingerprint, POST it,
 //! and decode the returned `"SHRS"`…`"SHRE"` result stream. The

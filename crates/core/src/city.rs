@@ -20,7 +20,7 @@
 //! *bit-identical* [`CityRecord`] — pinned by `tests/culling_differential.rs`
 //! and re-asserted by the `city_scale` benchmark.
 //!
-//! Fleet state lives in a [`StationArena`](crate::station::StationArena)
+//! Fleet state lives in a [`StationArena`]
 //! structure-of-arrays, so the kinematics pass, busy accounting, and
 //! DCC window rolls walk contiguous arrays.
 

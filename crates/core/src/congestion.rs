@@ -171,7 +171,7 @@ fn busy_time_ns_take(acc: &mut u64) -> u64 {
 }
 
 /// Renders a station-count sweep as a table, one whole simulated fleet
-/// per job on `exec` (via [`Executor::run_indexed`] — congestion jobs
+/// per job on `exec` (via [`Executor::run_indexed`](crate::campaign::Executor::run_indexed) — congestion jobs
 /// are not scenario runs, so multi-process executors fall back to their
 /// in-process path). Each station count is an independent seeded
 /// simulation; rows render in `counts` order, so the table is identical

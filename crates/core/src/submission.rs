@@ -4,7 +4,7 @@
 //! [`CampaignRegistry`](crate::campaign::CampaignRegistry) name of the
 //! campaign to run, the shape the client expects that campaign to have
 //! (its [`SeedSchedule`] and total flat run count), and the client's
-//! [`grid_fingerprint`](crate::campaign::grid_fingerprint) of the
+//! [`grid_fingerprint`] of the
 //! derived grid. Server and client share the registry *code*, so the
 //! request never serialises a `ScenarioConfig` — it names a derivation
 //! and proves both sides derived the same thing, exactly like the shard

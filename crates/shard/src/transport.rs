@@ -10,7 +10,7 @@
 //!
 //! The worker side is [`serve_connections`]: a loop that answers one
 //! assignment per connection through the shared
-//! [`serve_stream`](crate::protocol::serve_stream). Workers announce
+//! [`serve_stream`]. Workers announce
 //! their listening address to a coordinator with [`announce_worker`]
 //! (`"SHRG"` registration frame), either from inside a test process or
 //! from the hidden [`LISTEN_FLAG`] re-exec mode
@@ -200,7 +200,7 @@ pub fn read_announcement(stream: &mut TcpStream) -> Result<SocketAddr, ShardErro
 
 /// Serves assignments on `listener` forever: one chunk per accepted
 /// connection, each answered through the shared
-/// [`serve_stream`](crate::protocol::serve_stream). Per-connection
+/// [`serve_stream`]. Per-connection
 /// errors (malformed frames, refused fingerprints, injected kills) are
 /// confined to their connection — the coordinator sees a truncated or
 /// empty stream and falls back; the loop keeps serving.

@@ -28,6 +28,13 @@ RUNNER_THREADS=1 cargo test -q
 echo "==> cargo test (RUNNER_THREADS=8)"
 RUNNER_THREADS=8 cargo test -q
 
+# Docs: every intra-doc link must resolve and none may point at a
+# private item, so deleting or hiding an item cannot leave a dangling
+# link behind.
+echo "==> cargo doc (broken and private intra-doc links are errors)"
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D rustdoc::private_intra_doc_links" \
+    cargo doc -q --workspace --no-deps
+
 # The JSON report is kept as a build artifact so CI annotations and
 # local tooling can consume machine-readable findings; `set -o
 # pipefail` above preserves detlint's exit code (0 clean / 1 findings /

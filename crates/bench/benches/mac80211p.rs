@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use phy80211p::channel::{Channel, ChannelConfig, Position2D};
-use phy80211p::edca::{AccessCategory, EdcaMac, EdcaParams, Medium};
+use phy80211p::edca::{AccessCategory, EdcaParams, Medium};
 use phy80211p::ofdm::{airtime, DataRate};
 use sim_core::{SimRng, SimTime};
 use std::hint::black_box;
@@ -43,19 +43,12 @@ fn bench(c: &mut Criterion) {
         b.iter(|| black_box(airtime(black_box(110), DataRate::Mbps6)))
     });
 
-    let mac = EdcaMac::new();
+    let voice = EdcaParams::for_category(AccessCategory::Voice);
     let mut busy = Medium::new();
     busy.occupy(SimTime::from_micros(500));
     c.bench_function("mac/edca_access_busy_medium", |b| {
         let mut rng = SimRng::seed_from(1);
-        b.iter(|| {
-            black_box(mac.access_time(
-                SimTime::ZERO,
-                AccessCategory::Voice,
-                black_box(&busy),
-                &mut rng,
-            ))
-        })
+        b.iter(|| black_box(voice.access_time(SimTime::ZERO, black_box(&busy), &mut rng)))
     });
 
     let channel = Channel::new(ChannelConfig::default());

@@ -19,7 +19,7 @@ use crate::scenario::ScenarioConfig;
 use faults::{FaultInjector, FaultNode, FaultPlan, FaultStats};
 use phy80211p::cellular::{CellularLink, CellularProfile};
 use phy80211p::channel::{Channel, ChannelConfig};
-use phy80211p::edca::{AccessCategory, EdcaMac, Medium};
+use phy80211p::edca::{AccessCategory, EdcaParams, Medium};
 use phy80211p::ofdm::{airtime, DataRate};
 use phy80211p::Position2D;
 use sim_core::{SimDuration, SimRng, SimTime};
@@ -149,7 +149,7 @@ pub fn run_platoon(config: &PlatoonConfig) -> PlatoonRecord {
     // Every vehicle polls its own OBU through the chain's OBU →
     // actuator stage.
     let stage = ChainParams::from(&ScenarioConfig::default());
-    let mac = EdcaMac::new();
+    let voice = EdcaParams::for_category(AccessCategory::Voice);
     let mut medium = Medium::new();
     let rsu_pos = Position2D::new(0.0, 1.0);
 
@@ -169,7 +169,7 @@ pub fn run_platoon(config: &PlatoonConfig) -> PlatoonRecord {
     let mut arrivals: Vec<Option<SimTime>> = vec![None; config.n_vehicles];
     match config.link {
         PlatoonLink::DirectGbc => {
-            let start = mac.access_time(send, AccessCategory::Voice, &medium, &mut rng);
+            let start = voice.access_time(send, &medium, &mut rng);
             let at = airtime(FRAME_BYTES, DATA_RATE);
             medium.occupy(start + at);
             for (i, pos) in positions.iter().enumerate() {
@@ -242,7 +242,7 @@ pub fn run_platoon(config: &PlatoonConfig) -> PlatoonRecord {
                     {
                         break;
                     }
-                    let start = mac.access_time(t, AccessCategory::Voice, &medium, &mut rng);
+                    let start = voice.access_time(t, &medium, &mut rng);
                     let at = airtime(FRAME_BYTES, DATA_RATE);
                     medium.occupy(start + at);
                     let hop = channel.transmit(

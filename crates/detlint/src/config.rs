@@ -87,9 +87,6 @@ impl Default for Config {
                 "phy80211p::transmit".into(),
                 "phy80211p::transmit_cached".into(),
                 "phy80211p::access_time".into(),
-                "phy80211p::draw_slots".into(),
-                "phy80211p::on_retry".into(),
-                "phy80211p::on_success".into(),
                 "phy80211p::observe_busy".into(),
                 "phy80211p::update_state".into(),
                 "phy80211p::gate".into(),

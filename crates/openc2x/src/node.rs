@@ -18,7 +18,7 @@ use its_messages::cam::Cam;
 use its_messages::common::{ActionId, StationId, StationType, TimestampIts};
 use its_messages::denm::Denm;
 use phy80211p::dcc::DccGatekeeper;
-use phy80211p::edca::{AccessCategory, EdcaMac};
+use phy80211p::edca::{AccessCategory, EdcaParams};
 use phy80211p::ofdm::DataRate;
 use phy80211p::Position2D;
 use sim_core::{NodeClock, SimDuration, SimRng, SimTime};
@@ -117,7 +117,6 @@ pub struct ItsStation {
     den: DenService,
     ldm: Ldm,
     loc_table: LocationTable,
-    mac: EdcaMac,
     dcc: DccGatekeeper,
     position: Position2D,
     speed_mps: f64,
@@ -175,7 +174,6 @@ impl ItsStation {
             den,
             ldm: Ldm::new(),
             loc_table: LocationTable::new(),
-            mac: EdcaMac::new(),
             dcc: DccGatekeeper::new(),
             position: Position2D::default(),
             speed_mps: 0.0,
@@ -197,11 +195,6 @@ impl ItsStation {
     /// The station identifier.
     pub fn station_id(&self) -> StationId {
         self.config.station_id
-    }
-
-    /// The EDCA MAC (for channel-access computations).
-    pub fn mac(&self) -> &EdcaMac {
-        &self.mac
     }
 
     /// The LDM (application view).
@@ -501,11 +494,6 @@ impl ItsStation {
         Ok(())
     }
 
-    /// The EDCA access category of a packet's traffic class.
-    pub fn access_category(packet: &GnPacket) -> AccessCategory {
-        AccessCategory::from_dcc_profile(packet.common.traffic_class.dcc_profile)
-    }
-
     /// Computes when this station's MAC puts `packet` on the air, given
     /// the shared medium state.
     pub fn channel_access(
@@ -515,8 +503,7 @@ impl ItsStation {
         medium: &phy80211p::Medium,
         rng: &mut SimRng,
     ) -> SimTime {
-        self.mac
-            .access_time(now, Self::access_category(packet), medium, rng)
+        self.channel_access_frame(now, &packet.as_frame(), medium, rng)
     }
 
     /// [`channel_access`](Self::channel_access) for a borrowed frame.
@@ -528,7 +515,7 @@ impl ItsStation {
         rng: &mut SimRng,
     ) -> SimTime {
         let ac = AccessCategory::from_dcc_profile(frame.common.traffic_class.dcc_profile);
-        self.mac.access_time(now, ac, medium, rng)
+        EdcaParams::for_category(ac).access_time(now, medium, rng)
     }
 
     /// Processes a received packet: geo-addressing check, BTP dispatch,
@@ -702,7 +689,10 @@ mod tests {
         assert!(matches!(p.extended, ExtendedHeader::GeoBroadcast(_)));
         assert_eq!(p.btp.destination_port, BtpPort::DENM);
         assert_eq!(p.common.traffic_class.dcc_profile, 0, "DENMs ride DP0");
-        assert_eq!(ItsStation::access_category(p), AccessCategory::Voice);
+        assert_eq!(
+            AccessCategory::from_dcc_profile(p.common.traffic_class.dcc_profile),
+            AccessCategory::Voice
+        );
     }
 
     #[test]

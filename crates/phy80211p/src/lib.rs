@@ -7,9 +7,9 @@
 //!
 //! * [`ofdm`] — frame airtime per IEEE 802.11-2012 Clause 18 with the
 //!   10 MHz timing set (8 µs symbols, 32 µs preamble),
-//! * [`edca`] — EDCA queues/AIFS/contention windows for the four access
-//!   categories (ETSI EN 302 663), including broadcast semantics (no ACK,
-//!   no retransmission),
+//! * [`edca`] — AIFS and the CWmin backoff for the four access categories
+//!   (ETSI EN 302 663); broadcast frames are sent once, with no ACK and no
+//!   retransmission,
 //! * [`channel`] — log-distance path loss with log-normal shadowing, an
 //!   NLoS blind-corner obstruction model, and an SNR→frame-error model per
 //!   modulation/coding scheme,
@@ -40,6 +40,6 @@ pub mod ofdm;
 pub mod spatial;
 
 pub use channel::{Channel, ChannelConfig, FrameLink, Obstacle, Position2D, TransmitOutcome};
-pub use edca::{AccessCategory, EdcaMac, EdcaParams, Medium};
+pub use edca::{AccessCategory, EdcaParams, Medium};
 pub use ofdm::{airtime, DataRate};
 pub use spatial::SpatialGrid;

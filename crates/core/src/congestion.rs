@@ -8,11 +8,9 @@
 //! CAM rate that actually reaches the air — the classic
 //! beaconing-vs-congestion-control trade-off.
 
-use crate::station::StationArena;
 use its_messages::common::StationId;
 use openc2x::node::{ItsStation, StationConfig};
 use phy80211p::dcc::DccState;
-use phy80211p::edca::Medium;
 use phy80211p::ofdm::airtime;
 use phy80211p::Position2D;
 use sim_core::{NodeClock, NtpModel, SimDuration, SimRng, SimTime};
@@ -72,74 +70,48 @@ pub struct CongestionRecord {
 pub fn run_congestion(config: &CongestionConfig) -> CongestionRecord {
     assert!(config.n_stations > 0, "need at least one station");
     let mut rng = SimRng::seed_from(config.seed);
-    let mut medium = Medium::new();
-    // Hot per-tick kinematic state lives in a structure-of-arrays arena;
-    // the ItsStation objects carry the protocol stacks.
-    let mut arena = StationArena::new(SimDuration::from_millis(100));
     let mut stations: Vec<ItsStation> = (0..config.n_stations)
         .map(|i| {
             let clock = NodeClock::sample(&NtpModel::default(), &mut rng, 0);
-            let mut s = ItsStation::new(
+            ItsStation::new(
                 StationConfig::obu(StationId::new(100 + i as u32).expect("static id")),
                 clock,
-            );
-            // Spread around a 100 m ring (all in radio range).
-            let angle = std::f64::consts::TAU * i as f64 / config.n_stations as f64;
-            let pos = Position2D::new(15.0 * angle.cos(), 15.0 * angle.sin());
-            s.set_position(pos);
-            arena.push_station(pos, angle.to_degrees(), SPEED_MPS);
-            s
+            )
         })
         .collect();
 
     let n = config.n_stations as f64;
+    let mut frame = Vec::new();
     let mut cams_transmitted: u64 = 0;
-    let mut busy_time_ns: u64 = 0;
     let mut on_air_ns_total: u64 = 0;
     let mut worst_state = DccState::Relaxed;
     let mut now = SimTime::ZERO;
     let end = SimTime::ZERO + config.duration;
     while now < end {
-        // Kinematics: one contiguous pass over the arena's flat arrays
-        // keeps every station "driving" so the CA position trigger
-        // fires at the maximum rate the gatekeeper allows.
+        // Every station drives around a ring of radius 15 m (all in radio
+        // range),
+        // so the CA position trigger fires at the maximum rate the
+        // gatekeeper allows.
         let phase = SPEED_MPS * now.as_secs_f64() / (std::f64::consts::TAU * 15.0);
-        let (xs, ys) = arena.coords_mut();
-        for (i, (x, y)) in xs.iter_mut().zip(ys.iter_mut()).enumerate() {
-            let angle = std::f64::consts::TAU * (i as f64 / n + phase);
-            *x = 15.0 * angle.cos();
-            *y = 15.0 * angle.sin();
-        }
-        for (i, heading) in arena.headings_deg_mut().iter_mut().enumerate() {
-            *heading = (std::f64::consts::TAU * (i as f64 / n + phase)).to_degrees();
-        }
+        let mut window_ns: u64 = 0;
         for (i, station) in stations.iter_mut().enumerate() {
-            let idx = i as u32;
-            if let Some(pos) = arena.position_of(idx) {
-                station.set_position(pos);
-            }
-            let heading = arena.headings_deg().get(i).copied().unwrap_or(0.0);
-            station.set_motion(SPEED_MPS, heading);
-            if let Ok(Some(packet)) = station.poll_cam(now) {
-                let bytes = packet.to_bytes();
-                let at = airtime(bytes.len(), station.config().data_rate);
-                medium.occupy(now + at);
-                busy_time_ns += at.as_nanos();
-                on_air_ns_total += at.as_nanos();
+            let angle = std::f64::consts::TAU * (i as f64 / n + phase);
+            station.set_position(Position2D::new(15.0 * angle.cos(), 15.0 * angle.sin()));
+            station.set_motion(SPEED_MPS, angle.to_degrees());
+            if let Ok(true) = station.poll_cam_frame(now, &mut frame) {
+                let at = airtime(frame.len(), station.config().data_rate);
+                window_ns += at.as_nanos();
                 cams_transmitted += 1;
             }
         }
+        on_air_ns_total += window_ns;
         // All stations hear everything on the shared channel; feed the
         // busy observations and advance the DCC state machines once per
-        // poll period (batched for speed).
-        let window_busy = SimDuration::from_nanos(busy_time_ns_take(&mut busy_time_ns));
+        // poll period (batched for speed). A quiet window still rolls the
+        // probe, so states can decay.
+        let window_busy = SimDuration::from_nanos(window_ns);
         for station in stations.iter_mut() {
-            if !window_busy.is_zero() {
-                station.observe_channel_busy(now, window_busy);
-            } else {
-                // Still roll the probe window so states can decay.
-                station.observe_channel_busy(now, SimDuration::ZERO);
-            }
+            station.observe_channel_busy(now, window_busy);
             worst_state = worst_state.max(station.dcc().state());
         }
         now += POLL_PERIOD;
@@ -163,11 +135,6 @@ pub fn run_congestion(config: &CongestionConfig) -> CongestionRecord {
         airtime_on_air_ns: on_air_ns_total,
         worst_dcc_state: worst_state,
     }
-}
-
-/// Takes and clears the accumulated busy time.
-fn busy_time_ns_take(acc: &mut u64) -> u64 {
-    std::mem::take(acc)
 }
 
 /// Renders a station-count sweep as a table, one whole simulated fleet

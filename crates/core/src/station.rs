@@ -1,10 +1,10 @@
 //! Structure-of-arrays station state for city-scale fleets.
 //!
-//! The congestion and city experiments tick thousands of stations per
-//! 100 ms. Keeping each station's hot state (position, heading, speed,
-//! DCC probe window, transmit counters) in its own `ItsStation` object
-//! scatters that state across the heap, so a per-tick pass chases one
-//! pointer per station. [`StationArena`] stores each field in its own
+//! The city experiment ticks thousands of stations per 100 ms. Keeping
+//! each station's hot state (position, heading, speed, DCC probe
+//! window, transmit counters) in its own `ItsStation` object scatters
+//! that state across the heap, so a per-tick pass chases one pointer
+//! per station. [`StationArena`] stores each field in its own
 //! contiguous `Vec` instead, so the kinematics pass, the channel-busy
 //! accounting, and the DCC window roll each walk flat `f64`/`u64`
 //! arrays in index order.
@@ -138,11 +138,6 @@ impl StationArena {
     /// Heading (degrees) per station, index order.
     pub fn headings_deg(&self) -> &[f64] {
         &self.headings_deg
-    }
-
-    /// Mutable headings for a contiguous kinematics pass.
-    pub fn headings_deg_mut(&mut self) -> &mut [f64] {
-        &mut self.headings_deg
     }
 
     /// Speed (m/s) per station, index order.

@@ -326,6 +326,30 @@ impl Chain {
         Some((outcome.arrival, self.injector.corrupt_frame(now, bytes)))
     }
 
+    /// [`on_air`](Self::on_air) for a pooled frame buffer: returns the
+    /// arrival instant and the buffer the receiver decodes (the damaged
+    /// copy when corruption hit it), or recycles the frame when nothing
+    /// arrives.
+    pub(crate) fn air_frame(
+        &mut self,
+        now: SimTime,
+        from_rsu: bool,
+        mut frame: Vec<u8>,
+    ) -> Option<(SimTime, Vec<u8>)> {
+        match self.on_air(now, from_rsu, &frame) {
+            Some((arrival, corrupted)) => {
+                if let Some(corrupted) = corrupted {
+                    self.recycle_frame(std::mem::replace(&mut frame, corrupted));
+                }
+                Some((arrival, frame))
+            }
+            None => {
+                self.recycle_frame(frame);
+                None
+            }
+        }
+    }
+
     /// Dispatches one chain event. The chain's records go to `trace`,
     /// `planner` decodes the warning at the ECU, and a `watchdog` (when
     /// the vehicle has one) takes every decodable DENM as a heartbeat.

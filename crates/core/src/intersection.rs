@@ -176,8 +176,9 @@ pub enum Event {
     },
     /// A CAM frame from the protagonist arrives at the RSU.
     RsuCamRx {
-        /// Wire bytes of the GN frame (possibly corrupted on the air).
-        bytes: Vec<u8>,
+        /// Wire bytes of the GN frame (possibly corrupted on the air),
+        /// in a buffer from the chain's frame pool.
+        frame: Vec<u8>,
     },
     /// A CPM frame arrives at the protagonist's OBU.
     CpmRx {
@@ -434,23 +435,23 @@ impl IntersectionScenario {
             .obu
             .set_motion(self.protagonist.speed_mps(), 270.0);
         if self.config.with_infrastructure {
-            if let Ok(Some(cam_packet)) = self.chain.obu.poll_cam(now) {
-                // Fault plane: a silenced OBU transmitter (or crashed
-                // OBU) keeps the CAM off the air; the CA service already
-                // consumed its cadence, so the next CAM is unaffected.
-                let injector = &mut self.chain.injector;
-                let lost = injector.node_down(now, FaultNode::Obu)
-                    || injector.radio_drop(now, FaultNode::Obu);
-                let bytes = cam_packet.to_bytes();
-                let delivered = if lost {
-                    None
-                } else {
-                    self.chain.on_air(now, false, &bytes)
-                };
-                if let Some((arrival, corrupted)) = delivered {
-                    let bytes = corrupted.unwrap_or(bytes);
-                    queue.schedule_at(arrival, Event::RsuCamRx { bytes });
-                }
+            let mut frame = self.chain.take_frame();
+            let sent = self
+                .chain
+                .obu
+                .poll_cam_frame(now, &mut frame)
+                .unwrap_or(false);
+            // Fault plane: a silenced OBU transmitter (or crashed OBU)
+            // keeps the CAM off the air; the CA service already consumed
+            // its cadence, so the next CAM is unaffected.
+            let injector = &mut self.chain.injector;
+            let on_air = sent
+                && !injector.node_down(now, FaultNode::Obu)
+                && !injector.radio_drop(now, FaultNode::Obu);
+            if !on_air {
+                self.chain.recycle_frame(frame);
+            } else if let Some((arrival, frame)) = self.chain.air_frame(now, false, frame) {
+                queue.schedule_at(arrival, Event::RsuCamRx { frame });
             }
         }
 
@@ -596,16 +597,16 @@ impl IntersectionScenario {
     /// The protagonist's CAM reaches the RSU, which decodes it through
     /// the real GeoNetworking stack into the LDM the conflict
     /// prediction reads. A crashed RSU hears nothing.
-    fn on_rsu_cam_rx(&mut self, now: SimTime, bytes: &[u8]) {
-        if self.chain.injector.node_down(now, FaultNode::Rsu) {
-            return;
-        }
-        match geonet::GnPacket::from_bytes(bytes) {
-            Ok(packet) => {
-                self.chain.rsu.on_packet(now, &packet);
+    fn on_rsu_cam_rx(&mut self, now: SimTime, frame: Vec<u8>) {
+        if !self.chain.injector.node_down(now, FaultNode::Rsu) {
+            match geonet::GnFrame::parse(&frame) {
+                Ok(f) => {
+                    self.chain.rsu.on_frame(now, &f);
+                }
+                Err(_) => self.chain.injector.note_rejected(),
             }
-            Err(_) => self.chain.injector.note_rejected(),
         }
+        self.chain.recycle_frame(frame);
     }
 
     /// A CPM frame reaches the protagonist's OBU: decode it and fold the
@@ -771,7 +772,7 @@ impl EventHandler for IntersectionScenario {
             Event::DetectionOutput {
                 estimated_distance_m,
             } => self.on_detection_output(now, estimated_distance_m, queue),
-            Event::RsuCamRx { bytes } => self.on_rsu_cam_rx(now, &bytes),
+            Event::RsuCamRx { frame } => self.on_rsu_cam_rx(now, frame),
             Event::CpmRx { bytes } => self.on_cpm_rx(now, &bytes),
             Event::Chain(event) => self.chain.handle(
                 now,

@@ -608,22 +608,12 @@ impl Scenario {
                 .poll_cam_frame(now, &mut frame)
                 .unwrap_or(false)
                 && !self.chain.injector.radio_drop(now, FaultNode::Obu);
-            let delivered = if sent {
-                self.chain.on_air(now, false, &frame)
-            } else {
-                None
-            };
-            match delivered {
-                Some((arrival, corrupted)) => {
-                    // A frame corrupted on the air goes to the RSU's real
-                    // GeoNetworking decoder to reject (or survive).
-                    if let Some(corrupted) = corrupted {
-                        self.chain
-                            .recycle_frame(std::mem::replace(&mut frame, corrupted));
-                    }
-                    queue.schedule_at(arrival, Event::RsuCamRx { frame });
-                }
-                None => self.chain.recycle_frame(frame),
+            if !sent {
+                self.chain.recycle_frame(frame);
+            } else if let Some((arrival, frame)) = self.chain.air_frame(now, false, frame) {
+                // A frame corrupted on the air goes to the RSU's real
+                // GeoNetworking decoder to reject (or survive).
+                queue.schedule_at(arrival, Event::RsuCamRx { frame });
             }
         }
 
@@ -783,12 +773,10 @@ impl Scenario {
         {
             return;
         }
-        let Ok(packet) = self.chain.rsu.heartbeat_cam(now) else {
-            return;
-        };
-        let bytes = packet.to_bytes();
-        if let Some((arrival, corrupted)) = self.chain.on_air(now, true, &bytes) {
-            let frame = corrupted.unwrap_or(bytes);
+        let mut frame = self.chain.take_frame();
+        if self.chain.rsu.heartbeat_cam(now, &mut frame).is_err() {
+            self.chain.recycle_frame(frame);
+        } else if let Some((arrival, frame)) = self.chain.air_frame(now, true, frame) {
             queue.schedule_at(arrival, Event::ObuCamRx { frame });
         }
     }

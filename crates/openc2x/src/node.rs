@@ -3,9 +3,10 @@
 //!
 //! An [`ItsStation`] is the software content of one OpenC2X box (OBU or
 //! RSU): its CA and DEN services, its LDM, its GeoNetworking source
-//! address, and its EDCA MAC. Stations are passive — the discrete-event
-//! scenario drives them (`poll_*`, `on_packet`) and carries the produced
-//! [`geonet::GnPacket`]s over the [`phy80211p`] channel.
+//! address, its DCC gatekeeper and its EDCA channel access. Stations are
+//! passive — the discrete-event scenario drives them (`poll_*`,
+//! `on_frame`) and carries the produced GeoNetworking frames over the
+//! [`phy80211p`] channel.
 
 use facilities::ca::{CaService, CamTriggerConfig, StationState};
 use facilities::den::{DenRequest, DenService};
@@ -133,20 +134,11 @@ pub struct ItsStation {
     denm_wire_scratch: Vec<u8>,
 }
 
-/// What the stack hands up to the application after parsing a packet.
-#[derive(Debug, Clone, PartialEq)]
-pub enum StackIndication {
-    /// A new CAM was stored into the LDM.
-    CamReceived(Box<Cam>),
-    /// A new (non-duplicate) DENM is delivered to the application.
-    DenmReceived(Box<Denm>),
-}
-
 /// Outcome of processing one received frame ([`ItsStation::on_frame`]).
 ///
-/// Unlike [`StackIndication`], a stored CAM is reported without a copy:
-/// callers that only count beacons (the common case) stay
-/// allocation-free, and the CAM itself is in the LDM.
+/// A stored CAM is reported without a copy: callers that only count
+/// beacons (the common case) stay allocation-free, and the CAM itself is
+/// in the LDM.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FrameOutcome {
     /// Filtered out: not addressed to us, our own echo, a GBC
@@ -309,35 +301,14 @@ impl ItsStation {
         self.dcc.update_state(now);
     }
 
-    /// Polls the CA service; returns an SHB packet if a CAM is due.
+    /// Polls the CA service and, if a CAM is due, writes its SHB frame
+    /// into `frame` (cleared first); returns whether a CAM went out.
+    /// Encoding reuses an internal scratch buffer, so the steady-state
+    /// beacon loop allocates nothing.
     ///
     /// A due CAM is dropped (not queued) when the DCC gatekeeper is
     /// closed for its access category — the OpenC2X gatekeeper's
     /// behaviour for stale beacons. DENMs ride AC_VO and are exempt.
-    ///
-    /// # Errors
-    ///
-    /// Returns an encoding error if the CAM violates a constraint
-    /// (cannot happen for states produced by `set_motion`).
-    pub fn poll_cam(&mut self, now: SimTime) -> uper::Result<Option<GnPacket>> {
-        match self.cam_due(now) {
-            Some(cam) => {
-                let payload = cam.to_bytes()?;
-                Ok(Some(GnPacket::single_hop(
-                    self.position_vector(now),
-                    TrafficClass::dp2(),
-                    BtpPort::CAM,
-                    payload,
-                )))
-            }
-            None => Ok(None),
-        }
-    }
-
-    /// [`poll_cam`](Self::poll_cam), serialised straight to wire bytes:
-    /// writes the full frame into `frame` (cleared first) and returns
-    /// whether a CAM went out. Encoding reuses an internal scratch
-    /// buffer, so the steady-state beacon loop allocates nothing.
     ///
     /// # Errors
     ///
@@ -348,13 +319,24 @@ impl ItsStation {
         let Some(cam) = self.cam_due(now) else {
             return Ok(false);
         };
+        self.write_cam_frame(now, &cam, frame).map(|()| true)
+    }
+
+    /// Encodes `cam` through the scratch buffer and appends its SHB
+    /// frame to `frame`; on an encoding error `frame` is left untouched.
+    fn write_cam_frame(
+        &mut self,
+        now: SimTime,
+        cam: &Cam,
+        frame: &mut Vec<u8>,
+    ) -> uper::Result<()> {
         let mut payload = std::mem::take(&mut self.cam_scratch);
         if payload.capacity() == 0 {
             // One up-front reservation instead of doubling through the
             // first CAM encode; LF-container CAMs fit comfortably.
             payload.reserve(192);
         }
-        let encoded = uper::encode_into(&cam, &mut payload);
+        let encoded = uper::encode_into(cam, &mut payload);
         if encoded.is_ok() {
             GnFrame::single_hop(
                 self.position_vector(now),
@@ -365,7 +347,7 @@ impl ItsStation {
             .write_to(frame);
         }
         self.cam_scratch = payload;
-        encoded.map(|()| true)
+        encoded
     }
 
     /// CA-service poll plus the DCC gate: the CAM to transmit now, if
@@ -382,7 +364,8 @@ impl ItsStation {
     }
 
     /// Generates one CAM *now*, bypassing both the EN 302 637-2 trigger
-    /// rules and the DCC gate, and returns it as an SHB packet.
+    /// rules and the DCC gate, and writes its SHB frame into `frame`
+    /// (cleared first).
     ///
     /// This is the liveness-beacon path: a stationary RSU would
     /// otherwise only beacon at `T_GenCamMax` (1 s), far too slow for a
@@ -394,18 +377,14 @@ impl ItsStation {
     ///
     /// Returns an encoding error if the CAM violates a constraint
     /// (cannot happen for states produced by `set_motion`).
-    pub fn heartbeat_cam(&mut self, now: SimTime) -> uper::Result<GnPacket> {
+    pub fn heartbeat_cam(&mut self, now: SimTime, frame: &mut Vec<u8>) -> uper::Result<()> {
+        frame.clear();
         let state = self.station_state();
         let cam = self.ca.generate(now, &state);
-        let payload = cam.to_bytes()?;
+        self.write_cam_frame(now, &cam, frame)?;
         self.tx_count += 1;
         self.dcc.on_transmitted(now);
-        Ok(GnPacket::single_hop(
-            self.position_vector(now),
-            TrafficClass::dp2(),
-            BtpPort::CAM,
-            payload,
-        ))
+        Ok(())
     }
 
     /// Application trigger: registers a DENM request with the DEN
@@ -421,22 +400,10 @@ impl ItsStation {
         self.den.next_due()
     }
 
-    /// Polls the DEN service; returns GBC packets for every DENM due.
-    ///
-    /// # Errors
-    ///
-    /// Returns an encoding error if a DENM violates a constraint.
-    // detlint:allow(U1) tests/stack_integration.rs and tests/fault_plane.rs take the RSU's DENM packets through it
-    pub fn poll_denm(&mut self, now: SimTime) -> uper::Result<Vec<GnPacket>> {
-        let mut packets = Vec::new();
-        self.poll_denm_into(now, &mut packets)?;
-        Ok(packets)
-    }
-
-    /// [`poll_denm`](Self::poll_denm) into a caller-provided buffer,
-    /// appending the due packets. The DENM list and its UPER wire bytes
-    /// go through station-owned scratch buffers, so steady-state polls
-    /// allocate only the `Arc` payload copy each packet hands out.
+    /// Polls the DEN service and appends a GBC packet for every DENM due
+    /// to `out`. The DENM list and its UPER wire bytes go through
+    /// station-owned scratch buffers, so steady-state polls allocate only
+    /// the `Arc` payload copy each packet hands out.
     ///
     /// # Errors
     ///
@@ -518,25 +485,10 @@ impl ItsStation {
         EdcaParams::for_category(ac).access_time(now, medium, rng)
     }
 
-    /// Processes a received packet: geo-addressing check, BTP dispatch,
-    /// LDM update, DENM de-duplication. Returns indications for the
-    /// application layer.
-    pub fn on_packet(&mut self, now: SimTime, packet: &GnPacket) -> Vec<StackIndication> {
-        match self.on_frame(now, &packet.as_frame()) {
-            FrameOutcome::Ignored => Vec::new(),
-            FrameOutcome::CamStored => match Cam::from_bytes(&packet.payload) {
-                Ok(cam) => vec![StackIndication::CamReceived(Box::new(cam))],
-                Err(_) => Vec::new(), // unreachable: CamStored implies a decodable CAM
-            },
-            FrameOutcome::DenmDelivered(denm) => vec![StackIndication::DenmReceived(denm)],
-        }
-    }
-
-    /// [`on_packet`](Self::on_packet) for a borrowed frame. The stack
-    /// duties (geo-addressing, location table, GBC dedupe, LDM update)
-    /// are identical; the returned outcome avoids re-boxing a CAM the
-    /// caller only counts, so the steady-state beacon RX path allocates
-    /// nothing beyond the LDM entry itself.
+    /// Processes a received frame: geo-addressing check, location table
+    /// and GBC de-duplication, BTP dispatch, LDM update, DENM
+    /// de-duplication. The steady-state beacon RX path allocates nothing
+    /// beyond the LDM entry itself.
     pub fn on_frame(&mut self, now: SimTime, frame: &GnFrame<'_>) -> FrameOutcome {
         let (lat, lon) = self.geo_position();
         if !frame.addresses_position(lat, lon) {
@@ -667,13 +619,33 @@ mod tests {
         )
     }
 
+    /// The station's due CAM as wire bytes.
+    fn cam_frame(station: &mut ItsStation, now: SimTime) -> Vec<u8> {
+        let mut frame = Vec::new();
+        assert!(station.poll_cam_frame(now, &mut frame).unwrap(), "CAM due");
+        frame
+    }
+
+    /// The station's due DENM packets.
+    fn denm_packets(station: &mut ItsStation, now: SimTime) -> Vec<GnPacket> {
+        let mut packets = Vec::new();
+        station.poll_denm_into(now, &mut packets).unwrap();
+        packets
+    }
+
+    /// Hands wire bytes to the station's frame RX path.
+    fn receive(station: &mut ItsStation, now: SimTime, bytes: &[u8]) -> FrameOutcome {
+        station.on_frame(now, &GnFrame::parse(bytes).unwrap())
+    }
+
     #[test]
     fn cam_packet_assembly() {
         let mut obu = obu();
-        let packet = obu.poll_cam(SimTime::ZERO).unwrap().unwrap();
-        assert!(matches!(packet.extended, ExtendedHeader::SingleHop(_)));
-        assert_eq!(packet.btp.destination_port, BtpPort::CAM);
-        let cam = Cam::from_bytes(&packet.payload).unwrap();
+        let bytes = cam_frame(&mut obu, SimTime::ZERO);
+        let frame = GnFrame::parse(&bytes).unwrap();
+        assert!(matches!(frame.extended, ExtendedHeader::SingleHop(_)));
+        assert_eq!(frame.btp.destination_port, BtpPort::CAM);
+        let cam = Cam::from_bytes(frame.payload).unwrap();
         assert_eq!(cam.header.station_id.value(), 7);
         assert_eq!(obu.tx_count(), 1);
     }
@@ -683,7 +655,7 @@ mod tests {
         let mut rsu = rsu();
         let req = collision_request(&rsu, SimTime::ZERO);
         rsu.trigger_denm(SimTime::ZERO, req);
-        let packets = rsu.poll_denm(SimTime::ZERO).unwrap();
+        let packets = denm_packets(&mut rsu, SimTime::ZERO);
         assert_eq!(packets.len(), 1);
         let p = &packets[0];
         assert!(matches!(p.extended, ExtendedHeader::GeoBroadcast(_)));
@@ -700,33 +672,37 @@ mod tests {
         let mut rsu = rsu();
         let mut obu = obu();
         // OBU CAM → RSU LDM.
-        let cam_packet = obu.poll_cam(SimTime::ZERO).unwrap().unwrap();
-        let ind = rsu.on_packet(SimTime::ZERO, &cam_packet);
-        assert!(matches!(ind[0], StackIndication::CamReceived(_)));
+        let cam = cam_frame(&mut obu, SimTime::ZERO);
+        assert_eq!(
+            receive(&mut rsu, SimTime::ZERO, &cam),
+            FrameOutcome::CamStored
+        );
         assert_eq!(rsu.ldm().station_count(), 1);
         // RSU DENM → OBU application.
         let req = collision_request(&rsu, SimTime::ZERO);
         rsu.trigger_denm(SimTime::ZERO, req);
-        let denm_packet = rsu.poll_denm(SimTime::ZERO).unwrap().remove(0);
-        let ind = obu.on_packet(SimTime::from_millis(1), &denm_packet);
-        assert_eq!(ind.len(), 1);
-        match &ind[0] {
-            StackIndication::DenmReceived(d) => {
+        let denm = denm_packets(&mut rsu, SimTime::ZERO).remove(0).to_bytes();
+        match receive(&mut obu, SimTime::from_millis(1), &denm) {
+            FrameOutcome::DenmDelivered(d) => {
                 assert_eq!(d.event_type().unwrap().cause_code(), 97)
             }
             other => panic!("unexpected {other:?}"),
         }
-        // Duplicate is dropped by the DEN receiver.
-        assert!(obu
-            .on_packet(SimTime::from_millis(2), &denm_packet)
-            .is_empty());
+        // A duplicate is dropped.
+        assert_eq!(
+            receive(&mut obu, SimTime::from_millis(2), &denm),
+            FrameOutcome::Ignored
+        );
     }
 
     #[test]
     fn own_packets_ignored() {
         let mut obu = obu();
-        let packet = obu.poll_cam(SimTime::ZERO).unwrap().unwrap();
-        assert!(obu.on_packet(SimTime::ZERO, &packet).is_empty());
+        let cam = cam_frame(&mut obu, SimTime::ZERO);
+        assert_eq!(
+            receive(&mut obu, SimTime::ZERO, &cam),
+            FrameOutcome::Ignored
+        );
         assert_eq!(obu.rx_count(), 0);
     }
 
@@ -735,21 +711,26 @@ mod tests {
         let mut rsu = rsu();
         let req = collision_request(&rsu, SimTime::ZERO);
         rsu.trigger_denm(SimTime::ZERO, req);
-        let packet = rsu.poll_denm(SimTime::ZERO).unwrap().remove(0);
+        let denm = denm_packets(&mut rsu, SimTime::ZERO).remove(0).to_bytes();
         // A station 10 km away is outside the 100 m relevance circle.
         let mut far = obu();
         far.set_position(Position2D::new(10_000.0, 0.0));
-        assert!(far.on_packet(SimTime::ZERO, &packet).is_empty());
+        assert_eq!(
+            receive(&mut far, SimTime::ZERO, &denm),
+            FrameOutcome::Ignored
+        );
     }
 
     #[test]
     fn garbage_payload_inside_valid_gn_packet_is_dropped() {
         let mut rsu = rsu();
         let mut obu = obu();
-        let mut packet = obu.poll_cam(SimTime::ZERO).unwrap().unwrap();
-        packet.payload = vec![0xFF; 7].into(); // not a CAM
-        packet.common.payload_length = (packet.payload.len() + 4) as u16;
-        assert!(rsu.on_packet(SimTime::ZERO, &packet).is_empty());
+        let garbage = [0xFF; 7]; // not a CAM
+        let cam = cam_frame(&mut obu, SimTime::ZERO);
+        let mut frame = GnFrame::parse(&cam).unwrap();
+        frame.payload = &garbage;
+        frame.common.payload_length = (garbage.len() + 4) as u16;
+        assert_eq!(rsu.on_frame(SimTime::ZERO, &frame), FrameOutcome::Ignored);
         assert_eq!(rsu.ldm().station_count(), 0);
     }
 
@@ -764,7 +745,7 @@ mod tests {
         assert_eq!(rsu.dcc().state(), phy80211p::dcc::DccState::Restrictive);
         let t = SimTime::from_secs(2);
         rsu.trigger_denm(t, collision_request(&rsu, t));
-        let packets = rsu.poll_denm(t).unwrap();
+        let packets = denm_packets(&mut rsu, t);
         assert_eq!(
             packets.len(),
             1,
@@ -787,11 +768,12 @@ mod tests {
         // Drive for 5 s with strong dynamics; Restrictive allows at most
         // one CAM per second.
         let mut cams = 0;
+        let mut frame = Vec::new();
         for ms in (0..5000u64).step_by(20) {
             let t = SimTime::from_millis(1000 + ms);
             obu.set_position(Position2D::new(2.0 + 6.0 * ms as f64 / 1000.0, 0.0));
             obu.set_motion(6.0, 90.0);
-            if obu.poll_cam(t).unwrap().is_some() {
+            if obu.poll_cam_frame(t, &mut frame).unwrap() {
                 cams += 1;
             }
         }
@@ -803,8 +785,8 @@ mod tests {
         let mut rsu = rsu();
         let mut obu = obu();
         // A CAM teaches the RSU about the OBU.
-        let cam_packet = obu.poll_cam(SimTime::ZERO).unwrap().unwrap();
-        rsu.on_packet(SimTime::ZERO, &cam_packet);
+        let cam = cam_frame(&mut obu, SimTime::ZERO);
+        receive(&mut rsu, SimTime::ZERO, &cam);
         assert_eq!(rsu.location_table().len(), 1);
         let entry = rsu
             .location_table()
@@ -815,15 +797,16 @@ mod tests {
         // The same GBC frame replayed (same sequence number) is dropped
         // at the GeoNetworking layer, before facilities-level dedupe.
         rsu.trigger_denm(SimTime::ZERO, collision_request(&rsu, SimTime::ZERO));
-        let denm_packet = rsu.poll_denm(SimTime::ZERO).unwrap().remove(0);
-        assert_eq!(
-            obu.on_packet(SimTime::from_millis(1), &denm_packet).len(),
-            1
-        );
+        let denm = denm_packets(&mut rsu, SimTime::ZERO).remove(0).to_bytes();
+        assert!(matches!(
+            receive(&mut obu, SimTime::from_millis(1), &denm),
+            FrameOutcome::DenmDelivered(_)
+        ));
         let rx_before = obu.rx_count();
-        assert!(obu
-            .on_packet(SimTime::from_millis(2), &denm_packet)
-            .is_empty());
+        assert_eq!(
+            receive(&mut obu, SimTime::from_millis(2), &denm),
+            FrameOutcome::Ignored
+        );
         assert_eq!(
             obu.rx_count(),
             rx_before,

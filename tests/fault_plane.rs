@@ -192,10 +192,9 @@ proptest! {
     ) {
         // Real frames off the real stack: a CAM SHB packet and a DENM.
         let mut obu = obu_station(seed);
-        let cam_frame = obu
-            .heartbeat_cam(SimTime::from_millis(1))
-            .expect("valid CAM")
-            .to_bytes();
+        let mut cam_frame = Vec::new();
+        obu.heartbeat_cam(SimTime::from_millis(1), &mut cam_frame)
+            .expect("valid CAM");
         let wall = obu.wall(SimTime::from_millis(2));
         let (lat, lon) = openc2x::node::lab_to_geo((41.178, -8.608), phy80211p::Position2D::new(0.0, 0.0));
         obu.trigger_denm(
@@ -208,12 +207,10 @@ proptest! {
                 ),
             ),
         );
-        let denm_frame = obu
-            .poll_denm(SimTime::from_millis(2))
-            .expect("valid DENM")
-            .pop()
-            .expect("one DENM due")
-            .to_bytes();
+        let mut denms = Vec::new();
+        obu.poll_denm_into(SimTime::from_millis(2), &mut denms)
+            .expect("valid DENM");
+        let denm_frame = denms.pop().expect("one DENM due").to_bytes();
 
         let plan = FaultPlan::new(vec![
             FaultKind::BitCorruption { per_byte_prob }.during(FaultWindow::always()),

@@ -337,8 +337,9 @@ fn web_interface_reflects_station_ldm() {
     obu.set_position(Position2D::new(2.0, 0.0));
 
     // Learn the OBU via a CAM, then publish the LDM snapshot.
-    let cam = obu.poll_cam(SimTime::ZERO).unwrap().unwrap();
-    rsu.on_packet(SimTime::ZERO, &cam);
+    let mut cam = Vec::new();
+    assert!(obu.poll_cam_frame(SimTime::ZERO, &mut cam).unwrap());
+    rsu.on_frame(SimTime::ZERO, &geonet::GnFrame::parse(&cam).unwrap());
 
     let web = std::sync::Arc::new(WebInterface::new());
     let server = web.serve("127.0.0.1:0").unwrap();

@@ -3,11 +3,12 @@
 //! station glue — without the full scenario around them.
 
 use geonet::btp::BtpPort;
+use geonet::{GnFrame, GnPacket};
 use its_messages::cause_codes::{CauseCode, CollisionRiskSubCause};
 use its_messages::common::{ReferencePosition, StationId};
 use its_messages::denm::Denm;
 use its_messages::ItsMessage;
-use openc2x::node::{ItsStation, StationConfig};
+use openc2x::node::{FrameOutcome, ItsStation, StationConfig};
 use phy80211p::channel::{Channel, ChannelConfig};
 use phy80211p::ofdm::{airtime, DataRate};
 use phy80211p::Position2D;
@@ -41,6 +42,22 @@ fn collision_request(station: &ItsStation, now: SimTime) -> facilities::den::Den
     )
 }
 
+/// The station's due CAM as wire bytes, if one is due.
+fn cam_frame(station: &mut ItsStation, now: SimTime) -> Option<Vec<u8>> {
+    let mut frame = Vec::new();
+    station
+        .poll_cam_frame(now, &mut frame)
+        .unwrap()
+        .then_some(frame)
+}
+
+/// The station's first due DENM packet.
+fn first_denm(station: &mut ItsStation, now: SimTime) -> GnPacket {
+    let mut packets = Vec::new();
+    station.poll_denm_into(now, &mut packets).unwrap();
+    packets.remove(0)
+}
+
 #[test]
 fn cam_travels_obu_to_rsu_over_channel() {
     let mut obu = obu_at(3.0);
@@ -48,8 +65,7 @@ fn cam_travels_obu_to_rsu_over_channel() {
     let channel = Channel::new(ChannelConfig::default());
     let mut rng = SimRng::seed_from(1);
 
-    let packet = obu.poll_cam(SimTime::ZERO).unwrap().expect("first CAM due");
-    let bytes = packet.to_bytes();
+    let bytes = cam_frame(&mut obu, SimTime::ZERO).expect("first CAM due");
     let outcome = channel.transmit(
         SimTime::ZERO,
         obu.position(),
@@ -60,9 +76,11 @@ fn cam_travels_obu_to_rsu_over_channel() {
     );
     assert!(outcome.delivered, "lab-scale CAM must be delivered");
     // Reparse on the receiving side, as the real radio does.
-    let rx_packet = geonet::GnPacket::from_bytes(&bytes).unwrap();
-    let inds = rsu.on_packet(outcome.arrival, &rx_packet);
-    assert_eq!(inds.len(), 1);
+    let rx_frame = GnFrame::parse(&bytes).unwrap();
+    assert_eq!(
+        rsu.on_frame(outcome.arrival, &rx_frame),
+        FrameOutcome::CamStored
+    );
     assert_eq!(rsu.ldm().station_count(), 1);
     let cam = rsu.ldm().station(StationId::new(7).unwrap()).unwrap();
     assert_eq!(cam.high_frequency.speed.as_mps(), Some(1.5));
@@ -73,23 +91,21 @@ fn denm_survives_full_encapsulation() {
     let mut rsu = rsu();
     let mut obu = obu_at(2.0);
     rsu.trigger_denm(SimTime::ZERO, collision_request(&rsu, SimTime::ZERO));
-    let packet = rsu.poll_denm(SimTime::ZERO).unwrap().remove(0);
+    let packet = first_denm(&mut rsu, SimTime::ZERO);
 
     // Round-trip through the real wire bytes.
     let wire = packet.to_bytes();
-    let parsed = geonet::GnPacket::from_bytes(&wire).unwrap();
+    let parsed = GnFrame::parse(&wire).unwrap();
     assert_eq!(parsed.btp.destination_port, BtpPort::DENM);
 
-    let inds = obu.on_packet(SimTime::from_millis(1), &parsed);
-    assert_eq!(inds.len(), 1);
-    match &inds[0] {
-        openc2x::node::StackIndication::DenmReceived(denm) => {
+    match obu.on_frame(SimTime::from_millis(1), &parsed) {
+        FrameOutcome::DenmDelivered(denm) => {
             let cause = denm.event_type().unwrap();
             assert_eq!(cause.cause_code(), 97);
             assert_eq!(cause.sub_cause_code(), 2);
             assert!(cause.requires_emergency_brake());
         }
-        other => panic!("unexpected indication {other:?}"),
+        other => panic!("unexpected outcome {other:?}"),
     }
 }
 
@@ -97,7 +113,7 @@ fn denm_survives_full_encapsulation() {
 fn denm_airtime_at_6mbps_is_sub_millisecond() {
     let mut rsu = rsu();
     rsu.trigger_denm(SimTime::ZERO, collision_request(&rsu, SimTime::ZERO));
-    let packet = rsu.poll_denm(SimTime::ZERO).unwrap().remove(0);
+    let packet = first_denm(&mut rsu, SimTime::ZERO);
     let t = airtime(packet.to_bytes().len(), DataRate::Mbps6);
     assert!(
         t.as_micros() < 400,
@@ -110,7 +126,7 @@ fn its_message_dispatch_from_wire_payload() {
     // The payload inside a BTP frame parses via the generic dispatcher.
     let mut rsu = rsu();
     rsu.trigger_denm(SimTime::ZERO, collision_request(&rsu, SimTime::ZERO));
-    let packet = rsu.poll_denm(SimTime::ZERO).unwrap().remove(0);
+    let packet = first_denm(&mut rsu, SimTime::ZERO);
     let msg = ItsMessage::from_bytes(&packet.payload).unwrap();
     match msg {
         ItsMessage::Denm(d) => assert_eq!(d.header.station_id.value(), 15),
@@ -123,9 +139,15 @@ fn duplicate_denm_suppressed_but_update_passes() {
     let mut rsu = rsu();
     let mut obu = obu_at(2.0);
     let action = rsu.trigger_denm(SimTime::ZERO, collision_request(&rsu, SimTime::ZERO));
-    let first = rsu.poll_denm(SimTime::ZERO).unwrap().remove(0);
-    assert_eq!(obu.on_packet(SimTime::from_millis(1), &first).len(), 1);
-    assert!(obu.on_packet(SimTime::from_millis(2), &first).is_empty());
+    let first = first_denm(&mut rsu, SimTime::ZERO);
+    assert_ne!(
+        obu.on_frame(SimTime::from_millis(1), &first.as_frame()),
+        FrameOutcome::Ignored
+    );
+    assert_eq!(
+        obu.on_frame(SimTime::from_millis(2), &first.as_frame()),
+        FrameOutcome::Ignored
+    );
 
     // An update produces a fresh referenceTime (facilities layer) and a
     // fresh GeoNetworking sequence number (each transmission is a new GN
@@ -140,7 +162,10 @@ fn duplicate_denm_suppressed_but_update_passes() {
     }
     updated.payload = denm.to_bytes().unwrap().into();
     updated.common.payload_length = (updated.payload.len() + 4) as u16;
-    assert_eq!(obu.on_packet(SimTime::from_millis(3), &updated).len(), 1);
+    assert_ne!(
+        obu.on_frame(SimTime::from_millis(3), &updated.as_frame()),
+        FrameOutcome::Ignored
+    );
 
     // Same GN sequence with different facilities content is still dropped
     // at the GeoNetworking layer (duplicate packet detection).
@@ -151,7 +176,10 @@ fn duplicate_denm_suppressed_but_update_passes() {
             .unwrap();
     replay.payload = denm2.to_bytes().unwrap().into();
     replay.common.payload_length = (replay.payload.len() + 4) as u16;
-    assert!(obu.on_packet(SimTime::from_millis(4), &replay).is_empty());
+    assert_eq!(
+        obu.on_frame(SimTime::from_millis(4), &replay.as_frame()),
+        FrameOutcome::Ignored
+    );
     let _ = action;
 }
 
@@ -160,12 +188,12 @@ fn ldm_reflects_both_cams_and_denms() {
     let mut rsu = rsu();
     let mut obu = obu_at(2.5);
     // CAM up.
-    let cam_packet = obu.poll_cam(SimTime::ZERO).unwrap().unwrap();
-    rsu.on_packet(SimTime::ZERO, &cam_packet);
+    let cam = cam_frame(&mut obu, SimTime::ZERO).unwrap();
+    rsu.on_frame(SimTime::ZERO, &GnFrame::parse(&cam).unwrap());
     // DENM down.
     rsu.trigger_denm(SimTime::ZERO, collision_request(&rsu, SimTime::ZERO));
-    let denm_packet = rsu.poll_denm(SimTime::ZERO).unwrap().remove(0);
-    obu.on_packet(SimTime::from_millis(1), &denm_packet);
+    let denm_packet = first_denm(&mut rsu, SimTime::ZERO);
+    obu.on_frame(SimTime::from_millis(1), &denm_packet.as_frame());
 
     assert_eq!(rsu.ldm().station_count(), 1);
     assert_eq!(obu.ldm().event_count(), 1);
@@ -176,13 +204,19 @@ fn ldm_reflects_both_cams_and_denms() {
 fn geobroadcast_respects_relevance_area() {
     let mut rsu = rsu();
     rsu.trigger_denm(SimTime::ZERO, collision_request(&rsu, SimTime::ZERO));
-    let packet = rsu.poll_denm(SimTime::ZERO).unwrap().remove(0);
+    let packet = first_denm(&mut rsu, SimTime::ZERO);
     // Inside the 100 m default relevance circle.
     let mut near = obu_at(50.0);
-    assert_eq!(near.on_packet(SimTime::ZERO, &packet).len(), 1);
+    assert_ne!(
+        near.on_frame(SimTime::ZERO, &packet.as_frame()),
+        FrameOutcome::Ignored
+    );
     // Outside it.
     let mut far = obu_at(500.0);
-    assert!(far.on_packet(SimTime::ZERO, &packet).is_empty());
+    assert_eq!(
+        far.on_frame(SimTime::ZERO, &packet.as_frame()),
+        FrameOutcome::Ignored
+    );
 }
 
 #[test]
@@ -197,7 +231,7 @@ fn cam_generation_follows_dynamics_over_a_drive() {
             let x = 100.0 - speed_mps * ms as f64 / 1000.0;
             obu.set_position(Position2D::new(x, 0.0));
             obu.set_motion(speed_mps, 270.0);
-            if obu.poll_cam(t).unwrap().is_some() {
+            if cam_frame(&mut obu, t).is_some() {
                 cams += 1;
             }
         }

@@ -2,18 +2,17 @@
 //!
 //! [`SocketFanout::run_flat`] is the workspace's one chunk coordinator:
 //! chunks come from the shared [`runner::chunk_bounds`] math over the
-//! row-major flattened grid, every assignment is sent eagerly over a
+//! grid's [`FlatGrid`], every assignment is sent eagerly over a
 //! [`TcpTransport`] so workers compute concurrently, chunks are
 //! collected and merged strictly in chunk order, and any chunk whose
 //! worker fails, stalls, or refuses is re-executed in-process
 //! ([`shard::protocol::compute_chunk`]) for identical bytes. Worker
 //! count, worker death, and worker order therefore never change a
-//! single output byte. [`FanoutExecutor`] puts the same loop behind the
-//! [`Executor`] trait.
+//! single output byte.
 
-use its_testbed::campaign::{grid_fingerprint, CampaignSpec, Executor, Serial};
+use its_testbed::campaign::{grid_fingerprint, CampaignSpec, FlatGrid};
 use its_testbed::RunRecord;
-use shard::protocol::{compute_chunk, encode_assignment, grid_offsets, Assignment, FLAT_GRID};
+use shard::protocol::{compute_chunk, encode_assignment, Assignment, FLAT_GRID};
 use shard::transport::{collect_chunk, ChunkFailure, TcpTransport};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -70,8 +69,7 @@ impl SocketFanout {
     /// flat records in job order — byte-identical to serial execution
     /// at any worker count, including zero (pure local execution).
     pub fn run_flat(&self, workers: &[SocketAddr]) -> Vec<RunRecord> {
-        let offsets = grid_offsets(&self.grid);
-        let jobs = offsets.last().copied().unwrap_or(0);
+        let jobs = FlatGrid::new(&self.grid).jobs();
         if jobs == 0 {
             return Vec::new();
         }
@@ -129,92 +127,17 @@ impl SocketFanout {
     /// In-process execution of flat jobs `lo..hi` — the worker's exact
     /// compute step, used for zero-worker serving and chunk fallback.
     fn local(&self, lo: usize, hi: usize) -> Vec<RunRecord> {
-        // The bounds come from grid_offsets over this same grid, so the
+        // The bounds come from the FlatGrid of this same grid, so the
         // error arm is unreachable; an empty chunk (not a panic) is the
         // contained failure mode if that invariant ever broke.
         compute_chunk(&self.grid, FLAT_GRID, lo, hi).unwrap_or_default()
     }
 }
 
-/// Socket workers as a first-class [`Executor`]: binds one campaign
-/// grid and fans matching submissions over one [`SocketFanout`].
-///
-/// A grid whose fingerprint matches the bound campaign runs across the
-/// workers and merges byte-identically to [`Serial`]; any other grid
-/// (which the workers could not re-derive, so every chunk would be
-/// refused) is computed locally — degraded, never wrong.
-/// `run_indexed` keeps the trait's deterministic serial default:
-/// arbitrary closures cannot be shipped to worker processes, so
-/// non-spec sweeps (the city benchmark, the cooperative fault sweep)
-/// run in-process with unchanged bytes.
-#[derive(Debug)]
-pub struct FanoutExecutor {
-    fanout: SocketFanout,
-    workers: Vec<SocketAddr>,
-    fallback_grids: AtomicUsize,
-}
-
-impl FanoutExecutor {
-    /// Binds `campaign`'s derived `grid` to the given socket `workers`.
-    pub fn new(campaign: &str, grid: Vec<CampaignSpec>, workers: Vec<SocketAddr>) -> Self {
-        Self {
-            fanout: SocketFanout::new(campaign, grid),
-            workers,
-            fallback_grids: AtomicUsize::new(0),
-        }
-    }
-
-    /// Replaces the per-chunk result timeout (default 120 s).
-    #[must_use]
-    pub fn with_timeout(mut self, timeout: Duration) -> Self {
-        self.fanout = self.fanout.with_timeout(timeout);
-        self
-    }
-
-    /// Grids executed locally because they were not the bound campaign.
-    pub fn fallback_grids(&self) -> usize {
-        self.fallback_grids.load(Ordering::Relaxed)
-    }
-
-    /// Chunks of the bound campaign re-executed in-process because a
-    /// worker failed, timed out, or refused its assignment.
-    pub fn fallback_chunks(&self) -> usize {
-        self.fanout.fallback_chunks()
-    }
-
-    /// The subset of [`Self::fallback_chunks`] caused by the per-chunk
-    /// timeout specifically.
-    pub fn timed_out_chunks(&self) -> usize {
-        self.fanout.timed_out_chunks()
-    }
-}
-
-impl Executor for FanoutExecutor {
-    fn execute(&self, spec: &CampaignSpec) -> Vec<RunRecord> {
-        // A lone spec is addressable over the flat-grid protocol only
-        // when it *is* the bound grid.
-        self.execute_grid(std::slice::from_ref(spec))
-            .pop()
-            .unwrap_or_default()
-    }
-
-    fn execute_grid(&self, specs: &[CampaignSpec]) -> Vec<Vec<RunRecord>> {
-        if grid_fingerprint(specs) != self.fanout.grid_fp {
-            self.fallback_grids.fetch_add(1, Ordering::Relaxed);
-            return Serial.execute_grid(specs);
-        }
-        let mut records = self.fanout.run_flat(&self.workers).into_iter();
-        specs
-            .iter()
-            .map(|spec| records.by_ref().take(spec.runs).collect())
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use its_testbed::campaign::CampaignRegistry;
+    use its_testbed::campaign::{CampaignRegistry, Executor, Serial};
     use its_testbed::ScenarioConfig;
     use shard::transport::serve_connections;
     use std::net::TcpListener;
@@ -283,39 +206,6 @@ mod tests {
         assert_eq!(fanout.run_flat(&[live, dead]), serial_flat());
         assert_eq!(fanout.fallback_chunks(), 1);
         assert_eq!(fanout.timed_out_chunks(), 0);
-    }
-
-    #[test]
-    fn fanout_executor_matches_serial_over_workers() {
-        let workers: Vec<SocketAddr> = (0..2).map(|_| spawn_worker()).collect();
-        let exec = FanoutExecutor::new("demo", demo_grid(), workers.clone());
-        assert_eq!(
-            exec.execute_grid(&demo_grid()),
-            Serial.execute_grid(&demo_grid())
-        );
-        assert_eq!(exec.fallback_grids(), 0);
-        assert_eq!(exec.fallback_chunks(), 0);
-        // A dead worker's chunk is re-run locally, and the executor
-        // reports it.
-        let dead: SocketAddr = "127.0.0.1:9".parse().unwrap();
-        let with_dead = [workers, vec![dead]].concat();
-        let exec = FanoutExecutor::new("demo", demo_grid(), with_dead);
-        assert_eq!(
-            exec.execute_grid(&demo_grid()),
-            Serial.execute_grid(&demo_grid())
-        );
-        assert_eq!(exec.fallback_chunks(), 1);
-        assert_eq!(exec.timed_out_chunks(), 0);
-        // A foreign grid is computed locally — identical bytes, counted.
-        let foreign = vec![CampaignSpec::new(
-            ScenarioConfig {
-                seed: 31,
-                ..ScenarioConfig::default()
-            },
-            2,
-        )];
-        assert_eq!(exec.execute_grid(&foreign), Serial.execute_grid(&foreign));
-        assert_eq!(exec.fallback_grids(), 1);
     }
 
     #[test]

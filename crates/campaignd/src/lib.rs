@@ -23,8 +23,7 @@
 //! * [`queue::SubmissionQueue`] — bounded FIFO making concurrent
 //!   submissions execute one at a time, in arrival order.
 //! * [`fanout::SocketFanout`] — the chunk coordinator over
-//!   `TcpTransport` links, with degraded-never-wrong chunk fallback;
-//!   [`fanout::FanoutExecutor`] puts it behind the `Executor` trait.
+//!   `TcpTransport` links, with degraded-never-wrong chunk fallback.
 //! * [`server::CampaignServer`] — the HTTP front door, reusing
 //!   [`openc2x::http::HttpServer`].
 //! * [`client`] — submit-by-name helpers, including
@@ -74,7 +73,7 @@ pub mod pool;
 pub mod queue;
 pub mod server;
 
-pub use fanout::{FanoutExecutor, SocketFanout};
+pub use fanout::SocketFanout;
 pub use pool::WorkerPool;
 pub use queue::SubmissionQueue;
 pub use server::{CampaignServer, RunningCampaignServer};

@@ -8,16 +8,15 @@
 //! * [`Serial`] — a plain loop on the calling thread (the reference
 //!   semantics every other executor must reproduce bitwise),
 //! * [`Runner`] — the in-process thread pool of `crates/runner`
-//!   (DESIGN.md §8),
-//! * `campaignd::FanoutExecutor` — socket worker processes behind the
-//!   chunk coordinator of `crates/campaignd` (DESIGN.md §10/§14).
+//!   (DESIGN.md §8).
 //!
 //! Every experiment entry point ([`crate::experiments`],
 //! [`crate::ablation`], [`crate::congestion`]) takes `&impl Executor`,
-//! so the same campaign definition runs serially, across threads, or
-//! across worker processes — and, by the executors' shared
-//! static-chunk/index-merge contract, produces byte-identical results
-//! on all of them.
+//! so the same campaign definition runs serially or across threads —
+//! and, by the executors' shared static-chunk/index-merge contract,
+//! produces byte-identical results on both. Worker processes run a
+//! registered grid through `campaignd::SocketFanout` (DESIGN.md
+//! §10/§14), which indexes it by the same [`FlatGrid`].
 //!
 //! # Example
 //!
@@ -196,6 +195,47 @@ pub fn grid_fingerprint(specs: &[CampaignSpec]) -> u64 {
     h.finish()
 }
 
+/// A campaign grid flattened into one row-major job list (spec-major,
+/// run-minor): flat job `j` is run `j − offset(k)` of the spec `k` whose
+/// runs hold it. [`Runner`]'s `execute_grid`, the shard worker's chunk
+/// compute and the socket coordinator all index a grid this way, so a
+/// chunk of flat indices names the same runs everywhere.
+#[derive(Debug, Clone)]
+pub struct FlatGrid<'a> {
+    specs: &'a [CampaignSpec],
+    /// Exclusive prefix sums of the run counts; the last element is the
+    /// job total.
+    offsets: Vec<usize>,
+}
+
+impl<'a> FlatGrid<'a> {
+    /// Flattens `specs`.
+    pub fn new(specs: &'a [CampaignSpec]) -> Self {
+        let mut offsets = Vec::with_capacity(specs.len() + 1);
+        let mut total = 0usize;
+        for spec in specs {
+            offsets.push(total);
+            total += spec.runs;
+        }
+        offsets.push(total);
+        Self { specs, offsets }
+    }
+
+    /// Number of flat jobs: the grid's total run count.
+    pub fn jobs(&self) -> usize {
+        self.offsets.last().copied().unwrap_or(0)
+    }
+
+    /// Executes flat job `j` (`j < jobs()`).
+    pub fn run_job(&self, j: usize) -> RunRecord {
+        let k = match self.offsets.binary_search(&j) {
+            Ok(k) => k,
+            Err(k) => k - 1,
+        };
+        self.specs[k].run_job(j - self.offsets[k])
+    }
+}
+
 /// FNV-1a, the same construction `sim_core::Trace::digest` uses.
 struct Fnv(u64);
 
@@ -228,9 +268,8 @@ pub trait Executor {
     /// returning one record vector per spec, each in seed-index order.
     ///
     /// The default runs the specs back to back; executors with a worker
-    /// pool override this to flatten the grid into a single row-major
-    /// job list so small per-parameter campaigns still fill every
-    /// worker.
+    /// pool override this to run the [`FlatGrid`] so small
+    /// per-parameter campaigns still fill every worker.
     fn execute_grid(&self, specs: &[CampaignSpec]) -> Vec<Vec<RunRecord>> {
         specs.iter().map(|spec| self.execute(spec)).collect()
     }
@@ -240,10 +279,8 @@ pub trait Executor {
     /// scenario runs (e.g. the congestion fleets, one whole simulated
     /// fleet per job).
     ///
-    /// The default is a serial loop; in-process executors override it
-    /// to parallelise. Multi-process executors cannot ship arbitrary
-    /// closures to workers, so they fall back to this default — which
-    /// is still bitwise identical, just not distributed.
+    /// The default is a serial loop; [`Runner`] overrides it to
+    /// parallelise.
     fn run_indexed<T, F>(&self, jobs: usize, job: F) -> Vec<T>
     where
         T: Send,
@@ -268,27 +305,12 @@ impl Executor for Runner {
         self.run(spec.runs, |i| spec.run_job(i))
     }
 
-    /// Flattens the grid into one row-major job list (spec-major, run-
-    /// minor) so the static chunk assignment spreads the whole grid —
-    /// not each small per-parameter campaign — across the pool.
+    /// Runs the [`FlatGrid`] so the static chunk assignment spreads the
+    /// whole grid — not each small per-parameter campaign — across the
+    /// pool.
     fn execute_grid(&self, specs: &[CampaignSpec]) -> Vec<Vec<RunRecord>> {
-        // Exclusive prefix sums: offsets[k] is the flat index of spec
-        // k's first run.
-        let mut offsets = Vec::with_capacity(specs.len() + 1);
-        let mut total = 0usize;
-        for spec in specs {
-            offsets.push(total);
-            total += spec.runs;
-        }
-        offsets.push(total);
-        let records = self.run(total, |j| {
-            let k = match offsets.binary_search(&j) {
-                Ok(k) => k,
-                Err(k) => k - 1,
-            };
-            specs[k].run_job(j - offsets[k])
-        });
-        let mut records = records.into_iter();
+        let flat = FlatGrid::new(specs);
+        let mut records = self.run(flat.jobs(), |j| flat.run_job(j)).into_iter();
         specs
             .iter()
             .map(|spec| records.by_ref().take(spec.runs).collect())

@@ -12,7 +12,7 @@
 
 use crate::ShardError;
 use geonet::bytesio::{ByteReader, ByteWriterExt};
-use its_testbed::campaign::{grid_fingerprint, CampaignRegistry, CampaignSpec};
+use its_testbed::campaign::{grid_fingerprint, CampaignRegistry, CampaignSpec, FlatGrid};
 use its_testbed::RunRecord;
 use std::io::{Read, Write};
 
@@ -181,33 +181,11 @@ pub fn decode_result_stream(bytes: &[u8]) -> Result<Vec<RunRecord>, ShardError> 
     Ok(records)
 }
 
-/// Exclusive prefix sums of the grid's run counts; the last element is
-/// the flat job total. Shared by coordinator and worker so flat indices
-/// mean the same thing on both sides.
-pub fn grid_offsets(grid: &[CampaignSpec]) -> Vec<usize> {
-    let mut offsets = Vec::with_capacity(grid.len() + 1);
-    let mut total = 0usize;
-    for spec in grid {
-        offsets.push(total);
-        total += spec.runs;
-    }
-    offsets.push(total);
-    offsets
-}
-
-/// Runs flat job `j` of the grid: row-major, spec-major / run-minor —
-/// the same flattening `Runner::execute_grid` uses.
-fn flat_job(grid: &[CampaignSpec], offsets: &[usize], j: usize) -> RunRecord {
-    let k = match offsets.binary_search(&j) {
-        Ok(k) => k,
-        Err(k) => k - 1,
-    };
-    grid[k].run_job(j - offsets[k])
-}
-
 /// Executes one chunk of the campaign in-process: the worker's compute
 /// step, and the coordinator's deterministic fallback when a worker
-/// fails — identical bytes either way, by purity of the jobs.
+/// fails — identical bytes either way, by purity of the jobs. With
+/// [`FLAT_GRID`], `lo..hi` index the grid's [`FlatGrid`], so flat
+/// indices mean the same thing on coordinator and worker.
 ///
 /// # Errors
 ///
@@ -220,14 +198,14 @@ pub fn compute_chunk(
     hi: usize,
 ) -> Result<Vec<RunRecord>, ShardError> {
     if spec_index == FLAT_GRID {
-        let offsets = grid_offsets(grid);
-        let total = *offsets.last().unwrap_or(&0);
+        let flat = FlatGrid::new(grid);
+        let total = flat.jobs();
         if hi > total {
             return Err(ShardError::Protocol(format!(
                 "chunk {lo}..{hi} exceeds {total} flat jobs"
             )));
         }
-        Ok((lo..hi).map(|j| flat_job(grid, &offsets, j)).collect())
+        Ok((lo..hi).map(|j| flat.run_job(j)).collect())
     } else {
         let spec = grid
             .get(spec_index as usize)
@@ -425,14 +403,17 @@ mod tests {
     #[test]
     fn flat_jobs_match_per_spec_jobs() {
         let grid = demo_grid();
-        let offsets = grid_offsets(&grid);
-        assert_eq!(offsets, vec![0, 3, 5]);
-        for (k, spec) in grid.iter().enumerate() {
-            for i in 0..spec.runs {
-                let flat = flat_job(&grid, &offsets, offsets[k] + i);
-                assert_eq!(flat, spec.run_job(i), "spec {k} run {i}");
-            }
-        }
+        let per_spec: Vec<RunRecord> = grid
+            .iter()
+            .flat_map(|spec| (0..spec.runs).map(|i| spec.run_job(i)))
+            .collect();
+        assert_eq!(compute_chunk(&grid, FLAT_GRID, 0, 5).unwrap(), per_spec);
+        // A chunk crossing the spec boundary: spec 0's last run, then
+        // spec 1's first.
+        assert_eq!(
+            compute_chunk(&grid, FLAT_GRID, 2, 4).unwrap(),
+            per_spec[2..4]
+        );
     }
 
     #[test]

@@ -282,8 +282,8 @@ pub fn socket_worker_main_if_requested(registry: &CampaignRegistry) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{compute_chunk, encode_assignment, grid_offsets, Assignment, FLAT_GRID};
-    use its_testbed::campaign::{grid_fingerprint, CampaignSpec};
+    use crate::protocol::{compute_chunk, encode_assignment, Assignment, FLAT_GRID};
+    use its_testbed::campaign::{grid_fingerprint, CampaignSpec, FlatGrid};
     use its_testbed::ScenarioConfig;
 
     fn demo_grid() -> Vec<CampaignSpec> {
@@ -336,7 +336,7 @@ mod tests {
     fn tcp_worker_serves_consecutive_connections() {
         let addr = spawn_worker_thread();
         let grid = demo_grid();
-        let total = *grid_offsets(&grid).last().unwrap();
+        let total = FlatGrid::new(&grid).jobs();
         for lo in 0..total as u64 {
             let mut link = TcpTransport::connect(addr).expect("connect");
             link.send_frame(&encode_assignment(&assignment(lo, lo + 1)))

@@ -1,20 +1,21 @@
 //! Tier-1 regression test for campaigns on socket worker processes
 //! (DESIGN.md §10/§14). Over 1/2/4 re-exec'd socket workers, table2,
 //! table3 and the fault-sweep campaign (DESIGN.md §11) run through
-//! [`FanoutExecutor`] to **byte-identical** output, and table2, table3
-//! and a multi-spec city-style sweep submitted to the HTTP campaign
-//! server stream the serial bytes — both with no chunk falling back.
-//! Output stays identical when workers are killed mid-chunk (executor
-//! and server), when a worker hangs until the executor's per-chunk
-//! timeout shuts its connection, and when two clients submit
-//! concurrently. Queue overflow answers a deterministic 503. The
-//! 8-thread in-process runner is checked against the same references.
+//! [`SocketFanout::run_flat`] to the **byte-identical** result stream of
+//! the serial loop, and table2, table3 and a multi-spec city-style sweep
+//! submitted to the HTTP campaign server stream the same serial bytes —
+//! both with no chunk falling back. Output stays identical when workers
+//! are killed mid-chunk (fan-out and server), when a worker hangs until
+//! the fan-out's per-chunk timeout shuts its connection, and when two
+//! clients submit concurrently. Queue overflow answers a deterministic
+//! 503. The 8-thread in-process runner is checked against the serial
+//! tables.
 //!
 //! `harness = false`: the workers are this very binary re-exec'd, so
 //! `main` must dispatch `--shard-listen` before anything else instead of
 //! handing control to libtest.
 
-use campaignd::{client, CampaignServer, FanoutExecutor, RunningCampaignServer, WorkerPool};
+use campaignd::{client, CampaignServer, RunningCampaignServer, SocketFanout, WorkerPool};
 use its_testbed::campaign::{CampaignRegistry, CampaignSpec, Executor, Serial};
 use its_testbed::experiments::{table2, table3, Table3};
 use its_testbed::faultsweep::{fault_sweep, fault_sweep_specs};
@@ -80,8 +81,7 @@ fn faultsweep_grid() -> Vec<CampaignSpec> {
 
 // The table2/table3/faultsweep derivations mirror exactly what
 // `experiments::table2`/`table3` and `fault_sweep` build internally, so
-// the executor recognises their specs by fingerprint and fans them out
-// instead of falling back.
+// the serial references below are the tables' own runs.
 fn registry() -> CampaignRegistry {
     CampaignRegistry::new()
         .register("table2", table2_grid)
@@ -90,11 +90,8 @@ fn registry() -> CampaignRegistry {
         .register("faultsweep", faultsweep_grid)
 }
 
-const CAMPAIGNS: [(&str, fn() -> Vec<CampaignSpec>); 3] = [
-    ("table2", table2_grid),
-    ("table3", table3_grid),
-    ("city_sweep", city_sweep_grid),
-];
+/// The campaigns submitted to the HTTP server at every worker count.
+const SERVED: [&str; 3] = ["table2", "table3", "city_sweep"];
 
 fn serial_stream(grid: &[CampaignSpec]) -> Vec<u8> {
     let flat: Vec<RunRecord> = Serial.execute_grid(grid).into_iter().flatten().collect();
@@ -136,16 +133,16 @@ fn serve(workers: &[SocketAddr]) -> RunningCampaignServer {
         .expect("bind campaign server")
 }
 
-/// The socket-worker executor bound to one registered campaign.
-fn executor(campaign: &str, workers: &[SocketAddr]) -> FanoutExecutor {
+/// The socket fan-out of one registered campaign.
+fn fanout(campaign: &str) -> SocketFanout {
     let grid = registry().derive(campaign).expect("registered");
-    FanoutExecutor::new(campaign, grid, workers.to_vec()).with_timeout(Duration::from_secs(300))
+    SocketFanout::new(campaign, grid).with_timeout(Duration::from_secs(300))
 }
 
-/// No chunk was re-run in-process and the grid was the bound one, so
-/// every record crossed a socket.
-fn no_fallback(exec: &FanoutExecutor) -> bool {
-    exec.fallback_chunks() == 0 && exec.fallback_grids() == 0
+/// Whether `fanout`'s records over `workers` encode to the result
+/// stream `expected`.
+fn streams(fanout: &SocketFanout, workers: &[SocketAddr], expected: &[u8]) -> bool {
+    encode_results(&fanout.run_flat(workers)) == expected
 }
 
 fn main() {
@@ -155,11 +152,24 @@ fn main() {
 
     let mut failures = 0usize;
 
-    // Reference streams and tables from the plain serial loop.
-    let serial: Vec<(&str, Vec<u8>)> = CAMPAIGNS
-        .iter()
-        .map(|&(name, grid)| (name, serial_stream(&grid())))
+    // Reference result streams (one per registered campaign) and tables
+    // from the plain serial loop.
+    let serial: Vec<(&str, Vec<u8>)> = registry
+        .names()
+        .map(|name| {
+            (
+                name,
+                serial_stream(&registry.derive(name).expect("registered")),
+            )
+        })
         .collect();
+    let serial_of = |campaign: &str| -> &[u8] {
+        &serial
+            .iter()
+            .find(|(n, _)| *n == campaign)
+            .expect("registered")
+            .1
+    };
     let t2_serial = table2(&Serial, &base(), RUNS).render();
     let t3_serial = braking_bits(&table3(&Serial, &base(), RUNS));
     let fs_serial = fault_sweep(&Serial, &fs_base(), FS_RUNS);
@@ -197,41 +207,28 @@ fn main() {
     }
 
     // Byte identity at every worker count, with no chunk falling back
-    // in-process: the executor's tables must equal serial, and the raw
-    // HTTP body must equal the serial result stream.
+    // in-process: the fan-out's records and the raw HTTP body must both
+    // equal the serial result stream.
     for workers in [1usize, 2, 4] {
         let (procs, addrs) = spawn_workers(workers);
 
-        let exec = executor("table2", &addrs);
-        check(
-            &format!("table2: {workers}-worker executor matches serial, no fallback"),
-            table2(&exec, &base(), RUNS).render() == t2_serial && no_fallback(&exec),
-            &mut failures,
-        );
-        let exec = executor("table3", &addrs);
-        check(
-            &format!("table3: {workers}-worker executor matches serial (bitwise), no fallback"),
-            braking_bits(&table3(&exec, &base(), RUNS)) == t3_serial && no_fallback(&exec),
-            &mut failures,
-        );
-        let exec = executor("faultsweep", &addrs);
-        let sweep = fault_sweep(&exec, &fs_base(), FS_RUNS);
-        check(
-            &format!("faultsweep: {workers}-worker executor matches serial, no fallback"),
-            sweep == fs_serial
-                && sweep.fingerprint() == fs_serial.fingerprint()
-                && no_fallback(&exec),
-            &mut failures,
-        );
+        for campaign in ["table2", "table3", "faultsweep"] {
+            let fanout = fanout(campaign);
+            check(
+                &format!("{campaign}: {workers}-worker fan-out streams serial bytes, no fallback"),
+                streams(&fanout, &addrs, serial_of(campaign)) && fanout.fallback_chunks() == 0,
+                &mut failures,
+            );
+        }
 
         let server = serve(&addrs);
-        for (name, expected) in &serial {
+        for name in SERVED {
             let grid = registry.derive(name).expect("registered");
             let frame = encode_submission(&CampaignSubmission::for_grid(name, &grid));
             let resp = client::submit_raw(server.addr(), &frame).expect("submit");
             check(
                 &format!("{name}: {workers}-worker server streams serial bytes"),
-                resp.status == 200 && &resp.body == expected,
+                resp.status == 200 && resp.body == serial_of(name),
                 &mut failures,
             );
         }
@@ -245,24 +242,23 @@ fn main() {
     }
 
     // Kill injection: chunks 0 and 2 of 4 die mid-chunk (result magic
-    // written, records missing, connection dropped). The executor and
-    // the server must detect both truncations, re-run those chunks
+    // written, records missing, connection dropped). The fan-out and the
+    // server must detect both truncations, re-run those chunks
     // in-process, and still produce the exact serial bytes.
     std::env::set_var(KILL_ENV, "0,2");
     {
         let (procs, addrs) = spawn_workers(4);
-        let exec = executor("table2", &addrs);
-        check(
-            "table2: 4-worker executor with killed chunks 0,2 matches serial, 2 fell back",
-            table2(&exec, &base(), RUNS).render() == t2_serial && exec.fallback_chunks() == 2,
-            &mut failures,
-        );
-        let exec = executor("table3", &addrs);
-        check(
-            "table3: 4-worker executor with killed chunks 0,2 matches serial, 2 fell back",
-            braking_bits(&table3(&exec, &base(), RUNS)) == t3_serial && exec.fallback_chunks() == 2,
-            &mut failures,
-        );
+        for campaign in ["table2", "table3"] {
+            let fanout = fanout(campaign);
+            check(
+                &format!(
+                    "{campaign}: 4-worker fan-out with killed chunks 0,2 streams serial bytes, \
+                     2 fell back"
+                ),
+                streams(&fanout, &addrs, serial_of(campaign)) && fanout.fallback_chunks() == 2,
+                &mut failures,
+            );
+        }
 
         let server = serve(&addrs);
         let grid = table2_grid();
@@ -270,7 +266,7 @@ fn main() {
         let resp = client::submit_raw(server.addr(), &frame).expect("submit");
         check(
             "table2: 4-worker server with killed chunks 0,2 streams serial bytes",
-            resp.status == 200 && resp.body == serial_stream(&grid),
+            resp.status == 200 && resp.body == serial_of("table2"),
             &mut failures,
         );
         check(
@@ -284,21 +280,21 @@ fn main() {
     std::env::remove_var(KILL_ENV);
 
     // Hang injection: chunk 1 of 4 reads its assignment and then never
-    // writes a byte. The executor's result timeout must shut the
+    // writes a byte. The fan-out's result timeout must shut the
     // connection, count the chunk as timed out, re-run it in-process,
     // and still merge to the exact serial bytes.
     std::env::set_var(HANG_ENV, "1");
     {
         let (procs, addrs) = spawn_workers(4);
-        let exec = executor("table2", &addrs).with_timeout(Duration::from_secs(5));
+        let fanout = fanout("table2").with_timeout(Duration::from_secs(5));
         check(
-            "table2: 4-worker executor with hung chunk 1 matches serial",
-            table2(&exec, &base(), RUNS).render() == t2_serial,
+            "table2: 4-worker fan-out with hung chunk 1 streams serial bytes",
+            streams(&fanout, &addrs, serial_of("table2")),
             &mut failures,
         );
         check(
             "hang injection tripped the chunk timeout",
-            exec.timed_out_chunks() == 1 && exec.fallback_chunks() == 1,
+            fanout.timed_out_chunks() == 1 && fanout.fallback_chunks() == 1,
             &mut failures,
         );
         drop(procs);

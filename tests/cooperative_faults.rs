@@ -1,49 +1,21 @@
 //! The cooperative fault sweep (platoon + intersection under
 //! node-targeted fault campaigns, DESIGN.md §15) must be byte-identical
-//! however it is executed: serial in-process, the deterministic thread
-//! pool, and the campaign server's socket-worker executor.
+//! however it is executed: serial in-process or on the deterministic
+//! thread pool.
 //!
-//! Sweep jobs are not plain scenario-spec runs, so every executor
-//! reaches them through [`Executor::run_indexed`]'s in-process path —
-//! the same contract the city campaign pins — while the socket-backed
-//! [`FanoutExecutor`] additionally proves its spec-grid path merges
-//! byte-identically to [`Serial`] over live TCP workers.
+//! Sweep jobs are not plain scenario-spec runs, so both executors reach
+//! them through `Executor::run_indexed` — the same contract the city
+//! campaign pins.
 
-use campaignd::FanoutExecutor;
 use facilities::cpm::CpServiceConfig;
-use its_testbed::campaign::{CampaignRegistry, CampaignSpec, Executor, Serial};
+use its_testbed::campaign::Serial;
 use its_testbed::coopsweep::{coop_sweep, coop_sweep_frames};
 use its_testbed::faultsweep::INTENSITIES;
 use its_testbed::intersection::{IntersectionConfig, IntersectionScenario, SecondHazard};
-use its_testbed::{Runner, ScenarioConfig};
-use shard::transport::serve_connections;
-use std::net::{SocketAddr, TcpListener};
+use its_testbed::Runner;
 
 const BASE_SEED: u64 = 4100;
 const RUNS: usize = 1;
-
-/// A registry entry so the socket-worker executor can be constructed;
-/// coop-sweep jobs run through `run_indexed`, not through this grid.
-fn anchor_grid() -> Vec<CampaignSpec> {
-    vec![CampaignSpec::new(
-        ScenarioConfig {
-            seed: 4100,
-            ..ScenarioConfig::default()
-        },
-        3,
-    )]
-}
-
-/// An in-process socket worker thread serving the anchor registry.
-fn spawn_worker() -> SocketAddr {
-    let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind worker");
-    let addr = listener.local_addr().expect("worker addr");
-    std::thread::spawn(move || {
-        let registry = CampaignRegistry::new().register("coop_anchor", anchor_grid);
-        serve_connections(&listener, &registry);
-    });
-    addr
-}
 
 #[test]
 fn coop_sweep_is_byte_identical_across_executors() {
@@ -62,27 +34,6 @@ fn coop_sweep_is_byte_identical_across_executors() {
         coop_sweep(&runner, BASE_SEED, RUNS).fingerprint(),
         serial_fp
     );
-
-    // Campaign server's socket-worker executor, with live TCP workers.
-    let workers: Vec<SocketAddr> = (0..2).map(|_| spawn_worker()).collect();
-    let fanout = FanoutExecutor::new("coop_anchor", anchor_grid(), workers);
-    assert_eq!(
-        coop_sweep_frames(&fanout, BASE_SEED, RUNS),
-        serial_frames,
-        "socket-worker fanout frames diverged"
-    );
-    assert_eq!(
-        coop_sweep(&fanout, BASE_SEED, RUNS).fingerprint(),
-        serial_fp
-    );
-    // And its spec-grid path really does cross the sockets for the
-    // campaign it is bound to: identical bytes, no local fallback.
-    assert_eq!(
-        fanout.execute_grid(&anchor_grid()),
-        Serial.execute_grid(&anchor_grid())
-    );
-    assert_eq!(fanout.fallback_grids(), 0);
-    assert_eq!(fanout.fallback_chunks(), 0);
 }
 
 #[test]

@@ -18,9 +18,14 @@
 //!   emergency power-cut path,
 //! * [`planner`] — the Motion Planner and Message Handler: line following
 //!   in normal operation, stop override when a DENM arrives,
+//! * [`sensors`] — wheel-encoder odometry, the measured speed the OBU's
+//!   CAMs carry,
 //! * [`watchdog`] — the V2X heartbeat watchdog: supervises CAM/DENM
 //!   liveness and drives the fail-safe degradation ladder (speed cap,
 //!   controlled stop, recovery).
+//!
+//! Every scenario holds a fixed throttle on approach and sends a fixed
+//! CAM heading, so the crate models neither a speed governor nor an IMU.
 
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
@@ -32,7 +37,6 @@ pub mod linefollow;
 pub mod pid;
 pub mod planner;
 pub mod sensors;
-pub mod speed;
 pub mod watchdog;
 
 pub use actuators::{ActuatorCommand, TeensyLink};
@@ -40,6 +44,5 @@ pub use dynamics::{BicycleState, LongitudinalModel, VehicleParams};
 pub use linefollow::{LineFollower, Track};
 pub use pid::Pid;
 pub use planner::{DriveMode, MessageHandler, MotionPlanner, StopPolicy};
-pub use sensors::{ImuModel, WheelOdometry};
-pub use speed::SpeedController;
+pub use sensors::WheelOdometry;
 pub use watchdog::{DegradationLevel, V2xWatchdog, WatchdogConfig, WatchdogTrips};

@@ -1,9 +1,8 @@
-//! On-board sensing: wheel-encoder odometry and an IMU yaw-rate/heading
-//! model (paper Figure 5 lists an IMU and odometry among the vehicle's
-//! sensors). The CAMs a real OBU broadcasts carry *measured* speed and
-//! heading, not ground truth; these models supply that measurement noise.
-
-use sim_core::SimRng;
+//! On-board sensing: wheel-encoder odometry (paper Figure 5 lists
+//! odometry among the vehicle's sensors). The CAMs a real OBU broadcasts
+//! carry *measured* speed, not ground truth; the collision scenario takes
+//! it from this model's tick counts. Every scenario sends a fixed CAM
+//! heading, so no heading sensor is modelled.
 
 /// Quadrature wheel encoder → speed/odometry estimate.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -54,44 +53,6 @@ impl WheelOdometry {
     }
 }
 
-/// IMU yaw-rate gyro with bias and white noise; integrates to a heading
-/// estimate.
-#[derive(Debug, Clone)]
-pub struct ImuModel {
-    /// Constant gyro bias, rad/s.
-    pub bias_rad_s: f64,
-    /// White-noise standard deviation, rad/s.
-    pub noise_std_rad_s: f64,
-    /// Integrated heading estimate, radians.
-    heading_rad: f64,
-}
-
-impl ImuModel {
-    /// Creates an IMU with a bias sampled from ±`bias_spread` (typical
-    /// MEMS gyro: a few mrad/s) and the given noise floor.
-    pub fn sample(bias_spread_rad_s: f64, noise_std_rad_s: f64, rng: &mut SimRng) -> Self {
-        Self {
-            bias_rad_s: rng.uniform(-bias_spread_rad_s, bias_spread_rad_s),
-            noise_std_rad_s,
-            heading_rad: 0.0,
-        }
-    }
-
-    /// Measures a true yaw rate over `dt` seconds, integrating the
-    /// (noisy, biased) reading into the heading estimate. Returns the
-    /// measured rate.
-    pub fn measure(&mut self, true_rate_rad_s: f64, dt: f64, rng: &mut SimRng) -> f64 {
-        let measured = true_rate_rad_s + self.bias_rad_s + rng.normal(0.0, self.noise_std_rad_s);
-        self.heading_rad += measured * dt;
-        measured
-    }
-
-    /// Current heading estimate, radians.
-    pub fn heading_rad(&self) -> f64 {
-        self.heading_rad
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -130,38 +91,6 @@ mod tests {
         // 1.5 m/s for 20 ms = 0.03 m = ~104 ticks.
         let v = odo.speed_from_window(104, 0.02);
         assert!((v - 1.494).abs() < 0.02, "v = {v}");
-    }
-
-    #[test]
-    fn imu_bias_accumulates_heading_drift() {
-        let mut rng = SimRng::seed_from(1);
-        let mut imu = ImuModel {
-            bias_rad_s: 0.01,
-            noise_std_rad_s: 0.0,
-            heading_rad: 0.0,
-        };
-        for _ in 0..1000 {
-            imu.measure(0.0, 0.01, &mut rng);
-        }
-        // 0.01 rad/s for 10 s = 0.1 rad of drift.
-        assert!((imu.heading_rad() - 0.1).abs() < 1e-9);
-    }
-
-    #[test]
-    fn imu_tracks_true_rotation_on_average() {
-        let mut rng = SimRng::seed_from(2);
-        let mut imu = ImuModel::sample(0.002, 0.01, &mut rng);
-        // Quarter turn at 0.5 rad/s over ~3.14 s.
-        let dt = 0.001;
-        let steps = (std::f64::consts::FRAC_PI_2 / 0.5 / dt) as usize;
-        for _ in 0..steps {
-            imu.measure(0.5, dt, &mut rng);
-        }
-        assert!(
-            (imu.heading_rad() - std::f64::consts::FRAC_PI_2).abs() < 0.03,
-            "{}",
-            imu.heading_rad()
-        );
     }
 
     proptest! {

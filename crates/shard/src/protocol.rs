@@ -29,6 +29,12 @@ pub(crate) const RESULT_TRAILER: &[u8; 4] = b"SHRE";
 /// single spec.
 pub const FLAT_GRID: u32 = u32::MAX;
 
+/// The most bytes a `"SHRD"` assignment or `"SHRG"` registration frame
+/// may take. Both are a few dozen fixed bytes plus one registry name or
+/// socket address, so 4 KiB leaves ample room, while a peer that sends
+/// more cannot make a worker or the worker pool allocate without bound.
+pub(crate) const MAX_CONTROL_FRAME: usize = 4096;
+
 /// One worker's chunk assignment: which campaign (by name and grid
 /// fingerprint), which slice of it, and the worker's index for
 /// fault-injection bookkeeping.
@@ -248,11 +254,31 @@ pub enum ServeOutcome {
     InjectedKill,
 }
 
+/// Reads one control frame (`"SHRD"` or `"SHRG"`) to end-of-stream,
+/// taking at most `MAX_CONTROL_FRAME + 1` bytes from `input`.
+///
+/// # Errors
+///
+/// Returns [`ShardError::Protocol`] when the stream holds more than
+/// `MAX_CONTROL_FRAME` bytes, and an I/O [`ShardError`] when reading
+/// fails.
+pub(crate) fn read_control_frame(input: &mut dyn Read) -> Result<Vec<u8>, ShardError> {
+    let mut frame = Vec::new();
+    Read::take(input, MAX_CONTROL_FRAME as u64 + 1).read_to_end(&mut frame)?;
+    if frame.len() > MAX_CONTROL_FRAME {
+        return Err(ShardError::Protocol(format!(
+            "control frame longer than {MAX_CONTROL_FRAME} bytes"
+        )));
+    }
+    Ok(frame)
+}
+
 /// Serves one assignment: the worker side of the shard protocol, over
 /// any transport.
 ///
 /// Reads `input` to end-of-stream (the coordinator's write-half
-/// shutdown), decodes the assignment, applies the kill/hang fault
+/// shutdown; an assignment over 4 KiB is refused unread), decodes the
+/// assignment, applies the kill/hang fault
 /// injections, verifies the registry fingerprint handshake, computes
 /// the chunk, and writes the result stream to `output`.
 ///
@@ -266,8 +292,7 @@ pub fn serve_stream(
     output: &mut dyn Write,
     registry: &CampaignRegistry,
 ) -> Result<ServeOutcome, ShardError> {
-    let mut frame = Vec::new();
-    input.read_to_end(&mut frame)?;
+    let frame = read_control_frame(input)?;
     let assignment = decode_assignment(&frame)?;
 
     if kill_requested(assignment.worker_index) {
@@ -499,6 +524,60 @@ mod tests {
         // only, no version, no count, no trailer.
         assert_eq!(out, RESULT_MAGIC);
         assert!(decode_results(&out, 1).is_err());
+    }
+
+    /// A peer that would send `left` zero bytes; counts what it hands
+    /// out.
+    struct Flood {
+        left: usize,
+        handed_out: usize,
+    }
+
+    impl Read for Flood {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = buf.len().min(self.left);
+            buf[..n].fill(0);
+            self.left -= n;
+            self.handed_out += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn oversized_control_frames_are_refused_after_cap_plus_one_bytes() {
+        const MIB: usize = 1 << 20;
+        let mut flood = Flood {
+            left: MIB,
+            handed_out: 0,
+        };
+        assert!(matches!(
+            read_control_frame(&mut flood),
+            Err(ShardError::Protocol(_))
+        ));
+        assert_eq!(flood.handed_out, MAX_CONTROL_FRAME + 1);
+
+        // The worker reads its assignment through the same bound.
+        let mut flood = Flood {
+            left: MIB,
+            handed_out: 0,
+        };
+        let mut out = Vec::new();
+        assert!(matches!(
+            serve_stream(&mut flood, &mut out, &registry()),
+            Err(ShardError::Protocol(_))
+        ));
+        assert_eq!(flood.handed_out, MAX_CONTROL_FRAME + 1);
+        assert!(out.is_empty(), "a refused assignment writes no bytes");
+
+        // A frame of exactly the cap is read in full.
+        let mut flood = Flood {
+            left: MAX_CONTROL_FRAME,
+            handed_out: 0,
+        };
+        assert_eq!(
+            read_control_frame(&mut flood).map(|f| f.len()),
+            Ok(MAX_CONTROL_FRAME)
+        );
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! from the hidden [`LISTEN_FLAG`] re-exec mode
 //! ([`socket_worker_main_if_requested`]).
 
-use crate::protocol::{serve_stream, ServeOutcome};
+use crate::protocol::{read_control_frame, serve_stream, ServeOutcome};
 use crate::ShardError;
 use geonet::bytesio::{ByteReader, ByteWriterExt};
 use its_testbed::campaign::CampaignRegistry;
@@ -169,12 +169,12 @@ pub fn announce_worker(coordinator: SocketAddr, worker: SocketAddr) -> Result<()
 ///
 /// # Errors
 ///
-/// Returns [`ShardError::Protocol`] for malformed frames and
-/// [`ShardError::Io`] for connection failures.
+/// Returns [`ShardError::Protocol`] for malformed frames and for frames
+/// over 4 KiB (read no further), and [`ShardError::Io`] for connection
+/// failures.
 pub fn read_announcement(stream: &mut TcpStream) -> Result<SocketAddr, ShardError> {
     stream.set_read_timeout(Some(WORKER_READ_TIMEOUT))?;
-    let mut bytes = Vec::new();
-    stream.read_to_end(&mut bytes)?;
+    let bytes = read_control_frame(stream)?;
     let mut r = ByteReader::new(&bytes);
     if r.take(4)? != REGISTER_MAGIC {
         return Err(ShardError::Protocol("bad registration magic".into()));

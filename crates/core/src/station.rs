@@ -17,8 +17,8 @@
 //! fleets and object-driven fleets throttle identically.
 //!
 //! Every accessor here is panic-free (checked `get`s, saturating
-//! arithmetic) — the methods are listed in `detlint.toml`'s S3
-//! panic-reachability roots.
+//! arithmetic) — the methods are among detlint's S3
+//! panic-reachability roots (`detlint::Config::default`).
 
 use phy80211p::dcc::{step_state, DccState};
 use phy80211p::Position2D;

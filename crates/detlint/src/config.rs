@@ -1,16 +1,12 @@
-//! `detlint.toml` parsing.
+//! The workspace's detlint configuration.
 //!
-//! detlint is dependency-free, so this is a hand-rolled parser for the
-//! small TOML subset the config needs: `[section.sub]` headers, string
-//! values, arrays of strings, booleans and comments. Unknown keys are
-//! rejected so typos fail loudly instead of silently disabling a rule.
+//! There is one configuration and it lives here, in code:
+//! [`Config::default`] is what the CLI and the tier-1 gate scan the
+//! workspace with. A rule or scope change is made once, in this file.
+//! Tests that scan synthetic trees start from the default and override
+//! the fields they exercise.
 
-use std::collections::BTreeMap;
-use std::path::Path;
-
-/// Scan and rule configuration, usually loaded from `detlint.toml` at
-/// the workspace root. [`Config::default`] encodes the workspace's
-/// actual invariants, so the binary also works with no config file.
+/// Scan and rule configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Config {
     /// Directories (relative to the root) to scan for `.rs` files.
@@ -21,8 +17,6 @@ pub struct Config {
     pub d1_exempt: Vec<String>,
     /// Files exempt from D2 (ambient RNG), relative to the root.
     pub d2_exempt: Vec<String>,
-    /// Crate names whose code must not use hash-ordered collections (D3).
-    pub d3_crates: Vec<String>,
     /// Per-event hot-path files that must stay panic-free (S2).
     pub s2_paths: Vec<String>,
     /// Hot-path entry points for the S3 reachability walk, written as
@@ -40,280 +34,104 @@ pub struct Config {
 
 impl Default for Config {
     fn default() -> Self {
+        let strings = |items: &[&str]| items.iter().map(|s| (*s).to_owned()).collect();
         Config {
-            scan: vec!["crates".into(), "tests".into()],
+            scan: strings(&["crates", "tests"]),
             // `fixtures` holds detlint's own deliberately-violating
             // rule fixtures; scanning them would fail the gate.
-            skip: vec!["target".into(), "fixtures".into()],
-            d1_exempt: vec!["crates/sim-core/src/clock.rs".into()],
-            d2_exempt: vec!["crates/sim-core/src/rng.rs".into()],
-            d3_crates: vec![
-                "sim-core".into(),
-                "facilities".into(),
-                "geonet".into(),
-                "phy80211p".into(),
-                "core".into(),
-                "vehicle".into(),
-                "perception".into(),
-                "shard".into(),
-                "faults".into(),
-                "uper".into(),
-                "its-messages".into(),
-                "openc2x".into(),
-                "runner".into(),
-                "bench".into(),
-                "detlint".into(),
-                "proptest".into(),
-                "criterion".into(),
-                "campaignd".into(),
-            ],
-            s2_paths: vec![
-                "crates/phy80211p/src/edca.rs".into(),
-                "crates/phy80211p/src/channel.rs".into(),
-                "crates/phy80211p/src/dcc.rs".into(),
-                "crates/phy80211p/src/ofdm.rs".into(),
-                "crates/geonet/src/forwarding.rs".into(),
-                "crates/geonet/src/headers.rs".into(),
-                "crates/geonet/src/btp.rs".into(),
-                "crates/geonet/src/bytesio.rs".into(),
-                "crates/geonet/src/loctable.rs".into(),
-                "crates/uper/src/bits.rs".into(),
-                "crates/uper/src/fields.rs".into(),
-            ],
-            s3_entries: vec![
+            skip: strings(&["target", "fixtures"]),
+            // Wall-clock types are only legal inside the simulated clock.
+            d1_exempt: strings(&["crates/sim-core/src/clock.rs"]),
+            // Ambient randomness is only legal inside the seeded RNG
+            // wrapper.
+            d2_exempt: strings(&["crates/sim-core/src/rng.rs"]),
+            s2_paths: strings(&[
+                "crates/phy80211p/src/edca.rs",
+                "crates/phy80211p/src/channel.rs",
+                "crates/phy80211p/src/dcc.rs",
+                "crates/phy80211p/src/ofdm.rs",
+                "crates/geonet/src/forwarding.rs",
+                "crates/geonet/src/headers.rs",
+                "crates/geonet/src/btp.rs",
+                "crates/geonet/src/bytesio.rs",
+                "crates/geonet/src/loctable.rs",
+                "crates/uper/src/bits.rs",
+                "crates/uper/src/fields.rs",
+            ]),
+            // Everything transitively callable from one of these must be
+            // free of panic!/unwrap/expect/[]-indexing, or carry a
+            // justified allow.
+            s3_entries: strings(&[
                 // The event-loop dispatch target every handler runs under.
-                "core::handle".into(),
-                // EDCA / channel / DCC per-event code.
-                "phy80211p::transmit".into(),
-                "phy80211p::transmit_cached".into(),
-                "phy80211p::access_time".into(),
-                "phy80211p::observe_busy".into(),
-                "phy80211p::update_state".into(),
-                "phy80211p::gate".into(),
-                "phy80211p::on_transmitted".into(),
-                "phy80211p::record_busy".into(),
-                "phy80211p::cbr".into(),
+                "core::handle",
+                // EDCA, channel, DCC and the city's spatial grid.
+                "phy80211p::transmit",
+                "phy80211p::transmit_cached",
+                "phy80211p::deliver",
+                "phy80211p::frame_link",
+                "phy80211p::access_time",
+                "phy80211p::observe_busy",
+                "phy80211p::update_state",
+                "phy80211p::step_state",
+                "phy80211p::gate",
+                "phy80211p::on_transmitted",
+                "phy80211p::record_busy",
+                "phy80211p::cbr",
+                "phy80211p::candidates_within",
+                "phy80211p::relocate",
+                "phy80211p::cutoff_radius_m",
+                "phy80211p::delivery_floor_snr_db",
+                // The city's structure-of-arrays station state.
+                "core::note_busy",
+                "core::gate_open",
+                "core::record_tx",
+                "core::record_rx",
+                "core::roll_windows",
+                "core::position_of",
                 // Codec entry points fed by untrusted bytes.
-                "geonet::from_bytes".into(),
-                "geonet::gbc_forward_decision".into(),
-                "uper::encode".into(),
-                "uper::decode".into(),
-            ],
+                "geonet::from_bytes",
+                "geonet::gbc_forward_decision",
+                "uper::encode",
+                "uper::decode",
+                // The event queue.
+                "sim-core::schedule_at",
+                "sim-core::schedule_after",
+                "sim-core::pop_next",
+                "sim-core::pop_batch",
+                "sim-core::reset",
+                // The shard frames, the campaign service and its
+                // submission codec.
+                "shard::encode_assignment",
+                "shard::decode_assignment",
+                "shard::encode_results",
+                "shard::decode_results",
+                "shard::decode_result_stream",
+                "shard::send_frame",
+                "shard::collect_frame",
+                "shard::collect_chunk",
+                "core::encode_submission",
+                "core::decode_submission",
+                "campaignd::try_enqueue",
+                "campaignd::next_job",
+                "campaignd::run_flat",
+                "campaignd::submit_route",
+                // Facilities codecs and cooperative perception.
+                "facilities::to_bytes",
+                "facilities::from_bytes",
+                "facilities::insert_object",
+                "core::on_cpm_rx",
+                "core::generate_cpm",
+                // The line follower's vision.
+                "vehicle::steering",
+                "vehicle::capture_into",
+                "vehicle::detect_edges_into",
+                "vehicle::hough_lines_into",
+            ]),
+            // The RunRecord wire codec and its committed layout snapshot,
+            // regenerated deliberately with `detlint --update-schema`.
             w1_wire: "crates/core/src/wire.rs".into(),
             w1_schema: "wire.schema".into(),
             disabled: Vec::new(),
         }
-    }
-}
-
-/// A config-file problem, with the offending line number.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ConfigError {
-    /// 1-based line in the config file.
-    pub line: u32,
-    /// Human-readable description.
-    pub message: String,
-}
-
-impl std::fmt::Display for ConfigError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "detlint.toml:{}: {}", self.line, self.message)
-    }
-}
-
-impl Config {
-    /// Loads the config from `path`, or the defaults if the file does
-    /// not exist.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ConfigError`] for unreadable files, syntax errors, or
-    /// unknown sections/keys.
-    pub fn load(path: &Path) -> Result<Config, ConfigError> {
-        match std::fs::read_to_string(path) {
-            Ok(text) => Self::parse(&text),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Config::default()),
-            Err(e) => Err(ConfigError {
-                line: 0,
-                message: format!("cannot read {}: {e}", path.display()),
-            }),
-        }
-    }
-
-    /// Parses config text. See [`Config::load`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ConfigError`] on syntax errors or unknown keys.
-    pub fn parse(text: &str) -> Result<Config, ConfigError> {
-        let mut values: BTreeMap<String, Vec<String>> = BTreeMap::new();
-        let mut section = String::new();
-        for (idx, raw) in text.lines().enumerate() {
-            let line_no = idx as u32 + 1;
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            if let Some(name) = line.strip_prefix('[') {
-                let name = name.strip_suffix(']').ok_or_else(|| ConfigError {
-                    line: line_no,
-                    message: "unterminated section header".into(),
-                })?;
-                section = name.trim().to_owned();
-                continue;
-            }
-            let (key, value) = line.split_once('=').ok_or_else(|| ConfigError {
-                line: line_no,
-                message: format!("expected `key = value`, got {line:?}"),
-            })?;
-            let full_key = if section.is_empty() {
-                key.trim().to_owned()
-            } else {
-                format!("{section}.{}", key.trim())
-            };
-            let items = parse_value(value.trim(), line_no)?;
-            values.insert(full_key, items);
-        }
-
-        let mut cfg = Config::default();
-        for (key, items) in values {
-            match key.as_str() {
-                "workspace.scan" => cfg.scan = items,
-                "workspace.skip" => cfg.skip = items,
-                "rules.disabled" => cfg.disabled = items,
-                "rules.D1.exempt" => cfg.d1_exempt = items,
-                "rules.D2.exempt" => cfg.d2_exempt = items,
-                "rules.D3.crates" => cfg.d3_crates = items,
-                "rules.S2.paths" => cfg.s2_paths = items,
-                "rules.S3.entries" => cfg.s3_entries = items,
-                "rules.W1.wire" => cfg.w1_wire = single(&key, items)?,
-                "rules.W1.schema" => cfg.w1_schema = single(&key, items)?,
-                other => {
-                    return Err(ConfigError {
-                        line: 0,
-                        message: format!("unknown config key `{other}`"),
-                    })
-                }
-            }
-        }
-        Ok(cfg)
-    }
-}
-
-/// Requires a key to hold exactly one string value.
-fn single(key: &str, items: Vec<String>) -> Result<String, ConfigError> {
-    match <[String; 1]>::try_from(items) {
-        Ok([item]) => Ok(item),
-        Err(_) => Err(ConfigError {
-            line: 0,
-            message: format!("`{key}` takes a single string, not an array"),
-        }),
-    }
-}
-
-/// Parses a string or an array of strings.
-fn parse_value(value: &str, line: u32) -> Result<Vec<String>, ConfigError> {
-    if let Some(inner) = value.strip_prefix('[') {
-        // Arrays may span a single line only; that is all the config
-        // needs, and it keeps the parser honest about what it accepts.
-        let inner = inner
-            .trim_end()
-            .strip_suffix(']')
-            .ok_or_else(|| ConfigError {
-                line,
-                message: "arrays must open and close on one line".into(),
-            })?;
-        return inner
-            .split(',')
-            .map(str::trim)
-            .filter(|s| !s.is_empty())
-            .map(|s| parse_string(s, line))
-            .collect();
-    }
-    Ok(vec![parse_string(value, line)?])
-}
-
-fn parse_string(s: &str, line: u32) -> Result<String, ConfigError> {
-    let s = s.trim();
-    if let Some(rest) = s.strip_prefix('"') {
-        if let Some(body) = rest.strip_suffix('"') {
-            return Ok(body.to_owned());
-        }
-    }
-    Err(ConfigError {
-        line,
-        message: format!("expected a double-quoted string, got {s:?}"),
-    })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn defaults_used_when_missing() {
-        let cfg = Config::load(Path::new("/nonexistent/detlint.toml")).unwrap();
-        assert_eq!(cfg, Config::default());
-    }
-
-    #[test]
-    fn parses_sections_and_arrays() {
-        let cfg = Config::parse(
-            r#"
-# comment
-[workspace]
-scan = ["crates"]
-skip = ["target", "vendor"]
-
-[rules.D3]
-crates = ["sim-core"]
-"#,
-        )
-        .unwrap();
-        assert_eq!(cfg.scan, vec!["crates"]);
-        assert_eq!(cfg.skip, vec!["target", "vendor"]);
-        assert_eq!(cfg.d3_crates, vec!["sim-core"]);
-        // Untouched keys keep their defaults.
-        assert_eq!(cfg.d1_exempt, Config::default().d1_exempt);
-    }
-
-    #[test]
-    fn parses_s3_and_w1_keys() {
-        let cfg = Config::parse(
-            r#"
-[rules.S3]
-entries = ["demo::handle"]
-
-[rules.W1]
-wire = "crates/demo/src/wire.rs"
-schema = "demo.schema"
-"#,
-        )
-        .unwrap();
-        assert_eq!(cfg.s3_entries, vec!["demo::handle"]);
-        assert_eq!(cfg.w1_wire, "crates/demo/src/wire.rs");
-        assert_eq!(cfg.w1_schema, "demo.schema");
-    }
-
-    #[test]
-    fn w1_rejects_array_values() {
-        let err = Config::parse("[rules.W1]\nwire = [\"a\", \"b\"]\n").unwrap_err();
-        assert!(err.message.contains("single string"));
-    }
-
-    #[test]
-    fn unknown_key_is_rejected() {
-        let err = Config::parse("[rules.D9]\nfoo = [\"x\"]\n").unwrap_err();
-        assert!(err.message.contains("unknown config key"));
-    }
-
-    #[test]
-    fn unquoted_string_is_rejected() {
-        assert!(Config::parse("[workspace]\nscan = [crates]\n").is_err());
-    }
-
-    #[test]
-    fn missing_equals_is_rejected() {
-        assert!(Config::parse("[workspace]\nscan\n").is_err());
     }
 }

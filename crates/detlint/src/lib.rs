@@ -38,7 +38,7 @@ pub mod rules;
 pub mod schema;
 pub mod surface;
 
-pub use config::{Config, ConfigError};
+pub use config::Config;
 pub use rules::Finding;
 
 use std::path::{Path, PathBuf};

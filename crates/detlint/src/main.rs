@@ -1,14 +1,15 @@
 //! detlint CLI.
 //!
 //! ```text
-//! cargo run -p detlint [-- --root <dir>] [--config <file>] [--quiet]
+//! cargo run -p detlint [-- --root <dir>] [--quiet]
 //!                      [--format text|json] [--explain RULE]
 //!                      [--update-schema]
 //! ```
 //!
-//! Scans the workspace and exits nonzero if any determinism or safety
-//! invariant is violated: 0 clean, 1 findings, 2 usage/configuration
-//! errors. `--format json` writes one machine-readable report object to
+//! Scans the workspace with the one built-in configuration
+//! ([`detlint::Config::default`]) and exits nonzero if any determinism
+//! or safety invariant is violated: 0 clean, 1 findings, 2 usage or
+//! scan errors. `--format json` writes one machine-readable report object to
 //! stdout (`scripts/check.sh` tees it into `target/detlint.json`);
 //! `--explain RULE` prints the rule catalogue entry for one rule ID;
 //! `--update-schema` regenerates the committed `wire.schema` snapshot
@@ -24,7 +25,6 @@ use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
-    let mut config: Option<PathBuf> = None;
     let mut quiet = false;
     let mut json = false;
     let mut explain: Option<String> = None;
@@ -33,7 +33,6 @@ fn main() -> ExitCode {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--root" => root = args.next().map(PathBuf::from),
-            "--config" => config = args.next().map(PathBuf::from),
             "--quiet" | "-q" => quiet = true,
             "--update-schema" => update_schema = true,
             "--format" => match args.next().as_deref() {
@@ -57,13 +56,13 @@ fn main() -> ExitCode {
             "--help" | "-h" => {
                 println!(
                     "detlint — determinism & safety lint for the testbed workspace\n\n\
-                     USAGE: detlint [--root <dir>] [--config <file>] [--quiet]\n\
+                     USAGE: detlint [--root <dir>] [--quiet]\n\
                      \x20               [--format text|json] [--explain RULE] [--update-schema]\n\n\
                      --format json    machine-readable report on stdout\n\
                      --explain RULE   print the catalogue entry for one rule ID and exit\n\
                      --update-schema  regenerate the wire.schema snapshot from the encoder\n\n\
                      Exits 0 when the tree is clean, 1 when invariants are violated,\n\
-                     2 on usage or configuration errors."
+                     2 on usage or scan errors."
                 );
                 return ExitCode::SUCCESS;
             }
@@ -97,15 +96,7 @@ fn main() -> ExitCode {
             .map(|d| PathBuf::from(d).join("../.."))
             .unwrap_or_else(|| PathBuf::from("."))
     });
-    let config_path = config.unwrap_or_else(|| root.join("detlint.toml"));
-
-    let cfg = match detlint::Config::load(&config_path) {
-        Ok(cfg) => cfg,
-        Err(e) => {
-            eprintln!("detlint: {e}");
-            return ExitCode::from(2);
-        }
-    };
+    let cfg = detlint::Config::default();
 
     if update_schema {
         return match detlint::update_schema(&root, &cfg) {

@@ -13,7 +13,7 @@
 //! |----|-----------|
 //! | D1 | no `Instant`/`SystemTime` outside `sim-core/src/clock.rs` |
 //! | D2 | no `thread_rng`/`rand::random`/`from_entropy` outside `sim-core/src/rng.rs` |
-//! | D3 | no hash-ordered collections (`HashMap`/`HashSet`) in simulation crates |
+//! | D3 | no hash-ordered collections (`HashMap`/`HashSet`) in any crate under `crates/` |
 //! | D4 | no `==`/`!=` against float literals |
 //! | S1 | crate roots carry the workspace lint header block |
 //! | S2 | no `unwrap`/`expect`/`panic!` family in per-event hot paths |
@@ -26,6 +26,7 @@
 //! panic-reachability), [`crate::schema`] (W1, wire-schema
 //! snapshot) and [`crate::surface`] (U1, uncalled public functions).
 
+use crate::callgraph::crate_of;
 use crate::config::Config;
 use crate::flow;
 use crate::lexer::{lex, Lexed, Token, TokenKind};
@@ -126,9 +127,9 @@ pub fn check_file_lexed(cfg: &Config, rel_path: &str, source: &str, lexed: &Lexe
             }
         }
 
-        // D3 — hash-ordered collections in simulation crates. Lexical
+        // D3 — hash-ordered collections in any workspace crate. Lexical
         // analysis cannot prove a given map is never iterated, so the
-        // rule bans the types outright in simulation state; a justified
+        // rule bans the types outright; a justified
         // detlint:allow(D3) marks the (rare) legitimate uses.
         if enabled("D3")
             && t.kind == TokenKind::Ident
@@ -136,7 +137,7 @@ pub fn check_file_lexed(cfg: &Config, rel_path: &str, source: &str, lexed: &Lexe
                 t.text.as_str(),
                 "HashMap" | "HashSet" | "RandomState" | "DefaultHasher"
             )
-            && in_d3_scope(cfg, rel_path)
+            && crate_of(rel_path).is_some()
             && !in_test(i)
         {
             raw.push(Finding {
@@ -247,9 +248,8 @@ pub fn explain(rule: &str) -> Option<&'static str> {
         "D3" => {
             "D3 — hash-ordered collections.\nHashMap/HashSet iteration order depends on the \
                  process-random hasher, so any iteration leaks nondeterminism into event \
-                 order or RNG draw order. Use BTreeMap/BTreeSet in the configured \
-                 simulation crates (rules.D3.crates), or justify a never-iterated map \
-                 with detlint:allow(D3)."
+                 order or RNG draw order. Use BTreeMap/BTreeSet in every crate under \
+                 crates/, or justify a never-iterated map with detlint:allow(D3)."
         }
         "D4" => {
             "D4 — float literal equality.\nComparing floats with ==/!= against a literal is \
@@ -320,19 +320,6 @@ pub fn explain(rule: &str) -> Option<&'static str> {
         }
         _ => return None,
     })
-}
-
-/// Whether `rel_path` is source of one of the configured simulation
-/// crates (`crates/<name>/src/...`).
-fn in_d3_scope(cfg: &Config, rel_path: &str) -> bool {
-    let mut parts = rel_path.split('/');
-    if parts.next() != Some("crates") {
-        return false;
-    }
-    match parts.next() {
-        Some(krate) => cfg.d3_crates.iter().any(|c| c == krate),
-        None => false,
-    }
 }
 
 /// For crate roots, returns a description of required-but-absent lint
@@ -497,24 +484,20 @@ mod tests {
     }
 
     #[test]
-    fn d3_ignores_unlisted_crates_and_tests() {
-        // Every workspace crate is covered now; unlisted paths (the
-        // integration-test root, out-of-tree crates) are not.
+    fn d3_covers_every_crate_but_not_tests() {
+        // Every crate under crates/ is covered, including one added
+        // after this rule was written; the integration-test root is not.
         assert!(check("tests/campaign.rs", "use std::collections::HashMap;").is_empty());
-        assert!(check(
-            "crates/some-vendored-dep/src/http.rs",
-            "use std::collections::HashMap;"
-        )
-        .is_empty());
-        // openc2x joined the D3 scope: its HTTP layer is replayed
-        // deterministically too.
-        assert_eq!(
-            rules_of(&check(
-                "crates/openc2x/src/http.rs",
-                "use std::collections::HashMap;"
-            )),
-            vec!["D3"]
-        );
+        for path in [
+            "crates/openc2x/src/http.rs",
+            "crates/some-new-crate/src/map.rs",
+        ] {
+            assert_eq!(
+                rules_of(&check(path, "use std::collections::HashMap;")),
+                vec!["D3"],
+                "{path}"
+            );
+        }
         let src = "#[cfg(test)]\nmod tests {\n  fn t() { let s = std::collections::HashSet::new(); }\n}\n";
         assert!(check("crates/perception/src/detector.rs", src).is_empty());
     }

@@ -38,7 +38,7 @@ RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D rustdoc::private_intra_doc_l
 # The JSON report is kept as a build artifact so CI annotations and
 # local tooling can consume machine-readable findings; `set -o
 # pipefail` above preserves detlint's exit code (0 clean / 1 findings /
-# 2 config error) through the tee.
+# 2 usage or scan error) through the tee.
 echo "==> detlint"
 cargo run -q -p detlint
 echo "==> detlint (JSON report -> target/detlint.json)"

@@ -28,6 +28,14 @@ RUNNER_THREADS=1 cargo test -q
 echo "==> cargo test (RUNNER_THREADS=8)"
 RUNNER_THREADS=8 cargo test -q
 
+# The end-to-end benchmark (perfbench/, run by BENCHMARK.json) builds
+# against this tree, so deleting public API can break it. Compile it and
+# run its catalogue check and lib tests; the debug build skips the
+# end-to-end runs. --locked fails instead of rewriting
+# perfbench/Cargo.lock, and the build writes only to perfbench/target.
+echo "==> perfbench builds against the tree (catalogue + lib tests)"
+cargo test -q --locked --manifest-path perfbench/Cargo.toml
+
 # Docs: every intra-doc link must resolve and none may point at a
 # private item, so deleting or hiding an item cannot leave a dangling
 # link behind.

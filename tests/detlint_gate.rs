@@ -122,8 +122,10 @@ fn decode_kind(frame: &[u8]) -> u8 {
     // Only the planted entry point: the workspace's other core entries
     // would be reported stale in this tree, and the S3 check must come
     // from the planted panic.
-    let mut cfg = detlint::Config::default();
-    cfg.s3_entries = vec!["core::handle".into()];
+    let cfg = detlint::Config {
+        s3_entries: vec!["core::handle".into()],
+        ..detlint::Config::default()
+    };
     let report = detlint::run(&dir, &cfg).unwrap();
     std::fs::remove_dir_all(&dir).ok();
 

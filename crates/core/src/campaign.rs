@@ -200,7 +200,7 @@ pub fn grid_fingerprint(specs: &[CampaignSpec]) -> u64 {
 /// runs hold it. [`Runner`]'s `execute_grid`, the shard worker's chunk
 /// compute and the socket coordinator all index a grid this way, so a
 /// chunk of flat indices names the same runs everywhere.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct FlatGrid<'a> {
     specs: &'a [CampaignSpec],
     /// Exclusive prefix sums of the run counts; the last element is the

@@ -5,6 +5,7 @@
 //! `scripts/check.sh` also runs the CLI for human-readable output).
 
 use std::path::Path;
+use std::sync::OnceLock;
 
 /// The workspace root, two levels up from `crates/core` where this
 /// integration test is registered.
@@ -12,12 +13,20 @@ fn workspace_root() -> std::path::PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
-/// The workspace is clean under detlint's one configuration, the
-/// built-in [`detlint::Config::default`] the CLI also uses.
+/// One scan of the workspace under detlint's one configuration, the
+/// built-in [`detlint::Config::default`] the CLI also uses, shared by
+/// the two workspace tests below.
+fn workspace_report() -> &'static detlint::Report {
+    static REPORT: OnceLock<detlint::Report> = OnceLock::new();
+    REPORT.get_or_init(|| {
+        detlint::run(&workspace_root(), &detlint::Config::default()).expect("scan succeeds")
+    })
+}
+
+/// The workspace is clean under the built-in configuration.
 #[test]
 fn workspace_has_no_detlint_findings() {
-    let report =
-        detlint::run(&workspace_root(), &detlint::Config::default()).expect("scan succeeds");
+    let report = workspace_report();
     assert!(
         report.files_scanned > 50,
         "suspiciously few files scanned ({}) — scan roots misconfigured?",
@@ -29,6 +38,39 @@ fn workspace_has_no_detlint_findings() {
         "detlint found {} violation(s):\n\n{}",
         report.findings.len(),
         rendered.join("\n\n")
+    );
+}
+
+/// The built-in defaults are the gate's whole configuration, so they
+/// must not weaken it quietly: they disable no rule, and every path
+/// they name exists. A moved file would leave S2, W1 or an exemption
+/// covering nothing without a finding (a stale S3 entry is a finding
+/// of its own).
+#[test]
+fn workspace_is_clean_under_builtin_defaults() {
+    let root = workspace_root();
+    let cfg = detlint::Config::default();
+    assert!(
+        cfg.disabled.is_empty(),
+        "built-in defaults disable {:?}",
+        cfg.disabled
+    );
+    let missing: Vec<&String> = cfg
+        .scan
+        .iter()
+        .chain(&cfg.d1_exempt)
+        .chain(&cfg.d2_exempt)
+        .chain(&cfg.s2_paths)
+        .chain([&cfg.w1_wire, &cfg.w1_schema])
+        .filter(|p| !root.join(p).exists())
+        .collect();
+    assert!(
+        missing.is_empty(),
+        "built-in defaults name missing paths: {missing:?}"
+    );
+    assert!(
+        workspace_report().is_clean(),
+        "the workspace has detlint findings under the built-in defaults"
     );
 }
 

@@ -14,8 +14,8 @@
 //! next to the perf numbers.
 //!
 //! Set `BENCH_QUICK=1` to run 32 runs per table (the `scripts/check.sh`
-//! smoke mode) — quick numbers are noisier but the JSON shape is
-//! identical.
+//! smoke mode): the JSON is built and validated as in a full run, but
+//! not written, so the smoke never touches the tracked file.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -132,11 +132,6 @@ fn main() {
         eprintln!("campaign_throughput: generated JSON failed validation: {e}");
         std::process::exit(1);
     }
-    let path = campaign_json_path();
-    if let Err(e) = std::fs::write(&path, &json) {
-        eprintln!("campaign_throughput: cannot write {}: {e}", path.display());
-        std::process::exit(1);
-    }
 
     println!(
         "campaign_throughput ({runs} runs/table{}) on {} CPU(s), {} build",
@@ -159,5 +154,13 @@ fn main() {
         "  fingerprints: table2 total avg {:.4} ms, table3 braking avg {:.6} m, {:.1} events/run",
         m.table2_total_avg_ms, m.table3_braking_avg_m, m.events_per_run
     );
+    if quick {
+        return;
+    }
+    let path = campaign_json_path();
+    if let Err(e) = std::fs::write(&path, &json) {
+        eprintln!("campaign_throughput: cannot write {}: {e}", path.display());
+        std::process::exit(1);
+    }
     println!("  wrote {}", path.display());
 }

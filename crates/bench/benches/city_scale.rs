@@ -18,7 +18,8 @@
 //! build profile.
 //!
 //! Set `BENCH_QUICK=1` for a seconds-long smoke run (small node counts,
-//! short horizon) that exercises the JSON schema but not the bars.
+//! short horizon) that validates the JSON schema but not the bars, and
+//! does not write the tracked file.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -148,11 +149,6 @@ fn main() {
         eprintln!("{json}");
         std::process::exit(1);
     }
-    let path = city_json_path();
-    if let Err(e) = std::fs::write(&path, &json) {
-        eprintln!("city_scale: cannot write {}: {e}", path.display());
-        std::process::exit(1);
-    }
 
     println!(
         "city_scale{} on {} CPU(s), {} thread, {} build",
@@ -181,6 +177,14 @@ fn main() {
             CITY_BASELINE_NODE_COUNTS[CITY_BASELINE_NODE_COUNTS.len() - 1],
             last / first.max(1e-12)
         );
+    }
+    if quick {
+        return;
+    }
+    let path = city_json_path();
+    if let Err(e) = std::fs::write(&path, &json) {
+        eprintln!("city_scale: cannot write {}: {e}", path.display());
+        std::process::exit(1);
     }
     println!("  wrote {}", path.display());
 }

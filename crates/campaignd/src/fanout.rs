@@ -99,7 +99,7 @@ impl SocketFanout {
                     lo: lo as u64,
                     hi: hi as u64,
                 });
-                link.send_frame(&frame).ok()?;
+                link.send_frame(&frame, hi - lo).ok()?;
                 Some(link)
             })
             .collect();
@@ -139,7 +139,9 @@ mod tests {
     use super::*;
     use its_testbed::campaign::{CampaignRegistry, Executor, Serial};
     use its_testbed::ScenarioConfig;
+    use shard::protocol::max_result_stream;
     use shard::transport::serve_connections;
+    use std::io::{Read, Write};
     use std::net::TcpListener;
 
     fn demo_grid() -> Vec<CampaignSpec> {
@@ -206,6 +208,30 @@ mod tests {
         assert_eq!(fanout.run_flat(&[live, dead]), serial_flat());
         assert_eq!(fanout.fallback_chunks(), 1);
         assert_eq!(fanout.timed_out_chunks(), 0);
+    }
+
+    #[test]
+    fn oversized_result_stream_fails_the_chunk_before_the_timeout() {
+        // A worker that sends one MiB past the chunk's result-stream cap
+        // and then holds the connection open.
+        let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let flood = max_result_stream(FlatGrid::new(&demo_grid()).jobs()) + (1 << 20);
+        let (release, release_rx) = std::sync::mpsc::channel::<()>();
+        let worker = std::thread::spawn(move || {
+            let (mut conn, _) = listener.accept().expect("accept");
+            let mut assignment = Vec::new();
+            conn.read_to_end(&mut assignment).expect("read assignment");
+            let _ = conn.write_all(&vec![0u8; flood]);
+            // Hold the connection open until the test is done.
+            let _ = release_rx.recv();
+        });
+        let fanout = SocketFanout::new("demo", demo_grid()).with_timeout(Duration::from_secs(2));
+        assert_eq!(fanout.run_flat(&[addr]), serial_flat());
+        assert_eq!(fanout.fallback_chunks(), 1);
+        assert_eq!(fanout.timed_out_chunks(), 0);
+        drop(release);
+        worker.join().expect("fake worker");
     }
 
     #[test]

@@ -24,7 +24,7 @@ use perception::detector::YoloModel;
 use phy80211p::channel::{Channel, ChannelConfig, Obstacle};
 use phy80211p::Position2D;
 use sim_core::{
-    run_batched, EventHandler, EventQueue, NodeClock, NtpModel, SimDuration, SimRng, SimTime, Trace,
+    EventHandler, EventQueue, NodeClock, NtpModel, SimDuration, SimRng, SimTime, Trace,
 };
 use vehicle::dynamics::{LongitudinalModel, VehicleParams};
 use vehicle::planner::{MotionPlanner, StopPolicy};
@@ -328,10 +328,7 @@ impl IntersectionScenario {
             self.chain.start(&mut queue);
         }
         let timeout = SimTime::ZERO + TIMEOUT;
-        // Same-instant events dispatch as one batch; order is identical
-        // to the serial loop (see `sim_core::run_batched`).
-        let mut batch = Vec::with_capacity(8);
-        run_batched(&mut self, &mut queue, timeout, &mut batch);
+        sim_core::run(&mut self, &mut queue, timeout);
         self.record.denm_delivered = self.chain.steps.obu_recv.is_some();
         self.record.actuation = self.chain.steps.actuation.map(|(t, _)| t);
         self.record.fault = self.chain.injector.stats();

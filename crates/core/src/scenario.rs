@@ -33,7 +33,7 @@ use phy80211p::cellular::CellularProfile;
 use phy80211p::channel::{Channel, ChannelConfig};
 use phy80211p::Position2D;
 use sim_core::{
-    run_batched, EventHandler, EventQueue, NodeClock, NtpModel, SimDuration, SimRng, SimTime, Trace,
+    EventHandler, EventQueue, NodeClock, NtpModel, SimDuration, SimRng, SimTime, Trace,
 };
 use vehicle::dynamics::{BicycleState, LongitudinalModel, VehicleParams};
 use vehicle::linefollow::{LineFollower, Track};
@@ -241,7 +241,7 @@ impl RunRecord {
 // worker threads and moves each `RunRecord` back to the index-ordered
 // merge; pin those auto-trait bounds here so a future non-thread-safe
 // field fails at this definition, not at a distant runner call site.
-// The calendar queue stores events inline, so pin the event size too.
+// The event queue's heap stores events inline, so pin the event size too.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<ScenarioConfig>();
@@ -287,18 +287,17 @@ impl From<ChainEvent> for Event {
     }
 }
 
-/// Recycled per-run buffers: the event queue's slab and buckets, the
-/// batch-dispatch scratch, the chain's frame pool and queues, and the
-/// detection scratch. A campaign runs thousands of scenarios back to
-/// back on each worker thread; recycling makes every run after the
-/// first reuse the previous run's capacity instead of re-growing it.
+/// Recycled per-run buffers: the event queue's heap, the chain's frame
+/// pool and queues, and the detection scratch. A campaign runs
+/// thousands of scenarios back to back on each worker thread; recycling
+/// makes every run after the first reuse the previous run's capacity
+/// instead of re-growing it.
 /// Everything here is emptied before storage and reset on reuse
 /// ([`EventQueue::reset`] restarts time and the FIFO `seq` at zero),
 /// so a recycled run is bit-for-bit identical to a fresh one.
 #[derive(Default)]
 struct RunScratch {
     queue: EventQueue<Event>,
-    batch: Vec<Event>,
     detections: Vec<Detection>,
     chain: ChainBuffers,
 }
@@ -445,24 +444,13 @@ impl Scenario {
             queue.schedule_at(SimTime::ZERO + wcfg.heartbeat_period, Event::RsuHeartbeat);
         }
         let timeout = SimTime::ZERO + self.config.timeout;
-        // Batched dispatch: same-instant events (the t=0 kickoff, the
-        // periodic control/poll coincidences) come out of the queue in
-        // one pop each; the global (time, seq) order is identical to
-        // the one-at-a-time loop. The scratch buffer is reused for the
-        // whole run, so the dispatch loop allocates once.
-        let mut batch = scratch.batch;
-        if batch.capacity() == 0 {
-            batch.reserve(8);
-        }
-        run_batched(&mut self, &mut queue, timeout, &mut batch);
+        sim_core::run(&mut self, &mut queue, timeout);
         self.record.events_dispatched = queue.dispatched();
         // Return the run's buffers to the thread's scratch slot, empty.
         queue.reset();
-        batch.clear();
         self.detect_scratch.clear();
         let scratch = RunScratch {
             queue,
-            batch,
             detections: std::mem::take(&mut self.detect_scratch),
             chain: self.chain.take_buffers(),
         };

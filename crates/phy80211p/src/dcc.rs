@@ -189,27 +189,16 @@ pub struct DccGatekeeper {
     state: DccState,
     probe: CbrProbe,
     last_tx: Option<SimTime>,
-    /// High-priority (AC_VO / DP0) traffic bypasses the gate — DENMs
-    /// must not be delayed by congestion control.
-    exempt_voice: bool,
 }
 
 impl DccGatekeeper {
-    /// Creates a gatekeeper in `Relaxed` with DENM (AC_VO) exemption on.
+    /// Creates a gatekeeper in `Relaxed`.
     pub fn new() -> Self {
         Self {
             state: DccState::Relaxed,
             probe: CbrProbe::new(),
             last_tx: None,
-            exempt_voice: true,
         }
-    }
-
-    /// Disables the AC_VO exemption (strict gatekeeping for all traffic).
-    #[cfg(test)]
-    pub fn without_voice_exemption(mut self) -> Self {
-        self.exempt_voice = false;
-        self
     }
 
     /// Current DCC state.
@@ -239,22 +228,12 @@ impl DccGatekeeper {
         }
     }
 
-    /// Gate decision for a packet of the given access category: exempt
-    /// AC_VO passes immediately (when the exemption is enabled).
+    /// Gate decision for a packet of the given access category:
+    /// high-priority AC_VO traffic (DP0, the DENMs) passes immediately,
+    /// since congestion control must not delay it; everything else waits
+    /// out `T_off`.
     pub fn gate(&self, now: SimTime, ac: AccessCategory) -> bool {
-        if self.exempt_voice && ac == AccessCategory::Voice {
-            return true;
-        }
-        self.may_transmit(now)
-    }
-
-    /// The earliest instant a non-exempt packet may be transmitted.
-    #[cfg(test)]
-    pub fn next_tx_opportunity(&self, now: SimTime) -> SimTime {
-        match self.last_tx {
-            None => now,
-            Some(last) => (last + self.state.t_off()).max(now),
-        }
+        ac == AccessCategory::Voice || self.may_transmit(now)
     }
 
     /// Records that a packet was transmitted at `now`.
@@ -394,11 +373,6 @@ mod tests {
         dcc.on_transmitted(SimTime::from_millis(100));
         assert!(!dcc.gate(SimTime::from_millis(130), AccessCategory::Video));
         assert!(dcc.gate(SimTime::from_millis(160), AccessCategory::Video));
-        assert_eq!(
-            dcc.next_tx_opportunity(SimTime::from_millis(130))
-                .as_millis(),
-            160
-        );
     }
 
     #[test]
@@ -408,11 +382,6 @@ mod tests {
         // DENM (AC_VO) passes right away; CAM (AC_VI) waits.
         assert!(dcc.gate(SimTime::from_millis(101), AccessCategory::Voice));
         assert!(!dcc.gate(SimTime::from_millis(101), AccessCategory::Video));
-        // Strict mode gates everyone.
-        let strict = DccGatekeeper::new().without_voice_exemption();
-        let mut strict = strict;
-        strict.on_transmitted(SimTime::from_millis(100));
-        assert!(!strict.gate(SimTime::from_millis(101), AccessCategory::Voice));
     }
 
     #[test]

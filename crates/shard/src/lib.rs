@@ -63,7 +63,7 @@
 //!     spec_index: FLAT_GRID,
 //!     lo: 0,
 //!     hi: 16,
-//! }))
+//! }), 16)
 //! .unwrap();
 //! let records = collect_chunk(&mut link, 16, Duration::from_secs(60)).unwrap();
 //! assert_eq!(records, compute_chunk(&demo_grid(), FLAT_GRID, 0, 16).unwrap());

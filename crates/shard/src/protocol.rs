@@ -35,6 +35,22 @@ pub const FLAT_GRID: u32 = u32::MAX;
 /// more cannot make a worker or the worker pool allocate without bound.
 pub(crate) const MAX_CONTROL_FRAME: usize = 4096;
 
+/// The most bytes one length-prefixed [`RunRecord`] frame may take in a
+/// result stream. The largest frame the paper's tables, the fault
+/// sweep, 100 ms DENM repetition over 30 s, the watchdog and the LTE
+/// link produce is 788 B, so 64 KiB leaves ample room, while a worker
+/// that sends more cannot make the coordinator allocate without bound.
+pub(crate) const MAX_RECORD_FRAME: usize = 64 * 1024;
+
+/// The most bytes the result stream of a `records`-record chunk may
+/// take: the `"SHRS"` magic, version and count, `records` frames of at
+/// most `MAX_RECORD_FRAME` (64 KiB) bytes, and the `"SHRE"` trailer.
+pub fn max_result_stream(records: usize) -> usize {
+    records
+        .saturating_mul(MAX_RECORD_FRAME)
+        .saturating_add(RESULT_MAGIC.len() + 1 + 4 + RESULT_TRAILER.len())
+}
+
 /// One worker's chunk assignment: which campaign (by name and grid
 /// fingerprint), which slice of it, and the worker's index for
 /// fault-injection bookkeeping.
@@ -254,20 +270,21 @@ pub enum ServeOutcome {
     InjectedKill,
 }
 
-/// Reads one control frame (`"SHRD"` or `"SHRG"`) to end-of-stream,
-/// taking at most `MAX_CONTROL_FRAME + 1` bytes from `input`.
+/// Reads one frame to end-of-stream, taking at most `limit + 1` bytes
+/// from `input`: a control frame (`"SHRD"` or `"SHRG"`, limit
+/// [`MAX_CONTROL_FRAME`]) or a chunk's result stream (limit
+/// [`max_result_stream`]).
 ///
 /// # Errors
 ///
 /// Returns [`ShardError::Protocol`] when the stream holds more than
-/// `MAX_CONTROL_FRAME` bytes, and an I/O [`ShardError`] when reading
-/// fails.
-pub(crate) fn read_control_frame(input: &mut dyn Read) -> Result<Vec<u8>, ShardError> {
+/// `limit` bytes, and an I/O [`ShardError`] when reading fails.
+pub(crate) fn read_frame(input: &mut dyn Read, limit: usize) -> Result<Vec<u8>, ShardError> {
     let mut frame = Vec::new();
-    Read::take(input, MAX_CONTROL_FRAME as u64 + 1).read_to_end(&mut frame)?;
-    if frame.len() > MAX_CONTROL_FRAME {
+    Read::take(input, (limit as u64).saturating_add(1)).read_to_end(&mut frame)?;
+    if frame.len() > limit {
         return Err(ShardError::Protocol(format!(
-            "control frame longer than {MAX_CONTROL_FRAME} bytes"
+            "frame longer than {limit} bytes"
         )));
     }
     Ok(frame)
@@ -292,7 +309,7 @@ pub fn serve_stream(
     output: &mut dyn Write,
     registry: &CampaignRegistry,
 ) -> Result<ServeOutcome, ShardError> {
-    let frame = read_control_frame(input)?;
+    let frame = read_frame(input, MAX_CONTROL_FRAME)?;
     let assignment = decode_assignment(&frame)?;
 
     if kill_requested(assignment.worker_index) {
@@ -551,7 +568,7 @@ mod tests {
             handed_out: 0,
         };
         assert!(matches!(
-            read_control_frame(&mut flood),
+            read_frame(&mut flood, MAX_CONTROL_FRAME),
             Err(ShardError::Protocol(_))
         ));
         assert_eq!(flood.handed_out, MAX_CONTROL_FRAME + 1);
@@ -575,9 +592,29 @@ mod tests {
             handed_out: 0,
         };
         assert_eq!(
-            read_control_frame(&mut flood).map(|f| f.len()),
+            read_frame(&mut flood, MAX_CONTROL_FRAME).map(|f| f.len()),
             Ok(MAX_CONTROL_FRAME)
         );
+    }
+
+    #[test]
+    fn result_streams_are_cut_after_their_cap_plus_one_bytes() {
+        let limit = max_result_stream(2);
+        assert_eq!(limit, 2 * MAX_RECORD_FRAME + 13);
+        let mut flood = Flood {
+            left: limit + (1 << 20),
+            handed_out: 0,
+        };
+        assert!(matches!(
+            read_frame(&mut flood, limit),
+            Err(ShardError::Protocol(_))
+        ));
+        assert_eq!(flood.handed_out, limit + 1);
+
+        // A real two-record stream is read in full.
+        let stream = encode_results(&compute_chunk(&demo_grid(), FLAT_GRID, 0, 2).unwrap());
+        assert!(stream.len() <= limit);
+        assert_eq!(read_frame(&mut stream.as_slice(), limit), Ok(stream));
     }
 
     #[test]

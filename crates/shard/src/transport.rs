@@ -4,8 +4,9 @@
 //! them. The coordinator side is [`TcpTransport`]: it connects to a
 //! socket worker, writes the assignment, and shuts down the write half
 //! so the worker sees end-of-assignment; a reader thread drains the
-//! result stream, so workers on different links compute concurrently
-//! while the coordinator collects in chunk order under a deadline.
+//! result stream, up to the chunk's size cap, so workers on different
+//! links compute concurrently while the coordinator collects in chunk
+//! order under a deadline.
 //! [`collect_chunk`] decodes what arrives.
 //!
 //! The worker side is [`serve_connections`]: a loop that answers one
@@ -16,12 +17,14 @@
 //! from the hidden [`LISTEN_FLAG`] re-exec mode
 //! ([`socket_worker_main_if_requested`]).
 
-use crate::protocol::{read_control_frame, serve_stream, ServeOutcome};
+use crate::protocol::{
+    max_result_stream, read_frame, serve_stream, ServeOutcome, MAX_CONTROL_FRAME,
+};
 use crate::ShardError;
 use geonet::bytesio::{ByteReader, ByteWriterExt};
 use its_testbed::campaign::CampaignRegistry;
 use its_testbed::RunRecord;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::mpsc;
 use std::time::Duration;
@@ -46,7 +49,8 @@ pub enum ChunkFailure {
     /// shut down. Counted separately so tests can assert the timeout
     /// path specifically was exercised.
     TimedOut,
-    /// I/O error, or an invalid / wrong-length result stream.
+    /// I/O error, a result stream longer than its cap, or an invalid /
+    /// wrong-length result stream.
     Failed(String),
 }
 
@@ -79,7 +83,7 @@ pub fn collect_chunk(
 #[derive(Debug)]
 pub struct TcpTransport {
     stream: TcpStream,
-    rx: Option<mpsc::Receiver<std::io::Result<Vec<u8>>>>,
+    rx: Option<mpsc::Receiver<Result<Vec<u8>, ShardError>>>,
 }
 
 impl TcpTransport {
@@ -96,23 +100,25 @@ impl TcpTransport {
     }
 
     /// Ships the encoded assignment frame, signals end-of-frame, and
-    /// starts the reader that drains the worker's result stream.
+    /// starts the reader that drains the worker's result stream for a
+    /// chunk of `records` records. The reader takes at most
+    /// [`max_result_stream`]`(records)` bytes; a longer stream fails the
+    /// chunk.
     ///
     /// # Errors
     ///
     /// Returns an I/O [`ShardError`] when the connection is already
     /// dead.
-    pub fn send_frame(&mut self, frame: &[u8]) -> Result<(), ShardError> {
+    pub fn send_frame(&mut self, frame: &[u8], records: usize) -> Result<(), ShardError> {
         self.stream.write_all(frame)?;
         self.stream.flush()?;
         // The worker reads the assignment to end-of-stream.
         self.stream.shutdown(Shutdown::Write)?;
         let mut reader = self.stream.try_clone()?;
+        let limit = max_result_stream(records);
         let (tx, rx) = mpsc::channel();
         std::thread::spawn(move || {
-            let mut buf = Vec::new();
-            let result = reader.read_to_end(&mut buf).map(|_| buf);
-            let _ = tx.send(result);
+            let _ = tx.send(read_frame(&mut reader, limit));
         });
         self.rx = Some(rx);
         Ok(())
@@ -122,9 +128,10 @@ impl TcpTransport {
     ///
     /// # Errors
     ///
-    /// [`ChunkFailure::TimedOut`] when the deadline fired (the
-    /// connection has been shut down), [`ChunkFailure::Failed`] for I/O
-    /// errors and for a link that was never sent an assignment.
+    /// [`ChunkFailure::TimedOut`] when the deadline fired,
+    /// [`ChunkFailure::Failed`] for I/O errors, for a stream longer than
+    /// its cap and for a link that was never sent an assignment. After a
+    /// timeout or a failed read the connection has been shut down.
     pub fn collect_frame(&mut self, timeout: Duration) -> Result<Vec<u8>, ChunkFailure> {
         let Some(rx) = self.rx.take() else {
             return Err(ChunkFailure::Failed(
@@ -133,7 +140,11 @@ impl TcpTransport {
         };
         match rx.recv_timeout(timeout) {
             Ok(Ok(bytes)) => Ok(bytes),
-            Ok(Err(e)) => Err(ChunkFailure::Failed(e.to_string())),
+            Ok(Err(e)) => {
+                // A worker still writing past the cap sees a reset.
+                let _ = self.stream.shutdown(Shutdown::Both);
+                Err(ChunkFailure::Failed(e.to_string()))
+            }
             Err(_) => {
                 // Reap the connection so the abandoned reader thread
                 // unblocks; the worker sees a reset and moves on.
@@ -174,7 +185,7 @@ pub fn announce_worker(coordinator: SocketAddr, worker: SocketAddr) -> Result<()
 /// failures.
 pub fn read_announcement(stream: &mut TcpStream) -> Result<SocketAddr, ShardError> {
     stream.set_read_timeout(Some(WORKER_READ_TIMEOUT))?;
-    let bytes = read_control_frame(stream)?;
+    let bytes = read_frame(stream, MAX_CONTROL_FRAME)?;
     let mut r = ByteReader::new(&bytes);
     if r.take(4)? != REGISTER_MAGIC {
         return Err(ShardError::Protocol("bad registration magic".into()));
@@ -323,7 +334,7 @@ mod tests {
     fn tcp_transport_runs_a_chunk_end_to_end() {
         let addr = spawn_worker_thread();
         let mut link = TcpTransport::connect(addr).expect("connect");
-        link.send_frame(&encode_assignment(&assignment(1, 3)))
+        link.send_frame(&encode_assignment(&assignment(1, 3)), 2)
             .expect("send");
         let records = collect_chunk(&mut link, 2, Duration::from_secs(60)).expect("collect");
         assert_eq!(
@@ -339,7 +350,7 @@ mod tests {
         let total = FlatGrid::new(&grid).jobs();
         for lo in 0..total as u64 {
             let mut link = TcpTransport::connect(addr).expect("connect");
-            link.send_frame(&encode_assignment(&assignment(lo, lo + 1)))
+            link.send_frame(&encode_assignment(&assignment(lo, lo + 1)), 1)
                 .expect("send");
             let records = collect_chunk(&mut link, 1, Duration::from_secs(60)).expect("collect");
             assert_eq!(
@@ -353,7 +364,7 @@ mod tests {
     fn wrong_expected_count_is_a_chunk_failure_not_a_panic() {
         let addr = spawn_worker_thread();
         let mut link = TcpTransport::connect(addr).expect("connect");
-        link.send_frame(&encode_assignment(&assignment(0, 2)))
+        link.send_frame(&encode_assignment(&assignment(0, 2)), 3)
             .expect("send");
         let err = collect_chunk(&mut link, 3, Duration::from_secs(60)).unwrap_err();
         assert!(matches!(err, ChunkFailure::Failed(_)));

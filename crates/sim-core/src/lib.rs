@@ -8,8 +8,9 @@
 //! reproducible timeline:
 //!
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution simulated time,
-//! * [`EventQueue`] / [`run_batched`] — a classic min-heap event scheduler with a
-//!   stable FIFO tie-break for events at the same instant,
+//! * [`EventQueue`] / [`run`] — a binary min-heap event scheduler with a
+//!   stable FIFO tie-break for events at the same instant, and its
+//!   one-event-at-a-time dispatch loop,
 //! * [`SimRng`] — a seedable, forkable random source (xoshiro256++), so
 //!   every run is reproducible from a single `u64` seed,
 //! * [`NodeClock`] — a per-host wall clock with NTP-style offset and drift,
@@ -20,7 +21,7 @@
 //! # Example
 //!
 //! ```
-//! use sim_core::{run_batched, EventHandler, EventQueue, SimDuration, SimTime};
+//! use sim_core::{run, EventHandler, EventQueue, SimDuration, SimTime};
 //!
 //! struct Counter(u32);
 //! impl EventHandler for Counter {
@@ -37,8 +38,7 @@
 //! let mut q = EventQueue::new();
 //! q.schedule_at(SimTime::ZERO, "tick");
 //! let mut c = Counter(0);
-//! let mut batch = Vec::new();
-//! let end = run_batched(&mut c, &mut q, SimTime::from_secs(1), &mut batch);
+//! let end = run(&mut c, &mut q, SimTime::from_secs(1));
 //! assert_eq!(c.0, 3);
 //! assert_eq!(end, SimTime::from_millis(20));
 //! ```
@@ -60,7 +60,7 @@ mod time;
 mod trace;
 
 pub use clock::{NodeClock, NtpModel};
-pub use engine::{run_batched, EventHandler, EventQueue};
+pub use engine::{run, EventHandler, EventQueue};
 pub use rng::{RngCore, SimRng};
 pub use time::{SimDuration, SimTime};
 pub use trace::{Trace, TraceEvent};

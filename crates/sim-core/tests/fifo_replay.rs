@@ -1,7 +1,6 @@
-//! FIFO tie-break regression across the queue swap: replays the exact
-//! schedule trace a real `scenario.rs` run generates and asserts the
-//! calendar queue dispatches it in the same order as the reference
-//! heap.
+//! FIFO tie-break regression: replays the exact schedule trace a real
+//! `scenario.rs` run generates and asserts the heap queue dispatches it
+//! in the same order as the linear-scan model queue.
 //!
 //! The trace below was captured from the `quickstart` example's
 //! collision-avoidance scenario (default config) by logging every
@@ -13,10 +12,10 @@
 //! are exactly the cases where only the FIFO seq tie-break determines
 //! handler order.
 
-#[path = "support/reference_queue.rs"]
-mod reference_queue;
+#[path = "support/model_queue.rs"]
+mod model_queue;
 
-use reference_queue::ReferenceQueue;
+use model_queue::ModelQueue;
 use sim_core::{EventQueue, SimTime};
 
 /// `(dispatch_step, time_ns)` for every schedule call of the captured
@@ -310,7 +309,7 @@ impl Queue for EventQueue<u32> {
     }
 }
 
-impl Queue for ReferenceQueue<u32> {
+impl Queue for ModelQueue<u32> {
     fn schedule(&mut self, t: SimTime, e: u32) {
         self.schedule_at(t, e);
     }
@@ -321,14 +320,14 @@ impl Queue for ReferenceQueue<u32> {
 
 #[test]
 fn captured_scenario_trace_dispatches_in_reference_order() {
-    let calendar = replay(&mut EventQueue::new());
-    let reference = replay(&mut ReferenceQueue::new());
-    assert_eq!(calendar.len(), CAPTURE.len());
-    assert_eq!(calendar, reference);
+    let heap = replay(&mut EventQueue::new());
+    let model = replay(&mut ModelQueue::new());
+    assert_eq!(heap.len(), CAPTURE.len());
+    assert_eq!(heap, model);
     // The burst instants (t=0 kickoff and the 500 ms coincidences) must
     // come out strictly in capture order — the FIFO contract itself,
-    // independent of the reference implementation.
-    for w in calendar.windows(2) {
+    // independent of the model.
+    for w in heap.windows(2) {
         if w[0].0 == w[1].0 {
             assert!(w[0].1 < w[1].1, "same-instant events reordered: {:?}", w);
         }

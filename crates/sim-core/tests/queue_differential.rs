@@ -1,20 +1,20 @@
-//! Differential harness pinning the calendar [`EventQueue`] against the
-//! heap-based [`ReferenceQueue`].
+//! Differential harness holding the heap [`EventQueue`] to the
+//! linear-scan [`ModelQueue`].
 //!
-//! The reference queue is the executable specification of the ordering
-//! contract (ascending `(time, seq)`, FIFO at equal instants); these
-//! properties drive both queues through the same arbitrary interleaving
-//! of `schedule_at` and `pop_next`/`pop_batch` calls — same-timestamp
-//! bursts, far-future outliers that force a calendar resize and cursor
-//! jumps, and a forced seq wraparound — and require every observable
-//! (popped events, timestamps, `now`, `pending`, `dispatched`) to match
-//! exactly, step by step.
+//! The model is the executable specification of the ordering contract
+//! (ascending `(time, seq)`, FIFO at equal instants); these properties
+//! drive both queues through the same arbitrary interleaving of
+//! `schedule_at` and `pop_next`/`pop_batch` calls — same-timestamp
+//! bursts, far-future outliers, a 600-event burst and a forced seq
+//! wraparound — and require every observable (popped events,
+//! timestamps, `now`, `pending`, `dispatched`) to match exactly, step by
+//! step.
 
-#[path = "support/reference_queue.rs"]
-mod reference_queue;
+#[path = "support/model_queue.rs"]
+mod model_queue;
 
+use model_queue::ModelQueue;
 use proptest::prelude::*;
-use reference_queue::ReferenceQueue;
 use sim_core::{EventQueue, SimDuration, SimTime};
 
 /// One step of a queue program, decoded from `(op, raw)` fuzz words.
@@ -24,10 +24,9 @@ enum Step {
     Pop(Option<SimDuration>),
 }
 
-/// Shapes a raw u64 into a schedule-after delay that exercises the
-/// calendar's interesting regimes: same-instant bursts, sub-bucket
-/// micro-delays, multi-bucket hops, and far-future outliers (whole
-/// seconds ahead — thousands of empty calendar days).
+/// Shapes a raw u64 into a schedule-after delay in one of four regimes:
+/// same-instant bursts, sub-microsecond delays, hops of up to 10 ms,
+/// and far-future outliers (whole seconds ahead).
 fn shape_delay(raw: u64) -> SimDuration {
     match raw % 4 {
         0 => SimDuration::ZERO,
@@ -40,8 +39,7 @@ fn shape_delay(raw: u64) -> SimDuration {
 fn decode(ops: &[(u8, u64)]) -> Vec<Step> {
     ops.iter()
         .map(|&(op, raw)| match op {
-            // Biased toward schedules so queues actually fill up (and,
-            // at the larger program sizes, cross the resize threshold).
+            // Biased toward schedules so queues actually fill up.
             0..=5 => Step::Schedule(shape_delay(raw)),
             6..=8 => Step::Pop(Some(SimDuration::from_nanos(raw % 20_000_000))),
             _ => Step::Pop(None),
@@ -52,34 +50,34 @@ fn decode(ops: &[(u8, u64)]) -> Vec<Step> {
 /// Runs one program against both queues with single-event pops,
 /// asserting every observable matches at every step.
 fn run_differential(ops: &[(u8, u64)], start_seq: u64) -> Result<(), TestCaseError> {
-    let mut cal: EventQueue<u32> = EventQueue::new();
-    let mut rf: ReferenceQueue<u32> = ReferenceQueue::new();
-    cal.force_seq(start_seq);
-    rf.force_seq(start_seq);
+    let mut heap: EventQueue<u32> = EventQueue::new();
+    let mut model: ModelQueue<u32> = ModelQueue::new();
+    heap.force_seq(start_seq);
+    model.force_seq(start_seq);
     let mut payload: u32 = 0;
     for step in decode(ops) {
         match step {
             Step::Schedule(delay) => {
-                let t = cal.now() + delay;
-                cal.schedule_at(t, payload);
-                rf.schedule_at(t, payload);
+                let t = heap.now() + delay;
+                heap.schedule_at(t, payload);
+                model.schedule_at(t, payload);
                 payload += 1;
             }
             Step::Pop(bound) => {
                 let until = match bound {
-                    Some(d) => cal.now() + d,
+                    Some(d) => heap.now() + d,
                     None => SimTime::MAX,
                 };
-                prop_assert_eq!(cal.pop_next(until), rf.pop_next(until));
+                prop_assert_eq!(heap.pop_next(until), model.pop_next(until));
             }
         }
-        prop_assert_eq!(cal.now(), rf.now());
-        prop_assert_eq!(cal.pending(), rf.pending());
-        prop_assert_eq!(cal.dispatched(), rf.dispatched());
+        prop_assert_eq!(heap.now(), model.now());
+        prop_assert_eq!(heap.pending(), model.pending());
+        prop_assert_eq!(heap.dispatched(), model.dispatched());
     }
     // Drain both to the end: the full residual order must agree too.
     loop {
-        let (a, b) = (cal.pop_next(SimTime::MAX), rf.pop_next(SimTime::MAX));
+        let (a, b) = (heap.pop_next(SimTime::MAX), model.pop_next(SimTime::MAX));
         prop_assert_eq!(a, b);
         if a.is_none() {
             break;
@@ -111,30 +109,30 @@ proptest! {
     fn batch_pops_match_reference(
         ops in proptest::collection::vec((0u8..10, any::<u64>()), 0..300)
     ) {
-        let mut cal: EventQueue<u32> = EventQueue::new();
-        let mut rf: ReferenceQueue<u32> = ReferenceQueue::new();
+        let mut heap: EventQueue<u32> = EventQueue::new();
+        let mut model: ModelQueue<u32> = ModelQueue::new();
         let mut payload: u32 = 0;
         let (mut ba, mut bb) = (Vec::new(), Vec::new());
         for step in decode(&ops) {
             match step {
                 Step::Schedule(delay) => {
-                    let t = cal.now() + delay;
-                    cal.schedule_at(t, payload);
-                    rf.schedule_at(t, payload);
+                    let t = heap.now() + delay;
+                    heap.schedule_at(t, payload);
+                    model.schedule_at(t, payload);
                     payload += 1;
                 }
                 Step::Pop(bound) => {
                     let until = match bound {
-                        Some(d) => cal.now() + d,
+                        Some(d) => heap.now() + d,
                         None => SimTime::MAX,
                     };
                     ba.clear();
                     bb.clear();
-                    prop_assert_eq!(cal.pop_batch(until, &mut ba), rf.pop_batch(until, &mut bb));
+                    prop_assert_eq!(heap.pop_batch(until, &mut ba), model.pop_batch(until, &mut bb));
                     prop_assert_eq!(&ba, &bb);
                 }
             }
-            prop_assert_eq!(cal.pending(), rf.pending());
+            prop_assert_eq!(heap.pending(), model.pending());
         }
     }
 
@@ -142,12 +140,12 @@ proptest! {
     fn resize_burst_matches_reference(
         seed in any::<u64>()
     ) {
-        // Deterministically derived burst of ~600 pending events: far
-        // past the 4×64-slot initial capacity, so the bucket array
-        // doubles (64 → 128 → 256) while everything is still pending,
-        // then drains in one go.
-        let mut cal: EventQueue<u32> = EventQueue::new();
-        let mut rf: ReferenceQueue<u32> = ReferenceQueue::new();
+        // Deterministically derived burst of 600 pending events: far
+        // past the largest pending set a scenario reaches, so the heap
+        // grows while everything is still pending, then drains in one
+        // go.
+        let mut heap: EventQueue<u32> = EventQueue::new();
+        let mut model: ModelQueue<u32> = ModelQueue::new();
         let mut x = seed;
         for i in 0..600u32 {
             // splitmix64 step — cheap, deterministic spread.
@@ -157,11 +155,11 @@ proptest! {
             z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
             z ^= z >> 31;
             let t = SimTime::from_nanos(z % 50_000_000);
-            cal.schedule_at(t, i);
-            rf.schedule_at(t, i);
+            heap.schedule_at(t, i);
+            model.schedule_at(t, i);
         }
         loop {
-            let (a, b) = (cal.pop_next(SimTime::MAX), rf.pop_next(SimTime::MAX));
+            let (a, b) = (heap.pop_next(SimTime::MAX), model.pop_next(SimTime::MAX));
             prop_assert_eq!(a, b);
             if a.is_none() {
                 break;

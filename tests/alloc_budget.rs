@@ -1,12 +1,11 @@
 //! Allocation-regression gate for the scenario hot loop.
 //!
-//! The calendar-queue engine and the scratch-recycling work drove the
-//! table 2 scenario from ~160 heap allocations per run down to a
-//! handful: the event queue's slab and buckets, the CAM frame pool,
-//! the vision-pipeline buffers and the per-handler scratch vectors are
-//! all reused across runs, so a steady-state run only allocates what
-//! it genuinely hands outward (the `RunRecord`'s trace, the DENM
-//! payload `Arc`, the LDM's first inserts).
+//! Scratch recycling drove the table 2 scenario from ~160 heap
+//! allocations per run down to a handful: the event queue's heap, the
+//! CAM frame pool, the vision-pipeline buffers and the per-handler
+//! scratch vectors are all reused across runs, so a steady-state run
+//! only allocates what it genuinely hands outward (the `RunRecord`'s
+//! trace, the DENM payload `Arc`, the LDM's first inserts).
 //!
 //! This test pins that property with a counting global allocator: the
 //! *marginal* allocations per run — measured over warm runs so

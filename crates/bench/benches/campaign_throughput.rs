@@ -72,8 +72,8 @@ fn measure_side(runner: &Runner, runs: usize) -> SideResult {
     let allocs_before = ALLOC_CALLS.load(Ordering::Relaxed);
     let bytes_before = ALLOC_BYTES.load(Ordering::Relaxed);
     let base = base_config();
-    let (t2, t2_secs) = criterion::time_once(|| table2(runner, &base, runs));
-    let (t3, t3_secs) = criterion::time_once(|| table3(runner, &base, runs));
+    let (t2, t2_secs) = bench::time_once(|| table2(runner, &base, runs));
+    let (t3, t3_secs) = bench::time_once(|| table3(runner, &base, runs));
     let allocs = ALLOC_CALLS.load(Ordering::Relaxed) - allocs_before;
     let bytes = ALLOC_BYTES.load(Ordering::Relaxed) - bytes_before;
 

@@ -62,7 +62,7 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 fn timed_run(config: &CityConfig) -> (CityRecord, f64, u64) {
     let allocs_before = ALLOC_CALLS.load(Ordering::Relaxed);
-    let (record, secs) = criterion::time_once(|| run_city(config));
+    let (record, secs) = bench::time_once(|| run_city(config));
     let allocs = ALLOC_CALLS.load(Ordering::Relaxed) - allocs_before;
     (record, secs, allocs)
 }

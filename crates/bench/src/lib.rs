@@ -1,9 +1,12 @@
-//! Shared helpers for the benchmark harness.
+//! Writers and validators of the tracked bench baselines.
 //!
-//! Every bench regenerates one table or figure of the paper: it first
-//! prints the artefact (so `cargo bench` output contains the same rows
-//! the paper reports) and then measures the underlying computation with
-//! Criterion.
+//! Two benches live here: `campaign_throughput` writes
+//! `BENCH_campaign.json` and `city_scale` writes `BENCH_city.json`. This
+//! library holds what they share: the measurement types, the JSON
+//! writers and validators (this crate's tests validate the tracked
+//! files), the host facts, and [`time_once`], the benches' one
+//! wall-clock read. The paper's tables and figures are regenerated by
+//! the examples (EXPERIMENTS.md names one command per artefact).
 
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
@@ -11,9 +14,11 @@
 
 use its_testbed::scenario::ScenarioConfig;
 use runner::Runner;
+// detlint:allow(D1) benchmarks measure real host time by definition
+use std::time::Instant;
 
-/// The base configuration used by every table/figure bench, seeded so
-/// that all benches report from the same simulated campaign.
+/// The base configuration of the campaign-throughput bench: the seed
+/// behind the tracked Table II and Table III fingerprints.
 pub fn base_config() -> ScenarioConfig {
     ScenarioConfig {
         seed: 20230627,
@@ -21,12 +26,25 @@ pub fn base_config() -> ScenarioConfig {
     }
 }
 
-/// The campaign runner every bench executes its Monte-Carlo loops on:
-/// worker count from `RUNNER_THREADS` or the machine. Thread count
+/// The campaign runner the parallel side of `campaign_throughput` runs
+/// on: worker count from `RUNNER_THREADS` or the machine. Thread count
 /// never changes the reported numbers (see DESIGN.md §8), only how fast
 /// they arrive.
 pub fn campaign_runner() -> Runner {
     Runner::from_env()
+}
+
+/// Times a single call of `f` on the host clock, returning its result
+/// and the elapsed wall-clock seconds.
+///
+/// Both benches time whole campaigns and runs through this function, so
+/// their host-clock reads sit behind its two justified
+/// `detlint:allow(D1)` lines (a bench measures host time by definition).
+pub fn time_once<O>(f: impl FnOnce() -> O) -> (O, f64) {
+    // detlint:allow(D1) benchmarks measure real host time by definition
+    let start = Instant::now();
+    let out = f();
+    (out, start.elapsed().as_secs_f64())
 }
 
 /// One timed side (serial or parallel) of the campaign-throughput bench.
@@ -464,20 +482,6 @@ pub fn validate_city_baseline(src: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Formats a mean/sd/min/max line for the bench reports.
-pub fn stat_line(name: &str, xs: &[f64]) -> String {
-    let n = xs.len() as f64;
-    let mean = xs.iter().sum::<f64>() / n;
-    let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n;
-    format!(
-        "{name}: mean {mean:.2}, sd {:.2}, min {:.2}, max {:.2} (n={})",
-        var.sqrt(),
-        xs.iter().copied().fold(f64::INFINITY, f64::min),
-        xs.iter().copied().fold(f64::NEG_INFINITY, f64::max),
-        xs.len()
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -486,13 +490,6 @@ mod tests {
     fn base_config_is_paper_shaped() {
         let c = base_config();
         assert_eq!(c.action_point_m, 1.52);
-    }
-
-    #[test]
-    fn stat_line_formats() {
-        let s = stat_line("x", &[1.0, 2.0, 3.0]);
-        assert!(s.contains("mean 2.00"));
-        assert!(s.contains("n=3"));
     }
 
     fn sample_measurement() -> CampaignMeasurement {

@@ -34,7 +34,7 @@
 //! [`experiments::table1`] (cause-code table). The extension experiments
 //! ([`platoon`], the cellular comparison in
 //! [`scenario::DenmLink::Cellular`], and the blind-corner ablation in
-//! `benches`) implement the paper's §V future work.
+//! the `blind_corner` example) implement the paper's §V future work.
 //!
 //! Campaigns (the `experiments` tables and every `ablation` sweep) are
 //! [`campaign::CampaignSpec`]s executed through the generic

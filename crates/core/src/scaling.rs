@@ -73,20 +73,6 @@ impl BrakingProfile {
         }
         d
     }
-
-    /// Stopping time from `v0`, seconds.
-    #[cfg(test)]
-    pub fn stopping_time(&self, v0: f64) -> f64 {
-        let mut v = v0;
-        let mut t = 0.0;
-        let dt = 1e-4;
-        while v > 0.0 {
-            let force = self.brake_force_n + self.linear_drag * v + self.quadratic_drag * v * v;
-            v = (v - force / self.mass_kg * dt).max(0.0);
-            t += dt;
-        }
-        t
-    }
 }
 
 /// Maps a braking distance observed on the scale testbed to the
@@ -106,13 +92,6 @@ pub fn extrapolate_braking_distance(
     let model_scale = scale.stopping_distance(scale_speed);
     let model_full = full.stopping_distance(full_speed);
     measured_scale_m * (model_full / model_scale.max(f64::MIN_POSITIVE))
-}
-
-/// Adds the reaction/latency travel to a braking distance: the distance
-/// covered at `speed` during `latency_s` before the brakes act.
-#[cfg(test)]
-pub fn total_stopping_distance(braking_m: f64, speed: f64, latency_s: f64) -> f64 {
-    braking_m + speed * latency_s
 }
 
 #[cfg(test)]
@@ -165,21 +144,5 @@ mod tests {
         // distance since the model matches the measurement.
         let model = full.stopping_distance(13.9);
         assert!((a - model).abs() / model < 0.35, "a={a}, model={model}");
-    }
-
-    #[test]
-    fn latency_travel_added_linearly() {
-        let total = total_stopping_distance(20.0, 13.9, 0.1);
-        assert!((total - 21.39).abs() < 1e-9);
-    }
-
-    #[test]
-    fn stopping_time_consistent_with_distance() {
-        let p = BrakingProfile::scale_power_cut();
-        let t = p.stopping_time(1.5);
-        let d = p.stopping_distance(1.5);
-        // Mean speed during the stop is below the initial speed.
-        assert!(d / t < 1.5);
-        assert!(t > 0.1 && t < 2.0, "t = {t}");
     }
 }

@@ -345,8 +345,8 @@ impl Codec for CauseCode {
 }
 
 /// Every `(cause, sub_cause, sub-cause description)` row of the paper's
-/// Table I, in print order. Used by the `table1_causecodes` bench to emit
-/// the table and by tests to pin the values.
+/// Table I, in print order. Used by `its_testbed::experiments::table1` to
+/// emit the table and by tests to pin the values.
 pub const TABLE_I_ROWS: &[(u8, u8, &str)] = &[
     (9, 0, "Unavailable"),
     (

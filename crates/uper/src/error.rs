@@ -25,7 +25,7 @@ pub enum UperError {
         /// Inclusive upper bound of the constraint.
         max: i128,
     },
-    /// A length determinant exceeded the supported maximum (64 KiB - 1).
+    /// A sequence length exceeded the maximum its field allows.
     LengthTooLarge(usize),
     /// An enumerated value decoded to an index with no corresponding variant.
     InvalidEnum {
@@ -34,7 +34,8 @@ pub enum UperError {
         /// Name of the enumeration, for diagnostics.
         name: &'static str,
     },
-    /// A decoded character was not valid for the string type (e.g. IA5).
+    /// A decoded character was not valid for the string type (malformed
+    /// UTF-8).
     InvalidCharacter(u32),
     /// A constraint was itself malformed (`min > max`).
     BadConstraint {

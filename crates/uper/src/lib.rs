@@ -4,8 +4,8 @@
 //! the Unaligned Packed Encoding Rules (UPER). This crate provides the
 //! bit-level encoding machinery used by the [`its-messages`] crate: a
 //! [`BitWriter`]/[`BitReader`] pair plus the standard UPER field encodings
-//! (constrained and semi-constrained integers, optional-presence bitmaps,
-//! enumerations, length determinants, character strings).
+//! the messages use (constrained integers, optional-presence bitmaps,
+//! enumerations, size-constrained `SEQUENCE OF` and UTF8String).
 //!
 //! The implementation follows the subset of ITU-T X.691 needed by the ETSI
 //! ITS basic services; it is not a general-purpose ASN.1 compiler. Encodings

@@ -147,7 +147,9 @@ impl LongitudinalModel {
     }
 
     /// Convenience: simulate a power-cut from the current speed and
-    /// return the stopping distance (does not mutate `self`).
+    /// return the stopping distance (does not mutate `self`). The
+    /// dynamics tests' coast-down hook.
+    #[cfg(test)]
     pub fn coast_down_distance(&self) -> f64 {
         let mut copy = *self;
         let start = copy.distance_m;

@@ -1,5 +1,8 @@
 //! Channel congestion at scale: many CAM-beaconing stations with the
-//! reactive DCC gatekeeper (ETSI TS 102 687) in the loop.
+//! reactive DCC gatekeeper (ETSI TS 102 687) in the loop. The example
+//! first prints the access-layer ingredients of every frame's channel
+//! time: the airtime of a DENM-sized frame per ITS-G5 data rate and the
+//! EDCA AIFS per access category.
 //!
 //! The station-count sweep runs one fleet per worker on the parallel
 //! campaign runner; pick the worker count with `--threads N` or
@@ -11,6 +14,8 @@
 
 use its_testbed::congestion::{run_congestion, sweep_station_count, CongestionConfig};
 use its_testbed::Runner;
+use phy80211p::edca::{AccessCategory, EdcaParams};
+use phy80211p::ofdm::{airtime, DataRate};
 
 fn main() {
     // `--threads N` wins over `RUNNER_THREADS` / the machine; zero and
@@ -24,6 +29,21 @@ fn main() {
         }
     };
     println!("CAM beaconing under load — reactive DCC in every station\n");
+    println!("airtime of a 110-byte DENM frame per ITS-G5 data rate:");
+    for rate in DataRate::ALL {
+        println!("  {:>10}  {}", rate.to_string(), airtime(110, rate));
+    }
+    println!("\nEDCA AIFS per access category (10 MHz timing):");
+    for ac in AccessCategory::ALL {
+        let p = EdcaParams::for_category(ac);
+        println!(
+            "  {ac:?}: AIFSN {} CWmin {} -> AIFS {}",
+            p.aifsn,
+            p.cw_min,
+            p.aifs()
+        );
+    }
+    println!();
     println!(
         "Station-count sweep (20 s simulated each, {} worker thread(s)):",
         runner.threads()

@@ -2,7 +2,7 @@
 //! (cause code 97, *collision risk*, sub-cause 2, *crossing collision
 //! risk*), push it through the real OpenC2X-style HTTP API over TCP and
 //! through the GeoNetworking/BTP encapsulation, and show every byte
-//! level of the stack.
+//! level of the stack, with the vehicle's CAM size beside the DENM's.
 //!
 //! ```sh
 //! cargo run --example denm_wire
@@ -13,9 +13,11 @@ use std::sync::Arc;
 use geonet::btp::BtpPort;
 use geonet::headers::TrafficClass;
 use geonet::{GeoArea, GnAddress, GnPacket, LongPositionVector};
+use its_messages::cam::Cam;
 use its_messages::cause_codes::{CauseCode, CollisionRiskSubCause};
 use its_messages::common::{
-    ActionId, ReferencePosition, RelevanceDistance, StationId, StationType, TimestampIts,
+    ActionId, Heading, ReferencePosition, RelevanceDistance, Speed, StationId, StationType,
+    TimestampIts,
 };
 use its_messages::denm::{Denm, ManagementContainer, SituationContainer};
 use openc2x::api::{ObuApi, RsuApi};
@@ -61,7 +63,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("  {}\n", hex(&wire));
 
     let at = phy80211p::ofdm::airtime(wire.len(), phy80211p::ofdm::DataRate::Mbps6);
-    println!("802.11p airtime at 6 Mbit/s: {at}\n");
+    println!("802.11p airtime at 6 Mbit/s: {at}");
+
+    // The protagonist's CAM beacon (1.5 m/s, heading 270°) for scale.
+    let cam = Cam::basic(
+        StationId::new(7)?,
+        4321,
+        StationType::PassengerCar,
+        event_position,
+    )
+    .with_dynamics(Heading::from_degrees(270.0), Speed::from_mps(1.5));
+    println!(
+        "wire sizes: DENM {} bytes, CAM {} bytes\n",
+        denm_bytes.len(),
+        cam.to_bytes()?.len()
+    );
 
     // --- Application API over real TCP, like the testbed's HTTP flow. ---
     let rsu_api = Arc::new(RsuApi::new());

@@ -1,7 +1,8 @@
 //! Platoon extension (paper §V future work): detection-to-action delay
 //! for a whole platoon, under direct GeoBroadcast delivery and under the
 //! multi-technology arrangement (5G-capable leader + 802.11p intra-
-//! platoon forwarding) — optionally under an injected fault.
+//! platoon forwarding) — optionally under an injected fault — then a
+//! platoon-size sweep and an emergency-brake cruise-gap sweep.
 //!
 //! ```sh
 //! cargo run --example platoon_braking --release
@@ -104,6 +105,36 @@ fn main() {
         "LTE-Uu leader + 802.11p forwarding (worst case):",
         &relay_lte,
     );
+
+    // The worst vehicle's delay against the platoon's size: each 802.11p
+    // forward hop of a relayed platoon adds its processing, MAC access
+    // and airtime.
+    println!("platoon detection-to-action delay (worst vehicle), ms:");
+    println!("  size   direct GBC   5G relay   LTE relay   min gap (direct)");
+    for n in [2usize, 3, 4, 6, 8] {
+        let sized = PlatoonConfig {
+            seed: 50,
+            n_vehicles: n,
+            ..base.clone()
+        };
+        let direct = run_platoon(&sized);
+        let relay5g = run_platoon(&PlatoonConfig {
+            link: PlatoonLink::LeaderCellularRelay(CellularProfile::nsa_5g()),
+            ..sized.clone()
+        });
+        let relay_lte = run_platoon(&PlatoonConfig {
+            link: PlatoonLink::LeaderCellularRelay(CellularProfile::lte_uu()),
+            ..sized.clone()
+        });
+        println!(
+            "  {n:>4}   {:>10.1}   {:>8.1}   {:>9.1}   {:>7.2} m",
+            direct.platoon_action_ms,
+            relay5g.platoon_action_ms,
+            relay_lte.platoon_action_ms,
+            direct.min_gap_m
+        );
+    }
+    println!();
 
     // Fail-safe emergency braking: the leader stops on its own sensors,
     // followers rely on the relayed DENM — the notification delay now

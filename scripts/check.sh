@@ -53,6 +53,13 @@ echo "==> detlint (JSON report -> target/detlint.json)"
 mkdir -p target
 cargo run -q -p detlint -- --quiet --format json | tee target/detlint.json >/dev/null
 
+# Paper-artefact smoke: the collision_avoidance example regenerates
+# Tables I–III and Figs. 10–11 with their large-N campaigns, fits,
+# bootstrap intervals and full-size extrapolation, and the §V interface
+# table, so every block EXPERIMENTS.md quotes from it runs here.
+echo "==> paper-artefact smoke (collision_avoidance)"
+cargo run -q -p its-testbed --example collision_avoidance --release >/dev/null
+
 # Campaign-server smoke: boot 2 re-exec'd socket workers and the HTTP
 # campaign server, submit Table II through the client, and diff the
 # served stream against the in-example serial reference — the example

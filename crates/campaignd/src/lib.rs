@@ -91,18 +91,6 @@ pub struct WorkerProcs {
     children: Vec<Child>,
 }
 
-impl WorkerProcs {
-    /// How many worker processes were spawned.
-    pub fn len(&self) -> usize {
-        self.children.len()
-    }
-
-    /// Whether no workers were spawned.
-    pub fn is_empty(&self) -> bool {
-        self.children.is_empty()
-    }
-}
-
 impl Drop for WorkerProcs {
     fn drop(&mut self) {
         for child in &mut self.children {

@@ -74,6 +74,7 @@ impl WorkerPool {
 
     /// Registers a worker directly, bypassing the control port — for
     /// in-process workers in tests.
+    #[cfg(test)]
     pub fn register(&self, worker: SocketAddr) {
         if let Ok(mut list) = self.workers.lock() {
             list.push(worker);

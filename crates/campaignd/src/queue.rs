@@ -94,11 +94,13 @@ impl<T> SubmissionQueue<T> {
     }
 
     /// Items currently waiting (excludes anything already dequeued).
+    #[cfg(test)]
     pub fn len(&self) -> usize {
         self.lock().items.len()
     }
 
     /// Whether no items are waiting.
+    #[cfg(test)]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }

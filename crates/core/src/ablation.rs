@@ -55,6 +55,7 @@ impl SweepTable {
     /// # Panics
     ///
     /// Panics if the column name is unknown.
+    #[cfg(test)]
     pub fn column(&self, name: &str) -> Vec<f64> {
         let idx = self
             .columns

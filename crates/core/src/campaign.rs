@@ -165,6 +165,7 @@ impl CampaignRegistry {
     }
 
     /// Whether `name` is registered.
+    #[cfg(test)]
     pub fn contains(&self, name: &str) -> bool {
         self.entries.iter().any(|(n, _)| *n == name)
     }
@@ -175,11 +176,13 @@ impl CampaignRegistry {
     }
 
     /// Number of registered campaigns.
+    #[cfg(test)]
     pub fn len(&self) -> usize {
         self.entries.len()
     }
 
     /// Whether the registry is empty.
+    #[cfg(test)]
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }

@@ -246,6 +246,7 @@ impl FaultSweep {
     /// # Panics
     ///
     /// Panics if the cell is not in the grid.
+    #[cfg(test)]
     pub fn cell(&self, class: &str, intensity: f64) -> &FaultSweepRow {
         self.rows
             .iter()

@@ -1,13 +1,12 @@
 //! Structure-of-arrays station state for city-scale fleets.
 //!
 //! The city experiment ticks thousands of stations per 100 ms. Keeping
-//! each station's hot state (position, heading, speed, DCC probe
-//! window, transmit counters) in its own `ItsStation` object scatters
-//! that state across the heap, so a per-tick pass chases one pointer
-//! per station. [`StationArena`] stores each field in its own
-//! contiguous `Vec` instead, so the kinematics pass, the channel-busy
-//! accounting, and the DCC window roll each walk flat `f64`/`u64`
-//! arrays in index order.
+//! each station's hot state (position, DCC probe window, transmit
+//! counters) in its own `ItsStation` object scatters that state across
+//! the heap, so a per-tick pass chases one pointer per station.
+//! [`StationArena`] stores each field in its own contiguous `Vec`
+//! instead, so the kinematics pass, the channel-busy accounting, and
+//! the DCC window roll each walk flat `f64`/`u64` arrays in index order.
 //!
 //! The DCC ladder itself is the *same* state machine the per-station
 //! [`phy80211p::dcc::DccGatekeeper`] runs: the arena calls the pure
@@ -35,8 +34,6 @@ pub struct StationArena {
     // --- kinematics ---
     xs: Vec<f64>,
     ys: Vec<f64>,
-    headings_deg: Vec<f64>,
-    speeds_mps: Vec<f64>,
     // --- DCC probe + ladder ---
     dcc_states: Vec<DccState>,
     busy_in_window_ns: Vec<u64>,
@@ -59,8 +56,6 @@ impl StationArena {
             probe_window,
             xs: Vec::new(),
             ys: Vec::new(),
-            headings_deg: Vec::new(),
-            speeds_mps: Vec::new(),
             dcc_states: Vec::new(),
             busy_in_window_ns: Vec::new(),
             window_start: Vec::new(),
@@ -73,13 +68,12 @@ impl StationArena {
         }
     }
 
-    /// Appends a station; returns its dense index.
-    pub fn push_station(&mut self, pos: Position2D, heading_deg: f64, speed_mps: f64) -> u32 {
+    /// Appends a station; returns its dense index. The heading and
+    /// speed are not stored: no pass reads them.
+    pub fn push_station(&mut self, pos: Position2D, _heading_deg: f64, _speed_mps: f64) -> u32 {
         let idx = self.xs.len() as u32;
         self.xs.push(pos.x);
         self.ys.push(pos.y);
-        self.headings_deg.push(heading_deg);
-        self.speeds_mps.push(speed_mps);
         self.dcc_states.push(DccState::Relaxed);
         self.busy_in_window_ns.push(0);
         self.window_start.push(SimTime::ZERO);
@@ -95,11 +89,6 @@ impl StationArena {
         self.xs.len()
     }
 
-    /// Whether the arena is empty.
-    pub fn is_empty(&self) -> bool {
-        self.xs.is_empty()
-    }
-
     /// Position of station `idx`, if it exists.
     pub fn position_of(&self, idx: u32) -> Option<Position2D> {
         let i = idx as usize;
@@ -107,16 +96,6 @@ impl StationArena {
             (Some(&x), Some(&y)) => Some(Position2D::new(x, y)),
             _ => None,
         }
-    }
-
-    /// All x coordinates, index order (contiguous kinematics reads).
-    pub fn xs(&self) -> &[f64] {
-        &self.xs
-    }
-
-    /// All y coordinates, index order.
-    pub fn ys(&self) -> &[f64] {
-        &self.ys
     }
 
     /// Mutable x coordinates for a contiguous kinematics pass.
@@ -133,16 +112,6 @@ impl StationArena {
     /// passes that write x and y in a single contiguous walk.
     pub fn coords_mut(&mut self) -> (&mut [f64], &mut [f64]) {
         (&mut self.xs, &mut self.ys)
-    }
-
-    /// Heading (degrees) per station, index order.
-    pub fn headings_deg(&self) -> &[f64] {
-        &self.headings_deg
-    }
-
-    /// Speed (m/s) per station, index order.
-    pub fn speeds_mps(&self) -> &[f64] {
-        &self.speeds_mps
     }
 
     /// DCC ladder state of station `idx` (Relaxed for unknown indices,
@@ -352,7 +321,6 @@ mod tests {
             *x += 1.0;
         }
         assert_eq!(arena.position_of(3), Some(Position2D::new(4.0, 0.0)));
-        assert_eq!(arena.xs().len(), 8);
         assert_eq!(arena.station_count(), 8);
     }
 }

@@ -47,7 +47,7 @@ use sim_core::{SimTime, Trace, TraceEvent};
 /// Current wire format version; bumped on any layout change.
 pub const WIRE_VERSION: u8 = 3;
 
-/// Oldest version [`RunRecord::decode`] still accepts.
+/// Oldest version [`RunRecord::decode_from`] still accepts.
 pub const MIN_WIRE_VERSION: u8 = 1;
 
 /// Error produced when decoding a [`RunRecord`] frame.
@@ -246,6 +246,7 @@ impl RunRecord {
     }
 
     /// Decodes one frame that must span the whole buffer exactly.
+    #[cfg(test)]
     pub fn decode(bytes: &[u8]) -> Result<Self, WireError> {
         let mut r = ByteReader::new(bytes);
         let record = Self::decode_from(&mut r)?;

@@ -64,6 +64,7 @@ impl std::fmt::Display for Finding {
 /// Checks one file's source text against every enabled per-file rule.
 /// The crate- and workspace-level passes (S3, W1) run in
 /// [`crate::run`], which lexes each file once and shares the tokens.
+// detlint:allow(U1) detlint's tests/fixtures.rs lints single fixture files
 pub fn check_file(cfg: &Config, rel_path: &str, source: &str) -> Vec<Finding> {
     check_file_lexed(cfg, rel_path, source, &lex(source))
 }

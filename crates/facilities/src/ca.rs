@@ -122,11 +122,13 @@ impl CaService {
     }
 
     /// Total CAMs generated so far.
+    #[cfg(test)]
     pub fn generated(&self) -> u64 {
         self.generated
     }
 
     /// The adaptive period currently in effect.
+    #[cfg(test)]
     pub fn t_gen_cam(&self) -> SimDuration {
         self.t_gen_cam
     }
@@ -181,8 +183,9 @@ impl CaService {
     /// runs once a CAM is due; callers that need a fixed beacon cadence
     /// regardless of station dynamics — a stationary RSU acting as a
     /// liveness heartbeat for a vehicle-side watchdog — invoke it
-    /// directly. Counts toward [`generated`](Self::generated) and
-    /// advances the path history like any triggered CAM.
+    /// directly. Counts toward the generated-CAM total (which paces the
+    /// low-frequency container) and advances the path history like any
+    /// triggered CAM.
     pub fn generate(&mut self, now: SimTime, state: &StationState) -> Cam {
         self.last = Some((now, *state));
         self.generated += 1;

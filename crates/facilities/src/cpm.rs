@@ -16,23 +16,19 @@
 //! # Example
 //!
 //! ```
-//! use facilities::cpm::{Cpm, CpmPerceivedObject, ObjectClass};
+//! use facilities::cpm::{CpService, CpServiceConfig, Cpm, CpmPerceivedObject, ObjectClass};
 //! use its_messages::common::{ReferencePosition, StationId, StationType};
+//! use sim_core::SimTime;
 //!
 //! # fn main() -> Result<(), uper::UperError> {
-//! let mut cpm = Cpm::new(
+//! let mut cp = CpService::new(
 //!     StationId::new(15)?,
 //!     StationType::RoadSideUnit,
-//!     ReferencePosition::from_degrees(41.178, -8.608),
-//!     1234,
-//! )?;
-//! cpm.perceived_objects.push(CpmPerceivedObject::from_planar(
-//!     2,
-//!     3.5,
-//!     -1.0,
-//!     ObjectClass::Person,
-//!     88,
-//! ));
+//!     CpServiceConfig::default(),
+//! );
+//! let seen = [CpmPerceivedObject::from_planar(2, 3.5, -1.0, ObjectClass::Person, 88)];
+//! let pos = ReferencePosition::from_degrees(41.178, -8.608);
+//! let cpm = cp.poll(SimTime::from_millis(1234), pos, &seen).expect("a CPM is due");
 //! let bytes = cpm.to_bytes()?;
 //! assert_eq!(Cpm::from_bytes(&bytes)?, cpm);
 //! # Ok(())
@@ -251,6 +247,7 @@ impl Cpm {
     ///
     /// Never fails today; the `Result` mirrors the other message
     /// constructors so callers handle all builders uniformly.
+    #[cfg(test)]
     pub fn new(
         station_id: StationId,
         station_type: StationType,
@@ -406,6 +403,7 @@ impl CpService {
     }
 
     /// Total CPMs generated so far.
+    #[cfg(test)]
     pub fn generated(&self) -> u64 {
         self.generated
     }

@@ -1,10 +1,11 @@
 //! Decentralized Environmental Notification basic service
 //! (ETSI EN 302 637-3).
 //!
-//! The originating side implements the `AppDENM_trigger`, `AppDENM_update`
-//! and `AppDENM_terminate` interfaces the application layer calls (in the
-//! testbed, the Hazard Advertisement Service calls `trigger` through the
-//! OpenC2X HTTP API). Triggered events are retransmitted at the requested
+//! The originating side implements `AppDENM_trigger`, the one interface
+//! the testbed's application calls (the Hazard Advertisement Service
+//! calls `trigger` through the OpenC2X HTTP API); no run updates or
+//! terminates an event, so `AppDENM_update` and `AppDENM_terminate` are
+//! not modelled. Triggered events are retransmitted at the requested
 //! repetition interval until their repetition duration elapses.
 //!
 //! The receiving side de-duplicates by `(ActionID, referenceTime)` and
@@ -72,8 +73,6 @@ struct ActiveEvent {
     next_tx: Option<SimTime>,
     /// When repetitions stop.
     repeat_until: SimTime,
-    /// Cancelled by the application.
-    terminated: bool,
 }
 
 /// The DEN basic service of one ITS station (originator + receiver roles).
@@ -97,7 +96,8 @@ struct ActiveEvent {
 ///         CauseCode::CollisionRisk(CollisionRiskSubCause::CrossingCollisionRisk),
 ///     ),
 /// );
-/// let due = den.poll(SimTime::ZERO, TimestampIts::new(1000).unwrap());
+/// let mut due = Vec::new();
+/// den.poll_into(SimTime::ZERO, TimestampIts::new(1000).unwrap(), &mut due);
 /// assert_eq!(due.len(), 1);
 /// assert_eq!(due[0].management.action_id, action);
 /// ```
@@ -123,11 +123,6 @@ impl DenService {
         }
     }
 
-    /// Number of events this originator still tracks.
-    pub fn active_events(&self) -> usize {
-        self.events.iter().filter(|e| !e.terminated).count()
-    }
-
     /// `AppDENM_trigger`: registers a new event and schedules its first
     /// transmission immediately. Returns the allocated [`ActionId`].
     pub fn trigger(&mut self, now: SimTime, _wall: TimestampIts, request: DenRequest) -> ActionId {
@@ -142,73 +137,22 @@ impl DenService {
             action_id,
             next_tx: Some(now),
             repeat_until,
-            terminated: false,
         });
         action_id
     }
 
-    /// `AppDENM_update`: replaces the event description and schedules an
-    /// immediate retransmission. Returns `false` if the action id is
-    /// unknown or already terminated.
-    pub fn update(&mut self, now: SimTime, action_id: ActionId, request: DenRequest) -> bool {
-        if let Some(ev) = self
-            .events
-            .iter_mut()
-            .find(|e| e.action_id == action_id && !e.terminated)
-        {
-            let repeat_until = match (request.repetition_interval, request.repetition_duration) {
-                (Some(_), Some(d)) => now + d,
-                _ => now,
-            };
-            ev.request = request;
-            ev.next_tx = Some(now);
-            ev.repeat_until = repeat_until;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// `AppDENM_terminate`: emits a cancellation DENM and stops
-    /// repetitions. Returns the cancellation message, or `None` if the
-    /// action id is unknown.
+    /// [`poll_into`](Self::poll_into) into a fresh `Vec`.
     #[cfg(test)]
-    pub fn terminate(
-        &mut self,
-        _now: SimTime,
-        wall: TimestampIts,
-        action_id: ActionId,
-    ) -> Option<Denm> {
-        let ev = self
-            .events
-            .iter_mut()
-            .find(|e| e.action_id == action_id && !e.terminated)?;
-        ev.terminated = true;
-        ev.next_tx = None;
-        let mut management = ManagementContainer::new(
-            action_id,
-            ev.request.detection_time,
-            wall,
-            ev.request.event_position,
-            self.station_type,
-        );
-        management.termination = Some(its_messages::denm::Termination::IsCancellation);
-        management.validity_duration = ev.request.validity_duration_s;
-        Some(Denm::new(self.station_id, management))
-    }
-
-    /// Returns every DENM due for transmission at `now`, advancing the
-    /// repetition schedule. `wall` is the station's wall clock, stamped
-    /// into `referenceTime`.
     pub fn poll(&mut self, now: SimTime, wall: TimestampIts) -> Vec<Denm> {
         let mut out = Vec::new();
         self.poll_into(now, wall, &mut out);
         out
     }
 
-    /// [`poll`](Self::poll) into a caller-provided buffer, appending the
-    /// due DENMs. Lets a per-event hot path reuse one buffer across
-    /// polls instead of allocating a fresh `Vec` each time.
+    /// Appends every DENM due for transmission at `now` to `out`,
+    /// advancing the repetition schedule. `wall` is the station's wall
+    /// clock, stamped into `referenceTime`. The caller-provided buffer
+    /// lets a per-event hot path reuse one allocation across polls.
     pub fn poll_into(&mut self, now: SimTime, wall: TimestampIts, out: &mut Vec<Denm>) {
         for ev in &mut self.events {
             let Some(next_tx) = ev.next_tx else { continue };
@@ -261,14 +205,6 @@ impl DenService {
                 true
             }
         }
-    }
-
-    /// Drops receiver-side state older than `max_age_ms` relative to the
-    /// given wall time (simple validity GC).
-    #[cfg(test)]
-    pub fn gc_received(&mut self, wall: TimestampIts, max_age_ms: u64) {
-        self.received
-            .retain(|_, &mut seen| wall.millis().saturating_sub(seen.millis()) <= max_age_ms);
     }
 }
 
@@ -353,42 +289,6 @@ mod tests {
     }
 
     #[test]
-    fn update_replaces_and_retransmits() {
-        let mut den = service();
-        let action = den.trigger(SimTime::ZERO, wall(0), collision_request(0));
-        den.poll(SimTime::ZERO, wall(0));
-        let mut updated = collision_request(0);
-        updated.cause = CauseCode::HazardousLocationObstacleOnTheRoad(0);
-        assert!(den.update(SimTime::from_millis(50), action, updated));
-        let denms = den.poll(SimTime::from_millis(50), wall(50));
-        assert_eq!(denms.len(), 1);
-        assert_eq!(denms[0].event_type().unwrap().cause_code(), 10);
-        // Unknown action id.
-        let bogus = ActionId::new(StationId::new(99).unwrap(), 0);
-        assert!(!den.update(SimTime::from_millis(60), bogus, collision_request(0)));
-    }
-
-    #[test]
-    fn terminate_emits_cancellation_and_stops() {
-        let mut den = service();
-        let mut req = collision_request(0);
-        req.repetition_interval = Some(SimDuration::from_millis(100));
-        req.repetition_duration = Some(SimDuration::from_secs(10));
-        let action = den.trigger(SimTime::ZERO, wall(0), req);
-        den.poll(SimTime::ZERO, wall(0));
-        let cancel = den
-            .terminate(SimTime::from_millis(150), wall(150), action)
-            .unwrap();
-        assert!(cancel.is_termination());
-        assert_eq!(den.active_events(), 0);
-        assert!(den.poll(SimTime::from_millis(200), wall(200)).is_empty());
-        // Double-terminate returns None.
-        assert!(den
-            .terminate(SimTime::from_millis(300), wall(300), action)
-            .is_none());
-    }
-
-    #[test]
     fn receiver_dedupes_by_action_and_reference_time() {
         let mut tx = service();
         tx.trigger(SimTime::ZERO, wall(100), collision_request(100));
@@ -404,18 +304,6 @@ mod tests {
         assert!(rx.receive(&newer));
         // A stale copy with the old referenceTime is now dropped.
         assert!(!rx.receive(&denm));
-    }
-
-    #[test]
-    fn receiver_gc_expires_entries() {
-        let mut tx = service();
-        tx.trigger(SimTime::ZERO, wall(100), collision_request(100));
-        let denm = tx.poll(SimTime::ZERO, wall(100)).remove(0);
-        let mut rx = DenService::new(StationId::new(1).unwrap(), StationType::PassengerCar);
-        rx.receive(&denm);
-        rx.gc_received(wall(100 + 5000), 1000);
-        // After GC the same message counts as new again.
-        assert!(rx.receive(&denm));
     }
 
     #[test]

@@ -194,6 +194,7 @@ impl FaultPlan {
     /// faults with random classes, windows inside `[0, horizon)` and
     /// intensities. Intended for determinism tests that need "an
     /// arbitrary plan" without depending on any ambient randomness.
+    // detlint:allow(U1) tests/fault_plane.rs draws random plans for its no-op and determinism properties
     pub fn sample(rng: &mut SimRng, horizon: SimDuration) -> Self {
         let n = rng.below(5) as usize;
         let mut faults = Vec::with_capacity(n);
@@ -303,16 +304,6 @@ pub struct CoopStats {
     pub cpm_extended_detections: u64,
     /// Stations that ended the run in a fail-safe controlled stop.
     pub failsafe_stops: u64,
-}
-
-impl CoopStats {
-    /// Accumulates another run's counters into this one (sweep
-    /// aggregation).
-    pub fn absorb(&mut self, other: &CoopStats) {
-        self.cascade_depth += other.cascade_depth;
-        self.cpm_extended_detections += other.cpm_extended_detections;
-        self.failsafe_stops += other.failsafe_stops;
-    }
 }
 
 /// The runtime fault plane: evaluates a [`FaultPlan`] at the

@@ -42,6 +42,7 @@ impl Lifetime {
     }
 
     /// Lifetime in seconds.
+    #[cfg(test)]
     pub fn as_secs_f64(&self) -> f64 {
         f64::from(self.fifty_ms_units) * 0.05
     }
@@ -237,29 +238,17 @@ pub struct GnPacket {
 }
 
 impl GnPacket {
-    /// Builds a single-hop broadcast packet (CAM transport).
+    /// Builds a single-hop broadcast packet (CAM transport): the owned
+    /// counterpart of [`GnFrame::single_hop`], for tests that need a
+    /// packet.
+    #[cfg(test)]
     pub fn single_hop(
         source: LongPositionVector,
         traffic_class: TrafficClass,
         port: BtpPort,
-        payload: impl Into<std::sync::Arc<[u8]>>,
+        payload: impl AsRef<[u8]>,
     ) -> Self {
-        let payload = payload.into();
-        Self {
-            basic: BasicHeader {
-                version: GN_VERSION,
-                lifetime: Lifetime::from_secs_f64(1.0),
-                remaining_hop_limit: 1,
-            },
-            common: CommonHeader {
-                traffic_class,
-                payload_length: (payload.len() + BtpB::WIRE_SIZE) as u16,
-                max_hop_limit: 1,
-            },
-            extended: ExtendedHeader::SingleHop(SingleHopBroadcast { source }),
-            btp: BtpB::new(port),
-            payload,
-        }
+        GnFrame::single_hop(source, traffic_class, port, payload.as_ref()).to_packet()
     }
 
     /// Builds a geo-broadcast packet (DENM transport).
@@ -328,6 +317,7 @@ impl GnPacket {
 
     /// Whether a receiver at the given position (degrees) is addressed by
     /// this packet: always for SHB, area membership for GBC.
+    #[cfg(test)]
     pub fn addresses_position(&self, lat_deg: f64, lon_deg: f64) -> bool {
         self.as_frame().addresses_position(lat_deg, lon_deg)
     }
@@ -356,7 +346,7 @@ pub struct GnFrame<'a> {
 
 impl<'a> GnFrame<'a> {
     /// Builds a single-hop broadcast frame (CAM transport) over a
-    /// borrowed payload. Same header policy as [`GnPacket::single_hop`].
+    /// borrowed payload: lifetime 1 s, hop limit 1.
     pub fn single_hop(
         source: LongPositionVector,
         traffic_class: TrafficClass,

@@ -80,11 +80,13 @@ impl LongPositionVector {
     }
 
     /// Speed in metres per second.
+    // detlint:allow(U1) openc2x's node tests read the speed a neighbour advertised
     pub fn speed_mps(&self) -> f64 {
         f64::from(self.speed_cm_s) / 100.0
     }
 
     /// Heading in degrees from North.
+    #[cfg(test)]
     pub fn heading_deg(&self) -> f64 {
         f64::from(self.heading_tenth_deg) / 10.0
     }

@@ -58,19 +58,6 @@ impl CollisionRiskSubCause {
             other => return Err(enum_err(u64::from(other), "CollisionRiskSubCause")),
         })
     }
-
-    /// Human-readable description as printed in Table I.
-    pub fn description(&self) -> &'static str {
-        match self {
-            CollisionRiskSubCause::Unavailable => "Unavailable",
-            CollisionRiskSubCause::LongitudinalCollisionRisk => "Longitudinal collision risk",
-            CollisionRiskSubCause::CrossingCollisionRisk => "Crossing collision risk",
-            CollisionRiskSubCause::LateralCollisionRisk => "Lateral collision risk",
-            CollisionRiskSubCause::VulnerableRoadUser => {
-                "Collision risk involving vulnerable road-user"
-            }
-        }
-    }
 }
 
 /// Sub-causes of cause code 99 — *Dangerous Situation* (Table I).
@@ -126,28 +113,6 @@ impl DangerousSituationSubCause {
             7 => DangerousSituationSubCause::CollisionRiskWarningActivated,
             other => return Err(enum_err(u64::from(other), "DangerousSituationSubCause")),
         })
-    }
-
-    /// Human-readable description as printed in Table I.
-    pub fn description(&self) -> &'static str {
-        match self {
-            DangerousSituationSubCause::Unavailable => "Unavailable",
-            DangerousSituationSubCause::EmergencyElectronicBrakeLights => {
-                "Emergency electronic brake lights"
-            }
-            DangerousSituationSubCause::PreCrashSystemActivated => "Pre-crash system activated",
-            DangerousSituationSubCause::EspActivated => {
-                "ESP (Electronic Stability Program) activated"
-            }
-            DangerousSituationSubCause::AbsActivated => "ABS (Anti-lock braking system) activated",
-            DangerousSituationSubCause::AebActivated => {
-                "AEB (Automatic Emergency braking) activated"
-            }
-            DangerousSituationSubCause::BrakeWarningActivated => "Brake warning activated",
-            DangerousSituationSubCause::CollisionRiskWarningActivated => {
-                "Collision risk warning activated"
-            }
-        }
     }
 }
 
@@ -394,10 +359,6 @@ mod tests {
 
     #[test]
     fn collision_risk_descriptions_match_table_i() {
-        assert_eq!(
-            CollisionRiskSubCause::CrossingCollisionRisk.description(),
-            "Crossing collision risk"
-        );
         assert_eq!(
             CauseCode::CollisionRisk(CollisionRiskSubCause::VulnerableRoadUser).description(),
             "Collision risk"

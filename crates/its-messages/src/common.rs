@@ -140,34 +140,7 @@ pub struct TimestampIts(u64);
 /// Upper bound of [`TimestampIts`] (2^42 - 1).
 pub const TIMESTAMP_ITS_MAX: u64 = (1 << 42) - 1;
 
-/// Unix milliseconds of the ITS epoch (2004-01-01T00:00:00Z).
-pub const ITS_EPOCH_UNIX_MS: u64 = 1_072_915_200_000;
-
 impl TimestampIts {
-    /// Converts Unix milliseconds to an ITS timestamp.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`UperError::OutOfRange`] for instants before the ITS
-    /// epoch or beyond its 2^42 − 1 ms range (~year 2143).
-    #[cfg(test)]
-    pub fn from_unix_ms(unix_ms: u64) -> uper::Result<Self> {
-        let its = unix_ms.checked_sub(ITS_EPOCH_UNIX_MS).ok_or({
-            UperError::OutOfRange {
-                value: unix_ms as i128,
-                min: ITS_EPOCH_UNIX_MS as i128,
-                max: (ITS_EPOCH_UNIX_MS + TIMESTAMP_ITS_MAX) as i128,
-            }
-        })?;
-        Self::new(its)
-    }
-
-    /// This timestamp as Unix milliseconds.
-    #[cfg(test)]
-    pub fn as_unix_ms(&self) -> u64 {
-        self.0 + ITS_EPOCH_UNIX_MS
-    }
-
     /// Creates a timestamp from milliseconds since the ITS epoch.
     ///
     /// # Errors
@@ -188,12 +161,6 @@ impl TimestampIts {
     pub fn millis(&self) -> u64 {
         self.0
     }
-
-    /// Difference `self - earlier` in milliseconds (saturating at zero).
-    #[cfg(test)]
-    pub fn millis_since(&self, earlier: TimestampIts) -> u64 {
-        self.0.saturating_sub(earlier.0)
-    }
 }
 
 impl Codec for TimestampIts {
@@ -212,22 +179,6 @@ pub struct Latitude(i32);
 impl Latitude {
     /// Wire value meaning "unavailable".
     pub const UNAVAILABLE: Latitude = Latitude(900000001);
-
-    /// Creates a latitude from tenths of micro-degrees.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`UperError::OutOfRange`] outside `[-900000000, 900000001]`.
-    pub fn new(tenth_microdeg: i32) -> uper::Result<Self> {
-        if !(-900000000..=900000001).contains(&tenth_microdeg) {
-            return Err(UperError::OutOfRange {
-                value: tenth_microdeg as i128,
-                min: -900000000,
-                max: 900000001,
-            });
-        }
-        Ok(Self(tenth_microdeg))
-    }
 
     /// Creates a latitude from degrees, clamping to the valid range.
     pub fn from_degrees(deg: f64) -> Self {
@@ -263,22 +214,6 @@ impl Longitude {
     /// Wire value meaning "unavailable".
     pub const UNAVAILABLE: Longitude = Longitude(1800000001);
 
-    /// Creates a longitude from tenths of micro-degrees.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`UperError::OutOfRange`] outside `[-1800000000, 1800000001]`.
-    pub fn new(tenth_microdeg: i32) -> uper::Result<Self> {
-        if !(-1800000000..=1800000001).contains(&tenth_microdeg) {
-            return Err(UperError::OutOfRange {
-                value: tenth_microdeg as i128,
-                min: -1800000000,
-                max: 1800000001,
-            });
-        }
-        Ok(Self(tenth_microdeg))
-    }
-
     /// Creates a longitude from degrees, clamping to the valid range.
     pub fn from_degrees(deg: f64) -> Self {
         let raw = (deg * 1e7).round().clamp(-1.8e9, 1.8e9) as i32;
@@ -312,22 +247,6 @@ pub struct Altitude(i32);
 impl Altitude {
     /// Wire value meaning "unavailable".
     pub const UNAVAILABLE: Altitude = Altitude(800001);
-
-    /// Creates an altitude from centimetres above the WGS-84 ellipsoid.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`UperError::OutOfRange`] outside `[-100000, 800001]`.
-    pub fn new(cm: i32) -> uper::Result<Self> {
-        if !(-100000..=800001).contains(&cm) {
-            return Err(UperError::OutOfRange {
-                value: cm as i128,
-                min: -100000,
-                max: 800001,
-            });
-        }
-        Ok(Self(cm))
-    }
 }
 
 impl Default for Altitude {
@@ -417,6 +336,7 @@ impl Heading {
     /// # Errors
     ///
     /// Returns [`UperError::OutOfRange`] if `tenth_deg > 3601`.
+    #[cfg(test)]
     pub fn new(tenth_deg: u16) -> uper::Result<Self> {
         if tenth_deg > 3601 {
             return Err(UperError::OutOfRange {
@@ -462,6 +382,7 @@ impl Speed {
     /// # Errors
     ///
     /// Returns [`UperError::OutOfRange`] if `cm_per_s > 16383`.
+    #[cfg(test)]
     pub fn new(cm_per_s: u16) -> uper::Result<Self> {
         if cm_per_s > 16383 {
             return Err(UperError::OutOfRange {
@@ -682,22 +603,13 @@ impl PathHistory {
     ///
     /// Returns [`UperError::LengthTooLarge`] if more than
     /// [`Self::MAX_POINTS`] points are supplied.
+    #[cfg(test)]
     pub fn new(points: Vec<PathPoint>) -> uper::Result<Self> {
-        Self::from_points(&points)
-    }
-
-    /// Creates a path history by copying a slice of points.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`UperError::LengthTooLarge`] if more than
-    /// [`Self::MAX_POINTS`] points are supplied.
-    pub fn from_points(points: &[PathPoint]) -> uper::Result<Self> {
         if points.len() > Self::MAX_POINTS {
             return Err(UperError::LengthTooLarge(points.len()));
         }
         let mut h = Self::default();
-        for (slot, p) in h.points.iter_mut().zip(points) {
+        for (slot, p) in h.points.iter_mut().zip(&points) {
             *slot = *p;
         }
         h.len = points.len() as u8;
@@ -727,6 +639,7 @@ impl PathHistory {
     }
 
     /// Whether the history is empty.
+    // detlint:allow(U1) facilities' CA tests check that the low-frequency container carries a path history
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
@@ -907,22 +820,6 @@ mod tests {
     fn timestamp_bounds() {
         assert!(TimestampIts::new(TIMESTAMP_ITS_MAX).is_ok());
         assert!(TimestampIts::new(TIMESTAMP_ITS_MAX + 1).is_err());
-        let a = TimestampIts::new(100).unwrap();
-        let b = TimestampIts::new(350).unwrap();
-        assert_eq!(b.millis_since(a), 250);
-        assert_eq!(a.millis_since(b), 0); // saturates
-    }
-
-    #[test]
-    fn timestamp_unix_conversion() {
-        // 2023-06-27 (the paper's conference week) in Unix ms.
-        let unix = 1_687_824_000_000u64;
-        let ts = TimestampIts::from_unix_ms(unix).unwrap();
-        assert_eq!(ts.as_unix_ms(), unix);
-        assert_eq!(ts.millis(), unix - ITS_EPOCH_UNIX_MS);
-        // Before the ITS epoch: rejected.
-        assert!(TimestampIts::from_unix_ms(ITS_EPOCH_UNIX_MS - 1).is_err());
-        assert!(TimestampIts::from_unix_ms(ITS_EPOCH_UNIX_MS).is_ok());
     }
 
     #[test]
@@ -930,15 +827,12 @@ mod tests {
         let lat = Latitude::from_degrees(41.1784);
         assert!((lat.as_degrees().unwrap() - 41.1784).abs() < 1e-6);
         assert_eq!(Latitude::UNAVAILABLE.as_degrees(), None);
-        assert!(Latitude::new(900000002).is_err());
-        assert!(Latitude::new(-900000001).is_err());
     }
 
     #[test]
     fn longitude_degree_conversions() {
         let lon = Longitude::from_degrees(-8.6081);
         assert!((lon.as_degrees().unwrap() + 8.6081).abs() < 1e-6);
-        assert!(Longitude::new(1800000002).is_err());
     }
 
     #[test]

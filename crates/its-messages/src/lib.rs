@@ -54,114 +54,11 @@ pub mod common;
 pub mod denm;
 pub mod header;
 
-use uper::{BitReader, BitWriter, Codec, UperError};
+use uper::UperError;
 
 pub use header::{ItsPduHeader, MessageId, PROTOCOL_VERSION};
-
-/// Any ITS facilities-layer message carried by the testbed.
-///
-/// Dispatches encode/decode on the `messageID` field of the
-/// [`ItsPduHeader`], exactly as a receiving ITS station does.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ItsMessage {
-    /// A Cooperative Awareness Message.
-    Cam(cam::Cam),
-    /// A Decentralized Environmental Notification Message.
-    Denm(denm::Denm),
-}
-
-impl ItsMessage {
-    /// The PDU header of the contained message.
-    pub fn header(&self) -> &ItsPduHeader {
-        match self {
-            ItsMessage::Cam(cam) => &cam.header,
-            ItsMessage::Denm(denm) => &denm.header,
-        }
-    }
-
-    /// Serializes the message to UPER bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if any field violates its ASN.1 constraint.
-    pub fn to_bytes(&self) -> uper::Result<Vec<u8>> {
-        uper::encode(self)
-    }
-
-    /// Parses a message from UPER bytes, dispatching on the header's
-    /// `messageID`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on truncated input, unknown message id, or
-    /// constraint violations.
-    pub fn from_bytes(bytes: &[u8]) -> uper::Result<Self> {
-        uper::decode(bytes)
-    }
-}
-
-impl Codec for ItsMessage {
-    fn encode(&self, w: &mut BitWriter) -> uper::Result<()> {
-        match self {
-            ItsMessage::Cam(cam) => cam.encode(w),
-            ItsMessage::Denm(denm) => denm.encode(w),
-        }
-    }
-
-    fn decode(r: &mut BitReader<'_>) -> uper::Result<Self> {
-        // Peek the header, then decode the full message from the start so
-        // each message type owns its complete wire format.
-        let mut peek = r.clone();
-        let header = ItsPduHeader::decode(&mut peek)?;
-        match header.message_id {
-            MessageId::Cam => Ok(ItsMessage::Cam(cam::Cam::decode(r)?)),
-            MessageId::Denm => Ok(ItsMessage::Denm(denm::Denm::decode(r)?)),
-            // CPMs (TS 103 324) live in the facilities crate, which
-            // depends on this one; the EN 302 637 dispatch enum cannot
-            // embed them, so a CPM arriving here is a routing error —
-            // stations deliver BTP port 2009 to `facilities::cpm`.
-            MessageId::Cpm => Err(enum_err(
-                u64::from(MessageId::Cpm.code()),
-                "ItsMessage (CPM is decoded by facilities::cpm)",
-            )),
-        }
-    }
-}
-
-impl From<cam::Cam> for ItsMessage {
-    fn from(cam: cam::Cam) -> Self {
-        ItsMessage::Cam(cam)
-    }
-}
-
-impl From<denm::Denm> for ItsMessage {
-    fn from(denm: denm::Denm) -> Self {
-        ItsMessage::Denm(denm)
-    }
-}
 
 /// Internal helper: build the error for an enumerated index with no variant.
 pub(crate) fn enum_err(index: u64, name: &'static str) -> UperError {
     UperError::InvalidEnum { index, name }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::common::*;
-
-    #[test]
-    fn message_dispatch_roundtrip() {
-        let cam = cam::Cam::basic(
-            StationId::new(7).unwrap(),
-            1234,
-            StationType::PassengerCar,
-            ReferencePosition::from_degrees(41.0, -8.0),
-        );
-        let msg = ItsMessage::from(cam);
-        let bytes = msg.to_bytes().unwrap();
-        let back = ItsMessage::from_bytes(&bytes).unwrap();
-        assert_eq!(msg, back);
-        assert_eq!(back.header().message_id, MessageId::Cam);
-    }
 }

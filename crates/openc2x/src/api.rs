@@ -57,6 +57,7 @@ impl ObuApi {
     }
 
     /// Total DENMs delivered to this API since start.
+    #[cfg(test)]
     pub fn received_total(&self) -> u64 {
         *locked(&self.received_total)
     }
@@ -109,6 +110,7 @@ impl RsuApi {
     }
 
     /// Trigger calls accepted since start.
+    #[cfg(test)]
     pub fn triggered_total(&self) -> u64 {
         *locked(&self.triggered_total)
     }
@@ -135,57 +137,10 @@ impl RsuApi {
     }
 }
 
-/// The OpenC2X "Server/Web Interface" (paper §III-D): "represents
-/// graphically the georeferenced information contained in the LDM … and
-/// allows the sending of DENMs and CAMs".
-///
-/// The stack publishes a textual LDM snapshot; the web server serves it
-/// on `GET /ldm`. Combined with an [`RsuApi`] route set, this covers the
-/// manual `trigger_denm` path the web UI exposes.
-#[derive(Debug, Default)]
-pub struct WebInterface {
-    snapshot: Mutex<String>,
-}
-
-impl WebInterface {
-    /// Creates an empty interface.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Publishes a fresh LDM snapshot (the stack calls this after LDM
-    /// updates).
-    // detlint:allow(U1) tests/http_api.rs serves an LDM snapshot through the web interface
-    pub fn publish(&self, snapshot: impl Into<String>) {
-        *locked(&self.snapshot) = snapshot.into();
-    }
-
-    /// The current snapshot.
-    pub fn snapshot(&self) -> String {
-        locked(&self.snapshot).clone()
-    }
-
-    /// Serves `GET /ldm` on `addr`.
-    ///
-    /// # Errors
-    ///
-    /// Returns the bind error if the address is unavailable.
-    pub fn serve(self: &Arc<Self>, addr: &str) -> std::io::Result<crate::http::RunningServer> {
-        let state = Arc::clone(self);
-        let mut server = HttpServer::new();
-        server.route("GET", "/ldm", move |_req| {
-            let mut resp = Response::ok(state.snapshot().into_bytes());
-            resp.content_type = "text/plain".to_owned();
-            resp
-        });
-        server.serve(addr)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::http::{post, request};
+    use crate::http::post;
     use its_messages::common::{ActionId, ReferencePosition, StationId, StationType, TimestampIts};
     use its_messages::denm::ManagementContainer;
 
@@ -256,24 +211,6 @@ mod tests {
         assert_eq!(out.len(), 1);
         assert_eq!(out[0], d);
         assert_eq!(api.triggered_total(), 1);
-        server.shutdown();
-    }
-
-    #[test]
-    fn web_interface_serves_ldm_snapshot() {
-        let web = Arc::new(WebInterface::new());
-        let server = web.serve("127.0.0.1:0").unwrap();
-        web.publish("stations: 1\nevents: 0\n");
-        let r = request(server.addr(), "GET", "/ldm", b"").unwrap();
-        assert_eq!(r.status, 200);
-        assert_eq!(
-            String::from_utf8(r.body).unwrap(),
-            "stations: 1\nevents: 0\n"
-        );
-        // Updates are visible on the next poll.
-        web.publish("stations: 2\nevents: 1\n");
-        let r = request(server.addr(), "GET", "/ldm", b"").unwrap();
-        assert!(String::from_utf8(r.body).unwrap().contains("events: 1"));
         server.shutdown();
     }
 

@@ -29,6 +29,6 @@ pub mod api;
 pub mod http;
 pub mod node;
 
-pub use api::{ObuApi, RsuApi, WebInterface};
+pub use api::{ObuApi, RsuApi};
 pub use http::{poll_with_retry, PollError, PollOutcome, RetryPolicy};
 pub use node::{ItsStation, PollingModel, StationConfig, StationRole};

@@ -184,11 +184,6 @@ impl ItsStation {
         &self.config
     }
 
-    /// The station identifier.
-    pub fn station_id(&self) -> StationId {
-        self.config.station_id
-    }
-
     /// The LDM (application view).
     pub fn ldm(&self) -> &Ldm {
         &self.ldm
@@ -203,31 +198,6 @@ impl ItsStation {
     #[cfg(test)]
     pub fn location_table(&self) -> &LocationTable {
         &self.loc_table
-    }
-
-    /// Renders the LDM as the text snapshot published to the
-    /// [`crate::api::WebInterface`] (the OpenC2X web UI's data).
-    // detlint:allow(U1) tests/http_api.rs publishes it through the web interface
-    pub fn ldm_snapshot(&self, now: SimTime) -> String {
-        let mut out = format!(
-            "station {} LDM @ {}\nstations: {}\nevents: {} ({} active)\nobjects: {}\n",
-            self.config.station_id,
-            now,
-            self.ldm.station_count(),
-            self.ldm.event_count(),
-            self.ldm.active_events(now).len(),
-            self.ldm.object_count(),
-        );
-        for denm in self.ldm.active_events(now) {
-            out.push_str(&format!(
-                "  event {}: {}\n",
-                denm.management.action_id,
-                denm.event_type()
-                    .map(|c| c.to_string())
-                    .unwrap_or_else(|| "mandatory-only".to_owned()),
-            ));
-        }
-        out
     }
 
     /// Current lab-frame position.
@@ -253,11 +223,13 @@ impl ItsStation {
     }
 
     /// Frames transmitted so far.
+    #[cfg(test)]
     pub fn tx_count(&self) -> u64 {
         self.tx_count
     }
 
     /// Frames received so far.
+    #[cfg(test)]
     pub fn rx_count(&self) -> u64 {
         self.rx_count
     }

@@ -75,8 +75,7 @@ pub enum HazardDecision {
 
 /// The hazard advertisement state machine.
 ///
-/// Latches after its first trigger so one crossing yields one DENM
-/// (updates would use `AppDENM_update`).
+/// Latches after its first trigger so one crossing yields one DENM.
 #[derive(Debug, Clone)]
 pub struct HazardAdvertisementService {
     config: HazardConfig,
@@ -101,13 +100,9 @@ impl HazardAdvertisementService {
     }
 
     /// Number of detections assessed.
+    #[cfg(test)]
     pub fn assessments(&self) -> u64 {
         self.assessments
-    }
-
-    /// Re-arms the service for a new run.
-    pub fn reset(&mut self) {
-        self.triggered = false;
     }
 
     /// Track-based assessment: triggers on time-to-collision instead of
@@ -331,11 +326,6 @@ mod tests {
             svc.assess(&detection(1.30, 500), &ldm, wall, &mut rng),
             HazardDecision::OutsideActionPoint
         );
-        svc.reset();
-        assert!(matches!(
-            svc.assess(&detection(1.30, 750), &ldm, wall, &mut rng),
-            HazardDecision::TriggerDenm { .. }
-        ));
     }
 
     #[test]

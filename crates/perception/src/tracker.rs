@@ -86,7 +86,7 @@ impl Default for TrackerConfig {
 ///     };
 ///     tracker.update(d.frame_time, &[d]);
 /// }
-/// let track = &tracker.tracks()[0];
+/// let track = tracker.most_urgent(3).expect("a confirmed, closing track");
 /// assert!(track.range_rate_mps < -1.0, "approaching");
 /// assert!(track.time_to_collision_s().is_some());
 /// ```
@@ -117,6 +117,7 @@ impl Tracker {
     }
 
     /// Current tracks, oldest first.
+    #[cfg(test)]
     pub fn tracks(&self) -> &[Track] {
         &self.tracks
     }

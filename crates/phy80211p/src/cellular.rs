@@ -75,11 +75,6 @@ impl CellularLink {
         Self { profile }
     }
 
-    /// The profile in effect.
-    pub fn profile(&self) -> &CellularProfile {
-        &self.profile
-    }
-
     /// Sends one message at `now`; latency and loss are sampled from the
     /// profile. Message size is ignored (small ITS messages are far below
     /// a 5G TB size).

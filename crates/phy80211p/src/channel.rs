@@ -208,6 +208,7 @@ impl Channel {
     }
 
     /// The configuration in effect.
+    // detlint:allow(U1) tests/culling_differential.rs and tests/delivery_oracle.rs read the path-loss parameters for their oracles
     pub fn config(&self) -> &ChannelConfig {
         &self.config
     }

@@ -222,6 +222,44 @@ mod tests {
     }
 
     #[test]
+    fn busy_medium_backoff_is_uniform_over_the_contention_window() {
+        // Pearson's χ² against uniform on {0..CWmin} slots, at p = 0.001.
+        // Critical values typed from a χ² table, indexed by the degrees
+        // of freedom CWmin (= slots − 1): 3 for AC_VO, 7 for AC_VI, 15
+        // for AC_BE and AC_BK.
+        const DRAWS: u64 = 4000;
+        let critical = |df: u16| match df {
+            3 => 16.27,
+            7 => 24.32,
+            15 => 37.70,
+            _ => unreachable!("no EDCA category has CWmin {df}"),
+        };
+        let mut medium = Medium::new();
+        let idle = SimTime::from_micros(500);
+        medium.occupy(idle);
+        for ac in AccessCategory::ALL {
+            let params = EdcaParams::for_category(ac);
+            let slots = u64::from(params.cw_min) + 1;
+            let mut counts = vec![0u64; slots as usize];
+            let mut rng = SimRng::seed_from(0xEDCA);
+            for _ in 0..DRAWS {
+                let start = params.access_time(SimTime::ZERO, &medium, &mut rng);
+                let backoff_us = (start - idle - params.aifs()).as_micros();
+                counts[(backoff_us / SLOT_US) as usize] += 1;
+            }
+            let expected = DRAWS as f64 / slots as f64;
+            let chi2: f64 = counts
+                .iter()
+                .map(|&c| (c as f64 - expected).powi(2) / expected)
+                .sum();
+            assert!(
+                chi2 < critical(params.cw_min),
+                "{ac:?}: χ² = {chi2:.2} over {slots} slots, counts {counts:?}"
+            );
+        }
+    }
+
+    #[test]
     fn higher_priority_accesses_sooner_on_idle() {
         let medium = Medium::new();
         let mut rng = SimRng::seed_from(3);

@@ -82,19 +82,10 @@ impl SpatialGrid {
         }
     }
 
-    /// The configured cell edge length, metres.
-    pub fn cell_m(&self) -> f64 {
-        self.cell_m
-    }
-
     /// Number of stations in the grid.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    fn len(&self) -> usize {
         self.keys.len()
-    }
-
-    /// Whether the grid holds no stations.
-    pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
     }
 
     fn cell_of(&self, x: f64, y: f64) -> (i64, i64) {

@@ -36,7 +36,7 @@ impl Default for NtpModel {
 impl NtpModel {
     /// A perfectly synchronised model (zero offset and drift), useful in
     /// unit tests.
-    // detlint:allow(U1) drift-free clocks for the stack, HTTP and failure-injection integration tests
+    // detlint:allow(U1) tests/failure_injection.rs builds drift-free clocks
     pub fn perfect() -> Self {
         Self {
             offset_std_us: 0.0,
@@ -72,7 +72,7 @@ pub struct NodeClock {
 
 impl NodeClock {
     /// A perfect clock with the given epoch.
-    // detlint:allow(U1) drift-free clocks for the stack, HTTP and failure-injection integration tests
+    // detlint:allow(U1) drift-free clocks for openc2x's node tests and the ItsStation example, tests/http_api.rs and tests/stack_integration.rs
     pub fn perfect(epoch_ms: u64) -> Self {
         Self {
             offset_ns: 0,
@@ -94,6 +94,7 @@ impl NodeClock {
     }
 
     /// The constant offset of this clock in nanoseconds.
+    #[cfg(test)]
     pub fn offset_ns(&self) -> i64 {
         self.offset_ns
     }

@@ -110,6 +110,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Number of events still pending.
+    // detlint:allow(U1) sim-core's tests/queue_differential.rs compares the pending counts of the heap and the model queue
     pub fn pending(&self) -> usize {
         self.heap.len()
     }
@@ -185,7 +186,7 @@ impl<E> EventQueue<E> {
     /// exercise the documented wraparound ordering without scheduling
     /// 2^64 events. Not part of the scheduling API.
     #[doc(hidden)]
-    // detlint:allow(U1) the queue differential test starts both queues near the seq wrap
+    // detlint:allow(U1) sim-core's tests/queue_differential.rs starts both queues near the seq wrap
     pub fn force_seq(&mut self, seq: u64) {
         self.seq = seq;
     }

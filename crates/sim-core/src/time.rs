@@ -28,6 +28,7 @@ impl SimTime {
     }
 
     /// Creates an instant from microseconds since simulation start.
+    // detlint:allow(U1) openc2x's node tests and phy80211p's EDCA tests build µs instants
     pub const fn from_micros(us: u64) -> Self {
         Self(us * 1_000)
     }
@@ -48,6 +49,7 @@ impl SimTime {
     }
 
     /// Whole microseconds since simulation start.
+    // detlint:allow(U1) phy80211p's EDCA tests and example read µs instants
     pub const fn as_micros(&self) -> u64 {
         self.0 / 1_000
     }

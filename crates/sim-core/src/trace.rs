@@ -164,7 +164,7 @@ impl Trace {
     }
 
     /// First record of the given kind, if any.
-    // detlint:allow(U1) tests/end_to_end.rs checks that each pipeline step left a trace record
+    // detlint:allow(U1) tests/end_to_end.rs and the intersection tests check that each pipeline step left a trace record
     pub fn first_of_kind(&self, kind: &str) -> Option<TraceEvent<'_>> {
         self.events().find(|e| e.kind == kind)
     }
@@ -175,6 +175,7 @@ impl Trace {
     }
 
     /// Whether the trace is empty.
+    // detlint:allow(U1) clippy's len_without_is_empty pairs it with the live `len`
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
     }

@@ -163,6 +163,7 @@ impl<'a> BitReader<'a> {
     }
 
     /// Current absolute bit position.
+    #[cfg(test)]
     pub fn position(&self) -> usize {
         self.pos
     }

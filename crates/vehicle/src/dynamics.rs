@@ -92,6 +92,7 @@ impl LongitudinalModel {
     }
 
     /// The parameter set in use.
+    #[cfg(test)]
     pub fn params(&self) -> &VehicleParams {
         &self.params
     }

@@ -61,11 +61,6 @@ impl Track {
         Self::new(pts)
     }
 
-    /// The polyline points.
-    pub fn points(&self) -> &[(f64, f64)] {
-        &self.points
-    }
-
     /// The polyline's segments as `(start, end)` pairs, in order.
     fn segments(&self) -> impl Iterator<Item = ((f64, f64), (f64, f64))> + '_ {
         self.points
@@ -224,6 +219,7 @@ impl Frame {
     }
 
     /// Pixel at `(row, col)`; row 0 is the far edge of the view.
+    #[cfg(test)]
     pub fn get(&self, row: usize, col: usize) -> bool {
         self.pixels[row * self.width + col]
     }
@@ -617,6 +613,7 @@ impl HoughGeometry {
 
 impl HoughScratch {
     /// Creates empty scratch storage (allocated on first use).
+    #[cfg(test)]
     pub fn new() -> Self {
         Self::default()
     }
@@ -866,6 +863,7 @@ impl LineFollower {
     }
 
     /// Consecutive frames without a line detection.
+    #[cfg(test)]
     pub fn lost_frames(&self) -> u32 {
         self.lost_frames
     }

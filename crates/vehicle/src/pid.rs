@@ -57,14 +57,9 @@ impl Pid {
     }
 
     /// The accumulated integral term.
+    #[cfg(test)]
     pub fn integral(&self) -> f64 {
         self.integral
-    }
-
-    /// Resets integral and derivative memory.
-    pub fn reset(&mut self) {
-        self.integral = 0.0;
-        self.prev_error = None;
     }
 
     /// Advances the controller with the current `error` over timestep
@@ -123,17 +118,6 @@ mod tests {
         let mut pid = Pid::new(100.0, 0.0, 0.0).with_output_limit(0.35);
         assert_eq!(pid.update(1.0, 0.01), 0.35);
         assert_eq!(pid.update(-1.0, 0.01), -0.35);
-    }
-
-    #[test]
-    fn reset_clears_memory() {
-        let mut pid = Pid::new(1.0, 1.0, 1.0);
-        pid.update(1.0, 0.1);
-        pid.reset();
-        assert_eq!(pid.integral(), 0.0);
-        // First update after reset has no derivative kick.
-        let out = pid.update(1.0, 0.1);
-        assert!((out - (1.0 + 0.1)).abs() < 1e-12);
     }
 
     #[test]

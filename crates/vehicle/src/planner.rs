@@ -45,6 +45,7 @@ impl MessageHandler {
     }
 
     /// Number of DENMs processed.
+    #[cfg(test)]
     pub fn received(&self) -> u64 {
         self.received
     }
@@ -57,6 +58,7 @@ impl MessageHandler {
 
     /// The event type of the DENM that latched the stop (a mandatory-only
     /// DENM has no Situation container, hence the nested `Option`).
+    #[cfg(test)]
     pub fn stop_cause(&self) -> Option<Option<CauseCode>> {
         self.stop_cause
     }
@@ -79,11 +81,6 @@ impl MessageHandler {
         }
         triggers
     }
-
-    /// Clears the latched stop (scenario reset).
-    pub fn reset(&mut self) {
-        self.stop_cause = None;
-    }
 }
 
 /// High-level drive mode decided by the planner.
@@ -102,14 +99,13 @@ pub enum DriveMode {
 /// # Example
 ///
 /// ```
-/// use vehicle::planner::{DriveMode, MotionPlanner, StopPolicy};
+/// use vehicle::planner::{MotionPlanner, StopPolicy};
 /// use vehicle::actuators::ActuatorCommand;
 ///
 /// let mut planner = MotionPlanner::new(0.25, StopPolicy::AnyDenm);
 /// let cmd = planner.plan(Some(0.1));
 /// assert!(matches!(cmd, ActuatorCommand::Drive { .. }));
 /// planner.force_stop();
-/// assert_eq!(planner.mode(), DriveMode::EmergencyStop);
 /// assert_eq!(planner.plan(Some(0.1)), ActuatorCommand::CutPower);
 /// ```
 #[derive(Debug, Clone)]
@@ -147,17 +143,8 @@ impl MotionPlanner {
         self.degradation = level;
     }
 
-    /// The degradation level currently honoured.
-    pub fn degradation(&self) -> DegradationLevel {
-        self.degradation
-    }
-
-    /// Read access to the message handler.
-    pub fn handler(&self) -> &MessageHandler {
-        &self.handler
-    }
-
     /// The current drive mode.
+    #[cfg(test)]
     pub fn mode(&self) -> DriveMode {
         self.mode
     }
@@ -265,8 +252,6 @@ mod tests {
         assert!(!handler.on_denm(&denm(None)), "second DENM not a new stop");
         assert_eq!(handler.received(), 2);
         assert!(handler.stop_latched());
-        handler.reset();
-        assert!(!handler.stop_latched());
     }
 
     #[test]

@@ -36,12 +36,14 @@ impl WheelOdometry {
     }
 
     /// Total ticks so far.
+    #[cfg(test)]
     pub fn ticks(&self) -> u64 {
         self.ticks
     }
 
     /// Odometry distance estimate, metres (quantised to tick
     /// resolution).
+    #[cfg(test)]
     pub fn distance_m(&self) -> f64 {
         self.ticks as f64 / self.ticks_per_m
     }

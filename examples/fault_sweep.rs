@@ -1,17 +1,27 @@
 //! Fault-sweep campaign: fault class × intensity grid with the V2X
-//! heartbeat watchdog enabled (DESIGN.md §11).
+//! heartbeat watchdog enabled (DESIGN.md §11), then the cross-scenario
+//! cooperative sweep (DESIGN.md §15).
 //!
-//! Runs the sweep serially and on the thread runner, verifies the two
-//! tables are byte-identical (the determinism contract of the fault
-//! plane), and prints the aggregated grid plus its fingerprint.
+//! Runs the fault sweep serially and on the thread runner, verifies the
+//! two tables are byte-identical (the determinism contract of the fault
+//! plane), and prints the aggregated grid plus its fingerprint. Then it
+//! prints the cooperative sweep at base seed 4100 with one run per cell
+//! (the table and fingerprint `tests/coop_golden.rs` pins; `--runs`
+//! does not change it) and checks that the sweep's outcome frames from
+//! the thread runner equal the serial ones.
 //!
 //! ```sh
 //! cargo run -p its-testbed --example fault_sweep --release -- --runs 8
 //! ```
 
+use its_testbed::coopsweep::{coop_sweep, coop_sweep_frames};
 use its_testbed::faultsweep::{fault_sweep, fault_sweep_specs};
 use its_testbed::scenario::ScenarioConfig;
 use its_testbed::{Runner, Serial};
+
+/// The cooperative sweep's base seed and runs per cell.
+const COOP_BASE_SEED: u64 = 4100;
+const COOP_RUNS: usize = 1;
 
 fn runs_flag() -> usize {
     let mut it = std::env::args();
@@ -52,6 +62,18 @@ fn main() {
     println!("threaded sweep bitwise identical to serial: {identical}");
     if !identical {
         eprintln!("fault_sweep: threaded sweep diverged from serial");
+        std::process::exit(1);
+    }
+
+    println!("\ncooperative sweep: base seed {COOP_BASE_SEED}, {COOP_RUNS} run per cell\n");
+    let coop = coop_sweep(&Serial, COOP_BASE_SEED, COOP_RUNS);
+    print!("{}", coop.render());
+    println!("\ncoop sweep fingerprint: {:#018x}", coop.fingerprint());
+    let frames_identical = coop_sweep_frames(&Serial, COOP_BASE_SEED, COOP_RUNS)
+        == coop_sweep_frames(&Runner::from_env(), COOP_BASE_SEED, COOP_RUNS);
+    println!("threaded coop frames bitwise identical to serial: {frames_identical}");
+    if !frames_identical {
+        eprintln!("fault_sweep: threaded cooperative sweep frames diverged from serial");
         std::process::exit(1);
     }
 }

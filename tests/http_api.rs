@@ -319,40 +319,6 @@ fn concurrent_polls_take_each_denm_once() {
 }
 
 #[test]
-fn web_interface_reflects_station_ldm() {
-    use openc2x::api::WebInterface;
-    use openc2x::node::{ItsStation, StationConfig};
-    use phy80211p::Position2D;
-    use sim_core::{NodeClock, SimTime};
-
-    let mut rsu = ItsStation::new(
-        StationConfig::rsu(StationId::new(15).unwrap()),
-        NodeClock::perfect(0),
-    );
-    rsu.set_position(Position2D::new(0.0, 1.0));
-    let mut obu = ItsStation::new(
-        StationConfig::obu(StationId::new(7).unwrap()),
-        NodeClock::perfect(0),
-    );
-    obu.set_position(Position2D::new(2.0, 0.0));
-
-    // Learn the OBU via a CAM, then publish the LDM snapshot.
-    let mut cam = Vec::new();
-    assert!(obu.poll_cam_frame(SimTime::ZERO, &mut cam).unwrap());
-    rsu.on_frame(SimTime::ZERO, &geonet::GnFrame::parse(&cam).unwrap());
-
-    let web = std::sync::Arc::new(WebInterface::new());
-    let server = web.serve("127.0.0.1:0").unwrap();
-    web.publish(rsu.ldm_snapshot(SimTime::ZERO));
-
-    let r = openc2x::http::request(server.addr(), "GET", "/ldm", b"").unwrap();
-    let body = String::from_utf8(r.body).unwrap();
-    assert!(body.contains("stations: 1"), "{body}");
-    assert!(body.contains("station station-15"), "{body}");
-    server.shutdown();
-}
-
-#[test]
 fn poll_rate_sustained() {
     // The paper's script polls continuously; make sure the server
     // sustains a realistic poll rate without dropping requests.

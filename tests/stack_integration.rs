@@ -7,7 +7,6 @@ use geonet::{GnFrame, GnPacket};
 use its_messages::cause_codes::{CauseCode, CollisionRiskSubCause};
 use its_messages::common::{ReferencePosition, StationId};
 use its_messages::denm::Denm;
-use its_messages::ItsMessage;
 use openc2x::node::{FrameOutcome, ItsStation, StationConfig};
 use phy80211p::channel::{Channel, ChannelConfig};
 use phy80211p::ofdm::{airtime, DataRate};
@@ -119,19 +118,6 @@ fn denm_airtime_at_6mbps_is_sub_millisecond() {
         t.as_micros() < 400,
         "DENM frame airtime {t} — Table II's 1.6 ms hop is mostly stack overhead"
     );
-}
-
-#[test]
-fn its_message_dispatch_from_wire_payload() {
-    // The payload inside a BTP frame parses via the generic dispatcher.
-    let mut rsu = rsu();
-    rsu.trigger_denm(SimTime::ZERO, collision_request(&rsu, SimTime::ZERO));
-    let packet = first_denm(&mut rsu, SimTime::ZERO);
-    let msg = ItsMessage::from_bytes(&packet.payload).unwrap();
-    match msg {
-        ItsMessage::Denm(d) => assert_eq!(d.header.station_id.value(), 15),
-        other => panic!("expected DENM, got {other:?}"),
-    }
 }
 
 #[test]

@@ -118,7 +118,6 @@ pub fn sweep_poll_period(
         |p| ScenarioConfig {
             polling: PollingModel {
                 period: SimDuration::from_millis(p),
-                ..base.polling
             },
             ..base.clone()
         },

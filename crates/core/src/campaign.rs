@@ -35,6 +35,7 @@
 
 use crate::scenario::{RunRecord, Scenario, ScenarioConfig};
 use runner::Runner;
+use sim_core::Fnv1a;
 
 /// How run indices map to scenario seeds.
 ///
@@ -116,13 +117,16 @@ impl CampaignSpec {
     /// fingerprint proves they derived the *same* spec before any
     /// distributed result is trusted (see DESIGN.md §10).
     pub fn fingerprint(&self) -> u64 {
-        let mut h = Fnv::new();
-        h.eat(format!("{:?}", self.base).as_bytes());
-        h.eat(format!("{:?}", self.seeds).as_bytes());
-        h.eat(&(self.runs as u64).to_le_bytes());
+        let mut h = Fnv1a::new();
+        h.write(format!("{:?}", self.base).as_bytes());
+        h.write(format!("{:?}", self.seeds).as_bytes());
+        h.write(&(self.runs as u64).to_le_bytes());
         h.finish()
     }
 }
+
+/// Derives a named campaign grid.
+type DeriveGrid = fn() -> Vec<CampaignSpec>;
 
 /// Named campaigns a binary — or a campaign server — can execute by
 /// name.
@@ -140,7 +144,7 @@ impl CampaignSpec {
 /// `GET /campaigns`) are deterministic for a given binary.
 #[derive(Debug, Clone, Default)]
 pub struct CampaignRegistry {
-    entries: Vec<(&'static str, fn() -> Vec<CampaignSpec>)>,
+    entries: Vec<(&'static str, DeriveGrid)>,
 }
 
 impl CampaignRegistry {
@@ -151,7 +155,7 @@ impl CampaignRegistry {
 
     /// Adds a named campaign; `derive` must be a pure function so every
     /// process derives identical specs.
-    pub fn register(mut self, name: &'static str, derive: fn() -> Vec<CampaignSpec>) -> Self {
+    pub fn register(mut self, name: &'static str, derive: DeriveGrid) -> Self {
         self.entries.push((name, derive));
         self
     }
@@ -190,10 +194,10 @@ impl CampaignRegistry {
 
 /// A stable fingerprint of a whole campaign grid, order-sensitive.
 pub fn grid_fingerprint(specs: &[CampaignSpec]) -> u64 {
-    let mut h = Fnv::new();
-    h.eat(&(specs.len() as u64).to_le_bytes());
+    let mut h = Fnv1a::new();
+    h.write(&(specs.len() as u64).to_le_bytes());
     for spec in specs {
-        h.eat(&spec.fingerprint().to_le_bytes());
+        h.write(&spec.fingerprint().to_le_bytes());
     }
     h.finish()
 }
@@ -236,24 +240,6 @@ impl<'a> FlatGrid<'a> {
             Err(k) => k - 1,
         };
         self.specs[k].run_job(j - self.offsets[k])
-    }
-}
-
-/// FNV-1a, the same construction `sim_core::Trace::digest` uses.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Self(0xcbf2_9ce4_8422_2325)
-    }
-    fn eat(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-    fn finish(&self) -> u64 {
-        self.0
     }
 }
 

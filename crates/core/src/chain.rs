@@ -24,7 +24,7 @@ use its_messages::cause_codes::{CauseCode, CollisionRiskSubCause};
 use its_messages::common::ReferencePosition;
 use its_messages::denm::Denm;
 use openc2x::http::{poll_with_retry, RetryPolicy};
-use openc2x::node::{lab_to_geo, ItsStation, PollingModel};
+use openc2x::node::{lab_to_geo, ItsStation, PollingModel, GEO_ORIGIN, HTTP_BASE};
 use phy80211p::cellular::CellularLink;
 use phy80211p::channel::Channel;
 use phy80211p::edca::Medium;
@@ -36,8 +36,6 @@ use vehicle::actuators::TeensyLink;
 use vehicle::planner::MotionPlanner;
 use vehicle::watchdog::V2xWatchdog;
 
-/// The geographic anchor of the laboratory origin, where the hazard sits.
-pub(crate) const GEO_ORIGIN: (f64, f64) = (41.178, -8.608);
 /// Fixed part of the edge → RSU `trigger_denm` POST latency.
 const TRIGGER_HTTP_BASE: SimDuration = SimDuration::from_millis(12);
 /// Mean of the exponential jitter on that POST.
@@ -89,10 +87,7 @@ impl ChainParams {
             injector.http_stall(now + offset)
         }) {
             Ok(outcome) => {
-                let rtt = self
-                    .polling
-                    .sample_http_rtt(rng)
-                    .min(self.polling.http_base * 4);
+                let rtt = self.polling.sample_http_rtt(rng).min(HTTP_BASE * 4);
                 Some(outcome.delay + rtt)
             }
             Err(_) => {
@@ -108,7 +103,7 @@ impl ChainParams {
     fn issue_and_cut(&self, now: SimTime, rng: &mut SimRng) -> (SimTime, SimTime) {
         let issue = SimDuration::from_secs_f64(rng.normal(0.0003, 0.0001).max(0.00005));
         let at = now + issue;
-        (at, at + TeensyLink::default().sample_latency(rng))
+        (at, at + TeensyLink.sample_latency(rng))
     }
 
     /// The OBU → actuator stage in closed form for a DENM frame reaching
@@ -166,7 +161,7 @@ pub enum ChainEvent {
 }
 
 /// The paper's steps 3–5 as the chain stamped them: the simulation
-/// instant and the host's wall clock (ms, with any injected drift).
+/// instant and the host's wall clock (ms).
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Steps {
     /// Step 3: the RSU hands the first DENM copy to the MAC.
@@ -270,11 +265,6 @@ impl Chain {
     pub(crate) fn recycle_frame(&mut self, mut frame: Vec<u8>) {
         frame.clear();
         self.buffers.frames.push(frame);
-    }
-
-    /// A node-local wall-clock reading with any injected drift applied.
-    pub(crate) fn skewed_wall(&self, wall_ms: u64, now: SimTime, node: FaultNode) -> u64 {
-        wall_ms.saturating_add_signed(self.injector.clock_skew_ms(now, node))
     }
 
     /// The edge node POSTs `trigger_denm` at `decided_at`. The jitter
@@ -419,7 +409,7 @@ impl Chain {
             // Step 3: the RSU registers the send time (first copy only —
             // repetitions do not rewrite the measurement).
             if self.steps.rsu_send.is_none() {
-                let wall = self.skewed_wall(self.rsu.wall(now).millis(), now, FaultNode::Rsu);
+                let wall = self.rsu.wall(now).millis();
                 self.steps.rsu_send = Some((now, wall));
             }
             trace.record_fmt(
@@ -503,7 +493,7 @@ impl Chain {
         }
         // Step 4: the OBU registers DENM reception (first copy only).
         if self.steps.obu_recv.is_none() {
-            let wall = self.skewed_wall(self.obu.wall(now).millis(), now, FaultNode::Obu);
+            let wall = self.obu.wall(now).millis();
             self.steps.obu_recv = Some((now, wall));
             trace.record_fmt(
                 now,
@@ -560,7 +550,7 @@ impl Chain {
             // Step 5: the ECU registers the command to the actuators; the
             // physical cut lands after the Teensy/ESC path.
             let (at, cut) = self.params.issue_and_cut(now, &mut self.timing);
-            let wall = self.skewed_wall(self.ecu_clock.wall_millis(at), at, FaultNode::Ecu);
+            let wall = self.ecu_clock.wall_millis(at);
             self.steps.actuation = Some((at, wall));
             trace.record(at, "ecu", "cut_cmd", "power cut commanded");
             queue.schedule_at(cut, ChainEvent::PowerCutApplied.into());

@@ -165,7 +165,11 @@ impl Streets {
                 let axis = (rng.next_u64() % 2) as u8;
                 let along = rng.uniform(0.0, side_m);
                 let speed = rng.uniform(6.0, 14.0);
-                let sign = if rng.next_u64() % 2 == 0 { 1.0 } else { -1.0 };
+                let sign = if rng.next_u64().is_multiple_of(2) {
+                    1.0
+                } else {
+                    -1.0
+                };
                 streets.along.push(along);
                 streets.axis.push(axis);
                 streets.cross.push(street);
@@ -251,7 +255,7 @@ pub fn run_city(config: &CityConfig) -> CityRecord {
         grid.insert(pos);
     }
     let rsus: Vec<u32> = (0..config.n_stations as u32)
-        .filter(|i| config.rsu_every > 0 && (*i as usize) % config.rsu_every == 0)
+        .filter(|i| config.rsu_every > 0 && (*i as usize).is_multiple_of(config.rsu_every))
         .collect();
 
     let cam_link = channel.frame_link(config.cam_len_bytes, config.data_rate);
@@ -364,7 +368,7 @@ pub fn run_city(config: &CityConfig) -> CityRecord {
                 );
             }
             denm_round += 1;
-            next_denm = next_denm + config.denm_period;
+            next_denm += config.denm_period;
         }
 
         // 4. Roll every station's CBR window (contiguous SoA pass).

@@ -12,22 +12,22 @@
 //! roles "for convenience"; this module implements the full two-vehicle
 //! arrangement.)
 
-use crate::chain::{Chain, ChainEvent, ChainParams, GEO_ORIGIN};
+use crate::chain::{Chain, ChainEvent, ChainParams};
 use crate::scenario::{ScenarioConfig, INFERENCE_MEAN_S, INFERENCE_STD_S};
 use facilities::cpm::{CpService, CpServiceConfig, Cpm, CpmPerceivedObject, ObjectClass};
-use facilities::ldm::PerceivedObject;
 use faults::{FaultNode, FaultPlan, FaultStats};
 use its_messages::common::{ReferencePosition, StationId, StationType};
-use openc2x::node::{lab_to_geo, ItsStation, StationConfig};
+use openc2x::node::{lab_to_geo, ItsStation, StationConfig, GEO_ORIGIN};
 use perception::camera::{GroundTruthTarget, RoadSideCamera, TargetAppearance};
 use perception::detector::YoloModel;
+use perception::hazard::assessment_latency;
 use phy80211p::channel::{Channel, ChannelConfig, Obstacle};
 use phy80211p::Position2D;
 use sim_core::{
     EventHandler, EventQueue, NodeClock, NtpModel, SimDuration, SimRng, SimTime, Trace,
 };
 use vehicle::dynamics::{LongitudinalModel, VehicleParams};
-use vehicle::planner::{MotionPlanner, StopPolicy};
+use vehicle::planner::MotionPlanner;
 
 /// Approach speed of both vehicles, m/s: the speed the fixed 0.214
 /// throttle holds.
@@ -53,30 +53,23 @@ const TIMEOUT: SimDuration = SimDuration::from_secs(30);
 /// camera sees it from the start; the protagonist's own forward sensor
 /// only picks it up once the corner building no longer occludes it —
 /// far inside its braking distance. Only cooperative perception (the
-/// RSU's CPMs) warns the protagonist early enough to stop clear.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SecondHazard {
-    /// Obstacle position past the conflict point along the
-    /// protagonist's leg, m.
-    pub past_crossing_m: f64,
-    /// Range of the protagonist's own forward sensing once it rounds
-    /// the corner, m. Deliberately shorter than a braking distance:
-    /// the blind corner is what makes the hazard a hazard.
-    pub own_sensor_range_m: f64,
-    /// Distance at which the protagonist brakes for an obstacle it
-    /// knows about through a CPM, m.
-    pub coop_brake_range_m: f64,
-}
+/// RSU's CPMs) warns the protagonist early enough to stop clear. The
+/// geometry is fixed (the three constants below), so there is nothing
+/// to set: build it with `SecondHazard::default()`.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+#[non_exhaustive]
+pub struct SecondHazard;
 
-impl Default for SecondHazard {
-    fn default() -> Self {
-        Self {
-            past_crossing_m: 1.0,
-            own_sensor_range_m: 0.4,
-            coop_brake_range_m: 2.5,
-        }
-    }
-}
+/// The second hazard's obstacle position past the conflict point along
+/// the protagonist's leg, m.
+const OBSTACLE_PAST_CROSSING_M: f64 = 1.0;
+/// Range of the protagonist's own forward sensing once it rounds the
+/// corner, m. Deliberately shorter than a braking distance: the blind
+/// corner is what makes the hazard a hazard.
+const OWN_SENSOR_RANGE_M: f64 = 0.4;
+/// Distance at which the protagonist brakes for an obstacle it knows
+/// about through a CPM, m.
+const COOP_BRAKE_RANGE_M: f64 = 2.5;
 
 /// Configuration of the two-vehicle intersection scenario.
 #[derive(Debug, Clone)]
@@ -261,11 +254,10 @@ impl IntersectionScenario {
         let mut road_user = LongitudinalModel::new(VehicleParams::default());
         road_user.set_speed(SPEED_MPS);
 
-        let cp = config.cpm.map(|cfg| {
+        let cp = config.cpm.map(|_| {
             CpService::new(
                 StationId::new(15).expect("static id"), // detlint:allow(S3) static id 15 is always in the station-id range
                 StationType::RoadSideUnit,
-                cfg,
             )
         });
         let (rsu_lat, rsu_lon) = lab_to_geo(GEO_ORIGIN, rsu.position());
@@ -283,7 +275,7 @@ impl IntersectionScenario {
             rng: root.fork("detector"),
             protagonist,
             road_user,
-            planner: MotionPlanner::new(CRUISE_THROTTLE, StopPolicy::AnyDenm),
+            planner: MotionPlanner::new(CRUISE_THROTTLE),
             throttle_on: true,
             cp,
             rsu_ref,
@@ -381,11 +373,11 @@ impl IntersectionScenario {
         // Second hazard: the stalled obstacle past the corner. The
         // protagonist brakes early for a CPM-known obstacle, late (and
         // usually too late) on its own corner-occluded sensor.
-        if let Some(h) = self.config.second_hazard {
-            let gap = self.protagonist_distance() + h.past_crossing_m;
+        if self.config.second_hazard.is_some() {
+            let gap = self.protagonist_distance() + OBSTACLE_PAST_CROSSING_M;
             if self.throttle_on {
-                let via_own = gap <= h.own_sensor_range_m;
-                let via_cpm = self.obstacle_known.is_some() && gap <= h.coop_brake_range_m;
+                let via_own = gap <= OWN_SENSOR_RANGE_M;
+                let via_cpm = self.obstacle_known.is_some() && gap <= COOP_BRAKE_RANGE_M;
                 if via_own || via_cpm {
                     self.throttle_on = false;
                     self.planner.force_stop();
@@ -502,17 +494,6 @@ impl IntersectionScenario {
             }
         }
         if !frame_lost {
-            // A hallucinated detection feeds the hazard service a target
-            // that is not there (drawn from the injector's own stream).
-            if let Some((phantom_m, _confidence)) = self.chain.injector.phantom_detection(now) {
-                queue.schedule_after(
-                    now,
-                    SimDuration::from_millis(180),
-                    Event::DetectionOutput {
-                        estimated_distance_m: phantom_m,
-                    },
-                );
-            }
             self.generate_cpm(now, road_user_seen, distance, queue);
         }
         if !self.done {
@@ -548,12 +529,12 @@ impl IntersectionScenario {
                 85,
             ));
         }
-        if let Some(h) = self.config.second_hazard {
+        if self.config.second_hazard.is_some() {
             // The stalled obstacle on the protagonist's exit leg; the
             // elevated camera always has line of sight to it.
             objects.push(CpmPerceivedObject::from_planar(
                 3,
-                -h.past_crossing_m - rsu_pos.x,
+                -OBSTACLE_PAST_CROSSING_M - rsu_pos.x,
                 0.0 - rsu_pos.y,
                 ObjectClass::Obstacle,
                 92,
@@ -606,10 +587,10 @@ impl IntersectionScenario {
         self.chain.recycle_frame(frame);
     }
 
-    /// A CPM frame reaches the protagonist's OBU: decode it and fold the
-    /// carried objects into the OBU's LDM. Objects beyond the
-    /// protagonist's own sensor reach are the cooperative-perception
-    /// payoff; an `Obstacle`-class object arms the second-hazard brake.
+    /// A CPM frame reaches the protagonist's OBU: decode it and count the
+    /// carried objects beyond the protagonist's own sensor reach, the
+    /// cooperative-perception payoff; an `Obstacle`-class object arms
+    /// the second-hazard brake.
     fn on_cpm_rx(&mut self, now: SimTime, bytes: &[u8]) {
         // A crashed OBU never decodes the frame.
         if self.chain.injector.node_down(now, FaultNode::Obu) {
@@ -627,30 +608,13 @@ impl IntersectionScenario {
         let own_range = self
             .config
             .second_hazard
-            .map_or(0.0, |h| h.own_sensor_range_m);
+            .map_or(0.0, |_| OWN_SENSOR_RANGE_M);
         let rsu_pos = self.chain.rsu.position();
         let protagonist = self.protagonist_position();
         for object in &cpm.perceived_objects {
             let (dx, dy) = object.offset_m();
             let lab = Position2D::new(rsu_pos.x + dx, rsu_pos.y + dy);
             let range_m = protagonist.distance(lab);
-            let (lat, lon) = lab_to_geo(GEO_ORIGIN, lab);
-            let class_label = match object.class {
-                ObjectClass::Unknown => "unknown",
-                ObjectClass::Vehicle => "vehicle",
-                ObjectClass::Person => "person",
-                ObjectClass::Obstacle => "obstacle",
-            };
-            self.chain.obu.ldm_mut().insert_object(
-                now,
-                PerceivedObject {
-                    id: u32::from(object.object_id),
-                    position: ReferencePosition::from_degrees(lat, lon),
-                    distance_m: range_m,
-                    class_label,
-                    confidence: f64::from(object.confidence_pct) / 100.0,
-                },
-            );
             if range_m > own_range {
                 self.record.cpm_extended_detections += 1;
             }
@@ -750,8 +714,7 @@ impl IntersectionScenario {
             format_args!("tA={t_protagonist:.2}s tB={t_road_user:.2}s -> DENM"),
         );
         // The edge node's assessment, then the trigger POST.
-        let assess = self.chain.timing.normal(0.003, 0.001).max(0.0005);
-        let decided_at = now + SimDuration::from_secs_f64(assess);
+        let decided_at = now + assessment_latency(&mut self.chain.timing);
         self.chain.post_trigger(decided_at, queue);
     }
 }

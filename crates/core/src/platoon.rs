@@ -14,9 +14,10 @@
 //! whole-platoon detection-to-action delay is the worst vehicle's, and
 //! the minimum inter-vehicle gap tells whether the platoon stayed safe.
 
-use crate::chain::{ChainParams, GEO_ORIGIN};
+use crate::chain::ChainParams;
 use crate::scenario::ScenarioConfig;
 use faults::{FaultInjector, FaultNode, FaultPlan, FaultStats};
+use openc2x::node::GEO_ORIGIN;
 use phy80211p::cellular::{CellularLink, CellularProfile};
 use phy80211p::channel::{Channel, ChannelConfig};
 use phy80211p::edca::{AccessCategory, EdcaParams, Medium};
@@ -24,12 +25,16 @@ use phy80211p::ofdm::{airtime, DataRate};
 use phy80211p::Position2D;
 use sim_core::{SimDuration, SimRng, SimTime};
 use vehicle::dynamics::{LongitudinalModel, VehicleParams};
-use vehicle::watchdog::{DegradationLevel, V2xWatchdog, WatchdogConfig};
+use vehicle::watchdog::{
+    DegradationLevel, V2xWatchdog, WatchdogConfig, FAILSAFE_THROTTLE_SCALE, HEARTBEAT_PERIOD,
+};
 
 /// Cruise speed, m/s: the speed the fixed 0.214 throttle holds.
 const SPEED_MPS: f64 = 1.5;
 /// Leader's distance from the RSU at DENM send, m.
 const LEADER_DISTANCE_M: f64 = 3.0;
+/// Overall length of each scale vehicle, m (paper: ≈ 0.53 m).
+const VEHICLE_LENGTH_M: f64 = 0.53;
 /// DENM frame size on the air, bytes.
 const FRAME_BYTES: usize = 110;
 /// Data rate of the 802.11p transmissions.
@@ -154,7 +159,7 @@ pub fn run_platoon(config: &PlatoonConfig) -> PlatoonRecord {
     let rsu_pos = Position2D::new(0.0, 1.0);
 
     // Vehicle i cruises at x = leader_distance + i·(gap + length).
-    let spacing = config.gap_m + vehicle.length_m;
+    let spacing = config.gap_m + VEHICLE_LENGTH_M;
     let positions: Vec<Position2D> = (0..config.n_vehicles)
         .map(|i| Position2D::new(LEADER_DISTANCE_M + i as f64 * spacing, 0.0))
         .collect();
@@ -283,7 +288,7 @@ pub fn run_platoon(config: &PlatoonConfig) -> PlatoonRecord {
     // --- V2V heartbeat relay + fail-safe degradation cascade. ---
     //
     // With the watchdog enabled, the leader originates a CAM heartbeat
-    // every `heartbeat_period` and each member relays it to its
+    // every `HEARTBEAT_PERIOD` and each member relays it to its
     // follower, so silencing one transmitter starves every watchdog
     // downstream — the cascading failure this scenario exists to show.
     let mut dogs: Vec<V2xWatchdog> = Vec::new();
@@ -293,7 +298,7 @@ pub fn run_platoon(config: &PlatoonConfig) -> PlatoonRecord {
         dogs = (0..config.n_vehicles)
             .map(|_| V2xWatchdog::new(wcfg))
             .collect();
-        let mut t = SimTime::ZERO + wcfg.heartbeat_period;
+        let mut t = SimTime::ZERO + HEARTBEAT_PERIOD;
         while t <= horizon {
             let mut reached = true;
             for k in 1..config.n_vehicles {
@@ -310,7 +315,7 @@ pub fn run_platoon(config: &PlatoonConfig) -> PlatoonRecord {
                     heartbeats_delivered += 1;
                 }
             }
-            t += wcfg.heartbeat_period;
+            t += HEARTBEAT_PERIOD;
         }
     }
 
@@ -335,7 +340,7 @@ pub fn run_platoon(config: &PlatoonConfig) -> PlatoonRecord {
         let mut latched_stop = false;
         let scale = config
             .watchdog
-            .map(|w| w.failsafe_throttle_scale)
+            .map(|_| FAILSAFE_THROTTLE_SCALE)
             .unwrap_or(1.0);
         for step in 0..30_000u64 {
             let throttle = match cut_at {

@@ -23,7 +23,8 @@ pub struct BrakingProfile {
 }
 
 impl BrakingProfile {
-    /// The 1/10-scale vehicle under a power cut (matches
+    /// The 1/10-scale vehicle under a power cut (the mass and drag terms
+    /// of [`vehicle::dynamics::LongitudinalModel`] at
     /// [`vehicle::dynamics::VehicleParams::default`]).
     pub fn scale_power_cut() -> Self {
         Self {

@@ -20,15 +20,16 @@
 //! millisecond log resolution, so the per-step intervals include the same
 //! measurement noise as the paper's Table II.
 
-use crate::chain::{Chain, ChainBuffers, ChainEvent, GEO_ORIGIN};
-use facilities::ldm::PerceivedObject;
+use crate::chain::{Chain, ChainBuffers, ChainEvent};
 use faults::{CoopStats, FaultNode, FaultPlan, FaultStats};
 use its_messages::common::{ReferencePosition, StationId};
-use openc2x::node::{lab_to_geo, FrameOutcome, ItsStation, PollingModel, StationConfig};
+use openc2x::node::{
+    lab_to_geo, FrameOutcome, ItsStation, PollingModel, StationConfig, GEO_ORIGIN,
+};
 use perception::camera::{GroundTruthTarget, RoadSideCamera, TargetAppearance};
 use perception::detector::{Detection, YoloModel};
 use perception::hazard::{HazardAdvertisementService, HazardConfig, HazardDecision};
-use perception::tracker::{Tracker, TrackerConfig};
+use perception::tracker::Tracker;
 use phy80211p::cellular::CellularProfile;
 use phy80211p::channel::{Channel, ChannelConfig};
 use phy80211p::Position2D;
@@ -37,9 +38,9 @@ use sim_core::{
 };
 use vehicle::dynamics::{BicycleState, LongitudinalModel, VehicleParams};
 use vehicle::linefollow::{LineFollower, Track};
-use vehicle::planner::{MotionPlanner, StopPolicy};
+use vehicle::planner::MotionPlanner;
 use vehicle::sensors::WheelOdometry;
-use vehicle::watchdog::{DegradationLevel, V2xWatchdog, WatchdogConfig};
+use vehicle::watchdog::{DegradationLevel, V2xWatchdog, WatchdogConfig, HEARTBEAT_PERIOD};
 
 /// How the hazard service decides to trigger the DENM.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -392,12 +393,12 @@ impl Scenario {
             chain: Chain::new(&root, (&config).into(), plan, rsu, obu, ecu_clock, channel),
             rng_detector: root.fork("detector"),
             hazard: HazardAdvertisementService::new(hazard_cfg),
-            tracker: Tracker::new(TrackerConfig::default()),
+            tracker: Tracker::new(),
             edge_clock,
             car,
             pose,
             follower: LineFollower::new(),
-            planner: MotionPlanner::new(config.cruise_throttle, StopPolicy::AnyDenm),
+            planner: MotionPlanner::new(config.cruise_throttle),
             track: Track::straight(config.start_distance_m + 2.0),
             odometry: WheelOdometry::new(3480.0),
             detect_scratch: Vec::new(),
@@ -440,8 +441,8 @@ impl Scenario {
         self.chain.start(&mut queue);
         // The heartbeat stream only exists when the watchdog does, so a
         // watchdog-less run keeps the baseline event schedule bit for bit.
-        if let Some(wcfg) = self.config.watchdog {
-            queue.schedule_at(SimTime::ZERO + wcfg.heartbeat_period, Event::RsuHeartbeat);
+        if self.config.watchdog.is_some() {
+            queue.schedule_at(SimTime::ZERO + HEARTBEAT_PERIOD, Event::RsuHeartbeat);
         }
         let timeout = SimTime::ZERO + self.config.timeout;
         sim_core::run(&mut self, &mut queue, timeout);
@@ -647,21 +648,6 @@ impl Scenario {
             }
             self.detect_scratch = detections;
         }
-        // Detector hallucination: a phantom object independent of any
-        // real target, emitted after the nominal inference latency.
-        if !edge_down && !frame_lost {
-            if let Some((distance, confidence)) = self.chain.injector.phantom_detection(now) {
-                let output_at = now + SimDuration::from_secs_f64(INFERENCE_MEAN_S);
-                let phantom = Detection {
-                    target_id: self.next_object_id,
-                    label: "phantom",
-                    confidence,
-                    estimated_distance_m: distance,
-                    frame_time: output_at,
-                };
-                queue.schedule_at(output_at, Event::DetectionOutput(phantom));
-            }
-        }
         queue.schedule_at(
             self.config.camera.next_frame_completion(now),
             Event::CameraFrame,
@@ -678,20 +664,9 @@ impl Scenario {
         if self.chain.injector.node_down(now, FaultNode::Edge) {
             return;
         }
-        // Record the object in the (RSU-hosted) LDM like OpenC2X does.
-        let (lat, lon) = lab_to_geo(
-            GEO_ORIGIN,
-            Position2D::new(detection.estimated_distance_m, 0.0),
-        );
-        let obj = PerceivedObject {
-            id: detection.target_id,
-            position: ReferencePosition::from_degrees(lat, lon),
-            distance_m: detection.estimated_distance_m,
-            class_label: detection.label,
-            confidence: detection.confidence,
-        };
+        // Each detection output advances the id the next camera target
+        // carries.
         self.next_object_id += 1;
-        self.chain.rsu.ldm_mut().insert_object(now, obj);
 
         let wall = its_messages::common::TimestampIts::new(
             self.edge_clock.wall_millis(now) & ((1 << 42) - 1),
@@ -727,7 +702,7 @@ impl Scenario {
             // is crossing the Action Point".
             self.record.step2_detection = Some(now);
             let wall = self.edge_clock.wall_millis(now);
-            self.record.step2_wall_ms = Some(self.chain.skewed_wall(wall, now, FaultNode::Edge));
+            self.record.step2_wall_ms = Some(wall);
             self.record.odometer_at_detection_m = Some(self.car.distance_m());
             self.record.speed_at_detection_mps = self.car.speed_mps();
             self.record.detection_distance_m = Some(detection.estimated_distance_m);
@@ -748,14 +723,10 @@ impl Scenario {
     /// forced CAM through the real MAC + channel + decode path, so every
     /// radio fault class also starves the heartbeat.
     fn on_rsu_heartbeat(&mut self, now: SimTime, queue: &mut EventQueue<Event>) {
-        let Some(period) = self
-            .watchdog
-            .as_ref()
-            .map(|wd| wd.config().heartbeat_period)
-        else {
+        if self.watchdog.is_none() {
             return;
-        };
-        queue.schedule_after(now, period, Event::RsuHeartbeat);
+        }
+        queue.schedule_after(now, HEARTBEAT_PERIOD, Event::RsuHeartbeat);
         if self.chain.injector.node_down(now, FaultNode::Rsu)
             || self.chain.injector.radio_drop(now, FaultNode::Rsu)
         {

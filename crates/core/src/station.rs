@@ -193,7 +193,7 @@ impl StationArena {
                 *state = step_state(*state, cbr);
                 *cbr_out = cbr;
                 *busy = 0;
-                *start = *start + window;
+                *start += window;
                 self.cbr_sum += cbr;
                 self.cbr_windows += 1;
             }

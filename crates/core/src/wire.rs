@@ -233,9 +233,9 @@ impl RunRecord {
         p.put_u32(self.trace.events().len() as u32);
         for e in self.trace.events() {
             p.put_u64(e.time.as_nanos());
-            put_str(&mut p, &e.node);
-            put_str(&mut p, &e.kind);
-            put_str(&mut p, &e.detail);
+            put_str(&mut p, e.node);
+            put_str(&mut p, e.kind);
+            put_str(&mut p, e.detail);
         }
         put_fault_stats(&mut p, &self.fault);
         put_coop_stats(&mut p, &self.coop);
@@ -481,7 +481,7 @@ mod tests {
         frame.extend_from_slice(&payload_len.to_be_bytes());
         frame.push(2);
         frame.extend_from_slice(&V1_FRAME[5..]);
-        frame.extend(std::iter::repeat(0).take(V2_TAIL));
+        frame.extend(std::iter::repeat_n(0, V2_TAIL));
         frame
     }
 

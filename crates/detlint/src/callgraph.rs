@@ -252,8 +252,10 @@ mod tests {
     use crate::lexer::lex;
 
     fn s3(files: &[(&str, &str)], entries: &[&str]) -> Vec<Finding> {
-        let mut cfg = Config::default();
-        cfg.s3_entries = entries.iter().map(|e| (*e).to_string()).collect();
+        let cfg = Config {
+            s3_entries: entries.iter().map(|e| (*e).to_string()).collect(),
+            ..Config::default()
+        };
         let lexed: Vec<_> = files.iter().map(|(_, src)| lex(src)).collect();
         let file_toks: Vec<FileTokens<'_>> = files
             .iter()

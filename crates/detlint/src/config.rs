@@ -118,7 +118,6 @@ impl Default for Config {
                 // Facilities codecs and cooperative perception.
                 "facilities::to_bytes",
                 "facilities::from_bytes",
-                "facilities::insert_object",
                 "core::on_cpm_rx",
                 "core::generate_cpm",
                 // The line follower's vision.

@@ -276,8 +276,7 @@ fn check_closure_draws(
             continue;
         };
         // Find RNG identifiers inside the closure argument(s).
-        for j in i + 2..close {
-            let a = &toks[j];
+        for a in toks.iter().take(close).skip(i + 2) {
             if a.kind == TokenKind::Ident && a.text.to_ascii_lowercase().contains("rng") {
                 out.push(Finding {
                     file: rel_path.to_owned(),

@@ -251,7 +251,7 @@ fn collect_rs_files(dir: &Path, cfg: &Config, out: &mut Vec<PathBuf>) -> std::io
             .file_name()
             .map(|n| n.to_string_lossy().into_owned())
             .unwrap_or_default();
-        if cfg.skip.iter().any(|s| *s == name) {
+        if cfg.skip.contains(&name) {
             continue;
         }
         if path.is_dir() {
@@ -319,11 +319,13 @@ mod tests {
                      }\n\
                      }\n";
         std::fs::write(src.join("wire.rs"), codec).unwrap();
-        let mut cfg = Config::default();
-        cfg.w1_wire = "crates/demo/src/wire.rs".into();
-        cfg.w1_schema = "wire.schema".into();
-        // The planted codec's encoder has no caller; this test is about W1.
-        cfg.disabled.push("U1".into());
+        let cfg = Config {
+            w1_wire: "crates/demo/src/wire.rs".into(),
+            w1_schema: "wire.schema".into(),
+            // The planted codec's encoder has no caller; this test is about W1.
+            disabled: vec!["U1".into()],
+            ..Config::default()
+        };
 
         // No snapshot committed yet: exactly one W1 finding.
         let report = run(&dir, &cfg).unwrap();

@@ -336,10 +336,11 @@ pub fn call_sites(toks: &[Token], range: (usize, usize)) -> Vec<(String, usize)>
 /// The index of the `>` closing the `<` at `open`, scanning shallowly.
 fn close_angle(toks: &[Token], open: usize, hi: usize) -> Option<usize> {
     let mut depth = 0i64;
-    for j in open..=hi.min(toks.len().saturating_sub(1)) {
-        if toks[j].is_punct("<") {
+    let last = hi.min(toks.len().saturating_sub(1));
+    for (j, t) in toks.iter().enumerate().take(last + 1).skip(open) {
+        if t.is_punct("<") {
             depth += 1;
-        } else if toks[j].is_punct(">") {
+        } else if t.is_punct(">") {
             depth -= 1;
             if depth == 0 {
                 return Some(j);

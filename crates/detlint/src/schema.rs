@@ -292,7 +292,7 @@ pub fn decode_consistency(toks: &[Token], live: &WireSchema) -> Option<String> {
     let (lo, hi) = decode.body.unwrap_or((0, 0));
     let mut seen: Vec<&str> = Vec::new();
     let mut i = lo;
-    while i + 1 <= hi.min(toks.len().saturating_sub(1)) {
+    while i < hi.min(toks.len().saturating_sub(1)) {
         if toks[i].is_ident("let") {
             let mut j = i + 1;
             if toks.get(j).is_some_and(|t| t.is_ident("mut")) {

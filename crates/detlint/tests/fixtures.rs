@@ -63,8 +63,10 @@ fn s3_fixture_fires_exactly_once() {
         lexed: &lexed,
         lines: source.lines().collect(),
     }];
-    let mut cfg = Config::default();
-    cfg.s3_entries = vec!["demo::handle".into()];
+    let cfg = Config {
+        s3_entries: vec!["demo::handle".into()],
+        ..Config::default()
+    };
     let mut findings: Vec<Finding> = Vec::new();
     callgraph::check_crate(&cfg, "demo", &files, &mut findings);
     assert_eq!(findings.len(), 1, "{findings:?}");

@@ -27,56 +27,33 @@ pub struct StationState {
     pub speed_mps: f64,
 }
 
-/// CAM generation trigger thresholds and period bounds.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CamTriggerConfig {
-    /// Minimum generation interval (`T_GenCamMin`).
-    pub t_gen_cam_min: SimDuration,
-    /// Maximum generation interval (`T_GenCamMax`).
-    pub t_gen_cam_max: SimDuration,
-    /// Heading-change trigger threshold, degrees.
-    pub heading_delta_deg: f64,
-    /// Position-change trigger threshold, metres.
-    pub position_delta_m: f64,
-    /// Speed-change trigger threshold, m/s.
-    pub speed_delta_mps: f64,
-    /// Number of consecutive CAMs generated at the latched `T_GenCam`
-    /// before relaxing (`N_GenCam`).
-    pub n_gen_cam: u32,
-    /// Attach a low-frequency container (with the path history) to every
-    /// n-th CAM (EN 302 637-2: the LF container rides along at least
-    /// every 500 ms). 0 disables LF containers.
-    pub lf_every_n: u32,
-}
-
-impl Default for CamTriggerConfig {
-    fn default() -> Self {
-        Self {
-            t_gen_cam_min: SimDuration::from_millis(100),
-            t_gen_cam_max: SimDuration::from_millis(1000),
-            heading_delta_deg: 4.0,
-            position_delta_m: 4.0,
-            speed_delta_mps: 0.5,
-            n_gen_cam: 3,
-            lf_every_n: 2,
-        }
-    }
-}
+/// Minimum generation interval (`T_GenCamMin`).
+const T_GEN_CAM_MIN: SimDuration = SimDuration::from_millis(100);
+/// Maximum generation interval (`T_GenCamMax`).
+const T_GEN_CAM_MAX: SimDuration = SimDuration::from_millis(1000);
+/// Heading-change trigger threshold, degrees.
+const HEADING_DELTA_DEG: f64 = 4.0;
+/// Position-change trigger threshold, metres.
+const POSITION_DELTA_M: f64 = 4.0;
+/// Speed-change trigger threshold, m/s.
+const SPEED_DELTA_MPS: f64 = 0.5;
+/// Number of consecutive CAMs generated at the latched `T_GenCam`
+/// before relaxing (`N_GenCam`).
+const N_GEN_CAM: u32 = 3;
+/// A low-frequency container (with the path history) rides on every
+/// n-th CAM (EN 302 637-2: at least every 500 ms).
+const LF_EVERY_N: u32 = 2;
 
 /// The CA basic service of one ITS station.
 ///
 /// # Example
 ///
 /// ```
-/// use facilities::ca::{CaService, CamTriggerConfig, StationState};
+/// use facilities::ca::{CaService, StationState};
 /// use its_messages::common::{ReferencePosition, StationId, StationType};
 /// use sim_core::SimTime;
 ///
-/// let mut ca = CaService::new(
-///     StationId::new(7).unwrap(),
-///     StationType::PassengerCar,
-///     CamTriggerConfig::default(),
-/// );
+/// let mut ca = CaService::new(StationId::new(7).unwrap(), StationType::PassengerCar);
 /// let state = StationState {
 ///     position: ReferencePosition::from_degrees(41.178, -8.608),
 ///     heading_deg: 90.0,
@@ -91,7 +68,6 @@ impl Default for CamTriggerConfig {
 pub struct CaService {
     station_id: StationId,
     station_type: StationType,
-    config: CamTriggerConfig,
     /// State captured at the last generated CAM.
     last: Option<(SimTime, StationState)>,
     /// Currently latched adaptive period.
@@ -106,13 +82,12 @@ pub struct CaService {
 
 impl CaService {
     /// Creates the service for a station.
-    pub fn new(station_id: StationId, station_type: StationType, config: CamTriggerConfig) -> Self {
+    pub fn new(station_id: StationId, station_type: StationType) -> Self {
         Self {
             station_id,
             station_type,
-            config,
             last: None,
-            t_gen_cam: config.t_gen_cam_max,
+            t_gen_cam: T_GEN_CAM_MAX,
             since_latch: 0,
             generated: 0,
             // The breadcrumb ring is capped at MAX_POINTS + 1 entries;
@@ -138,9 +113,7 @@ impl CaService {
         let dh = heading_delta_deg(prev.heading_deg, cur.heading_deg);
         let dp = prev.position.planar_distance_m(&cur.position);
         let dv = (prev.speed_mps - cur.speed_mps).abs();
-        dh > self.config.heading_delta_deg
-            || dp > self.config.position_delta_m
-            || dv > self.config.speed_delta_mps
+        dh > HEADING_DELTA_DEG || dp > POSITION_DELTA_M || dv > SPEED_DELTA_MPS
     }
 
     /// Polls the service: returns a CAM if one is due at `now` given the
@@ -150,7 +123,7 @@ impl CaService {
             None => true,
             Some((last_time, last_state)) => {
                 let elapsed = now.saturating_duration_since(*last_time);
-                if elapsed < self.config.t_gen_cam_min {
+                if elapsed < T_GEN_CAM_MIN {
                     false
                 } else if elapsed >= self.t_gen_cam {
                     true
@@ -166,12 +139,12 @@ impl CaService {
         if let Some((last_time, last_state)) = &self.last {
             let elapsed = now.saturating_duration_since(*last_time);
             if self.dynamics_trigger(last_state, state) && elapsed < self.t_gen_cam {
-                self.t_gen_cam = elapsed.max(self.config.t_gen_cam_min);
+                self.t_gen_cam = elapsed.max(T_GEN_CAM_MIN);
                 self.since_latch = 0;
             } else {
                 self.since_latch += 1;
-                if self.since_latch >= self.config.n_gen_cam {
-                    self.t_gen_cam = self.config.t_gen_cam_max;
+                if self.since_latch >= N_GEN_CAM {
+                    self.t_gen_cam = T_GEN_CAM_MAX;
                 }
             }
         }
@@ -200,7 +173,7 @@ impl CaService {
                 Heading::from_degrees(state.heading_deg),
                 Speed::from_mps(state.speed_mps),
             );
-        if self.config.lf_every_n > 0 && self.generated % u64::from(self.config.lf_every_n) == 1 {
+        if self.generated % u64::from(LF_EVERY_N) == 1 {
             cam = cam.with_low_frequency(LowFrequencyContainer {
                 vehicle_role: VehicleRole::Default,
                 exterior_lights: 0,
@@ -263,11 +236,7 @@ mod tests {
     }
 
     fn service() -> CaService {
-        CaService::new(
-            StationId::new(7).unwrap(),
-            StationType::PassengerCar,
-            CamTriggerConfig::default(),
-        )
+        CaService::new(StationId::new(7).unwrap(), StationType::PassengerCar)
     }
 
     #[test]
@@ -374,7 +343,7 @@ mod tests {
             }
         }
         assert!(cams.len() >= 5, "CAMs: {}", cams.len());
-        // Default lf_every_n = 2: first, third, fifth … carry LF.
+        // LF on every 2nd CAM: first, third, fifth … carry LF.
         assert!(cams[0].low_frequency.is_some(), "first CAM carries LF");
         assert!(cams[1].low_frequency.is_none());
         let lf = cams[4]
@@ -389,20 +358,6 @@ mod tests {
         // Round-trips on the wire.
         let bytes = cams[4].to_bytes().unwrap();
         assert_eq!(Cam::from_bytes(&bytes).unwrap(), cams[4]);
-    }
-
-    #[test]
-    fn lf_disabled_when_every_n_zero() {
-        let mut ca = CaService::new(
-            StationId::new(7).unwrap(),
-            StationType::PassengerCar,
-            CamTriggerConfig {
-                lf_every_n: 0,
-                ..CamTriggerConfig::default()
-            },
-        );
-        let cam = ca.poll(SimTime::ZERO, &state(41.178, 90.0, 1.5)).unwrap();
-        assert!(cam.low_frequency.is_none());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Collective Perception basic service (CPM, ETSI TS 103 324 profile).
 //!
 //! A CPM carries the objects one station *perceives with its own
-//! sensors* so that neighbouring stations can extend their LDM beyond
+//! sensors* so that neighbouring stations learn of objects beyond
 //! their own sensor range — the cooperative-perception step the paper's
 //! testbed stops short of. The profile here is the subset the scenarios
 //! need: the common PDU header (messageID 14), a management container
@@ -16,16 +16,12 @@
 //! # Example
 //!
 //! ```
-//! use facilities::cpm::{CpService, CpServiceConfig, Cpm, CpmPerceivedObject, ObjectClass};
+//! use facilities::cpm::{CpService, Cpm, CpmPerceivedObject, ObjectClass};
 //! use its_messages::common::{ReferencePosition, StationId, StationType};
 //! use sim_core::SimTime;
 //!
 //! # fn main() -> Result<(), uper::UperError> {
-//! let mut cp = CpService::new(
-//!     StationId::new(15)?,
-//!     StationType::RoadSideUnit,
-//!     CpServiceConfig::default(),
-//! );
+//! let mut cp = CpService::new(StationId::new(15)?, StationType::RoadSideUnit);
 //! let seen = [CpmPerceivedObject::from_planar(2, 3.5, -1.0, ObjectClass::Person, 88)];
 //! let pos = ReferencePosition::from_degrees(41.178, -8.608);
 //! let cpm = cp.poll(SimTime::from_millis(1234), pos, &seen).expect("a CPM is due");
@@ -337,27 +333,15 @@ impl Codec for Cpm {
     }
 }
 
-/// CP service configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CpServiceConfig {
-    /// Minimum interval between generated CPMs (`T_GenCpm`).
-    pub period: SimDuration,
-    /// Objects carried per CPM at most (the freshest first).
-    pub max_objects: usize,
-    /// Generate a CPM even when no object is perceived (liveness
-    /// beacon). Off by default: an empty perception shares nothing.
-    pub send_empty: bool,
-}
+/// Minimum interval between generated CPMs (`T_GenCpm`).
+const T_GEN_CPM: SimDuration = SimDuration::from_millis(100);
 
-impl Default for CpServiceConfig {
-    fn default() -> Self {
-        Self {
-            period: SimDuration::from_millis(100),
-            max_objects: Cpm::MAX_OBJECTS,
-            send_empty: false,
-        }
-    }
-}
+/// Switches the CP service on in a scenario's configuration. The
+/// service has one profile, so there is nothing to set: build it with
+/// `CpServiceConfig::default()`.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+#[non_exhaustive]
+pub struct CpServiceConfig;
 
 /// The CP basic service of one ITS station: rate-limits CPM generation
 /// the way [`CaService`](crate::ca::CaService) does for CAMs.
@@ -365,15 +349,11 @@ impl Default for CpServiceConfig {
 /// # Example
 ///
 /// ```
-/// use facilities::cpm::{CpService, CpServiceConfig, CpmPerceivedObject, ObjectClass};
+/// use facilities::cpm::{CpService, CpmPerceivedObject, ObjectClass};
 /// use its_messages::common::{ReferencePosition, StationId, StationType};
 /// use sim_core::SimTime;
 ///
-/// let mut cp = CpService::new(
-///     StationId::new(15).unwrap(),
-///     StationType::RoadSideUnit,
-///     CpServiceConfig::default(),
-/// );
+/// let mut cp = CpService::new(StationId::new(15).unwrap(), StationType::RoadSideUnit);
 /// let pos = ReferencePosition::from_degrees(41.178, -8.608);
 /// let seen = [CpmPerceivedObject::from_planar(2, 3.0, 0.5, ObjectClass::Person, 90)];
 /// // First poll with a perceived object produces a CPM.
@@ -385,18 +365,16 @@ impl Default for CpServiceConfig {
 pub struct CpService {
     station_id: StationId,
     station_type: StationType,
-    config: CpServiceConfig,
     last: Option<SimTime>,
     generated: u64,
 }
 
 impl CpService {
     /// Creates the service for a station.
-    pub fn new(station_id: StationId, station_type: StationType, config: CpServiceConfig) -> Self {
+    pub fn new(station_id: StationId, station_type: StationType) -> Self {
         Self {
             station_id,
             station_type,
-            config,
             last: None,
             generated: 0,
         }
@@ -410,25 +388,26 @@ impl CpService {
 
     /// Polls the service: returns a CPM if one is due at `now` given
     /// the objects currently perceived by the station's own sensors.
-    /// Objects beyond the configured cap are dropped, front-first.
+    /// Nothing perceived means nothing to share: no CPM. Objects beyond
+    /// [`Cpm::MAX_OBJECTS`] are dropped, front-first.
     pub fn poll(
         &mut self,
         now: SimTime,
         position: ReferencePosition,
         objects: &[CpmPerceivedObject],
     ) -> Option<Cpm> {
-        if objects.is_empty() && !self.config.send_empty {
+        if objects.is_empty() {
             return None;
         }
         if let Some(last) = self.last {
-            if now.saturating_duration_since(last) < self.config.period {
+            if now.saturating_duration_since(last) < T_GEN_CPM {
                 return None;
             }
         }
         self.last = Some(now);
         self.generated += 1;
         let gdt = (now.as_millis() % 65_536) as u16;
-        let cap = self.config.max_objects.min(Cpm::MAX_OBJECTS);
+        let cap = Cpm::MAX_OBJECTS;
         let mut cpm = Cpm {
             header: ItsPduHeader::new(MessageId::Cpm, self.station_id),
             generation_delta_time: gdt,
@@ -545,11 +524,7 @@ mod tests {
 
     #[test]
     fn service_rate_limits_and_counts() {
-        let mut cp = CpService::new(
-            StationId::new(15).unwrap(),
-            StationType::RoadSideUnit,
-            CpServiceConfig::default(),
-        );
+        let mut cp = CpService::new(StationId::new(15).unwrap(), StationType::RoadSideUnit);
         let seen = [CpmPerceivedObject::from_planar(
             2,
             3.0,
@@ -563,22 +538,8 @@ mod tests {
         assert_eq!(cpm.perceived_objects.len(), 1);
         assert_eq!(cpm.generation_delta_time, 100);
         assert_eq!(cp.generated(), 2);
-        // Nothing perceived, nothing shared (send_empty off).
+        // Nothing perceived, nothing shared.
         assert!(cp.poll(SimTime::from_millis(300), origin(), &[]).is_none());
-    }
-
-    #[test]
-    fn service_send_empty_beacons() {
-        let mut cp = CpService::new(
-            StationId::new(15).unwrap(),
-            StationType::RoadSideUnit,
-            CpServiceConfig {
-                send_empty: true,
-                ..CpServiceConfig::default()
-            },
-        );
-        let cpm = cp.poll(SimTime::ZERO, origin(), &[]).unwrap();
-        assert!(cpm.perceived_objects.is_empty());
     }
 
     #[test]

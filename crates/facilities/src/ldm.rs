@@ -6,9 +6,8 @@
 //! Advertisement Service consults the LDM to decide whether a detected
 //! road user implies a collision risk for a CAM-tracked vehicle.
 //!
-//! Three tables are kept, mirroring OpenC2X's sqlite-backed LDM:
-//! stations (from CAMs), events (from DENMs), and locally perceived
-//! objects (from the camera pipeline).
+//! Two tables are kept, mirroring OpenC2X's sqlite-backed LDM:
+//! stations (from CAMs) and events (from DENMs).
 
 use its_messages::cam::Cam;
 use its_messages::common::{ActionId, ReferencePosition, StationId};
@@ -16,27 +15,11 @@ use its_messages::denm::Denm;
 use sim_core::SimTime;
 use std::collections::BTreeMap;
 
-/// An object perceived by the station's own sensors (the road-side
-/// camera), not learnt over the air.
+/// A DENM with the instant it was stored, from which its validity runs.
 #[derive(Debug, Clone, PartialEq)]
-pub struct PerceivedObject {
-    /// Locally-assigned object id.
-    pub id: u32,
-    /// Estimated position.
-    pub position: ReferencePosition,
-    /// Estimated distance from the sensor, metres.
-    pub distance_m: f64,
-    /// Classifier label (e.g. `"stop sign"`, `"motorbike"`).
-    pub class_label: &'static str,
-    /// Classifier confidence `[0, 1]`.
-    pub confidence: f64,
-}
-
-/// A timestamped LDM record.
-#[derive(Debug, Clone, PartialEq)]
-struct Stamped<T> {
-    value: T,
-    updated: SimTime,
+struct StoredEvent {
+    denm: Denm,
+    stored: SimTime,
 }
 
 /// The Local Dynamic Map of one ITS station.
@@ -47,13 +30,12 @@ struct Stamped<T> {
 /// use facilities::ldm::Ldm;
 /// use its_messages::cam::Cam;
 /// use its_messages::common::{ReferencePosition, StationId, StationType};
-/// use sim_core::SimTime;
 ///
 /// let mut ldm = Ldm::new();
 /// let cam = Cam::basic(
 ///     StationId::new(7).unwrap(), 0, StationType::PassengerCar,
 ///     ReferencePosition::from_degrees(41.178, -8.608));
-/// ldm.insert_cam(SimTime::ZERO, cam);
+/// ldm.insert_cam(cam);
 /// assert_eq!(ldm.station_count(), 1);
 /// let near = ldm.stations_within(
 ///     &ReferencePosition::from_degrees(41.178, -8.608), 10.0);
@@ -61,9 +43,8 @@ struct Stamped<T> {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Ldm {
-    stations: BTreeMap<StationId, Stamped<Cam>>,
-    events: BTreeMap<ActionId, Stamped<Denm>>,
-    objects: BTreeMap<u32, Stamped<PerceivedObject>>,
+    stations: BTreeMap<StationId, Cam>,
+    events: BTreeMap<ActionId, StoredEvent>,
 }
 
 impl Ldm {
@@ -73,14 +54,8 @@ impl Ldm {
     }
 
     /// Inserts or refreshes a station track from a received CAM.
-    pub fn insert_cam(&mut self, now: SimTime, cam: Cam) {
-        self.stations.insert(
-            cam.header.station_id,
-            Stamped {
-                value: cam,
-                updated: now,
-            },
-        );
+    pub fn insert_cam(&mut self, cam: Cam) {
+        self.stations.insert(cam.header.station_id, cam);
     }
 
     /// Inserts or refreshes an event from a received DENM. Termination
@@ -90,25 +65,9 @@ impl Ldm {
         if denm.is_termination() {
             self.events.remove(&action);
         } else {
-            self.events.insert(
-                action,
-                Stamped {
-                    value: denm,
-                    updated: now,
-                },
-            );
+            self.events
+                .insert(action, StoredEvent { denm, stored: now });
         }
-    }
-
-    /// Inserts or refreshes a locally perceived object.
-    pub fn insert_object(&mut self, now: SimTime, object: PerceivedObject) {
-        self.objects.insert(
-            object.id,
-            Stamped {
-                value: object,
-                updated: now,
-            },
-        );
     }
 
     /// Number of tracked stations.
@@ -126,13 +85,7 @@ impl Ldm {
     /// Latest CAM of a station, if tracked.
     // detlint:allow(U1) tests/stack_integration.rs reads the CAM a station learnt over the air
     pub fn station(&self, id: StationId) -> Option<&Cam> {
-        self.stations.get(&id).map(|s| &s.value)
-    }
-
-    /// A perceived object by id.
-    #[cfg(test)]
-    pub fn object(&self, id: u32) -> Option<&PerceivedObject> {
-        self.objects.get(&id).map(|s| &s.value)
+        self.stations.get(&id)
     }
 
     /// All station CAMs whose reference position lies within `radius_m`
@@ -141,9 +94,9 @@ impl Ldm {
         let mut hits: Vec<(f64, &Cam)> = self
             .stations
             .values()
-            .filter_map(|s| {
-                let d = centre.planar_distance_m(&s.value.basic.reference_position);
-                (d <= radius_m).then_some((d, &s.value))
+            .filter_map(|cam| {
+                let d = centre.planar_distance_m(&cam.basic.reference_position);
+                (d <= radius_m).then_some((d, cam))
             })
             .collect();
         hits.sort_by(|a, b| a.0.total_cmp(&b.0));
@@ -156,11 +109,11 @@ impl Ldm {
     pub fn active_events(&self, now: SimTime) -> Vec<&Denm> {
         self.events
             .values()
-            .filter(|s| {
-                let validity_s = u64::from(s.value.management.validity_duration);
-                now.saturating_duration_since(s.updated).as_millis() <= validity_s * 1000
+            .filter(|e| {
+                let validity_s = u64::from(e.denm.management.validity_duration);
+                now.saturating_duration_since(e.stored).as_millis() <= validity_s * 1000
             })
-            .map(|s| &s.value)
+            .map(|e| &e.denm)
             .collect()
     }
 }
@@ -195,8 +148,8 @@ mod tests {
     #[test]
     fn cam_refresh_replaces_track() {
         let mut ldm = Ldm::new();
-        ldm.insert_cam(SimTime::ZERO, cam_at(7, 41.178));
-        ldm.insert_cam(SimTime::from_millis(100), cam_at(7, 41.179));
+        ldm.insert_cam(cam_at(7, 41.178));
+        ldm.insert_cam(cam_at(7, 41.179));
         assert_eq!(ldm.station_count(), 1);
         let lat = ldm
             .station(StationId::new(7).unwrap())
@@ -214,9 +167,9 @@ mod tests {
         let mut ldm = Ldm::new();
         let base = 41.178;
         let m_per_deg = 111_194.9;
-        ldm.insert_cam(SimTime::ZERO, cam_at(1, base + 30.0 / m_per_deg));
-        ldm.insert_cam(SimTime::ZERO, cam_at(2, base + 5.0 / m_per_deg));
-        ldm.insert_cam(SimTime::ZERO, cam_at(3, base + 100.0 / m_per_deg));
+        ldm.insert_cam(cam_at(1, base + 30.0 / m_per_deg));
+        ldm.insert_cam(cam_at(2, base + 5.0 / m_per_deg));
+        ldm.insert_cam(cam_at(3, base + 100.0 / m_per_deg));
         let centre = ReferencePosition::from_degrees(base, -8.608);
         let near = ldm.stations_within(&centre, 50.0);
         let ids: Vec<u32> = near.iter().map(|c| c.header.station_id.value()).collect();
@@ -242,43 +195,5 @@ mod tests {
         assert_eq!(ldm.active_events(SimTime::from_millis(1500)).len(), 0);
         // Still stored (GC is separate from validity filtering).
         assert_eq!(ldm.event_count(), 1);
-    }
-
-    #[test]
-    fn perceived_objects_query() {
-        let mut ldm = Ldm::new();
-        ldm.insert_object(
-            SimTime::ZERO,
-            PerceivedObject {
-                id: 1,
-                position: ReferencePosition::from_degrees(41.178, -8.608),
-                distance_m: 1.45,
-                class_label: "stop sign",
-                confidence: 0.93,
-            },
-        );
-        assert_eq!(ldm.object(1).unwrap().class_label, "stop sign");
-        assert!(ldm.object(2).is_none());
-    }
-
-    #[test]
-    fn cooperative_perception_combines_sources() {
-        // The hazard service's world view: one CAM-tracked vehicle and one
-        // camera-perceived object, both queryable around the intersection.
-        let mut ldm = Ldm::new();
-        ldm.insert_cam(SimTime::ZERO, cam_at(7, 41.17801));
-        ldm.insert_object(
-            SimTime::ZERO,
-            PerceivedObject {
-                id: 9,
-                position: ReferencePosition::from_degrees(41.17802, -8.608),
-                distance_m: 1.5,
-                class_label: "stop sign",
-                confidence: 0.9,
-            },
-        );
-        let centre = ReferencePosition::from_degrees(41.178, -8.608);
-        assert_eq!(ldm.stations_within(&centre, 10.0).len(), 1);
-        assert!(ldm.object(9).is_some());
     }
 }

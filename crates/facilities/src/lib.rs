@@ -9,13 +9,13 @@
 //!
 //! * [`ca::CaService`] — CAM generation with the EN 302 637-2 adaptive
 //!   `T_GenCam` trigger rules (heading / position / speed deltas),
-//! * [`den::DenService`] — DENM trigger / update / terminate with
-//!   repetition and validity handling (EN 302 637-3 `AppDENM_*`),
+//! * [`den::DenService`] — DENM trigger with repetition and validity
+//!   handling (EN 302 637-3 `AppDENM_trigger`) and receiver dedupe,
 //! * [`cpm::CpService`] — collective perception (TS 103 324 profile):
-//!   CPMs carry a station's own detections so a receiver's LDM extends
-//!   past its sensor range,
-//! * [`ldm::Ldm`] — keyed store of CAM-tracked stations, active DENMs and
-//!   locally-perceived objects, with area queries and garbage collection.
+//!   CPMs carry a station's own detections to receivers past its
+//!   sensor range,
+//! * [`ldm::Ldm`] — keyed store of CAM-tracked stations and active
+//!   DENMs, with a stations-within-radius query.
 //!
 //! All services are passive state machines driven by `poll`-style calls
 //! from the discrete-event loop, so they compose with any scheduler.
@@ -29,7 +29,7 @@ pub mod cpm;
 pub mod den;
 pub mod ldm;
 
-pub use ca::{CaService, CamTriggerConfig, StationState};
+pub use ca::{CaService, StationState};
 pub use cpm::{CpService, CpServiceConfig, Cpm, CpmPerceivedObject, ObjectClass};
 pub use den::{DenRequest, DenService};
-pub use ldm::{Ldm, PerceivedObject};
+pub use ldm::Ldm;

@@ -103,12 +103,6 @@ pub enum FaultKind {
         /// Per-detection miss probability in `[0, 1]`.
         prob: f64,
     },
-    /// The detector hallucinates a phantom object on each frame with
-    /// probability `prob`.
-    DetectorFalsePositive {
-        /// Per-frame false-positive probability in `[0, 1]`.
-        prob: f64,
-    },
     /// The radio medium silently loses each frame (any transmitter)
     /// with probability `prob`; `1.0` is total radio silence.
     RadioSilence {
@@ -141,15 +135,6 @@ pub enum FaultKind {
     NodeCrash {
         /// The node that is down.
         node: FaultNode,
-    },
-    /// `node`'s wall clock drifts an extra `drift_ms_per_s` milliseconds
-    /// per simulated second while the window is active, skewing its
-    /// timestamp measurements.
-    ClockDrift {
-        /// The node whose clock drifts.
-        node: FaultNode,
-        /// Additional drift rate, milliseconds per second.
-        drift_ms_per_s: f64,
     },
 }
 
@@ -214,21 +199,16 @@ impl FaultPlan {
                 4 => FaultNode::Platoon(0),
                 _ => FaultNode::Platoon(1 + rng.below(3) as u8),
             };
-            let kind = match rng.below(9) {
+            let kind = match rng.below(7) {
                 0 => FaultKind::CameraFrameDrop { prob },
                 1 => FaultKind::DetectorMiss { prob },
-                2 => FaultKind::DetectorFalsePositive { prob },
-                3 => FaultKind::RadioSilence { prob },
-                4 => FaultKind::StuckTransmitter { node },
-                5 => FaultKind::BitCorruption {
+                2 => FaultKind::RadioSilence { prob },
+                3 => FaultKind::StuckTransmitter { node },
+                4 => FaultKind::BitCorruption {
                     per_byte_prob: prob * 0.05,
                 },
-                6 => FaultKind::HttpStall { prob },
-                7 => FaultKind::NodeCrash { node },
-                _ => FaultKind::ClockDrift {
-                    node,
-                    drift_ms_per_s: rng.uniform(0.1, 20.0),
-                },
+                5 => FaultKind::HttpStall { prob },
+                _ => FaultKind::NodeCrash { node },
             };
             faults.push(kind.during(window));
         }
@@ -375,40 +355,21 @@ impl FaultInjector {
         hit
     }
 
-    /// A phantom detection for the frame at `now`, if the detector
-    /// hallucinates one: `(estimated_distance_m, confidence)`.
-    pub fn phantom_detection(&mut self, now: SimTime) -> Option<(f64, f64)> {
-        let mut phantom = None;
-        for spec in &self.plan.faults {
-            if let FaultKind::DetectorFalsePositive { prob } = spec.kind {
-                if spec.window.contains(now) && self.rng.bernoulli(prob) {
-                    let distance = self.rng.uniform(0.8, 4.0);
-                    let confidence = self.rng.uniform(0.25, 0.75);
-                    phantom.get_or_insert((distance, confidence));
-                }
-            }
-        }
-        if phantom.is_some() {
-            self.stats.injected += 1;
-        }
-        phantom
-    }
-
     /// Should a radio frame sent by `node` at `now` be lost before it
     /// reaches the channel model?
     pub fn radio_drop(&mut self, now: SimTime, node: FaultNode) -> bool {
         let mut hit = false;
         for spec in &self.plan.faults {
             match spec.kind {
-                FaultKind::RadioSilence { prob } => {
-                    if spec.window.contains(now) && self.rng.bernoulli(prob) {
-                        hit = true;
-                    }
+                FaultKind::RadioSilence { prob }
+                    if spec.window.contains(now) && self.rng.bernoulli(prob) =>
+                {
+                    hit = true;
                 }
-                FaultKind::StuckTransmitter { node: stuck } => {
-                    if stuck == node && spec.window.contains(now) {
-                        hit = true;
-                    }
+                FaultKind::StuckTransmitter { node: stuck }
+                    if stuck == node && spec.window.contains(now) =>
+                {
+                    hit = true;
                 }
                 _ => {}
             }
@@ -489,28 +450,6 @@ impl FaultInjector {
         }
         down
     }
-
-    /// Extra wall-clock skew (milliseconds, may be negative) of
-    /// `node`'s clock at `now`, accumulated since each active drift
-    /// window opened. Purely arithmetic: no RNG draw, no counter.
-    pub fn clock_skew_ms(&self, now: SimTime, node: FaultNode) -> i64 {
-        let mut skew = 0.0f64;
-        for spec in &self.plan.faults {
-            if let FaultKind::ClockDrift {
-                node: drifting,
-                drift_ms_per_s,
-            } = spec.kind
-            {
-                if drifting == node && spec.window.contains(now) {
-                    let elapsed = now.duration_since(spec.window.from).as_secs_f64();
-                    skew += drift_ms_per_s * elapsed;
-                }
-            }
-        }
-        // Truncation is fine: sub-millisecond skew is invisible in the
-        // millisecond-quantised wall timestamps anyway.
-        skew as i64
-    }
 }
 
 #[cfg(test)]
@@ -537,12 +476,10 @@ mod tests {
         let t = SimTime::from_secs(1);
         assert!(!inj.drop_camera_frame(t));
         assert!(!inj.drop_detection(t));
-        assert!(inj.phantom_detection(t).is_none());
         assert!(!inj.radio_drop(t, FaultNode::Rsu));
         assert!(inj.corrupt_frame(t, &[1, 2, 3]).is_none());
         assert!(!inj.http_stall(t));
         assert!(!inj.node_down(t, FaultNode::Edge));
-        assert_eq!(inj.clock_skew_ms(t, FaultNode::Edge), 0);
         assert_eq!(inj.stats(), FaultStats::default());
         // The injector's RNG stream was never advanced: it still
         // produces the same next value as a fresh fork.
@@ -616,25 +553,6 @@ mod tests {
     }
 
     #[test]
-    fn clock_skew_accumulates_from_window_start() {
-        let plan = FaultPlan::new(vec![FaultKind::ClockDrift {
-            node: FaultNode::Edge,
-            drift_ms_per_s: 10.0,
-        }
-        .during(FaultWindow::new(
-            SimTime::from_secs(2),
-            SimTime::from_secs(10),
-        ))]);
-        let inj = FaultInjector::new(plan, rng());
-        assert_eq!(inj.clock_skew_ms(SimTime::from_secs(1), FaultNode::Edge), 0);
-        assert_eq!(
-            inj.clock_skew_ms(SimTime::from_secs(4), FaultNode::Edge),
-            20
-        );
-        assert_eq!(inj.clock_skew_ms(SimTime::from_secs(4), FaultNode::Rsu), 0);
-    }
-
-    #[test]
     fn platoon_members_are_distinct_targets() {
         let plan = FaultPlan::new(vec![FaultKind::StuckTransmitter {
             node: FaultNode::Platoon(0),
@@ -657,6 +575,29 @@ mod tests {
             FaultPlan::sample(&mut a, horizon),
             FaultPlan::sample(&mut b, horizon)
         );
+    }
+
+    #[test]
+    fn sampled_plans_cover_every_fault_kind() {
+        // One flag per kind, set through a match with no wildcard arm, so
+        // a new kind does not compile here until this test expects it.
+        let mut seen = [false; 7];
+        for seed in 0..64 {
+            let mut rng = SimRng::seed_from(seed).fork("plan");
+            for spec in FaultPlan::sample(&mut rng, SimDuration::from_secs(10)).faults {
+                let k = match spec.kind {
+                    FaultKind::CameraFrameDrop { .. } => 0,
+                    FaultKind::DetectorMiss { .. } => 1,
+                    FaultKind::RadioSilence { .. } => 2,
+                    FaultKind::StuckTransmitter { .. } => 3,
+                    FaultKind::BitCorruption { .. } => 4,
+                    FaultKind::HttpStall { .. } => 5,
+                    FaultKind::NodeCrash { .. } => 6,
+                };
+                seen[k] = true;
+            }
+        }
+        assert_eq!(seen, [true; 7], "kinds sampled: {seen:?}");
     }
 
     #[test]

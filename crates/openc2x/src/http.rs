@@ -6,7 +6,6 @@
 //! semantics). No external dependencies; every byte on the socket is
 //! produced and parsed by this module.
 
-use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -23,8 +22,6 @@ pub struct Request {
     pub method: String,
     /// Request path (`/request_denm`).
     pub path: String,
-    /// Lower-cased header map.
-    pub headers: BTreeMap<String, String>,
     /// Request body.
     pub body: Vec<u8>,
 }
@@ -301,7 +298,10 @@ fn parse_request(reader: &mut impl BufRead) -> Result<Request, RequestError> {
     let mut parts = request_line.split_whitespace();
     let method = parts.next().ok_or(RequestError::Malformed)?.to_owned();
     let path = parts.next().ok_or(RequestError::Malformed)?.to_owned();
-    let mut headers = BTreeMap::new();
+    // Only Content-Length sizes the body; every header line counts
+    // against the head caps and is then dropped. The last Content-Length
+    // wins.
+    let mut len = 0usize;
     for count in 0.. {
         read_head_line(reader, &mut budget, &mut line)?;
         let h = std::str::from_utf8(&line).map_err(|_| RequestError::Malformed)?;
@@ -313,24 +313,17 @@ fn parse_request(reader: &mut impl BufRead) -> Result<Request, RequestError> {
             return Err(RequestError::HeadTooLarge);
         }
         if let Some((name, value)) = h.split_once(':') {
-            headers.insert(name.trim().to_ascii_lowercase(), value.trim().to_owned());
+            if name.trim().eq_ignore_ascii_case("content-length") {
+                len = value.trim().parse().unwrap_or(0);
+            }
         }
     }
-    let len: usize = headers
-        .get("content-length")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
     if len > MAX_BODY_BYTES {
         return Err(RequestError::TooLarge);
     }
     let mut body = vec![0u8; len];
     reader.read_exact(&mut body)?;
-    Ok(Request {
-        method,
-        path,
-        headers,
-        body,
-    })
+    Ok(Request { method, path, body })
 }
 
 fn write_response(mut stream: &TcpStream, response: &Response) -> std::io::Result<()> {
@@ -453,8 +446,8 @@ pub fn post(addr: SocketAddr, path: &str, body: &[u8]) -> std::io::Result<Client
 ///
 /// Mirrors the blocking HTTP client the real OpenC2X vehicle uses, but in
 /// simulated time: each attempt either returns within the attempt window
-/// or times out after [`attempt_timeout`](Self::attempt_timeout), and
-/// failed attempts back off exponentially
+/// or times out after a fixed 20 ms, and failed attempts back off
+/// exponentially
 /// (`backoff_base * backoff_factor^attempt`). The schedule is pure
 /// arithmetic over [`SimDuration`] — no randomness, no wall clock — so
 /// the DENM notification latency observed under a transient stall is an
@@ -463,8 +456,6 @@ pub fn post(addr: SocketAddr, path: &str, body: &[u8]) -> std::io::Result<Client
 pub struct RetryPolicy {
     /// Total attempts before giving up (minimum 1).
     pub max_attempts: u32,
-    /// Simulated time charged to an attempt that stalls.
-    pub attempt_timeout: SimDuration,
     /// Backoff before the second attempt.
     pub backoff_base: SimDuration,
     /// Multiplier applied to the backoff after each failed attempt.
@@ -475,7 +466,6 @@ impl Default for RetryPolicy {
     fn default() -> Self {
         Self {
             max_attempts: 3,
-            attempt_timeout: SimDuration::from_millis(20),
             backoff_base: SimDuration::from_millis(10),
             backoff_factor: 2,
         }
@@ -490,6 +480,9 @@ impl RetryPolicy {
         SimDuration::from_nanos(self.backoff_base.as_nanos().saturating_mul(factor))
     }
 }
+
+/// Simulated time charged to a poll attempt that stalls.
+const ATTEMPT_TIMEOUT: SimDuration = SimDuration::from_millis(20);
 
 /// Error returned when every attempt of a retried poll stalled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -549,9 +542,9 @@ pub fn poll_with_retry(
                 delay: waited,
             });
         }
-        waited = waited + policy.attempt_timeout;
+        waited += ATTEMPT_TIMEOUT;
         if attempt + 1 < attempts {
-            waited = waited + policy.backoff(attempt);
+            waited += policy.backoff(attempt);
         }
     }
     Err(PollError::RetriesExhausted { attempts, waited })

@@ -8,7 +8,7 @@
 //! `on_frame`) and carries the produced GeoNetworking frames over the
 //! [`phy80211p`] channel.
 
-use facilities::ca::{CaService, CamTriggerConfig, StationState};
+use facilities::ca::{CaService, StationState};
 use facilities::den::{DenRequest, DenService};
 use facilities::ldm::Ldm;
 use geonet::btp::BtpPort;
@@ -50,16 +50,16 @@ pub struct StationConfig {
     pub station_id: StationId,
     /// OBU or RSU.
     pub role: StationRole,
-    /// Geographic anchor of the laboratory origin (lab metres are
-    /// offsets from here).
-    pub geo_origin: (f64, f64),
     /// Data rate used for transmissions.
     pub data_rate: DataRate,
-    /// CAM trigger configuration.
-    pub cam_config: CamTriggerConfig,
-    /// Relevance-area radius for outgoing DENMs, metres.
-    pub denm_area_radius_m: f64,
 }
+
+/// Geographic anchor of the laboratory origin (lab metres are offsets
+/// from here), where the hazard sits.
+pub const GEO_ORIGIN: (f64, f64) = (41.178, -8.608);
+
+/// Relevance-area radius for outgoing DENMs, metres.
+const DENM_AREA_RADIUS_M: f64 = 100.0;
 
 impl StationConfig {
     /// Defaults for an OBU.
@@ -67,10 +67,7 @@ impl StationConfig {
         Self {
             station_id,
             role: StationRole::Obu,
-            geo_origin: (41.178, -8.608),
             data_rate: DataRate::Mbps6,
-            cam_config: CamTriggerConfig::default(),
-            denm_area_radius_m: 100.0,
         }
     }
 
@@ -153,11 +150,7 @@ pub enum FrameOutcome {
 impl ItsStation {
     /// Assembles a station from its configuration and wall clock.
     pub fn new(config: StationConfig, clock: NodeClock) -> Self {
-        let ca = CaService::new(
-            config.station_id,
-            config.role.station_type(),
-            config.cam_config,
-        );
+        let ca = CaService::new(config.station_id, config.role.station_type());
         let den = DenService::new(config.station_id, config.role.station_type());
         Self {
             config,
@@ -187,11 +180,6 @@ impl ItsStation {
     /// The LDM (application view).
     pub fn ldm(&self) -> &Ldm {
         &self.ldm
-    }
-
-    /// Mutable LDM access (for locally perceived objects).
-    pub fn ldm_mut(&mut self) -> &mut Ldm {
-        &mut self.ldm
     }
 
     /// The GeoNetworking location table (neighbour view).
@@ -236,7 +224,7 @@ impl ItsStation {
 
     /// Geographic position (degrees) of the station.
     pub fn geo_position(&self) -> (f64, f64) {
-        lab_to_geo(self.config.geo_origin, self.position)
+        lab_to_geo(GEO_ORIGIN, self.position)
     }
 
     fn position_vector(&self, now: SimTime) -> LongPositionVector {
@@ -408,8 +396,8 @@ impl ItsStation {
             let (lat, lon) = {
                 let p = denm.management.event_position;
                 (
-                    p.latitude.as_degrees().unwrap_or(self.config.geo_origin.0),
-                    p.longitude.as_degrees().unwrap_or(self.config.geo_origin.1),
+                    p.latitude.as_degrees().unwrap_or(GEO_ORIGIN.0),
+                    p.longitude.as_degrees().unwrap_or(GEO_ORIGIN.1),
                 )
             };
             if wire.capacity() == 0 {
@@ -417,7 +405,7 @@ impl ItsStation {
             }
             uper::encode_into(denm, wire)?;
             let payload: std::sync::Arc<[u8]> = wire.as_slice().into();
-            let area = GeoArea::circle(lat, lon, self.config.denm_area_radius_m);
+            let area = GeoArea::circle(lat, lon, DENM_AREA_RADIUS_M);
             let seq = self.gbc_sequence;
             self.gbc_sequence = self.gbc_sequence.wrapping_add(1);
             self.tx_count += 1;
@@ -488,7 +476,7 @@ impl ItsStation {
         match frame.btp.destination_port {
             BtpPort::CAM => match Cam::from_bytes(frame.payload) {
                 Ok(cam) => {
-                    self.ldm.insert_cam(now, cam);
+                    self.ldm.insert_cam(cam);
                     FrameOutcome::CamStored
                 }
                 Err(_) => FrameOutcome::Ignored,
@@ -519,21 +507,20 @@ impl ItsStation {
 pub struct PollingModel {
     /// Poll period of the script.
     pub period: SimDuration,
-    /// Fixed part of the HTTP request round trip (TCP connect + parse).
-    pub http_base: SimDuration,
-    /// Mean of the exponential jitter on the round trip.
-    pub http_jitter_mean: SimDuration,
 }
 
 impl Default for PollingModel {
     fn default() -> Self {
         Self {
             period: SimDuration::from_millis(50),
-            http_base: SimDuration::from_millis(2),
-            http_jitter_mean: SimDuration::from_millis(1),
         }
     }
 }
+
+/// Fixed part of the HTTP request round trip (TCP connect + parse).
+pub const HTTP_BASE: SimDuration = SimDuration::from_millis(2);
+/// Mean of the exponential jitter on the HTTP round trip.
+const HTTP_JITTER_MEAN: SimDuration = SimDuration::from_millis(1);
 
 impl PollingModel {
     /// The first poll instant at or after `now`, given the loop started
@@ -548,10 +535,8 @@ impl PollingModel {
 
     /// Samples one HTTP request round-trip time.
     pub fn sample_http_rtt(&self, rng: &mut SimRng) -> SimDuration {
-        self.http_base
-            + SimDuration::from_secs_f64(
-                rng.exponential(self.http_jitter_mean.as_secs_f64().max(1e-9)),
-            )
+        HTTP_BASE
+            + SimDuration::from_secs_f64(rng.exponential(HTTP_JITTER_MEAN.as_secs_f64().max(1e-9)))
     }
 }
 

@@ -28,6 +28,9 @@ pub struct GroundTruthTarget {
     pub appearance: TargetAppearance,
 }
 
+/// Half-angle of the camera's usable field of view, degrees.
+const FOV_HALF_ANGLE_DEG: f64 = 45.0;
+
 /// The road-side camera with its processing frame clock.
 ///
 /// # Example
@@ -45,8 +48,6 @@ pub struct GroundTruthTarget {
 pub struct RoadSideCamera {
     /// End-to-end processed frame rate (camera + YOLO), Hz.
     pub processed_fps: f64,
-    /// Half-angle of the usable field of view, degrees.
-    pub fov_half_angle_deg: f64,
     /// Maximum usable range, metres.
     pub max_range_m: f64,
 }
@@ -55,7 +56,6 @@ impl Default for RoadSideCamera {
     fn default() -> Self {
         Self {
             processed_fps: 4.0,
-            fov_half_angle_deg: 45.0,
             max_range_m: 6.0,
         }
     }
@@ -77,7 +77,7 @@ impl RoadSideCamera {
 
     /// Whether a target is geometrically visible (in FoV and range).
     pub fn sees(&self, target: &GroundTruthTarget) -> bool {
-        target.distance_m <= self.max_range_m && target.bearing_deg.abs() <= self.fov_half_angle_deg
+        target.distance_m <= self.max_range_m && target.bearing_deg.abs() <= FOV_HALF_ANGLE_DEG
     }
 }
 

@@ -42,11 +42,21 @@ pub const DISTANCE_QUIRK_THRESHOLD_M: f64 = 0.75;
 /// The bogus default distance returned below the threshold.
 pub const DISTANCE_QUIRK_DEFAULT_M: f64 = 1.73;
 
+/// Std-dev of distance-estimate noise, metres.
+const DISTANCE_NOISE_M: f64 = 0.05;
+/// Range limit for recognising the bare vehicle, metres ("at less than 2
+/// meters of distance").
+const BARE_RANGE_M: f64 = 2.0;
+/// Range limit for the body shell ("the range of recognition was very
+/// short").
+const SHELL_RANGE_M: f64 = 1.5;
+/// Angle sensitivity of the body shell, degrees off-axis at which
+/// detection probability halves.
+const SHELL_ANGLE_HALF_DEG: f64 = 20.0;
+
 /// Detector model parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct YoloModel {
-    /// Std-dev of distance-estimate noise, metres.
-    pub distance_noise_m: f64,
     /// Per-frame detection probability of the stop sign in range.
     pub stop_sign_detect_prob: f64,
     /// Per-frame detection probability of the bare vehicle in its
@@ -55,27 +65,14 @@ pub struct YoloModel {
     /// Per-frame detection probability of the body-shell vehicle at a
     /// favourable angle.
     pub shell_detect_prob: f64,
-    /// Range limit for recognising the bare vehicle, metres ("at less
-    /// than 2 meters of distance").
-    pub bare_range_m: f64,
-    /// Range limit for the body shell ("the range of recognition was
-    /// very short").
-    pub shell_range_m: f64,
-    /// Angle sensitivity of the body shell, degrees off-axis at which
-    /// detection probability halves.
-    pub shell_angle_half_deg: f64,
 }
 
 impl Default for YoloModel {
     fn default() -> Self {
         Self {
-            distance_noise_m: 0.05,
             stop_sign_detect_prob: 0.97,
             bare_detect_prob: 0.45,
             shell_detect_prob: 0.65,
-            bare_range_m: 2.0,
-            shell_range_m: 1.5,
-            shell_angle_half_deg: 20.0,
         }
     }
 }
@@ -86,17 +83,17 @@ impl YoloModel {
         match target.appearance {
             TargetAppearance::WithStopSign => self.stop_sign_detect_prob,
             TargetAppearance::BareScaleVehicle => {
-                if target.distance_m <= self.bare_range_m {
+                if target.distance_m <= BARE_RANGE_M {
                     self.bare_detect_prob
                 } else {
                     0.0
                 }
             }
             TargetAppearance::WithBodyShell => {
-                if target.distance_m <= self.shell_range_m {
-                    // Halve the probability per `shell_angle_half_deg`
+                if target.distance_m <= SHELL_RANGE_M {
+                    // Halve the probability per `SHELL_ANGLE_HALF_DEG`
                     // off-axis — "very sensitive to the angle".
-                    let halvings = target.bearing_deg.abs() / self.shell_angle_half_deg;
+                    let halvings = target.bearing_deg.abs() / SHELL_ANGLE_HALF_DEG;
                     self.shell_detect_prob * 0.5f64.powf(halvings)
                 } else {
                     0.0
@@ -127,7 +124,7 @@ impl YoloModel {
         if true_distance_m < DISTANCE_QUIRK_THRESHOLD_M {
             DISTANCE_QUIRK_DEFAULT_M
         } else {
-            (true_distance_m + rng.normal(0.0, self.distance_noise_m)).max(0.0)
+            (true_distance_m + rng.normal(0.0, DISTANCE_NOISE_M)).max(0.0)
         }
     }
 

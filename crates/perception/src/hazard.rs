@@ -30,17 +30,6 @@ pub struct HazardConfig {
     /// Geographic position of the monitored Region of Interest (used as
     /// the DENM event position).
     pub event_position: ReferencePosition,
-    /// Radius around the event in which a protagonist vehicle must be
-    /// CAM-tracked for a *crossing collision risk* classification.
-    pub protagonist_radius_m: f64,
-    /// Whether a DENM is issued even with no CAM-tracked protagonist
-    /// (the paper's single-vehicle demo does this; the warning is then
-    /// classified as an obstacle hazard rather than a collision risk).
-    pub warn_without_protagonist: bool,
-    /// Mean risk-assessment processing time.
-    pub assess_mean: SimDuration,
-    /// Std-dev of the processing time.
-    pub assess_std: SimDuration,
 }
 
 impl HazardConfig {
@@ -50,12 +39,28 @@ impl HazardConfig {
         Self {
             action_point_m: 1.52,
             event_position,
-            protagonist_radius_m: 50.0,
-            warn_without_protagonist: true,
-            assess_mean: SimDuration::from_millis(3),
-            assess_std: SimDuration::from_millis(1),
         }
     }
+}
+
+/// Radius around the event in which a protagonist vehicle must be
+/// CAM-tracked for a *crossing collision risk* classification. Without
+/// one the service still warns, as the paper's single-vehicle demo does,
+/// and classifies the warning as an obstacle hazard instead.
+const PROTAGONIST_RADIUS_M: f64 = 50.0;
+/// Mean risk-assessment processing time.
+const ASSESS_MEAN: SimDuration = SimDuration::from_millis(3);
+/// Std-dev of the processing time.
+const ASSESS_STD: SimDuration = SimDuration::from_millis(1);
+
+/// Samples the edge node's risk-assessment processing time: the latency
+/// between a detection (or conflict prediction) and the `trigger_denm`
+/// call it decides on. Every scenario's hazard assessment draws it here.
+pub fn assessment_latency(rng: &mut SimRng) -> SimDuration {
+    let assess_s = rng
+        .normal(ASSESS_MEAN.as_secs_f64(), ASSESS_STD.as_secs_f64())
+        .max(0.0005);
+    SimDuration::from_secs_f64(assess_s)
 }
 
 /// Decision produced for one detection.
@@ -134,30 +139,19 @@ impl HazardAdvertisementService {
             return HazardDecision::OutsideActionPoint;
         }
         let protagonist_tracked = !ldm
-            .stations_within(
-                &self.config.event_position,
-                self.config.protagonist_radius_m,
-            )
+            .stations_within(&self.config.event_position, PROTAGONIST_RADIUS_M)
             .is_empty();
-        if !protagonist_tracked && !self.config.warn_without_protagonist {
-            return HazardDecision::OutsideActionPoint;
-        }
         let cause = if protagonist_tracked {
             CauseCode::CollisionRisk(CollisionRiskSubCause::CrossingCollisionRisk)
         } else {
             CauseCode::HazardousLocationObstacleOnTheRoad(0)
         };
         let request = DenRequest::one_shot(wall, self.config.event_position, cause);
-        let assess_s = rng
-            .normal(
-                self.config.assess_mean.as_secs_f64(),
-                self.config.assess_std.as_secs_f64(),
-            )
-            .max(0.0005);
+        let decided_at = now + assessment_latency(rng);
         self.triggered = true;
         HazardDecision::TriggerDenm {
             request,
-            decided_at: now + SimDuration::from_secs_f64(assess_s),
+            decided_at,
         }
     }
 
@@ -177,14 +171,8 @@ impl HazardAdvertisementService {
             return HazardDecision::OutsideActionPoint;
         }
         let protagonist_tracked = !ldm
-            .stations_within(
-                &self.config.event_position,
-                self.config.protagonist_radius_m,
-            )
+            .stations_within(&self.config.event_position, PROTAGONIST_RADIUS_M)
             .is_empty();
-        if !protagonist_tracked && !self.config.warn_without_protagonist {
-            return HazardDecision::OutsideActionPoint;
-        }
         // Crossing collision risk when we know who we are warning;
         // otherwise a generic obstacle-on-road hazard (codes 97 vs 10,
         // §II-D of the paper).
@@ -195,16 +183,11 @@ impl HazardAdvertisementService {
         };
         let mut request = DenRequest::one_shot(wall, self.config.event_position, cause);
         request.information_quality = ((detection.confidence * 7.0).round() as u8).min(7);
-        let assess_s = rng
-            .normal(
-                self.config.assess_mean.as_secs_f64(),
-                self.config.assess_std.as_secs_f64(),
-            )
-            .max(0.0005);
+        let decided_at = detection.frame_time + assessment_latency(rng);
         self.triggered = true;
         HazardDecision::TriggerDenm {
             request,
-            decided_at: detection.frame_time + SimDuration::from_secs_f64(assess_s),
+            decided_at,
         }
     }
 }
@@ -231,15 +214,12 @@ mod tests {
 
     fn tracked_ldm() -> Ldm {
         let mut ldm = Ldm::new();
-        ldm.insert_cam(
-            SimTime::ZERO,
-            Cam::basic(
-                StationId::new(7).unwrap(),
-                0,
-                StationType::PassengerCar,
-                event_pos(),
-            ),
-        );
+        ldm.insert_cam(Cam::basic(
+            StationId::new(7).unwrap(),
+            0,
+            StationType::PassengerCar,
+            event_pos(),
+        ));
         ldm
     }
 
@@ -297,22 +277,6 @@ mod tests {
     }
 
     #[test]
-    fn strict_config_requires_protagonist() {
-        let mut cfg = HazardConfig::paper_setup(event_pos());
-        cfg.warn_without_protagonist = false;
-        let mut svc = HazardAdvertisementService::new(cfg);
-        let mut rng = SimRng::seed_from(4);
-        let empty = Ldm::new();
-        let d = svc.assess(
-            &detection(1.45, 250),
-            &empty,
-            TimestampIts::default(),
-            &mut rng,
-        );
-        assert_eq!(d, HazardDecision::OutsideActionPoint);
-    }
-
-    #[test]
     fn latches_after_first_trigger() {
         let mut svc = HazardAdvertisementService::new(HazardConfig::paper_setup(event_pos()));
         let mut rng = SimRng::seed_from(5);
@@ -351,7 +315,6 @@ mod tests {
             track_id: 1,
             range_m: 2.0,
             range_rate_mps: -1.5, // TTC ≈ 1.33 s
-            label: "stop sign",
             last_update: SimTime::from_millis(500),
             hits: 5,
         };
@@ -392,7 +355,6 @@ mod tests {
             track_id: 1,
             range_m: 0.5,
             range_rate_mps: -2.0,
-            label: "stop sign",
             last_update: SimTime::ZERO,
             hits: 1,
         };

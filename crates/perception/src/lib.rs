@@ -30,4 +30,4 @@ pub mod tracker;
 pub use camera::{GroundTruthTarget, RoadSideCamera, TargetAppearance};
 pub use detector::{Detection, YoloModel};
 pub use hazard::{HazardAdvertisementService, HazardConfig, HazardDecision};
-pub use tracker::{Track, Tracker, TrackerConfig};
+pub use tracker::{Track, Tracker};

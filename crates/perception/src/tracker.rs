@@ -21,8 +21,6 @@ pub struct Track {
     pub range_m: f64,
     /// Filtered range rate, m/s (negative = approaching).
     pub range_rate_mps: f64,
-    /// Most recent classifier label.
-    pub label: &'static str,
     /// Last update instant.
     pub last_update: SimTime,
     /// Number of detections folded into this track.
@@ -42,40 +40,25 @@ impl Track {
     }
 }
 
-/// Tracker configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TrackerConfig {
-    /// α gain (position correction).
-    pub alpha: f64,
-    /// β gain (velocity correction).
-    pub beta: f64,
-    /// Association gate: maximum |measured − predicted| range, metres.
-    pub gate_m: f64,
-    /// Tracks not updated for this long are dropped, seconds.
-    pub max_coast_s: f64,
-}
-
-impl Default for TrackerConfig {
-    fn default() -> Self {
-        Self {
-            alpha: 0.5,
-            beta: 0.3,
-            gate_m: 0.8,
-            max_coast_s: 1.5,
-        }
-    }
-}
+/// α gain (position correction).
+const ALPHA: f64 = 0.5;
+/// β gain (velocity correction).
+const BETA: f64 = 0.3;
+/// Association gate: maximum |measured − predicted| range, metres.
+const GATE_M: f64 = 0.8;
+/// Tracks not updated for this long are dropped, seconds.
+const MAX_COAST_S: f64 = 1.5;
 
 /// Nearest-neighbour α-β range tracker.
 ///
 /// # Example
 ///
 /// ```
-/// use perception::tracker::{Tracker, TrackerConfig};
+/// use perception::tracker::Tracker;
 /// use perception::detector::Detection;
 /// use sim_core::SimTime;
 ///
-/// let mut tracker = Tracker::new(TrackerConfig::default());
+/// let mut tracker = Tracker::new();
 /// for k in 0..8u64 {
 ///     let d = Detection {
 ///         target_id: 1,
@@ -92,7 +75,6 @@ impl Default for TrackerConfig {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Tracker {
-    config: TrackerConfig,
     tracks: Vec<Track>,
     next_id: u32,
     /// Reusable per-update association scratch.
@@ -101,15 +83,14 @@ pub struct Tracker {
 
 impl Default for Tracker {
     fn default() -> Self {
-        Self::new(TrackerConfig::default())
+        Self::new()
     }
 }
 
 impl Tracker {
-    /// Creates a tracker.
-    pub fn new(config: TrackerConfig) -> Self {
+    /// Creates a tracker with no tracks.
+    pub fn new() -> Self {
         Self {
-            config,
             tracks: Vec::new(),
             next_id: 1,
             claimed: Vec::new(),
@@ -150,7 +131,7 @@ impl Tracker {
                     continue;
                 }
                 let residual = (d.estimated_distance_m - predicted).abs();
-                if residual <= self.config.gate_m && best.is_none_or(|(_, r)| residual < r) {
+                if residual <= GATE_M && best.is_none_or(|(_, r)| residual < r) {
                     best = Some((i, residual));
                 }
             }
@@ -158,11 +139,10 @@ impl Tracker {
                 claimed[i] = true;
                 let d = &detections[i];
                 let residual = d.estimated_distance_m - predicted;
-                track.range_m = predicted + self.config.alpha * residual;
+                track.range_m = predicted + ALPHA * residual;
                 if dt > 1e-6 {
-                    track.range_rate_mps += self.config.beta * residual / dt;
+                    track.range_rate_mps += BETA * residual / dt;
                 }
-                track.label = d.label;
                 track.last_update = now;
                 track.hits += 1;
             }
@@ -174,7 +154,6 @@ impl Tracker {
                     track_id: self.next_id,
                     range_m: d.estimated_distance_m,
                     range_rate_mps: 0.0,
-                    label: d.label,
                     last_update: now,
                     hits: 1,
                 });
@@ -183,9 +162,8 @@ impl Tracker {
         }
         self.claimed = claimed;
         // Drop coasted-out tracks.
-        let max_coast = self.config.max_coast_s;
         self.tracks
-            .retain(|t| now.saturating_duration_since(t.last_update).as_secs_f64() <= max_coast);
+            .retain(|t| now.saturating_duration_since(t.last_update).as_secs_f64() <= MAX_COAST_S);
     }
 }
 
@@ -213,7 +191,7 @@ mod tests {
 
     #[test]
     fn single_track_estimates_range_rate() {
-        let mut tracker = Tracker::new(TrackerConfig::default());
+        let mut tracker = Tracker::new();
         feed_approach(&mut tracker, 1.5, 8);
         assert_eq!(tracker.tracks().len(), 1);
         let t = &tracker.tracks()[0];
@@ -227,7 +205,7 @@ mod tests {
 
     #[test]
     fn time_to_collision_roughly_range_over_speed() {
-        let mut tracker = Tracker::new(TrackerConfig::default());
+        let mut tracker = Tracker::new();
         feed_approach(&mut tracker, 1.5, 8);
         let t = &tracker.tracks()[0];
         let ttc = t.time_to_collision_s().expect("approaching");
@@ -237,7 +215,7 @@ mod tests {
 
     #[test]
     fn receding_object_has_no_ttc() {
-        let mut tracker = Tracker::new(TrackerConfig::default());
+        let mut tracker = Tracker::new();
         for k in 0..6u64 {
             let t = SimTime::from_millis(250 * k);
             tracker.update(t, &[det(1, 2.0 + 0.3 * k as f64, t.as_millis())]);
@@ -247,7 +225,7 @@ mod tests {
 
     #[test]
     fn two_separated_objects_get_two_tracks() {
-        let mut tracker = Tracker::new(TrackerConfig::default());
+        let mut tracker = Tracker::new();
         for k in 0..5u64 {
             let t = SimTime::from_millis(250 * k);
             tracker.update(
@@ -265,7 +243,7 @@ mod tests {
 
     #[test]
     fn missed_frames_are_coasted_then_dropped() {
-        let mut tracker = Tracker::new(TrackerConfig::default());
+        let mut tracker = Tracker::new();
         tracker.update(SimTime::ZERO, &[det(1, 2.0, 0)]);
         // A miss within the coast window keeps the track.
         tracker.update(SimTime::from_millis(500), &[]);
@@ -277,7 +255,7 @@ mod tests {
 
     #[test]
     fn gate_prevents_wild_association() {
-        let mut tracker = Tracker::new(TrackerConfig::default());
+        let mut tracker = Tracker::new();
         tracker.update(SimTime::ZERO, &[det(1, 1.0, 0)]);
         // A detection 3 m away is outside the 0.8 m gate: new track.
         tracker.update(SimTime::from_millis(250), &[det(2, 4.0, 250)]);
@@ -286,7 +264,7 @@ mod tests {
 
     #[test]
     fn most_urgent_prefers_smallest_ttc() {
-        let mut tracker = Tracker::new(TrackerConfig::default());
+        let mut tracker = Tracker::new();
         for k in 0..6u64 {
             let t = SimTime::from_millis(250 * k);
             tracker.update(
@@ -305,7 +283,7 @@ mod tests {
 
     #[test]
     fn unconfirmed_tracks_not_urgent() {
-        let mut tracker = Tracker::new(TrackerConfig::default());
+        let mut tracker = Tracker::new();
         tracker.update(SimTime::ZERO, &[det(1, 1.0, 0)]);
         assert!(tracker.most_urgent(3).is_none());
     }

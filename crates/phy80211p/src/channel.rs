@@ -107,21 +107,23 @@ impl Obstacle {
     }
 }
 
+/// Combined antenna gains, dBi.
+pub const ANTENNA_GAIN_DBI: f64 = 0.0;
+/// Path loss at the 1 m reference distance, dB (free space at 5.9 GHz
+/// ≈ 47.9 dB).
+pub const REFERENCE_LOSS_DB: f64 = 47.9;
+/// Receiver noise floor, dBm (−174 + 10·log10(10 MHz) + NF ≈ −94).
+pub const NOISE_FLOOR_DBM: f64 = -94.0;
+
 /// Channel configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChannelConfig {
     /// Transmit power, dBm (802.11p class C default 23 dBm).
     pub tx_power_dbm: f64,
-    /// Combined antenna gains, dBi.
-    pub antenna_gain_dbi: f64,
     /// Path-loss exponent (2.0 = free space; indoor lab ≈ 1.8–2.2).
     pub path_loss_exponent: f64,
-    /// Reference loss at 1 m, dB (free space at 5.9 GHz ≈ 47.9 dB).
-    pub reference_loss_db: f64,
     /// Log-normal shadowing standard deviation, dB.
     pub shadowing_sigma_db: f64,
-    /// Receiver noise floor, dBm (−174 + 10·log10(10 MHz) + NF ≈ −94).
-    pub noise_floor_dbm: f64,
     /// Obstructions adding NLoS loss.
     pub obstacles: Vec<Obstacle>,
 }
@@ -130,11 +132,8 @@ impl Default for ChannelConfig {
     fn default() -> Self {
         Self {
             tx_power_dbm: 23.0,
-            antenna_gain_dbi: 0.0,
             path_loss_exponent: 2.0,
-            reference_loss_db: 47.9,
             shadowing_sigma_db: 3.0,
-            noise_floor_dbm: -94.0,
             obstacles: Vec::new(),
         }
     }
@@ -216,8 +215,7 @@ impl Channel {
     /// Deterministic (pre-shadowing) path loss between two points, dB.
     pub fn path_loss_db(&self, tx: Position2D, rx: Position2D) -> f64 {
         let d = tx.distance(rx).max(1.0);
-        let mut loss =
-            self.config.reference_loss_db + 10.0 * self.config.path_loss_exponent * d.log10();
+        let mut loss = REFERENCE_LOSS_DB + 10.0 * self.config.path_loss_exponent * d.log10();
         for obs in &self.config.obstacles {
             if obs.blocks(tx, rx) {
                 loss += obs.extra_loss_db;
@@ -228,7 +226,7 @@ impl Channel {
 
     /// Mean received power (before shadowing), dBm.
     pub fn mean_rx_power_dbm(&self, tx: Position2D, rx: Position2D) -> f64 {
-        self.config.tx_power_dbm + self.config.antenna_gain_dbi - self.path_loss_db(tx, rx)
+        self.config.tx_power_dbm + ANTENNA_GAIN_DBI - self.path_loss_db(tx, rx)
     }
 
     /// Frame error rate at a given SNR for a frame of `len_bytes` at
@@ -304,15 +302,13 @@ impl Channel {
         let margin = CULL_SHADOW_SIGMAS * self.config.shadowing_sigma_db.max(0.0);
         // Cull when mean_snr + margin <= floor, i.e. path loss >=
         // tx + gain - noise + margin - floor.
-        let required_loss = self.config.tx_power_dbm + self.config.antenna_gain_dbi
-            - self.config.noise_floor_dbm
-            + margin
-            - floor;
+        let required_loss =
+            self.config.tx_power_dbm + ANTENNA_GAIN_DBI - NOISE_FLOOR_DBM + margin - floor;
         if self.config.path_loss_exponent <= 0.0 {
             return f64::INFINITY;
         }
-        let exponent = (required_loss - self.config.reference_loss_db)
-            / (10.0 * self.config.path_loss_exponent);
+        let exponent =
+            (required_loss - REFERENCE_LOSS_DB) / (10.0 * self.config.path_loss_exponent);
         // Path loss is floored at 1 m, so the radius is too.
         let d = 10f64.powf(exponent).max(1.0);
         if d.is_finite() {
@@ -372,7 +368,7 @@ impl Channel {
             0.0
         };
         let rx_power = self.mean_rx_power_dbm(tx, rx) + shadow_db;
-        rx_power - self.config.noise_floor_dbm
+        rx_power - NOISE_FLOOR_DBM
     }
 
     /// Simulates one broadcast frame from `tx` as seen by `rx`.
@@ -689,8 +685,8 @@ mod tests {
         let margin = CULL_SHADOW_SIGMAS * ch.config().shadowing_sigma_db;
         let tx = Position2D::default();
         for d in [r * 1.0001, r * 1.5, r * 10.0] {
-            let snr_best = ch.mean_rx_power_dbm(tx, Position2D::new(d, 0.0)) + margin
-                - ch.config().noise_floor_dbm;
+            let snr_best =
+                ch.mean_rx_power_dbm(tx, Position2D::new(d, 0.0)) + margin - NOISE_FLOOR_DBM;
             assert!(
                 ch.frame_error_rate(snr_best, 100, DataRate::Mbps6) >= 1.0 - CULL_EPS,
                 "a receiver at {d} m (cutoff {r}) could still decode"
@@ -698,8 +694,8 @@ mod tests {
         }
         // Just inside the cutoff the same bound must NOT hold — the
         // radius is tight, not merely safe.
-        let snr_inside = ch.mean_rx_power_dbm(tx, Position2D::new(r * 0.999, 0.0)) + margin
-            - ch.config().noise_floor_dbm;
+        let snr_inside =
+            ch.mean_rx_power_dbm(tx, Position2D::new(r * 0.999, 0.0)) + margin - NOISE_FLOOR_DBM;
         assert!(ch.frame_error_rate(snr_inside, 100, DataRate::Mbps6) < 1.0 - CULL_EPS);
     }
 

@@ -64,7 +64,7 @@ impl Strategy for Any<char> {
     type Value = char;
     fn sample(&self, rng: &mut TestRng) -> char {
         // Bias towards ASCII, but cover the whole scalar-value space.
-        if rng.next_u64() % 4 != 0 {
+        if !rng.next_u64().is_multiple_of(4) {
             (b' ' + (rng.next_u64() % 95) as u8) as char
         } else {
             char::from_u32((rng.next_u64() % 0x11_0000) as u32).unwrap_or('\u{FFFD}')
@@ -151,7 +151,7 @@ impl Strategy for &str {
             let len = lo + rng.next_u64() % (hi - lo + 1);
             return (0..len)
                 .map(|_| {
-                    if rng.next_u64() % 8 == 0 {
+                    if rng.next_u64().is_multiple_of(8) {
                         MULTIBYTE[(rng.next_u64() % MULTIBYTE.len() as u64) as usize]
                     } else {
                         (b' ' + (rng.next_u64() % 95) as u8) as char
@@ -227,7 +227,7 @@ pub struct OptionStrategy<S: Strategy> {
 impl<S: Strategy> Strategy for OptionStrategy<S> {
     type Value = Option<S::Value>;
     fn sample(&self, rng: &mut TestRng) -> Option<S::Value> {
-        if rng.next_u64() % 4 == 0 {
+        if rng.next_u64().is_multiple_of(4) {
             None
         } else {
             Some(self.inner.sample(rng))

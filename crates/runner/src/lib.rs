@@ -329,7 +329,7 @@ mod tests {
 
     #[test]
     fn borrows_captured_state_without_cloning() {
-        let config = vec![2u64, 3, 5, 7];
+        let config = [2u64, 3, 5, 7];
         let out = Runner::new(2).run(4, |i| config[i] * 10);
         assert_eq!(out, vec![20, 30, 50, 70]);
     }

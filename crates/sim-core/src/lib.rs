@@ -54,6 +54,7 @@ extern crate self as sim_core;
 
 mod clock;
 mod engine;
+mod hash;
 pub mod math;
 mod rng;
 mod time;
@@ -61,6 +62,7 @@ mod trace;
 
 pub use clock::{NodeClock, NtpModel};
 pub use engine::{run, EventHandler, EventQueue};
+pub use hash::Fnv1a;
 pub use rng::{RngCore, SimRng};
 pub use time::{SimDuration, SimTime};
 pub use trace::{Trace, TraceEvent};

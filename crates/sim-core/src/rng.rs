@@ -13,6 +13,8 @@
 //! through the local [`RngCore`] trait, which mirrors the `rand` crate's
 //! trait of the same name.
 
+use crate::hash::Fnv1a;
+
 /// The core random-source interface, mirroring `rand::RngCore` so code
 /// written against that trait ports over unchanged. Defined locally
 /// because all randomness in the testbed must flow from [`SimRng`]
@@ -70,11 +72,9 @@ impl SimRng {
     /// other's randomness.
     pub fn fork(&self, label: &str) -> SimRng {
         // Mix the label into the parent state via FNV-1a, then re-seed.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in label.bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
+        let mut fnv = Fnv1a::new();
+        fnv.write(label.as_bytes());
+        let h = fnv.finish();
         let mixed = self.s[0] ^ h.rotate_left(17) ^ self.s[2].wrapping_mul(0x9E37_79B9_7F4A_7C15);
         SimRng::seed_from(mixed)
     }

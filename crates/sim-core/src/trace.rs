@@ -12,6 +12,7 @@
 //! are usually formatted values — [`Trace::record_fmt`] writes them
 //! straight into the arena with no intermediate `String`.
 
+use crate::hash::Fnv1a;
 use crate::time::SimTime;
 use std::fmt::{self, Write as _};
 
@@ -184,23 +185,17 @@ impl Trace {
     /// kind and detail). Identical traces — and only identical traces, up
     /// to hash collisions — produce the same digest.
     pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x100_0000_01b3);
-            }
-        };
+        let mut h = Fnv1a::new();
         for e in &self.events {
-            eat(&e.time.as_nanos().to_le_bytes());
-            eat(self.slice(e.node).as_bytes());
-            eat(&[0xFF]);
-            eat(self.slice(e.kind).as_bytes());
-            eat(&[0xFE]);
-            eat(self.slice(e.detail).as_bytes());
-            eat(&[0xFD]);
+            h.write(&e.time.as_nanos().to_le_bytes());
+            h.write(self.slice(e.node).as_bytes());
+            h.write(&[0xFF]);
+            h.write(self.slice(e.kind).as_bytes());
+            h.write(&[0xFE]);
+            h.write(self.slice(e.detail).as_bytes());
+            h.write(&[0xFD]);
         }
-        h
+        h.finish()
     }
 }
 

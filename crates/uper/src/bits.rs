@@ -244,7 +244,7 @@ impl<'a> BitReader<'a> {
                 remaining: self.remaining(),
             });
         }
-        if self.pos % 8 == 0 {
+        if self.pos.is_multiple_of(8) {
             let start = self.pos / 8;
             self.pos += needed;
             return Ok(self.bytes[start..start + len].to_vec());

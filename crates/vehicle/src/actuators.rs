@@ -25,51 +25,41 @@ pub enum ActuatorCommand {
     CutPower,
 }
 
-/// Latency model of the Jetson→Teensy→ESC path.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TeensyLink {
-    /// USART baud rate (115200 default).
-    pub baud: u64,
-    /// Command frame length on the wire, bytes.
-    pub frame_bytes: u64,
-    /// MCU control-loop period — the command waits for the next loop
-    /// iteration, uniformly distributed.
-    pub mcu_loop_period: SimDuration,
-    /// PWM refresh period of the ESC/servo (50 Hz hobby PWM default).
-    pub pwm_period: SimDuration,
-}
+/// USART baud rate.
+const BAUD: u64 = 115_200;
+/// Command frame length on the wire, bytes.
+const FRAME_BYTES: u64 = 8;
+/// MCU control-loop period — the command waits for the next loop
+/// iteration, uniformly distributed.
+const MCU_LOOP_PERIOD: SimDuration = SimDuration::from_millis(1);
+/// PWM refresh period of the ESC/servo (50 Hz hobby PWM).
+const PWM_PERIOD: SimDuration = SimDuration::from_millis(20);
 
-impl Default for TeensyLink {
-    fn default() -> Self {
-        Self {
-            baud: 115_200,
-            frame_bytes: 8,
-            mcu_loop_period: SimDuration::from_millis(1),
-            pwm_period: SimDuration::from_millis(20),
-        }
-    }
-}
+/// Latency model of the Jetson→Teensy→ESC path: a 115200-baud USART
+/// frame of 8 bytes, a 1 ms MCU loop and 50 Hz hobby PWM.
+#[derive(Debug, Clone, Copy)]
+pub struct TeensyLink;
 
 impl TeensyLink {
     /// Time to shift one command frame over USART (10 bit-times per byte:
     /// start + 8 data + stop).
     pub fn usart_time(&self) -> SimDuration {
-        let bits = self.frame_bytes * 10;
-        SimDuration::from_secs_f64(bits as f64 / self.baud as f64)
+        let bits = FRAME_BYTES * 10;
+        SimDuration::from_secs_f64(bits as f64 / BAUD as f64)
     }
 
     /// Samples the total command-to-actuator latency: USART transfer +
     /// wait for the MCU loop + wait for the next PWM edge.
     pub fn sample_latency(&self, rng: &mut SimRng) -> SimDuration {
-        let mcu_wait = SimDuration::from_secs_f64(rng.f64() * self.mcu_loop_period.as_secs_f64());
-        let pwm_wait = SimDuration::from_secs_f64(rng.f64() * self.pwm_period.as_secs_f64());
+        let mcu_wait = SimDuration::from_secs_f64(rng.f64() * MCU_LOOP_PERIOD.as_secs_f64());
+        let pwm_wait = SimDuration::from_secs_f64(rng.f64() * PWM_PERIOD.as_secs_f64());
         self.usart_time() + mcu_wait + pwm_wait
     }
 
     /// Worst-case latency (full MCU loop + full PWM period).
     #[cfg(test)]
     pub fn worst_case_latency(&self) -> SimDuration {
-        self.usart_time() + self.mcu_loop_period + self.pwm_period
+        self.usart_time() + MCU_LOOP_PERIOD + PWM_PERIOD
     }
 }
 
@@ -79,7 +69,7 @@ mod tests {
 
     #[test]
     fn usart_time_at_115200() {
-        let link = TeensyLink::default();
+        let link = TeensyLink;
         // 8 bytes × 10 bits / 115200 baud ≈ 694 µs.
         let t = link.usart_time();
         assert!((t.as_secs_f64() - 80.0 / 115_200.0).abs() < 1e-9);
@@ -88,7 +78,7 @@ mod tests {
 
     #[test]
     fn sampled_latency_within_bounds() {
-        let link = TeensyLink::default();
+        let link = TeensyLink;
         let mut rng = SimRng::seed_from(1);
         let usart = link.usart_time();
         let worst = link.worst_case_latency();
@@ -101,7 +91,7 @@ mod tests {
 
     #[test]
     fn mean_latency_is_usart_plus_half_periods() {
-        let link = TeensyLink::default();
+        let link = TeensyLink;
         let mut rng = SimRng::seed_from(2);
         let n = 20_000;
         let mean: f64 = (0..n)

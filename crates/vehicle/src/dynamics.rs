@@ -7,13 +7,10 @@
 //! brake. The parameters below are tuned so that a 1.5 m/s approach stops
 //! in roughly the 0.31–0.43 m band the paper measures (Table III).
 
-/// Physical parameters of the 1/10-scale vehicle.
+/// Physical parameters of the 1/10-scale vehicle that vary from run to
+/// run or that other models read.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VehicleParams {
-    /// Total mass, kg (Traxxas chassis + Jetson + battery ≈ 3.2 kg).
-    pub mass_kg: f64,
-    /// Peak drive force at full throttle, N.
-    pub max_drive_force_n: f64,
     /// Rolling-resistance coefficient (dimensionless, × m·g).
     pub rolling_resistance: f64,
     /// Drivetrain drag when unpowered, N per (m/s) — the dominant
@@ -21,33 +18,28 @@ pub struct VehicleParams {
     /// loading through the ESC plus gear friction). Only applied while
     /// the throttle is zero.
     pub drivetrain_drag_n_per_mps: f64,
-    /// Aerodynamic drag coefficient × frontal area × ½ρ, N per (m/s)².
-    pub aero_drag_n_per_mps2: f64,
     /// Wheelbase, m (F1Tenth ≈ 0.32 m).
     pub wheelbase_m: f64,
-    /// Overall vehicle length, m (paper: ≈ 0.53 m).
-    pub length_m: f64,
-    /// Top speed, m/s (paper: up to 60 km/h ≈ 16.7 m/s).
-    pub top_speed_mps: f64,
-    /// Maximum steering angle, radians.
-    pub max_steer_rad: f64,
 }
 
 impl Default for VehicleParams {
     fn default() -> Self {
         Self {
-            mass_kg: 3.2,
-            max_drive_force_n: 12.0,
             rolling_resistance: 0.08,
             drivetrain_drag_n_per_mps: 12.0,
-            aero_drag_n_per_mps2: 0.02,
             wheelbase_m: 0.32,
-            length_m: 0.53,
-            top_speed_mps: 60.0 / 3.6,
-            max_steer_rad: 0.35,
         }
     }
 }
+
+/// Total mass, kg (Traxxas chassis + Jetson + battery ≈ 3.2 kg).
+const MASS_KG: f64 = 3.2;
+/// Peak drive force at full throttle, N.
+const MAX_DRIVE_FORCE_N: f64 = 12.0;
+/// Aerodynamic drag coefficient × frontal area × ½ρ, N per (m/s)².
+const AERO_DRAG_N_PER_MPS2: f64 = 0.02;
+/// Top speed, m/s (paper: up to 60 km/h ≈ 16.7 m/s).
+const TOP_SPEED_MPS: f64 = 60.0 / 3.6;
 
 /// Gravitational acceleration, m/s².
 const G: f64 = 9.81;
@@ -91,12 +83,6 @@ impl LongitudinalModel {
         }
     }
 
-    /// The parameter set in use.
-    #[cfg(test)]
-    pub fn params(&self) -> &VehicleParams {
-        &self.params
-    }
-
     /// Current speed, m/s.
     pub fn speed_mps(&self) -> f64 {
         self.speed_mps
@@ -109,7 +95,7 @@ impl LongitudinalModel {
 
     /// Sets the current speed (test/scenario setup).
     pub fn set_speed(&mut self, speed_mps: f64) {
-        self.speed_mps = speed_mps.clamp(0.0, self.params.top_speed_mps);
+        self.speed_mps = speed_mps.clamp(0.0, TOP_SPEED_MPS);
     }
 
     /// Advances the model by `dt` seconds with throttle `u ∈ [0, 1]`
@@ -123,23 +109,23 @@ impl LongitudinalModel {
         let u = throttle.clamp(0.0, 1.0);
         let p = &self.params;
         let v = self.speed_mps;
-        let drive = u * p.max_drive_force_n;
+        let drive = u * MAX_DRIVE_FORCE_N;
         let resistive = if v > 0.0 {
             let coast_drag = if u <= 0.0 {
                 p.drivetrain_drag_n_per_mps * v
             } else {
                 0.0
             };
-            p.rolling_resistance * p.mass_kg * G + coast_drag + p.aero_drag_n_per_mps2 * v * v
+            p.rolling_resistance * MASS_KG * G + coast_drag + AERO_DRAG_N_PER_MPS2 * v * v
         } else {
             0.0
         };
-        let accel = (drive - resistive) / p.mass_kg;
+        let accel = (drive - resistive) / MASS_KG;
         let mut v_next = v + accel * dt;
         if u <= 0.0 && v_next < 0.0 {
             v_next = 0.0; // resistive forces cannot reverse the car
         }
-        v_next = v_next.clamp(0.0, p.top_speed_mps);
+        v_next = v_next.clamp(0.0, TOP_SPEED_MPS);
         // Trapezoidal distance update.
         let ds = 0.5 * (v + v_next) * dt;
         self.speed_mps = v_next;
@@ -250,7 +236,7 @@ mod tests {
         for _ in 0..60_000 {
             car.step(0.001, 1.0);
         }
-        assert!(car.speed_mps() <= car.params().top_speed_mps + 1e-9);
+        assert!(car.speed_mps() <= TOP_SPEED_MPS + 1e-9);
     }
 
     #[test]
@@ -308,9 +294,9 @@ mod tests {
     /// ln(a·v² + b·v + c) / 2a − b / (2a·√D) · ln((2a·v + b − √D) / (2a·v + b + √D)).
     fn closed_form_stop_m(p: &VehicleParams, v0: f64) -> f64 {
         let (a, b, c) = (
-            p.aero_drag_n_per_mps2,
+            AERO_DRAG_N_PER_MPS2,
             p.drivetrain_drag_n_per_mps,
-            p.rolling_resistance * p.mass_kg * 9.81,
+            p.rolling_resistance * MASS_KG * 9.81,
         );
         let root_d = (b * b - 4.0 * a * c).sqrt();
         let f = |v: f64| {
@@ -318,7 +304,7 @@ mod tests {
                 - b / (2.0 * a * root_d)
                     * ((2.0 * a * v + b - root_d) / (2.0 * a * v + b + root_d)).ln()
         };
-        p.mass_kg * (f(v0) - f(0.0))
+        MASS_KG * (f(v0) - f(0.0))
     }
 
     fn integrated_stop_m(p: &VehicleParams, v0: f64, dt: f64) -> f64 {

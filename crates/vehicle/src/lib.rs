@@ -43,6 +43,6 @@ pub use actuators::{ActuatorCommand, TeensyLink};
 pub use dynamics::{BicycleState, LongitudinalModel, VehicleParams};
 pub use linefollow::{LineFollower, Track};
 pub use pid::Pid;
-pub use planner::{DriveMode, MessageHandler, MotionPlanner, StopPolicy};
+pub use planner::{DriveMode, MessageHandler, MotionPlanner};
 pub use sensors::WheelOdometry;
 pub use watchdog::{DegradationLevel, V2xWatchdog, WatchdogConfig, WatchdogTrips};

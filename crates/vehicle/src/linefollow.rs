@@ -812,10 +812,6 @@ thread_local! {
 pub struct LineFollower {
     camera: CameraModel,
     pid: Pid,
-    /// Steering command applied when the line is lost (hold last).
-    last_steer: f64,
-    /// Consecutive frames without a detected line.
-    lost_frames: u32,
     /// Reusable frame buffer (the pipeline runs every control tick;
     /// reuse avoids a frame + accumulator allocation per tick).
     frame: Frame,
@@ -849,8 +845,6 @@ impl LineFollower {
             pid: Pid::new(2.2, 0.05, 0.35)
                 .with_output_limit(0.35)
                 .with_integral_limit(0.2),
-            last_steer: 0.0,
-            lost_frames: 0,
             frame: Frame {
                 width: camera.width,
                 height: camera.height,
@@ -862,16 +856,13 @@ impl LineFollower {
         }
     }
 
-    /// Consecutive frames without a line detection.
-    #[cfg(test)]
-    pub fn lost_frames(&self) -> u32 {
-        self.lost_frames
-    }
-
     /// Runs the full pipeline for one control period of `dt` seconds.
     ///
     /// Returns the steering angle in radians, or `None` when no line was
-    /// detected this frame (the caller typically holds the last command).
+    /// detected this frame ([`MotionPlanner::plan`] then holds the last
+    /// command).
+    ///
+    /// [`MotionPlanner::plan`]: crate::planner::MotionPlanner::plan
     pub fn steering(
         &mut self,
         pose: &BicycleState,
@@ -898,17 +889,7 @@ impl LineFollower {
         // Positive error (line to the right in image = left in vehicle
         // frame, because columns grow rightward while lateral grows
         // leftward is handled by the projection) steers toward the line.
-        let steer = self.pid.update(error_m, dt);
-        self.last_steer = steer;
-        self.lost_frames = 0;
-        Some(steer)
-    }
-
-    /// The last steering command issued.
-    #[cfg(test)]
-    pub fn hold_last(&mut self) -> f64 {
-        self.lost_frames += 1;
-        self.last_steer
+        Some(self.pid.update(error_m, dt))
     }
 }
 
@@ -932,7 +913,9 @@ impl Drop for LineFollower {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::actuators::ActuatorCommand;
     use crate::dynamics::{LongitudinalModel, VehicleParams};
+    use crate::planner::MotionPlanner;
     use proptest::prelude::*;
     use proptest::test_runner::TestCaseError;
 
@@ -1090,9 +1073,16 @@ mod tests {
             theta: 0.0,
         };
         assert!(follower.steering(&pose, &track, 0.02, &mut rng).is_none());
-        let held = follower.hold_last();
-        assert_eq!(held, 0.0);
-        assert_eq!(follower.lost_frames(), 1);
+    }
+
+    /// The steering the car applies in one tick: the follower's command,
+    /// or the one the planner holds while the line is lost, as the
+    /// scenarios do.
+    fn applied_steering(planner: &mut MotionPlanner, steer: Option<f64>) -> f64 {
+        match planner.plan(steer) {
+            ActuatorCommand::Drive { steering_rad, .. } => steering_rad,
+            ActuatorCommand::CutPower => unreachable!("nothing stops the car"),
+        }
     }
 
     #[test]
@@ -1109,14 +1099,14 @@ mod tests {
         let mut car = LongitudinalModel::new(params);
         car.set_speed(1.5);
         let mut follower = LineFollower::new();
+        let mut planner = MotionPlanner::new(0.25);
         let mut rng = SimRng::seed_from(4);
         let dt = 0.02;
         let mut offsets = Vec::new();
         for step in 0..800 {
             // 16 s
-            let steer = follower
-                .steering(&pose, &track, dt, &mut rng)
-                .unwrap_or_else(|| follower.hold_last());
+            let steer =
+                applied_steering(&mut planner, follower.steering(&pose, &track, dt, &mut rng));
             let ds = car.step(dt, 0.25);
             pose.advance(ds, steer, params.wheelbase_m);
             if step >= 600 {
@@ -1145,6 +1135,7 @@ mod tests {
         let mut car = LongitudinalModel::new(params);
         car.set_speed(0.8);
         let mut follower = LineFollower::new();
+        let mut planner = MotionPlanner::new(0.21);
         let mut rng = SimRng::seed_from(9);
         let dt = 0.02;
         let mut max_offset: f64 = 0.0;
@@ -1155,9 +1146,8 @@ mod tests {
             if pose.y > 3.5 {
                 break;
             }
-            let steer = follower
-                .steering(&pose, &track, dt, &mut rng)
-                .unwrap_or_else(|| follower.hold_last());
+            let steer =
+                applied_steering(&mut planner, follower.steering(&pose, &track, dt, &mut rng));
             let ds = car.step(dt, 0.21);
             pose.advance(ds, steer, params.wheelbase_m);
             max_offset = max_offset.max(track.lateral_offset(&pose).abs());

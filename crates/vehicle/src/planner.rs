@@ -8,26 +8,15 @@
 //! received DENM cuts wheel power (§III-D2).
 
 use crate::actuators::ActuatorCommand;
-use crate::watchdog::DegradationLevel;
+use crate::watchdog::{DegradationLevel, FAILSAFE_THROTTLE_SCALE};
 use its_messages::cause_codes::CauseCode;
 use its_messages::denm::Denm;
 
-/// When the Message Handler escalates a DENM to an emergency stop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum StopPolicy {
-    /// Stop on any received DENM — the paper's implementation ("If a DENM
-    /// was received by the OBU … power to the wheels is interrupted").
-    #[default]
-    AnyDenm,
-    /// Stop only on event types that demand braking (collision risk,
-    /// AEB/pre-crash dangerous situations) — the §II-D refinement.
-    EmergencyCausesOnly,
-}
-
-/// Interprets received DENMs for the Motion Planner.
+/// Interprets received DENMs for the Motion Planner: any DENM but a
+/// termination stops the vehicle, as in the paper's implementation ("If a
+/// DENM was received by the OBU … power to the wheels is interrupted").
 #[derive(Debug, Clone, Default)]
 pub struct MessageHandler {
-    policy: StopPolicy,
     /// DENMs seen, for diagnostics.
     received: u64,
     /// The cause that triggered the stop, if any.
@@ -35,15 +24,6 @@ pub struct MessageHandler {
 }
 
 impl MessageHandler {
-    /// Creates a handler with the given policy.
-    pub fn new(policy: StopPolicy) -> Self {
-        Self {
-            policy,
-            received: 0,
-            stop_cause: None,
-        }
-    }
-
     /// Number of DENMs processed.
     #[cfg(test)]
     pub fn received(&self) -> u64 {
@@ -70,12 +50,7 @@ impl MessageHandler {
         if self.stop_cause.is_some() {
             return false; // already stopping
         }
-        let triggers = match self.policy {
-            StopPolicy::AnyDenm => !denm.is_termination(),
-            StopPolicy::EmergencyCausesOnly => denm
-                .event_type()
-                .is_some_and(|c| c.requires_emergency_brake()),
-        };
+        let triggers = !denm.is_termination();
         if triggers {
             self.stop_cause = Some(denm.event_type());
         }
@@ -99,10 +74,10 @@ pub enum DriveMode {
 /// # Example
 ///
 /// ```
-/// use vehicle::planner::{MotionPlanner, StopPolicy};
+/// use vehicle::planner::MotionPlanner;
 /// use vehicle::actuators::ActuatorCommand;
 ///
-/// let mut planner = MotionPlanner::new(0.25, StopPolicy::AnyDenm);
+/// let mut planner = MotionPlanner::new(0.25);
 /// let cmd = planner.plan(Some(0.1));
 /// assert!(matches!(cmd, ActuatorCommand::Drive { .. }));
 /// planner.force_stop();
@@ -115,26 +90,18 @@ pub struct MotionPlanner {
     mode: DriveMode,
     last_steering: f64,
     degradation: DegradationLevel,
-    failsafe_scale: f64,
 }
 
 impl MotionPlanner {
-    /// Creates a planner with the given cruise throttle and stop policy.
-    pub fn new(cruise_throttle: f64, policy: StopPolicy) -> Self {
+    /// Creates a planner with the given cruise throttle.
+    pub fn new(cruise_throttle: f64) -> Self {
         Self {
-            handler: MessageHandler::new(policy),
+            handler: MessageHandler::default(),
             cruise_throttle: cruise_throttle.clamp(0.0, 1.0),
             mode: DriveMode::LineFollow,
             last_steering: 0.0,
             degradation: DegradationLevel::Nominal,
-            failsafe_scale: 0.5,
         }
-    }
-
-    /// Sets the throttle multiplier used in [`DegradationLevel::SpeedCap`].
-    #[cfg(test)]
-    pub fn set_failsafe_scale(&mut self, scale: f64) {
-        self.failsafe_scale = scale.clamp(0.0, 1.0);
     }
 
     /// Updates the fail-safe degradation level the planner must honour
@@ -149,8 +116,8 @@ impl MotionPlanner {
         self.mode
     }
 
-    /// Processes a received DENM; switches to emergency stop if the
-    /// policy demands it. Returns `true` when the stop was newly latched.
+    /// Processes a received DENM; switches to emergency stop unless it
+    /// is a termination. Returns `true` when the stop was newly latched.
     pub fn on_denm(&mut self, denm: &Denm) -> bool {
         let stop = self.handler.on_denm(denm);
         if stop {
@@ -176,7 +143,7 @@ impl MotionPlanner {
                 }
                 let throttle = match self.degradation {
                     DegradationLevel::Nominal => self.cruise_throttle,
-                    DegradationLevel::SpeedCap => self.cruise_throttle * self.failsafe_scale,
+                    DegradationLevel::SpeedCap => self.cruise_throttle * FAILSAFE_THROTTLE_SCALE,
                     DegradationLevel::ControlledStop => 0.0,
                 };
                 ActuatorCommand::Drive {
@@ -214,31 +181,15 @@ mod tests {
     fn any_denm_policy_stops_on_mandatory_only_denm() {
         // The paper's DENMs carry only Header + Management; the vehicle
         // must still stop.
-        let mut planner = MotionPlanner::new(0.25, StopPolicy::AnyDenm);
+        let mut planner = MotionPlanner::new(0.25);
         assert!(planner.on_denm(&denm(None)));
         assert_eq!(planner.mode(), DriveMode::EmergencyStop);
         assert_eq!(planner.plan(Some(0.0)), ActuatorCommand::CutPower);
     }
 
     #[test]
-    fn emergency_policy_ignores_benign_causes() {
-        let mut planner = MotionPlanner::new(0.25, StopPolicy::EmergencyCausesOnly);
-        assert!(!planner.on_denm(&denm(None)));
-        assert!(
-            !planner.on_denm(&denm(Some(CauseCode::HazardousLocationObstacleOnTheRoad(
-                0
-            ))))
-        );
-        assert_eq!(planner.mode(), DriveMode::LineFollow);
-        assert!(planner.on_denm(&denm(Some(CauseCode::CollisionRisk(
-            CollisionRiskSubCause::CrossingCollisionRisk
-        )))));
-        assert_eq!(planner.mode(), DriveMode::EmergencyStop);
-    }
-
-    #[test]
     fn termination_denm_does_not_stop() {
-        let mut planner = MotionPlanner::new(0.25, StopPolicy::AnyDenm);
+        let mut planner = MotionPlanner::new(0.25);
         let mut d = denm(None);
         d.management.termination = Some(Termination::IsCancellation);
         assert!(!planner.on_denm(&d));
@@ -247,7 +198,7 @@ mod tests {
 
     #[test]
     fn stop_latches_once() {
-        let mut handler = MessageHandler::new(StopPolicy::AnyDenm);
+        let mut handler = MessageHandler::default();
         assert!(handler.on_denm(&denm(None)));
         assert!(!handler.on_denm(&denm(None)), "second DENM not a new stop");
         assert_eq!(handler.received(), 2);
@@ -256,7 +207,7 @@ mod tests {
 
     #[test]
     fn stop_cause_recorded() {
-        let mut handler = MessageHandler::new(StopPolicy::AnyDenm);
+        let mut handler = MessageHandler::default();
         let cause = CauseCode::CollisionRisk(CollisionRiskSubCause::CrossingCollisionRisk);
         handler.on_denm(&denm(Some(cause)));
         assert_eq!(handler.stop_cause(), Some(Some(cause)));
@@ -264,7 +215,7 @@ mod tests {
 
     #[test]
     fn planner_holds_last_steering_when_line_lost() {
-        let mut planner = MotionPlanner::new(0.25, StopPolicy::AnyDenm);
+        let mut planner = MotionPlanner::new(0.25);
         planner.plan(Some(0.2));
         match planner.plan(None) {
             ActuatorCommand::Drive { steering_rad, .. } => assert_eq!(steering_rad, 0.2),
@@ -274,8 +225,7 @@ mod tests {
 
     #[test]
     fn degradation_caps_then_zeroes_throttle() {
-        let mut planner = MotionPlanner::new(0.4, StopPolicy::AnyDenm);
-        planner.set_failsafe_scale(0.5);
+        let mut planner = MotionPlanner::new(0.4);
         planner.set_degradation(DegradationLevel::SpeedCap);
         match planner.plan(Some(0.1)) {
             ActuatorCommand::Drive { throttle, .. } => assert_eq!(throttle, 0.2),
@@ -303,7 +253,7 @@ mod tests {
     fn emergency_stop_outranks_degradation_recovery() {
         // A latched DENM stop must not be undone by the watchdog reporting
         // a healthy link again.
-        let mut planner = MotionPlanner::new(0.25, StopPolicy::AnyDenm);
+        let mut planner = MotionPlanner::new(0.25);
         planner.on_denm(&denm(None));
         planner.set_degradation(DegradationLevel::Nominal);
         assert_eq!(planner.plan(Some(0.0)), ActuatorCommand::CutPower);
@@ -311,7 +261,7 @@ mod tests {
 
     #[test]
     fn cruise_throttle_clamped() {
-        let mut planner = MotionPlanner::new(2.0, StopPolicy::AnyDenm);
+        let mut planner = MotionPlanner::new(2.0);
         match planner.plan(Some(0.0)) {
             ActuatorCommand::Drive { throttle, .. } => assert_eq!(throttle, 1.0),
             other => panic!("unexpected command {other:?}"),

@@ -26,31 +26,31 @@ pub enum DegradationLevel {
     ControlledStop,
 }
 
-/// Deadlines and fail-safe parameters for [`V2xWatchdog`].
+/// Deadlines of a [`V2xWatchdog`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WatchdogConfig {
-    /// Expected heartbeat cadence (drives the RSU's CAM generation when
-    /// the scenario enables the watchdog).
-    pub heartbeat_period: SimDuration,
     /// Deadline 1: heartbeat age beyond which speed is capped.
     pub stale_after: SimDuration,
     /// Deadline 2: heartbeat age beyond which the vehicle executes a
     /// controlled stop. Must be at least `stale_after`.
     pub stop_after: SimDuration,
-    /// Throttle multiplier applied in [`DegradationLevel::SpeedCap`].
-    pub failsafe_throttle_scale: f64,
 }
 
 impl Default for WatchdogConfig {
     fn default() -> Self {
         Self {
-            heartbeat_period: SimDuration::from_millis(100),
             stale_after: SimDuration::from_millis(400),
             stop_after: SimDuration::from_millis(1200),
-            failsafe_throttle_scale: 0.5,
         }
     }
 }
+
+/// Expected heartbeat cadence: the RSU (or the platoon leader) beacons
+/// a CAM this often when the vehicle runs a watchdog.
+pub const HEARTBEAT_PERIOD: SimDuration = SimDuration::from_millis(100);
+
+/// Throttle multiplier applied in [`DegradationLevel::SpeedCap`].
+pub const FAILSAFE_THROTTLE_SCALE: f64 = 0.5;
 
 /// Counters of watchdog state transitions over a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -108,11 +108,6 @@ impl V2xWatchdog {
             level: DegradationLevel::Nominal,
             trips: WatchdogTrips::default(),
         }
-    }
-
-    /// The configured deadlines.
-    pub fn config(&self) -> &WatchdogConfig {
-        &self.config
     }
 
     /// Records a successful V2X reception at `now`.

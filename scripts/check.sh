@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Full tier-1 gate: formatting, build, tests, and the detlint
+# Full tier-1 gate: formatting, clippy lints, build, tests, and the detlint
 # determinism/safety invariants. CI and pre-push both run this.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -10,6 +10,11 @@ cd "$(dirname "$0")/.."
 
 echo "==> cargo fmt --check"
 cargo fmt --all --check
+
+# Lints: every clippy warning in every target (libs, bins, examples,
+# tests, benches) is an error, so the workspace stays clippy-clean.
+echo "==> cargo clippy (warnings are errors)"
+cargo clippy --locked --workspace --all-targets -- -D warnings
 
 echo "==> cargo build --release"
 cargo build --locked --release

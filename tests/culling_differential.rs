@@ -10,7 +10,7 @@
 //! leaves the frame-error rate above `1 − CULL_EPS` (DESIGN.md §13).
 
 use its_testbed::city::{run_city, urban_channel_config, CityConfig, CityRecord};
-use phy80211p::channel::{CULL_EPS, CULL_SHADOW_SIGMAS};
+use phy80211p::channel::{CULL_EPS, CULL_SHADOW_SIGMAS, NOISE_FLOOR_DBM};
 use phy80211p::ofdm::DataRate;
 use phy80211p::{Channel, Position2D, SpatialGrid};
 use sim_core::{SimDuration, SimRng, SimTime};
@@ -138,7 +138,7 @@ fn non_culled_outcomes_are_bit_identical_to_exhaustive() {
             );
             let optimistic_snr = channel.mean_rx_power_dbm(tx_pos, rx_pos)
                 + CULL_SHADOW_SIGMAS * sigma
-                - channel.config().noise_floor_dbm;
+                - NOISE_FLOOR_DBM;
             assert!(
                 channel.frame_error_rate(optimistic_snr, CAM_LEN, RATE) >= 1.0 - CULL_EPS,
                 "culled rx {r} would have a non-negligible delivery probability"

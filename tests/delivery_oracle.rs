@@ -17,6 +17,7 @@
 //! streams that `Channel::deliver` delivers.
 
 use its_testbed::city::urban_channel_config;
+use phy80211p::channel::{ANTENNA_GAIN_DBI, NOISE_FLOOR_DBM, REFERENCE_LOSS_DB};
 use phy80211p::{Channel, DataRate, Position2D};
 use sim_core::{SimRng, SimTime};
 
@@ -55,9 +56,9 @@ fn success(snr_db: f64) -> f64 {
 /// `P(d)`: the trapezoid rule over ±8σ of shadowing in 0.005 dB steps.
 fn delivery_probability(channel: &Channel, d: f64) -> f64 {
     let c = channel.config();
-    let mean_snr = c.tx_power_dbm + c.antenna_gain_dbi
-        - (c.reference_loss_db + 10.0 * c.path_loss_exponent * d.log10())
-        - c.noise_floor_dbm;
+    let mean_snr = c.tx_power_dbm + ANTENNA_GAIN_DBI
+        - (REFERENCE_LOSS_DB + 10.0 * c.path_loss_exponent * d.log10())
+        - NOISE_FLOOR_DBM;
     let sigma = c.shadowing_sigma_db;
     let step = 0.005;
     let half = (8.0 * sigma / step) as i64;

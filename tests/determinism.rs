@@ -87,7 +87,6 @@ fn congestion_runs_are_reproducible() {
         seed: 13,
         n_stations: 30,
         duration: sim_core::SimDuration::from_secs(5),
-        ..CongestionConfig::default()
     };
     assert_eq!(run_congestion(&cfg), run_congestion(&cfg));
 }
@@ -115,7 +114,6 @@ fn ldm_queries_are_insertion_order_independent() {
     use facilities::Ldm;
     use its_messages::cam::Cam;
     use its_messages::common::{ReferencePosition, StationId, StationType};
-    use sim_core::SimTime;
 
     let cam = |id: u32, lat: f64| {
         Cam::basic(
@@ -130,11 +128,11 @@ fn ldm_queries_are_insertion_order_independent() {
     let ids = [9u32, 3, 27, 14, 1, 22, 6, 31, 18, 11];
     let mut forward = Ldm::new();
     for &id in &ids {
-        forward.insert_cam(SimTime::ZERO, cam(id, 41.178));
+        forward.insert_cam(cam(id, 41.178));
     }
     let mut reverse = Ldm::new();
     for &id in ids.iter().rev() {
-        reverse.insert_cam(SimTime::ZERO, cam(id, 41.178));
+        reverse.insert_cam(cam(id, 41.178));
     }
 
     let centre = ReferencePosition::from_degrees(41.178, -8.608);

@@ -155,7 +155,6 @@ fn longer_poll_period_increases_interval_4_5() {
             seed: 800 + seed,
             polling: PollingModel {
                 period: SimDuration::from_millis(10),
-                ..PollingModel::default()
             },
             ..ScenarioConfig::default()
         })
@@ -164,7 +163,6 @@ fn longer_poll_period_increases_interval_4_5() {
             seed: 800 + seed,
             polling: PollingModel {
                 period: SimDuration::from_millis(100),
-                ..PollingModel::default()
             },
             ..ScenarioConfig::default()
         })

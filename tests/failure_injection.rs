@@ -141,7 +141,6 @@ fn detector_miss_rate_reflected_in_assessments() {
             stop_sign_detect_prob: 0.0,
             bare_detect_prob: 0.0,
             shell_detect_prob: 0.0,
-            ..YoloModel::default()
         },
         ..ScenarioConfig::default()
     })
@@ -165,7 +164,6 @@ fn poll_starvation_inflates_but_does_not_break() {
             seed,
             polling: PollingModel {
                 period: SimDuration::from_millis(200),
-                ..PollingModel::default()
             },
             ..ScenarioConfig::default()
         })

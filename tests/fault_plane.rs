@@ -61,7 +61,6 @@ fn total_radio_silence_after_detection_fails_safe() {
         watchdog: Some(WatchdogConfig {
             stale_after: SimDuration::from_millis(150),
             stop_after: SimDuration::from_millis(400),
-            ..WatchdogConfig::default()
         }),
         ..base(11)
     })

@@ -96,8 +96,7 @@ fn full_edge_to_vehicle_http_chain() {
     assert!(received.event_type().unwrap().requires_emergency_brake());
 
     // The vehicle-side reaction (paper: any DENM response → cut power).
-    let mut planner =
-        vehicle::planner::MotionPlanner::new(0.25, vehicle::planner::StopPolicy::AnyDenm);
+    let mut planner = vehicle::planner::MotionPlanner::new(0.25);
     assert!(planner.on_denm(&received));
     assert_eq!(
         planner.plan(None),

@@ -122,9 +122,8 @@ impl Default for Config {
                 "core::generate_cpm",
                 // The line follower's vision.
                 "vehicle::steering",
-                "vehicle::capture_into",
-                "vehicle::detect_edges_into",
-                "vehicle::hough_lines_into",
+                "vehicle::scan_edges_into",
+                "vehicle::best_line",
             ]),
             // The RunRecord wire codec and its committed layout snapshot,
             // regenerated deliberately with `detlint --update-schema`.

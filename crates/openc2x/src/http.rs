@@ -8,7 +8,7 @@
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -70,8 +70,9 @@ impl Response {
     /// campaign server's 409 Conflict (submission fingerprint mismatch)
     /// and 503 Service Unavailable (queue full) answers, and the
     /// server's own 408 for a request not in by [`REQUEST_DEADLINE`],
-    /// 413 for a body above [`MAX_BODY_BYTES`] and 431 for a head above
-    /// [`MAX_HEAD_BYTES`] or [`MAX_HEADERS`], come through here.
+    /// 413 for a body above [`MAX_BODY_BYTES`], 431 for a head above
+    /// [`MAX_HEAD_BYTES`] or [`MAX_HEADERS`] and 503 for a connection
+    /// past [`MAX_CONNECTIONS`], come through here.
     pub fn with_status(status: u16, reason: &str) -> Self {
         Self {
             status,
@@ -115,6 +116,12 @@ pub const MAX_HEADERS: usize = 64;
 /// request not complete by then gets 408, however steadily its bytes
 /// trickle in, so no client holds a server thread for longer.
 pub const REQUEST_DEADLINE: Duration = Duration::from_secs(5);
+
+/// The most connections the server handles at once, one thread each.
+/// The accept loop answers a connection past it with 503 and closes it,
+/// so a flood of idle connections costs at most this many threads, each
+/// bounded by [`REQUEST_DEADLINE`].
+pub const MAX_CONNECTIONS: usize = 64;
 
 /// A registered route handler.
 type Handler = Box<dyn Fn(&Request) -> Response + Send + Sync>;
@@ -179,14 +186,27 @@ impl HttpServer {
         let stop = Arc::new(AtomicBool::new(false));
         let stop2 = Arc::clone(&stop);
         let routes = Arc::new(self.routes);
+        let live = Arc::new(AtomicUsize::new(0));
         let handle = std::thread::spawn(move || {
             for conn in listener.incoming() {
                 if stop2.load(Ordering::SeqCst) {
                     break;
                 }
                 let Ok(stream) = conn else { continue };
+                // Only this loop takes slots, so one it sees free stays
+                // free until it takes it.
+                if live.load(Ordering::SeqCst) >= MAX_CONNECTIONS {
+                    // Answered without reading the request, and closed.
+                    let busy = Response::with_status(503, "too many connections");
+                    let _ = write_response(&stream, &busy);
+                    continue;
+                }
+                let slot = ConnectionSlot::take(&live);
                 let routes = Arc::clone(&routes);
-                std::thread::spawn(move || {
+                // A thread that cannot start drops the closure, and with
+                // it the stream and the slot.
+                let _ = std::thread::Builder::new().spawn(move || {
+                    let _slot = slot;
                     let _ = handle_connection(stream, &routes);
                 });
             }
@@ -196,6 +216,24 @@ impl HttpServer {
             stop,
             handle: Some(handle),
         })
+    }
+}
+
+/// One live connection's place in the server's count. Dropping it, as
+/// the connection's thread ends, frees the place, also when a handler
+/// panics.
+struct ConnectionSlot(Arc<AtomicUsize>);
+
+impl ConnectionSlot {
+    fn take(live: &Arc<AtomicUsize>) -> Self {
+        live.fetch_add(1, Ordering::SeqCst);
+        Self(Arc::clone(live))
+    }
+}
+
+impl Drop for ConnectionSlot {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
     }
 }
 

@@ -201,6 +201,37 @@ mod tests {
     }
 
     #[test]
+    fn idle_medium_access_is_aifs_alone_for_every_category() {
+        // AIFS = SIFS + AIFSN · slot at 10 MHz (EN 302 663): 32 µs plus
+        // {2, 3, 6, 9} × 13 µs, typed in from the standard rather than
+        // read from the parameter table.
+        let aifs_us = [
+            (AccessCategory::Voice, 58),
+            (AccessCategory::Video, 71),
+            (AccessCategory::BestEffort, 110),
+            (AccessCategory::Background, 149),
+        ];
+        let now = SimTime::from_micros(7_341);
+        let mut busy_until_now = Medium::new();
+        busy_until_now.occupy(now);
+        for (ac, want_us) in aifs_us {
+            let params = EdcaParams::for_category(ac);
+            // A medium never occupied, and one busy until exactly `now`.
+            for medium in [Medium::new(), busy_until_now] {
+                let mut rng = SimRng::seed_from(0x1D1E);
+                let start = params.access_time(now, &medium, &mut rng);
+                assert_eq!((start - now).as_micros(), want_us, "{ac:?}, {medium:?}");
+                // No backoff draw: the stream is where a fresh one is.
+                assert_eq!(
+                    rng.next_u64(),
+                    SimRng::seed_from(0x1D1E).next_u64(),
+                    "{ac:?}, {medium:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn busy_medium_defers_and_backs_off() {
         let voice = EdcaParams::for_category(AccessCategory::Voice);
         let mut medium = Medium::new();

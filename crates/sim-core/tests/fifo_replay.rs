@@ -11,6 +11,11 @@
 //! control-tick / vehicle-poll coincidences, plus the t=0 kickoff)
 //! are exactly the cases where only the FIFO seq tie-break determines
 //! handler order.
+//!
+//! Those bursts hold two or three events, few enough that a heap which
+//! ignored `seq` could still pop them in order. A synthetic burst of 18
+//! same-instant events, scheduled in waves between pops, guards the
+//! tie-break by itself.
 
 #[path = "support/model_queue.rs"]
 mod model_queue;
@@ -330,6 +335,51 @@ fn captured_scenario_trace_dispatches_in_reference_order() {
     for w in heap.windows(2) {
         if w[0].0 == w[1].0 {
             assert!(w[0].1 < w[1].1, "same-instant events reordered: {:?}", w);
+        }
+    }
+}
+
+/// Schedules a synthetic same-instant burst in three waves with pops
+/// between them: 18 events at one instant, 6 at later ones, and 9 pops
+/// before the queue drains. Returns the dispatch order
+/// `(time_ns, schedule_index)`.
+fn burst<Q: Queue>(q: &mut Q) -> Vec<(u64, u32)> {
+    let mut order = Vec::new();
+    let pop = |q: &mut Q, order: &mut Vec<(u64, u32)>, n: usize| {
+        for _ in 0..n {
+            if let Some((t, e)) = q.pop(SimTime::MAX) {
+                order.push((t.as_nanos(), e));
+            }
+        }
+    };
+    let mut next = 0u32;
+    for wave in 0..3u64 {
+        for i in 0..8 {
+            // Every fourth event of a wave goes to a later instant.
+            let t = if i % 4 == 3 { 2_000 + 10 * wave } else { 1_000 };
+            q.schedule(SimTime::from_nanos(t), next);
+            next += 1;
+        }
+        pop(q, &mut order, 3);
+    }
+    pop(q, &mut order, 64);
+    order
+}
+
+#[test]
+fn same_instant_burst_dispatches_in_schedule_order() {
+    // The captured trace's bursts hold two or three events, which a heap
+    // can pop in order by luck; this one is long enough that a heap
+    // breaking ties by anything but `seq` reorders it.
+    let heap = burst(&mut EventQueue::new());
+    let model = burst(&mut ModelQueue::new());
+    assert_eq!(heap.len(), 24);
+    assert_eq!(heap.iter().filter(|e| e.0 == 1_000).count(), 18);
+    assert_eq!(heap, model);
+    for w in heap.windows(2) {
+        assert!(w[0].0 <= w[1].0, "time went backwards: {w:?}");
+        if w[0].0 == w[1].0 {
+            assert!(w[0].1 < w[1].1, "same-instant events reordered: {w:?}");
         }
     }
 }

@@ -11,9 +11,9 @@
 //! * [`dynamics`] — longitudinal model (drive force, rolling resistance,
 //!   drag, power-cut coast-down) and the bicycle kinematics,
 //! * [`pid`] — the PID controller used for steering,
-//! * [`linefollow`] — the Line Detection algorithm: synthetic camera
-//!   frames of the floor line, edge extraction, probabilistic Hough vote,
-//!   and lane-line estimation,
+//! * [`linefollow`] — the Line Detection algorithm: the floor line as a
+//!   synthetic camera renders it, row by row, with each row's edge
+//!   pixels, a probabilistic Hough vote, and lane-line estimation,
 //! * [`actuators`] — ESC/PWM and the Teensy USART link, including the
 //!   emergency power-cut path,
 //! * [`planner`] — the Motion Planner and Message Handler: line following

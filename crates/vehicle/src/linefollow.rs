@@ -5,22 +5,22 @@
 //! probabilistic Hough transform, and feeds the Motion Planner which
 //! computes a steering angle through a PID controller. This module runs
 //! the same stage structure on synthetic frames rendered from the ground
-//! truth track geometry:
+//! truth track geometry, one image row at a time:
 //!
-//! 1. [`CameraModel::capture_into`] — renders the floor line into a
-//!    binary bird's-eye image of the area ahead of the car,
-//! 2. [`detect_edges_into`] — extracts edge pixels (intensity
-//!    transitions),
-//! 3. [`hough_lines_into`] — a probabilistic Hough vote (random edge-point
-//!    subsampling into a (ρ, θ) accumulator, as in Matas et al.),
-//! 4. [`LineFollower::steering`] — converts the strongest line into a
-//!    lateral error and runs it through the PID.
+//! 1. [`CameraModel::scan_edges_into`] — renders each row of a binary
+//!    bird's-eye image of the floor ahead of the car and extracts its
+//!    edge pixels (intensity transitions), without holding a frame,
+//! 2. [`best_line`] — a probabilistic Hough vote (random edge-point
+//!    subsampling into a (ρ, θ) accumulator, as in Matas et al.) that
+//!    returns the strongest line,
+//! 3. [`LineFollower::steering`] — converts that line into a lateral
+//!    error and runs it through the PID.
 
 use crate::dynamics::BicycleState;
 use crate::pid::Pid;
 use sim_core::SimRng;
 use std::cell::RefCell;
-use std::cmp::Reverse;
+use std::ops::Range;
 
 /// Ground-truth track: a polyline of the tape line on the floor.
 #[derive(Debug, Clone, PartialEq)]
@@ -199,39 +199,6 @@ fn ceil_f64(x: f64) -> f64 {
     }
 }
 
-/// A binary camera frame (bird's-eye projection of the floor ahead).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Frame {
-    width: usize,
-    height: usize,
-    pixels: Vec<bool>,
-}
-
-impl Frame {
-    /// Frame width in pixels.
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// Frame height in pixels.
-    pub fn height(&self) -> usize {
-        self.height
-    }
-
-    /// Pixel at `(row, col)`; row 0 is the far edge of the view.
-    #[cfg(test)]
-    pub fn get(&self, row: usize, col: usize) -> bool {
-        self.pixels[row * self.width + col]
-    }
-
-    /// Fraction of lit pixels, useful as a "line visible" heuristic.
-    #[cfg(test)]
-    pub fn fill_ratio(&self) -> f64 {
-        let lit = self.pixels.iter().filter(|&&p| p).count();
-        lit as f64 / self.pixels.len() as f64
-    }
-}
-
 /// Projection model of the forward-facing camera.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CameraModel {
@@ -262,212 +229,313 @@ impl Default for CameraModel {
     }
 }
 
+/// Half-width δ of the band around the line's edge in which
+/// [`CameraModel::scan_edges_into`] runs the exact pixel test, metres.
+/// Within [`SPAN_COORD_LIMIT_M`] the span arithmetic misplaces a
+/// distance by at most ~1e-7 m (DESIGN.md §9 item 4), so δ covers it a
+/// hundred times over.
+const EDGE_BAND_M: f64 = 1e-5;
+
+/// Largest coordinate magnitude, metres, for which the span arithmetic
+/// is within [`EDGE_BAND_M`]: every pose, camera and track coordinate,
+/// and the heading's cosine and sine, must lie within it. Beyond it,
+/// and for NaN or infinite input, every pixel takes the exact test.
+const SPAN_COORD_LIMIT_M: f64 = 1e4;
+
+/// A scan-line slope below this magnitude, in metres per metre, counts
+/// as zero: the constraint then holds for the whole line or for none of
+/// it. Over the spans [`SPAN_COORD_LIMIT_M`] allows, under 1e5 m, that
+/// moves a distance by at most 1e-7 m.
+const PARALLEL_SLOPE: f64 = 1e-12;
+
+/// One track segment seen from one pose, in image columns: what the
+/// row loop needs to cut each scan line with the segment's capsule.
+///
+/// A row's scan line is `W(s) = base + s·dir`, with `base` the point
+/// `ahead` metres in front of the pose along `fwd = (cos θ, sin θ)`,
+/// `dir = (−sin θ, cos θ)`, and the lateral offset `s` of column
+/// coordinate `x` is `left + (x + 0.5)·mpc`, so column `c`'s centre is
+/// at `x = c`. Every quantity the cut needs is affine in `ahead` and
+/// `x`, so the per-segment parts are computed once per frame.
+#[derive(Debug, Clone, Copy)]
+struct SegmentView {
+    /// Per end point `p`: `(pose − p)·fwd`, and the column coordinate
+    /// at which the scan line passes closest to `p`. On a row, `p` lies
+    /// `(pose − p)·fwd + ahead` off the scan line.
+    ends: [(f64, f64); 2],
+    /// The rectangle between the end discs, for a segment of normal
+    /// length: a point lies in it when its offset across the segment is
+    /// within the radius and its coordinate along it within `[0, len]`,
+    /// that is within `len / 2` of the middle.
+    body: Option<(Slab, Slab, f64)>,
+}
+
+/// A scan-line point's coordinate across or along a segment, as a
+/// signed offset `q = c0 + ahead·rate + x·slope` from the middle of the
+/// allowed range, oriented so that `slope` (metres per column) is
+/// positive; `inv` is `1/slope`, or `None` when the slope in metres per
+/// metre is below [`PARALLEL_SLOPE`].
+#[derive(Debug, Clone, Copy)]
+struct Slab {
+    c0: f64,
+    rate: f64,
+    inv: Option<f64>,
+}
+
+impl Slab {
+    /// The constraint `mid − half ≤ q0 + ahead·rate + s·slope ≤ mid + half`
+    /// on the lateral offset `s`, restated on the column coordinate.
+    fn new(q0: f64, rate: f64, slope: f64, mid: f64, left: f64, mpc: f64) -> Self {
+        let sign = if slope < 0.0 { -1.0 } else { 1.0 };
+        Self {
+            c0: sign * (q0 - mid + (left + 0.5 * mpc) * slope),
+            rate: sign * rate,
+            inv: (slope.abs() >= PARALLEL_SLOPE).then(|| 1.0 / (sign * slope * mpc)),
+        }
+    }
+
+    /// The column-coordinate interval on which the row `ahead` metres
+    /// out keeps `|q| ≤ half`: unbounded when the slope counts as zero
+    /// and the constraint holds, `None` when it fails.
+    fn span(&self, ahead: f64, half: f64) -> Option<(f64, f64)> {
+        let c = self.c0 + ahead * self.rate;
+        match self.inv {
+            Some(inv) => Some(((-half - c) * inv, (half - c) * inv)),
+            None => (c.abs() <= half).then_some((f64::NEG_INFINITY, f64::INFINITY)),
+        }
+    }
+}
+
+impl SegmentView {
+    fn new(
+        pose: &BicycleState,
+        (cos_t, sin_t): (f64, f64),
+        (left, mpc): (f64, f64),
+        (a, b): ((f64, f64), (f64, f64)),
+    ) -> Self {
+        let end = |p: (f64, f64)| {
+            let (dx, dy) = (pose.x - p.0, pose.y - p.1);
+            let closest = dx * sin_t - dy * cos_t;
+            (dx * cos_t + dy * sin_t, (closest - left) / mpc - 0.5)
+        };
+        let (abx, aby) = (b.0 - a.0, b.1 - a.1);
+        let len2 = abx * abx + aby * aby;
+        // A segment shorter than ~1e-154 m has no accurate unit vector;
+        // its end discs alone cover its capsule to well within δ.
+        let body = (len2 >= f64::MIN_POSITIVE).then(|| {
+            let len = len2.sqrt();
+            let (ux, uy) = (abx / len, aby / len);
+            let (dx, dy) = (pose.x - a.0, pose.y - a.1);
+            let across = Slab::new(
+                dx * uy - dy * ux,
+                cos_t * uy - sin_t * ux,
+                -sin_t * uy - cos_t * ux,
+                0.0,
+                left,
+                mpc,
+            );
+            let along = Slab::new(
+                dx * ux + dy * uy,
+                cos_t * ux + sin_t * uy,
+                cos_t * uy - sin_t * ux,
+                len / 2.0,
+                left,
+                mpc,
+            );
+            (across, along, len / 2.0)
+        });
+        Self {
+            ends: [end(a), end(b)],
+            body,
+        }
+    }
+
+    /// The column-coordinate span where the row `ahead` metres out
+    /// passes within `r` of the segment, or `None` where it misses. The
+    /// span is the hull of the end discs' and the rectangle's spans; the
+    /// distance to a segment is convex along a line, so every point of
+    /// the hull is as close as its farther end point (DESIGN.md §9
+    /// item 4).
+    fn span(&self, ahead: f64, r: f64, inv_mpc: f64) -> Option<(f64, f64)> {
+        let mut lo = f64::INFINITY;
+        let mut hi = f64::NEG_INFINITY;
+        for (fwd, closest) in self.ends {
+            // `r² − perp²` rather than `bq² − c`: near a grazing line
+            // both terms of the latter are ~|e|², and their rounding
+            // error, not the geometry, would decide the root.
+            let perp = fwd + ahead;
+            let disc = r * r - perp * perp;
+            if disc >= 0.0 {
+                let w = disc.sqrt() * inv_mpc;
+                lo = lo.min(closest - w);
+                hi = hi.max(closest + w);
+            }
+        }
+        if let Some((across, along, half_len)) = &self.body {
+            if let (Some(c), Some(l)) = (across.span(ahead, r), along.span(ahead, *half_len)) {
+                let (rlo, rhi) = (c.0.max(l.0), c.1.min(l.1));
+                if rlo <= rhi {
+                    lo = lo.min(rlo);
+                    hi = hi.max(rhi);
+                }
+            }
+        }
+        (lo <= hi).then_some((lo, hi))
+    }
+}
+
+/// Reusable storage for [`CameraModel::scan_edges_into`]: one image row
+/// and the track's segments as seen from the current pose.
+#[derive(Debug, Clone, Default)]
+pub struct ScanScratch {
+    /// One row of pixels; every pixel is dark between rows.
+    row: Vec<bool>,
+    segments: Vec<SegmentView>,
+}
+
 impl CameraModel {
     /// Lateral metres represented by one pixel column.
     pub fn meters_per_col(&self) -> f64 {
         2.0 * self.half_width_m / self.width as f64
     }
 
-    /// Renders the track as seen from `pose`.
-    #[cfg(test)]
-    pub fn capture(&self, pose: &BicycleState, track: &Track) -> Frame {
-        let mut frame = Frame {
-            width: self.width,
-            height: self.height,
-            pixels: Vec::new(),
-        };
-        self.capture_into(pose, track, &mut frame);
-        frame
-    }
-
-    /// Renders the track as seen from `pose` into an existing frame,
-    /// reusing its pixel buffer. Produces exactly the pixels of the
-    /// naive every-pixel render (pinned bitwise by
-    /// `capture_matches_reference_bitwise`): each image row is one scan
-    /// line across the ground, and a pixel can only be lit where that
-    /// line passes through a track segment's *capsule* (the segment
-    /// dilated by the line half-width). The capsule intersection — with
-    /// a margin nine orders of magnitude above f64 rounding error plus
-    /// a ±1-column guard band — selects candidate columns, and only
-    /// those get the exact `distance_to` test, evaluated with the
-    /// original expressions so every lit pixel is bitwise identical.
-    /// Typical frames test a handful of columns per row instead of all
-    /// of them. The test compares the squared distance with
-    /// `sqrt_threshold` of the half-width, which needs no `sqrt`, and
-    /// the column span rounds with `floor_f64`/`ceil_f64`, which need
-    /// no libm; both agree bit for bit with what they stand for.
-    pub fn capture_into(&self, pose: &BicycleState, track: &Track, frame: &mut Frame) {
-        frame.width = self.width;
-        frame.height = self.height;
-        frame.pixels.clear();
-        frame.pixels.resize(self.width * self.height, false);
-        let cos_t = pose.theta.cos();
-        let sin_t = pose.theta.sin();
+    /// The edge pixels of the track seen from `pose`, into `edges`
+    /// (cleared first): the `(row, col)` of every pixel whose left
+    /// neighbour differs from it in the binary render of the line, in
+    /// row-major order. Row 0 is the far edge of the view.
+    ///
+    /// Returns exactly what the plain pairwise scan of the naive
+    /// every-pixel render returns (`detect_edges_reference` of
+    /// `capture_reference` in the tests), without building the frame:
+    ///
+    /// - Each image row is one scan line across the ground. Per track
+    ///   segment, the row's span within the line's half-width `h` less
+    ///   δ = `EDGE_BAND_M` = 10 µm lights its columns outright, and columns
+    ///   outside every span of radius `h + δ` stay dark. Only a column
+    ///   in the band between the two takes the exact test: the squared
+    ///   distance of the reference's world point against
+    ///   `sqrt_threshold(h)`, which is the reference's `distance ≤ h`
+    ///   without the `sqrt`. DESIGN.md §9 item 4 bounds the span
+    ///   arithmetic's error far below δ within 10 km of the origin
+    ///   (`SPAN_COORD_LIMIT_M`); beyond it every pixel takes the exact
+    ///   test.
+    /// - A transition needs a lit pixel on one side, so the row's edges
+    ///   all lie from its first lit column to one past its last.
+    pub fn scan_edges_into(
+        &self,
+        pose: &BicycleState,
+        track: &Track,
+        scratch: &mut ScanScratch,
+        edges: &mut Vec<(usize, usize)>,
+    ) {
+        edges.clear();
+        let width = self.width;
+        if width < 2 {
+            // No pixel pair, so no edge.
+            return;
+        }
+        let ScanScratch { row, segments } = scratch;
+        row.clear();
+        row.resize(width, false);
+        let trig = (pose.theta.cos(), pose.theta.sin());
+        let (cos_t, sin_t) = trig;
         let mpc = self.meters_per_col();
         let half_line = self.line_width_m / 2.0;
         let max_dist_sq = sqrt_threshold(half_line);
-        // Candidate reach: the exact test lights pixels at distance
-        // ≤ half_line; candidates are taken out to half_line + 1e-7 m,
-        // so a boundary pixel the capsule math places up to 100 nm off
-        // (f64 error here is ~1e-15 m) still gets the exact test.
-        let reach = half_line + 1e-7;
-        // One row slice per image row (row 0 = far edge); `max(1)` only
-        // matters for a zero-width frame, which has no pixels.
-        for (row, pixels) in frame.pixels.chunks_exact_mut(self.width.max(1)).enumerate() {
-            let ahead =
-                self.far_m - (self.far_m - self.near_m) * (row as f64 + 0.5) / self.height as f64;
-            // The row's scan line in world space: W(s) = base + s·dir
-            // with s the lateral coordinate and dir unit-length.
+        let depth = self.far_m - self.near_m;
+        let left = -self.half_width_m;
+        let covered = [
+            pose.x,
+            pose.y,
+            cos_t,
+            sin_t,
+            self.near_m,
+            self.far_m,
+            self.half_width_m,
+            half_line,
+        ]
+        .into_iter()
+        .chain(track.points.iter().flat_map(|&(x, y)| [x, y]))
+        .all(|v| v.abs() <= SPAN_COORD_LIMIT_M)
+            && mpc >= f64::MIN_POSITIVE;
+        segments.clear();
+        if covered {
+            segments.extend(
+                track
+                    .segments()
+                    .map(|ab| SegmentView::new(pose, trig, (left, mpc), ab)),
+            );
+        }
+        let (r_in, r_out) = (half_line - EDGE_BAND_M, half_line + EDGE_BAND_M);
+        let inv_mpc = 1.0 / mpc;
+        // The columns in a column-coordinate span; `as usize` saturates,
+        // so spans off either side clamp to the image, and one wholly
+        // left of it is empty.
+        let columns = |(lo, hi): (f64, f64)| -> Range<usize> {
+            let first = ceil_f64(lo) as usize;
+            let end = (floor_f64(hi) + 1.0) as usize;
+            first..end.min(width)
+        };
+        for r in 0..self.height {
+            // The reference's expressions, verbatim, so the exact test
+            // sees the reference's world point.
+            let ahead = self.far_m - depth * (r as f64 + 0.5) / self.height as f64;
             let bx = pose.x + ahead * cos_t;
             let by = pose.y + ahead * sin_t;
-            let dir = (-sin_t, cos_t);
-            for (a, b) in track.segments() {
-                let Some((s_lo, s_hi)) = capsule_span(a, b, (bx, by), dir, reach) else {
-                    continue;
-                };
-                // Lateral → column (lateral = -half_width + (col+0.5)·mpc),
-                // widened one column each way as the conservative guard.
-                // `as usize` saturates, so a span off either side of the
-                // image clamps to it (and one wholly left of it is empty).
-                let c_lo = (floor_f64((s_lo + self.half_width_m) / mpc - 0.5) - 1.0) as usize;
-                let c_end = (ceil_f64((s_hi + self.half_width_m) / mpc - 0.5) + 2.0) as usize;
-                for (col, lit) in pixels.iter_mut().enumerate().take(c_end).skip(c_lo) {
-                    if *lit {
+            let lit_exactly = |col: usize| {
+                let lateral = left + (col as f64 + 0.5) * mpc;
+                let wx = bx - lateral * sin_t;
+                let wy = by + lateral * cos_t;
+                track.distance_sq_to(wx, wy) <= max_dist_sq
+            };
+            // The row's first lit column and the one past its last.
+            let mut lit = (usize::MAX, 0);
+            let mut light = |col: usize, px: &mut bool| {
+                *px = true;
+                lit = (lit.0.min(col), lit.1.max(col + 1));
+            };
+            if covered {
+                for view in segments.iter() {
+                    let Some(outer) = view.span(ahead, r_out, inv_mpc) else {
                         continue;
+                    };
+                    let inner = match view.span(ahead, r_in, inv_mpc) {
+                        Some(span) if r_in > 0.0 => columns(span),
+                        _ => 0..0,
+                    };
+                    let outer = columns(outer);
+                    let Some(pixels) = row.get_mut(outer.clone()) else {
+                        continue;
+                    };
+                    for (col, px) in outer.zip(pixels) {
+                        if !*px && (inner.contains(&col) || lit_exactly(col)) {
+                            light(col, px);
+                        }
                     }
-                    let lateral = -self.half_width_m + (col as f64 + 0.5) * mpc;
-                    // Vehicle frame → world frame (the reference
-                    // expressions, verbatim).
-                    let wx = pose.x + ahead * cos_t - lateral * sin_t;
-                    let wy = pose.y + ahead * sin_t + lateral * cos_t;
-                    *lit = track.distance_sq_to(wx, wy) <= max_dist_sq;
-                }
-            }
-        }
-    }
-}
-
-/// Intersects the scan line `base + s·dir` (`dir` unit-length) with the
-/// capsule of radius `r` around segment `ab`, returning the `s`-span of
-/// the intersection (a single interval — capsules are convex) or `None`
-/// when the line misses it entirely. Used only to *select candidate
-/// pixels* in [`CameraModel::capture_into`]; the margin built into `r`
-/// plus the caller's column guard band make any rounding here
-/// inconsequential for the rendered bits.
-fn capsule_span(
-    a: (f64, f64),
-    b: (f64, f64),
-    base: (f64, f64),
-    dir: (f64, f64),
-    r: f64,
-) -> Option<(f64, f64)> {
-    let mut lo = f64::INFINITY;
-    let mut hi = f64::NEG_INFINITY;
-    // End discs: |base + s·dir − p|² ≤ r², i.e. s² + 2·bq·s + c ≤ 0.
-    for p in [a, b] {
-        let ex = base.0 - p.0;
-        let ey = base.1 - p.1;
-        let bq = ex * dir.0 + ey * dir.1;
-        let c = ex * ex + ey * ey - r * r;
-        let disc = bq * bq - c;
-        if disc >= 0.0 {
-            let sq = disc.sqrt();
-            lo = lo.min(-bq - sq);
-            hi = hi.max(-bq + sq);
-        }
-    }
-    // Rectangle part: |perp offset| ≤ r within the segment's extent.
-    let abx = b.0 - a.0;
-    let aby = b.1 - a.1;
-    let len = (abx * abx + aby * aby).sqrt();
-    if len > 0.0 {
-        let ux = abx / len;
-        let uy = aby / len;
-        let px = base.0 - a.0;
-        let py = base.1 - a.1;
-        // Signed perp distance and along-segment coordinate, both
-        // affine in s.
-        let constraints = [
-            (px * uy - py * ux, dir.0 * uy - dir.1 * ux, -r, r),
-            (px * ux + py * uy, dir.0 * ux + dir.1 * uy, 0.0, len),
-        ];
-        let mut rlo = f64::NEG_INFINITY;
-        let mut rhi = f64::INFINITY;
-        let mut feasible = true;
-        for (c0, dc, lim_lo, lim_hi) in constraints {
-            if dc.abs() < 1e-12 {
-                // Scan line (anti)parallel to this constraint: it either
-                // holds for every s or for none.
-                if c0 < lim_lo || c0 > lim_hi {
-                    feasible = false;
-                    break;
                 }
             } else {
-                let s1 = (lim_lo - c0) / dc;
-                let s2 = (lim_hi - c0) / dc;
-                rlo = rlo.max(s1.min(s2));
-                rhi = rhi.min(s1.max(s2));
-            }
-        }
-        if feasible && rlo <= rhi {
-            lo = lo.min(rlo);
-            hi = hi.max(rhi);
-        }
-    }
-    (lo <= hi).then_some((lo, hi))
-}
-
-/// Extracts edge pixels: positions where the binary intensity changes
-/// horizontally (a cheap Canny stand-in on a binary frame).
-#[cfg(test)]
-pub fn detect_edges(frame: &Frame) -> Vec<(usize, usize)> {
-    let mut edges = Vec::new();
-    detect_edges_into(frame, &mut edges);
-    edges
-}
-
-/// Pixels per window of [`detect_edges_into`]'s dark-window skip.
-const EDGE_WINDOW: usize = 16;
-
-/// Extracts edge pixels into a reusable buffer (cleared first):
-/// positions where the binary intensity changes horizontally (a cheap
-/// Canny stand-in on a binary frame).
-///
-/// Finds the edges of the plain pairwise scan, in the same order, but
-/// skips dark windows. Each row is cut into windows of `EDGE_WINDOW`
-/// pixels, and the pairs whose left pixel lies in a window are compared
-/// only if that window or the pixel just past it is lit: a transition
-/// needs a lit pixel on one side, so a dark stretch holds none. A frame
-/// of a thin line is mostly dark.
-pub fn detect_edges_into(frame: &Frame, edges: &mut Vec<(usize, usize)>) {
-    edges.clear();
-    for (row, pixels) in frame.pixels.chunks_exact(frame.width.max(1)).enumerate() {
-        let mut windows = pixels.chunks(EDGE_WINDOW).peekable();
-        let mut start = 0;
-        while let Some(window) = windows.next() {
-            // The right-hand pixel of the window's last pair, if any.
-            let next = windows.peek().and_then(|w| w.first()).copied();
-            if next == Some(true) || !is_dark(window) {
-                for (i, (left, right)) in window.iter().zip(window.iter().skip(1)).enumerate() {
-                    if left != right {
-                        edges.push((row, start + i + 1));
-                    }
-                }
-                if let (Some(&last), Some(next)) = (window.last(), next) {
-                    if last != next {
-                        edges.push((row, start + window.len()));
+                for (col, px) in row.iter_mut().enumerate() {
+                    if lit_exactly(col) {
+                        light(col, px);
                     }
                 }
             }
-            start += window.len();
+            // Pairs from (first lit − 1, first lit) to (last lit, last
+            // lit + 1); every pair outside them is dark on both sides.
+            let start = lit.0.saturating_sub(1);
+            let end = lit.1.saturating_add(1).min(width);
+            if let Some(run) = row.get_mut(start..end) {
+                for (col, pair) in (start + 1..).zip(run.windows(2)) {
+                    if let [a, b] = pair {
+                        if a != b {
+                            edges.push((r, col));
+                        }
+                    }
+                }
+                run.fill(false);
+            }
         }
     }
-}
-
-/// Whether no pixel of `window` is lit. A full window compares as one
-/// block of bytes.
-fn is_dark(window: &[bool]) -> bool {
-    window == [false; EDGE_WINDOW] || window.iter().all(|&p| !p)
 }
 
 /// A detected line in (ρ, θ) form with its vote count.
@@ -493,9 +561,7 @@ impl HoughLine {
     }
 }
 
-/// Votes a (ρ, θ) cell needs before [`hough_lines_into`] reports it as a
-/// line. Must stay above zero: the vote loop finds the reported cells
-/// by watching counts cross it.
+/// Votes a (ρ, θ) cell needs before [`best_line`] reports it as a line.
 pub const MIN_VOTES: u32 = 8;
 
 /// Edge points the probabilistic Hough draws per frame, at most.
@@ -503,33 +569,10 @@ const MAX_SAMPLES: usize = 256;
 
 const THETA_BINS: usize = 45; // 4° steps over [0, π)
 
-/// Probabilistic Hough transform: votes a random subset of edge points
-/// into a quantised (ρ, θ) accumulator and returns the lines with at
-/// least [`MIN_VOTES`] votes, strongest first.
-#[cfg(test)]
-pub fn hough_lines(
-    edges: &[(usize, usize)],
-    frame_width: usize,
-    frame_height: usize,
-    rng: &mut SimRng,
-) -> Vec<HoughLine> {
-    let mut scratch = HoughScratch::new();
-    let mut lines = Vec::new();
-    hough_lines_into(
-        edges,
-        frame_width,
-        frame_height,
-        rng,
-        &mut scratch,
-        &mut lines,
-    );
-    lines
-}
+/// Accumulator cells per block of [`best_line`]'s maximum pass.
+const ARGMAX_BLOCK: usize = 128;
 
-/// Lines [`hough_lines_into`] returns, at most.
-const MAX_LINES: usize = 8;
-
-/// Reusable storage for [`hough_lines_into`].
+/// Reusable storage for [`best_line`].
 #[derive(Debug, Clone, Default)]
 pub struct HoughScratch {
     /// The (ρ, θ) accumulator, one row of ρ bins per θ bin. A cell
@@ -538,10 +581,6 @@ pub struct HoughScratch {
     acc: Vec<u16>,
     /// How many times the sampler drew each edge point.
     draws: Vec<u16>,
-    /// Accumulator cells whose count reached [`MIN_VOTES`], as
-    /// `(final votes, cell index)`; the votes are filled in after the
-    /// vote loop.
-    crossed: Vec<(Reverse<u16>, usize)>,
     /// The frame geometry `memo` is laid out for, once there is one.
     geometry: Option<HoughGeometry>,
     /// ρ-bin memo: for each in-frame point (row < height, col ≤ width)
@@ -603,7 +642,7 @@ impl HoughGeometry {
 
     /// The memo's byte range for in-frame point `(row, col)`, one byte
     /// per θ bin, or `None` for a point outside the frame.
-    fn memo_range(&self, row: usize, col: usize) -> Option<std::ops::Range<usize>> {
+    fn memo_range(&self, row: usize, col: usize) -> Option<Range<usize>> {
         (row < self.height && col <= self.width).then(|| {
             let start = (row * (self.width + 1) + col) * THETA_BINS;
             start..start + THETA_BINS
@@ -611,23 +650,10 @@ impl HoughGeometry {
     }
 }
 
-impl HoughScratch {
-    /// Creates empty scratch storage (allocated on first use).
-    #[cfg(test)]
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-/// Adds `weight` votes to accumulator cell `idx`, and lists the cell in
-/// `crossed` when its count reaches [`MIN_VOTES`].
-fn add_votes(acc: &mut [u16], idx: usize, weight: u16, crossed: &mut Vec<(Reverse<u16>, usize)>) {
+/// Adds `weight` votes to accumulator cell `idx`.
+fn add_votes(acc: &mut [u16], idx: usize, weight: u16) {
     if let Some(votes) = acc.get_mut(idx) {
-        let before = u32::from(*votes);
         *votes += weight;
-        if before < MIN_VOTES && u32::from(*votes) >= MIN_VOTES {
-            crossed.push((Reverse(0), idx));
-        }
     }
 }
 
@@ -650,13 +676,16 @@ fn round_to_usize(x: f64) -> usize {
     usize::try_from(rounded.max(0)).unwrap_or(usize::MAX)
 }
 
-/// Finds the strongest lines in an edge set with a probabilistic Hough
-/// vote, with caller-provided scratch and output buffers.
+/// Finds the strongest line in an edge set with a probabilistic Hough
+/// vote, with caller-provided scratch storage: the cell with the most
+/// votes, the first in accumulator order among equals, once it has at
+/// least [`MIN_VOTES`].
 ///
-/// Returns the lines of the straightforward loop, which quantises all
-/// 45 θ bins of every sample with `f64::round` and then scans the whole
-/// accumulator, and makes the same RNG draws (`hough_reference` in the
-/// tests pins both bitwise). It does far less work per frame:
+/// Returns the first line of the straightforward loop, which quantises
+/// all 45 θ bins of every sample with `f64::round`, scans the whole
+/// accumulator and stably sorts the cells by votes, and makes the same
+/// RNG draws (`hough_reference` in the tests pins both bitwise). It does
+/// far less work per frame:
 ///
 /// - The sampler's draws are counted per edge point first, then each
 ///   distinct drawn point votes once with its draw count as weight.
@@ -669,26 +698,22 @@ fn round_to_usize(x: f64) -> usize {
 ///   draws it. The memo and the θ table are rebuilt when the frame
 ///   geometry changes; points outside the frame, and geometries whose
 ///   ρ range does not fit a byte, are quantised on every draw.
-/// - A cell is listed when its count reaches [`MIN_VOTES`]. Counts only
-///   grow, so each reported cell is listed exactly once, and only the
-///   strongest eight, by votes and then index, become lines: the order
-///   of the reference's stable sort of its index-ordered scan.
-pub fn hough_lines_into(
+/// - No list of lines is built: a stable sort by votes puts first the
+///   cell of most votes that comes first in index order, so one pass
+///   finds the most votes and a second the first cell holding them.
+pub fn best_line(
     edges: &[(usize, usize)],
     frame_width: usize,
     frame_height: usize,
     rng: &mut SimRng,
     scratch: &mut HoughScratch,
-    lines: &mut Vec<HoughLine>,
-) {
-    lines.clear();
+) -> Option<HoughLine> {
     if edges.is_empty() {
-        return;
+        return None;
     }
     let HoughScratch {
         acc,
         draws,
-        crossed,
         geometry,
         memo,
     } = scratch;
@@ -718,7 +743,6 @@ pub fn hough_lines_into(
     acc.clear();
     acc.resize(THETA_BINS * rho_bins, 0);
     let acc = acc.as_mut_slice();
-    crossed.clear();
     for (&(row, col), &weight) in edges.iter().zip(draws.iter()) {
         if weight == 0 {
             continue;
@@ -736,7 +760,7 @@ pub fn hough_lines_into(
             let mut row_start = 0;
             for &cell in cells.iter() {
                 if cell != RHO_OFF {
-                    add_votes(acc, row_start + usize::from(cell) - 1, weight, crossed);
+                    add_votes(acc, row_start + usize::from(cell) - 1, weight);
                 }
                 row_start += rho_bins;
             }
@@ -745,41 +769,49 @@ pub fn hough_lines_into(
             for &trig in &geo.trig {
                 let rb = geo.rho_bin(row, col, trig);
                 if rb < rho_bins {
-                    add_votes(acc, row_start + rb, weight, crossed);
+                    add_votes(acc, row_start + rb, weight);
                 }
                 row_start += rho_bins;
             }
         }
     }
-    for (votes, idx) in crossed.iter_mut() {
-        // detlint:allow(S3) in-bounds: `crossed` only holds cells voted through `acc.get_mut` in `add_votes`
-        *votes = Reverse(acc[*idx]);
+    // One pass finds the most votes and the first block of cells that
+    // holds them (a block's maximum vectorises, and only a larger one
+    // moves the pick); a second finds the first cell from that block on.
+    let (block, votes) = acc
+        .chunks(ARGMAX_BLOCK)
+        .enumerate()
+        .fold((0, 0), |best, (i, cells)| {
+            let most = cells.iter().copied().max().unwrap_or(0);
+            if most > best.1 {
+                (i, most)
+            } else {
+                best
+            }
+        });
+    if u32::from(votes) < MIN_VOTES {
+        return None;
     }
-    crossed.sort_unstable();
-    lines.extend(
-        crossed
-            .iter()
-            .take(MAX_LINES)
-            .map(|&(Reverse(votes), idx)| HoughLine {
-                rho: (idx % rho_bins) as f64 - geo.diag,
-                theta: std::f64::consts::PI * (idx / rho_bins) as f64 / THETA_BINS as f64,
-                votes: u32::from(votes),
-            }),
-    );
+    let start = block * ARGMAX_BLOCK;
+    let idx = start + acc.get(start..)?.iter().position(|&v| v == votes)?;
+    Some(HoughLine {
+        rho: (idx % rho_bins) as f64 - geo.diag,
+        theta: std::f64::consts::PI * (idx / rho_bins) as f64 / THETA_BINS as f64,
+        votes: u32::from(votes),
+    })
 }
 
-/// Recycled vision-pipeline buffers: frame pixels, edge points, Hough
-/// scratch and detected lines. A scenario run constructs one
+/// Recycled vision-pipeline buffers: the row and segment scratch, edge
+/// points and Hough scratch. A scenario run constructs one
 /// [`LineFollower`]; without recycling, every run re-pays the
-/// pipeline's first-frame buffer growth (~15 allocations). Each buffer
-/// is cleared or fully overwritten before use, so recycling cannot
-/// change any output bit — the pool is a free list, not a cache.
-#[derive(Debug, Default)]
+/// pipeline's first-frame buffer growth. Each buffer is cleared or
+/// fully overwritten before use, so recycling cannot change any output
+/// bit — the pool is a free list, not a cache.
+#[derive(Debug, Clone, Default)]
 struct VisionBuffers {
-    pixels: Vec<bool>,
+    scan: ScanScratch,
     edges: Vec<(usize, usize)>,
     hough: HoughScratch,
-    lines: Vec<HoughLine>,
 }
 
 /// Bounded so pathological churn (many live followers dropped at once)
@@ -812,15 +844,8 @@ thread_local! {
 pub struct LineFollower {
     camera: CameraModel,
     pid: Pid,
-    /// Reusable frame buffer (the pipeline runs every control tick;
-    /// reuse avoids a frame + accumulator allocation per tick).
-    frame: Frame,
-    /// Reusable edge-point buffer.
-    edges: Vec<(usize, usize)>,
-    /// Reusable Hough accumulator.
-    hough: HoughScratch,
-    /// Reusable detected-line buffer.
-    lines: Vec<HoughLine>,
+    /// The pipeline's buffers, reused every control tick.
+    buffers: VisionBuffers,
 }
 
 impl Default for LineFollower {
@@ -837,22 +862,14 @@ impl LineFollower {
 
     /// Creates a follower with a custom camera model.
     pub fn with_camera(camera: CameraModel) -> Self {
-        let buffers = VISION_POOL
-            .with(|p| p.borrow_mut().pop())
-            .unwrap_or_default();
         Self {
             camera,
             pid: Pid::new(2.2, 0.05, 0.35)
                 .with_output_limit(0.35)
                 .with_integral_limit(0.2),
-            frame: Frame {
-                width: camera.width,
-                height: camera.height,
-                pixels: buffers.pixels,
-            },
-            edges: buffers.edges,
-            hough: buffers.hough,
-            lines: buffers.lines,
+            buffers: VISION_POOL
+                .with(|p| p.borrow_mut().pop())
+                .unwrap_or_default(),
         }
     }
 
@@ -870,21 +887,14 @@ impl LineFollower {
         dt: f64,
         rng: &mut SimRng,
     ) -> Option<f64> {
-        self.camera.capture_into(pose, track, &mut self.frame);
-        detect_edges_into(&self.frame, &mut self.edges);
-        hough_lines_into(
-            &self.edges,
-            self.frame.width(),
-            self.frame.height(),
-            rng,
-            &mut self.hough,
-            &mut self.lines,
-        );
-        let best = self.lines.first()?;
+        let VisionBuffers { scan, edges, hough } = &mut self.buffers;
+        let (width, height) = (self.camera.width, self.camera.height);
+        self.camera.scan_edges_into(pose, track, scan, edges);
+        let best = best_line(edges, width, height, rng, hough)?;
         // Lateral error at a mid-frame lookahead row.
-        let look_row = self.frame.height() as f64 * 0.5;
+        let look_row = height as f64 * 0.5;
         let col = best.col_at_row(look_row)?;
-        let centre = self.frame.width() as f64 / 2.0;
+        let centre = width as f64 / 2.0;
         let error_m = (col - centre) * self.camera.meters_per_col();
         // Positive error (line to the right in image = left in vehicle
         // frame, because columns grow rightward while lateral grows
@@ -895,12 +905,7 @@ impl LineFollower {
 
 impl Drop for LineFollower {
     fn drop(&mut self) {
-        let buffers = VisionBuffers {
-            pixels: std::mem::take(&mut self.frame.pixels),
-            edges: std::mem::take(&mut self.edges),
-            hough: std::mem::take(&mut self.hough),
-            lines: std::mem::take(&mut self.lines),
-        };
+        let buffers = std::mem::take(&mut self.buffers);
         VISION_POOL.with(|p| {
             let mut pool = p.borrow_mut();
             if pool.len() < VISION_POOL_CAP {
@@ -918,6 +923,101 @@ mod tests {
     use crate::planner::MotionPlanner;
     use proptest::prelude::*;
     use proptest::test_runner::TestCaseError;
+
+    /// A binary camera frame, as the references render and read it.
+    struct Frame {
+        width: usize,
+        height: usize,
+        pixels: Vec<bool>,
+    }
+
+    impl Frame {
+        /// Pixel at `(row, col)`; row 0 is the far edge of the view.
+        fn get(&self, row: usize, col: usize) -> bool {
+            self.pixels[row * self.width + col]
+        }
+    }
+
+    /// The program's edges of the track seen from `pose`, from fresh
+    /// buffers.
+    fn scan_edges(cam: &CameraModel, pose: &BicycleState, track: &Track) -> Vec<(usize, usize)> {
+        let mut edges = Vec::new();
+        cam.scan_edges_into(pose, track, &mut ScanScratch::default(), &mut edges);
+        edges
+    }
+
+    /// The references' edges of the same view: the every-pixel render,
+    /// then the plain pairwise scan.
+    fn reference_edges(
+        cam: &CameraModel,
+        pose: &BicycleState,
+        track: &Track,
+    ) -> Vec<(usize, usize)> {
+        detect_edges_reference(&capture_reference(cam, pose, track))
+    }
+
+    /// [`best_line`] with fresh scratch.
+    fn best_line_fresh(
+        edges: &[(usize, usize)],
+        width: usize,
+        height: usize,
+        rng: &mut SimRng,
+    ) -> Option<HoughLine> {
+        best_line(edges, width, height, rng, &mut HoughScratch::default())
+    }
+
+    /// A line's ρ and θ bits and its votes, for bitwise comparison.
+    fn line_bits(line: &HoughLine) -> (u64, u64, u32) {
+        (line.rho.to_bits(), line.theta.to_bits(), line.votes)
+    }
+
+    /// A hairpin: out along +x, a tight U-turn, and back 0.3 m to the
+    /// left, so a row can cross both legs.
+    fn hairpin() -> Track {
+        Track::new(vec![
+            (0.0, 0.0),
+            (3.0, 0.0),
+            (3.2, 0.15),
+            (3.0, 0.3),
+            (0.0, 0.3),
+        ])
+    }
+
+    /// A zig-zag of 0.57 m legs at ±45°, so a row crosses several
+    /// segments and their joints; one knot is listed twice, which makes
+    /// a zero-length segment.
+    fn zigzag() -> Track {
+        Track::new(vec![
+            (0.0, 0.0),
+            (0.4, 0.4),
+            (0.8, 0.0),
+            (0.8, 0.0),
+            (1.2, 0.4),
+            (1.6, 0.0),
+            (2.0, 0.4),
+            (2.4, 0.0),
+        ])
+    }
+
+    /// The four test tracks: straight, L-corner, hairpin and zig-zag.
+    fn test_track(shape: usize) -> Track {
+        match shape % 4 {
+            0 => Track::straight(10.0),
+            1 => Track::l_corner(3.0),
+            2 => hairpin(),
+            _ => zigzag(),
+        }
+    }
+
+    /// The point a fraction `at` of the way along `track`'s knots.
+    fn point_along(track: &Track, at: f64) -> (f64, f64) {
+        let last = track.points.len() - 1;
+        let pos = at.clamp(0.0, 1.0) * last as f64;
+        let i = (pos as usize).min(last - 1);
+        let f = pos - i as f64;
+        let (a, b) = (track.points[i], track.points[i + 1]);
+        (a.0 + f * (b.0 - a.0), a.1 + f * (b.1 - a.1))
+    }
 
     #[test]
     fn track_distance_and_nearest() {
@@ -955,53 +1055,52 @@ mod tests {
 
     #[test]
     fn camera_sees_line_when_on_track() {
+        // On the line, heading along it: every row crosses the line once,
+        // so it has two edges, and they flank the centre column.
         let cam = CameraModel::default();
         let track = Track::straight(10.0);
-        let frame = cam.capture(
-            &BicycleState {
-                x: 1.0,
-                y: 0.0,
-                theta: 0.0,
-            },
-            &track,
-        );
-        assert!(frame.fill_ratio() > 0.01, "line visible");
-        // A central column near the bottom row should be lit.
-        let mid = frame.width() / 2;
-        let lit_mid: usize = (0..frame.height())
-            .filter(|&r| frame.get(r, mid) || frame.get(r, mid - 1))
-            .count();
-        assert!(lit_mid > frame.height() / 2, "line runs up the centre");
+        let pose = BicycleState {
+            x: 1.0,
+            y: 0.0,
+            theta: 0.0,
+        };
+        let edges = scan_edges(&cam, &pose, &track);
+        let mid = cam.width / 2;
+        for row in 0..cam.height {
+            let cols: Vec<usize> = edges.iter().filter(|e| e.0 == row).map(|e| e.1).collect();
+            assert!(
+                cols.len() == 2 && cols[0] <= mid && mid < cols[1],
+                "row {row}: {cols:?}"
+            );
+        }
     }
 
     #[test]
     fn camera_blind_when_far_from_track() {
         let cam = CameraModel::default();
         let track = Track::straight(10.0);
-        let frame = cam.capture(
-            &BicycleState {
-                x: 1.0,
-                y: 5.0,
-                theta: 0.0,
-            },
-            &track,
-        );
-        assert_eq!(frame.fill_ratio(), 0.0);
+        let pose = BicycleState {
+            x: 1.0,
+            y: 5.0,
+            theta: 0.0,
+        };
+        assert!(scan_edges(&cam, &pose, &track).is_empty());
+        let frame = capture_reference(&cam, &pose, &track);
+        assert_eq!(frame.height, cam.height);
+        assert!(frame.pixels.iter().all(|&p| !p));
     }
 
     #[test]
     fn edges_flank_the_line() {
         let cam = CameraModel::default();
         let track = Track::straight(10.0);
-        let frame = cam.capture(
-            &BicycleState {
-                x: 1.0,
-                y: 0.0,
-                theta: 0.0,
-            },
-            &track,
-        );
-        let edges = detect_edges(&frame);
+        let pose = BicycleState {
+            x: 1.0,
+            y: 0.0,
+            theta: 0.0,
+        };
+        let frame = capture_reference(&cam, &pose, &track);
+        let edges = scan_edges(&cam, &pose, &track);
         assert!(!edges.is_empty());
         // Every edge is adjacent to exactly one lit pixel horizontally.
         for &(r, c) in &edges {
@@ -1013,28 +1112,25 @@ mod tests {
     fn hough_finds_vertical_centre_line() {
         let cam = CameraModel::default();
         let track = Track::straight(10.0);
-        let frame = cam.capture(
-            &BicycleState {
-                x: 1.0,
-                y: 0.0,
-                theta: 0.0,
-            },
-            &track,
-        );
-        let edges = detect_edges(&frame);
+        let pose = BicycleState {
+            x: 1.0,
+            y: 0.0,
+            theta: 0.0,
+        };
+        let edges = scan_edges(&cam, &pose, &track);
         let mut rng = SimRng::seed_from(1);
-        let lines = hough_lines(&edges, frame.width(), frame.height(), &mut rng);
-        assert!(!lines.is_empty());
-        let best = lines[0];
-        let col = best.col_at_row(frame.height() as f64 / 2.0).unwrap();
-        let centre = frame.width() as f64 / 2.0;
+        let best = best_line_fresh(&edges, cam.width, cam.height, &mut rng).unwrap();
+        let col = best.col_at_row(cam.height as f64 / 2.0).unwrap();
+        let centre = cam.width as f64 / 2.0;
         assert!((col - centre).abs() < 4.0, "line near centre, col={col}");
     }
 
     #[test]
     fn hough_empty_edges_yields_no_lines() {
         let mut rng = SimRng::seed_from(1);
-        assert!(hough_lines(&[], 64, 32, &mut rng).is_empty());
+        assert!(best_line_fresh(&[], 64, 32, &mut rng).is_none());
+        // An empty frame draws nothing.
+        assert_eq!(rng.next_u64(), SimRng::seed_from(1).next_u64());
     }
 
     #[test]
@@ -1167,10 +1263,11 @@ mod tests {
 
     /// The pre-optimization vote loop: θ, cos θ, sin θ and the libm
     /// `round` evaluated inline for all 45 θ bins of every sample, then
-    /// a scan of the whole accumulator. The production path hoists the
-    /// trig, votes each distinct drawn point once with its draw count,
-    /// rounds without libm and lists cells as they cross the threshold;
-    /// this reference pins that all of that is bitwise-neutral.
+    /// a scan of the whole accumulator and a stable sort of the lines by
+    /// votes. The production path hoists the trig, votes each distinct
+    /// drawn point once with its draw count, rounds without libm and
+    /// returns only the strongest line; this reference's first line pins
+    /// that all of that is bitwise-neutral.
     fn hough_reference(
         edges: &[(usize, usize)],
         frame_width: usize,
@@ -1216,8 +1313,9 @@ mod tests {
     }
 
     /// Runs the production Hough and [`hough_reference`] on the same
-    /// input from the same RNG state and requires every line's ρ/θ bits
-    /// and votes, and the next RNG draw, to match.
+    /// input from the same RNG state and requires the best line's ρ/θ
+    /// bits and votes to be the reference's first line's, and the next
+    /// RNG draw to match.
     fn assert_matches_reference(
         edges: &[(usize, usize)],
         width: usize,
@@ -1227,13 +1325,8 @@ mod tests {
         let mut rng_ref = SimRng::seed_from(seed);
         let mut rng = SimRng::seed_from(seed);
         let expect = hough_reference(edges, width, height, MIN_VOTES, &mut rng_ref);
-        let got = hough_lines(edges, width, height, &mut rng);
-        prop_assert_eq!(expect.len(), got.len());
-        for (e, g) in expect.iter().zip(&got) {
-            prop_assert_eq!(e.rho.to_bits(), g.rho.to_bits());
-            prop_assert_eq!(e.theta.to_bits(), g.theta.to_bits());
-            prop_assert_eq!(e.votes, g.votes);
-        }
+        let got = best_line_fresh(edges, width, height, &mut rng);
+        prop_assert_eq!(expect.first().map(line_bits), got.as_ref().map(line_bits));
         prop_assert_eq!(rng_ref.next_u64(), rng.next_u64());
         Ok(())
     }
@@ -1303,48 +1396,54 @@ mod tests {
 
     #[test]
     fn reused_scratch_matches_fresh_buffers_bitwise() {
-        let cam = CameraModel::default();
         let track = Track::l_corner(3.0);
-        let mut frame = Frame {
-            width: 0,
-            height: 0,
-            pixels: Vec::new(),
-        };
+        let mut scan = ScanScratch::default();
         let mut edges = Vec::new();
-        let mut scratch = HoughScratch::new();
-        let mut lines = Vec::new();
+        let mut scratch = HoughScratch::default();
         let mut rng_a = SimRng::seed_from(42);
         let mut rng_b = SimRng::seed_from(42);
+        let mut rng_ref = SimRng::seed_from(42);
         for i in 0..10 {
-            let pose = BicycleState {
-                x: 0.25 * f64::from(i),
-                y: 0.03 * f64::from(i) - 0.1,
-                theta: 0.02 * f64::from(i),
+            // The row buffer is reused across camera widths too.
+            let cam = CameraModel {
+                width: [64, 20, 130][i % 3],
+                ..CameraModel::default()
             };
-            let fresh = cam.capture(&pose, &track);
-            cam.capture_into(&pose, &track, &mut frame);
-            assert_eq!(fresh, frame, "frame {i}");
-            let fresh_edges = detect_edges(&fresh);
-            detect_edges_into(&frame, &mut edges);
-            assert_eq!(fresh_edges, edges, "edges {i}");
-            let fresh_lines = hough_lines(&fresh_edges, fresh.width(), fresh.height(), &mut rng_a);
-            hough_lines_into(
-                &edges,
-                frame.width(),
-                frame.height(),
-                &mut rng_b,
-                &mut scratch,
-                &mut lines,
+            let pose = BicycleState {
+                x: 0.25 * i as f64,
+                y: 0.03 * i as f64 - 0.1,
+                theta: 0.02 * i as f64,
+            };
+            let want = reference_edges(&cam, &pose, &track);
+            assert_eq!(scan_edges(&cam, &pose, &track), want, "fresh edges {i}");
+            cam.scan_edges_into(&pose, &track, &mut scan, &mut edges);
+            assert_eq!(edges, want, "reused edges {i}");
+            let (width, height) = (cam.width, cam.height);
+            let fresh = best_line_fresh(&want, width, height, &mut rng_a);
+            let reused = best_line(&edges, width, height, &mut rng_b, &mut scratch);
+            let reference = hough_reference(&want, width, height, MIN_VOTES, &mut rng_ref);
+            assert_eq!(
+                fresh.as_ref().map(line_bits),
+                reused.as_ref().map(line_bits),
+                "line {i}"
             );
-            assert_eq!(fresh_lines, lines, "lines {i}");
+            assert_eq!(
+                reference.first().map(line_bits),
+                reused.as_ref().map(line_bits),
+                "line {i}"
+            );
         }
-        assert_eq!(rng_a.next_u64(), rng_b.next_u64());
+        let next = rng_b.next_u64();
+        assert_eq!(rng_a.next_u64(), next);
+        assert_eq!(rng_ref.next_u64(), next);
     }
 
     /// The pre-optimization renderer: every pixel gets the exact
-    /// `distance_to` test. The production `capture_into` only runs that
-    /// test on capsule-selected candidate columns; this reference pins
-    /// that the candidate filter never changes a single pixel.
+    /// `distance_to` test. The production `scan_edges_into` builds no
+    /// frame, lights the columns of each row's inner spans outright and
+    /// runs that test only in the band around the line's edge; with
+    /// [`detect_edges_reference`] this reference pins that none of that
+    /// changes a single edge.
     fn capture_reference(cam: &CameraModel, pose: &BicycleState, track: &Track) -> Frame {
         let mut frame = Frame {
             width: cam.width,
@@ -1382,8 +1481,8 @@ mod tests {
                     y: 0.055 * f64::from(i) - 1.0,
                     theta: 0.17 * f64::from(i),
                 };
-                let expect = capture_reference(&cam, &pose, &track);
-                let got = cam.capture(&pose, &track);
+                let expect = reference_edges(&cam, &pose, &track);
+                let got = scan_edges(&cam, &pose, &track);
                 assert_eq!(expect, got, "track/pose {i}");
             }
         }
@@ -1410,12 +1509,126 @@ mod tests {
             theta: 0.0,
         };
         let track = Track::straight(10.0);
-        let got = cam.capture(&pose, &track);
-        assert_eq!(capture_reference(&cam, &pose, &track), got);
+        let frame = capture_reference(&cam, &pose, &track);
         for row in 0..cam.height {
-            assert!(got.get(row, 30) && got.get(row, 33), "row {row}");
-            assert!(!got.get(row, 29) && !got.get(row, 34), "row {row}");
+            assert!(frame.get(row, 30) && frame.get(row, 33), "row {row}");
+            assert!(!frame.get(row, 29) && !frame.get(row, 34), "row {row}");
         }
+        // So every row's edges are at columns 30 and 34.
+        let got = scan_edges(&cam, &pose, &track);
+        assert_eq!(detect_edges_reference(&frame), got);
+        let want: Vec<_> = (0..cam.height).flat_map(|r| [(r, 30), (r, 34)]).collect();
+        assert_eq!(got, want);
+    }
+
+    /// Poses that put the centre of pixel `(row, col)` within a few ulps
+    /// of `track`'s line edge at `target`, a point at exactly the
+    /// half-width from the line: the pose puts the pixel there up to
+    /// rounding, then steps `ulps` ulps in x and y.
+    fn poses_near_the_edge(
+        cam: &CameraModel,
+        (row, col): (usize, usize),
+        theta: f64,
+        target: (f64, f64),
+    ) -> impl Iterator<Item = BicycleState> {
+        let ahead = cam.far_m - (cam.far_m - cam.near_m) * (row as f64 + 0.5) / cam.height as f64;
+        let lateral = -cam.half_width_m + (col as f64 + 0.5) * cam.meters_per_col();
+        let (cos_t, sin_t) = (theta.cos(), theta.sin());
+        let x = target.0 - (ahead * cos_t - lateral * sin_t);
+        let y = target.1 - (ahead * sin_t + lateral * cos_t);
+        let step = |v: f64, ulps: i64| f64::from_bits(v.to_bits().wrapping_add_signed(ulps));
+        (-3..=3).map(move |ulps| BicycleState {
+            x: step(x, ulps),
+            y: step(y, -ulps),
+            theta,
+        })
+    }
+
+    #[test]
+    fn capture_matches_reference_within_ulps_of_the_line_edge() {
+        // A straight line from (0, 0) to (2, 0): targets on both sides
+        // of its body and around both end caps, seen through pixels
+        // near and far, left, centre and right, at four headings. Each
+        // sweep crosses the edge: its pixel is lit at one end and dark
+        // at the other, and only the exact test can tell which.
+        let track = Track::straight(2.0);
+        let default = CameraModel::default();
+        let on_centres = CameraModel {
+            line_width_m: 3.0 / 64.0,
+            ..CameraModel::default()
+        };
+        let mut lit_and_dark = [0usize; 2];
+        for cam in [default, on_centres] {
+            let h = cam.line_width_m / 2.0;
+            let mut targets = vec![(0.7, h), (1.3, -h)];
+            for phi in [-1.2f64, -0.5, 0.0, 0.5, 1.2] {
+                targets.push((2.0 + h * phi.cos(), h * phi.sin()));
+                targets.push((-h * phi.cos(), h * phi.sin()));
+            }
+            for &target in &targets {
+                for theta in [0.0, 0.4, -1.3, 2.9] {
+                    for pixel in [(0, 5), (13, 31), (31, 58)] {
+                        for pose in poses_near_the_edge(&cam, pixel, theta, target) {
+                            let frame = capture_reference(&cam, &pose, &track);
+                            lit_and_dark[usize::from(frame.get(pixel.0, pixel.1))] += 1;
+                            assert_eq!(
+                                detect_edges_reference(&frame),
+                                scan_edges(&cam, &pose, &track),
+                                "target {target:?}, θ {theta}, pixel {pixel:?}, pose {pose:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        // Both outcomes occur many times over.
+        assert!(lit_and_dark.iter().all(|&n| n > 200), "{lit_and_dark:?}");
+    }
+
+    #[test]
+    fn capture_beyond_the_covered_range_matches_reference() {
+        // Past SPAN_COORD_LIMIT_M, and for a NaN heading, every pixel
+        // takes the exact test; a zero-width camera has no pixel.
+        let far = SPAN_COORD_LIMIT_M * 3.0;
+        let track = Track::new(vec![(far, -far), (far + 4.0, -far), (far + 4.0, 3.0 - far)]);
+        let cam = CameraModel::default();
+        for i in 0..24 {
+            let pose = BicycleState {
+                x: far + 0.2 * f64::from(i),
+                y: -far + 0.01 * f64::from(i) - 0.1,
+                theta: 0.1 * f64::from(i) - 1.0,
+            };
+            assert_eq!(
+                reference_edges(&cam, &pose, &track),
+                scan_edges(&cam, &pose, &track),
+                "pose {i}"
+            );
+        }
+        let on_line = BicycleState {
+            x: far + 1.0,
+            y: -far,
+            theta: 0.0,
+        };
+        assert!(!scan_edges(&cam, &on_line, &track).is_empty());
+        let near = Track::straight(10.0);
+        let lost = BicycleState {
+            x: 1.0,
+            y: 0.0,
+            theta: f64::NAN,
+        };
+        assert!(scan_edges(&cam, &lost, &near).is_empty());
+        assert_eq!(reference_edges(&cam, &lost, &near), Vec::new());
+        let blind = CameraModel {
+            width: 0,
+            ..CameraModel::default()
+        };
+        let pose = BicycleState {
+            x: 1.0,
+            y: 0.0,
+            theta: 0.0,
+        };
+        assert!(scan_edges(&blind, &pose, &near).is_empty());
+        assert_eq!(reference_edges(&blind, &pose, &near), Vec::new());
     }
 
     /// `got` is `want` bit for bit, or both are NaN.
@@ -1532,9 +1745,10 @@ mod tests {
     }
 
     /// The pre-optimization edge scan, verbatim: every horizontal pixel
-    /// pair of every row. `detect_edges_into` skips dark windows; this
-    /// reference pins that the skip never drops, adds or reorders an
-    /// edge.
+    /// pair of every row. `scan_edges_into` compares only the pairs from
+    /// each row's first lit pixel to one past its last; with
+    /// [`capture_reference`] this reference pins that it never drops,
+    /// adds or reorders an edge.
     fn detect_edges_reference(frame: &Frame) -> Vec<(usize, usize)> {
         let mut edges = Vec::new();
         for (row, pixels) in frame.pixels.chunks_exact(frame.width.max(1)).enumerate() {
@@ -1545,67 +1759,6 @@ mod tests {
             }
         }
         edges
-    }
-
-    /// A `width`-pixel frame (`width >= 1`) whose first rows are all
-    /// dark, all lit, and lit on exactly each window's first and last
-    /// pixel, followed by one row per seed: a thin lit run like the
-    /// camera's line, one lit pixel on a window boundary, or random
-    /// pixels.
-    fn edge_test_frame(width: usize, seeds: &[u64]) -> Frame {
-        let mut pixels: Vec<bool> = Vec::new();
-        pixels.extend((0..width).map(|_| false));
-        pixels.extend((0..width).map(|_| true));
-        pixels
-            .extend((0..width).map(|c| c % EDGE_WINDOW == 0 || c % EDGE_WINDOW == EDGE_WINDOW - 1));
-        for &seed in seeds {
-            let mut rng = SimRng::seed_from(seed);
-            let w = width as u64;
-            match seed % 3 {
-                0 => {
-                    let start = rng.below(w) as usize;
-                    let end = start + 1 + rng.below(6) as usize;
-                    pixels.extend((0..width).map(|c| (start..end).contains(&c)));
-                }
-                1 => {
-                    let boundary = rng.below(w / EDGE_WINDOW as u64 + 1) as usize * EDGE_WINDOW;
-                    let lit = boundary.saturating_sub(usize::from(rng.bernoulli(0.5)));
-                    pixels.extend((0..width).map(|c| c == lit));
-                }
-                _ => pixels.extend((0..width).map(|_| rng.bernoulli(0.3))),
-            }
-        }
-        Frame {
-            width,
-            height: pixels.len() / width,
-            pixels,
-        }
-    }
-
-    #[test]
-    fn edge_scan_matches_reference_at_every_width() {
-        let empty = Frame {
-            width: 0,
-            height: 3,
-            pixels: Vec::new(),
-        };
-        assert_eq!(detect_edges(&empty), detect_edges_reference(&empty));
-        for width in 1..=130 {
-            let mut frame = edge_test_frame(width, &[]);
-            // One row per column with only that pixel lit, and one with
-            // only that pixel dark.
-            for lit in [true, false] {
-                for col in 0..width {
-                    frame.pixels.extend((0..width).map(|c| (c == col) == lit));
-                }
-            }
-            frame.height = frame.pixels.len() / width;
-            assert_eq!(
-                detect_edges(&frame),
-                detect_edges_reference(&frame),
-                "width {width}"
-            );
-        }
     }
 
     /// Camera-frame and dense synthetic edge sets for the geometry tests.
@@ -1619,7 +1772,7 @@ mod tests {
                     y: 0.04 * f64::from(i) - 0.1,
                     theta: 0.1 * f64::from(i) - 0.2,
                 };
-                detect_edges(&cam.capture(&pose, &track))
+                scan_edges(&cam, &pose, &track)
             })
             .collect();
         let mut rng = SimRng::seed_from(11);
@@ -1637,8 +1790,7 @@ mod tests {
             big.rho_bins >= 255,
             "the last geometry must bypass the memo"
         );
-        let mut scratch = HoughScratch::new();
-        let mut lines = Vec::new();
+        let mut scratch = HoughScratch::default();
         let sets = memo_test_edge_sets();
         for (g, (width, height)) in [(64, 32), (80, 40), (64, 32), (200, 100)]
             .into_iter()
@@ -1649,21 +1801,12 @@ mod tests {
                 let mut rng_ref = SimRng::seed_from(seed);
                 let mut rng = SimRng::seed_from(seed);
                 let expect = hough_reference(edges, width, height, MIN_VOTES, &mut rng_ref);
-                hough_lines_into(edges, width, height, &mut rng, &mut scratch, &mut lines);
-                assert_eq!(expect.len(), lines.len(), "{width}x{height}, set {s}");
-                for (e, l) in expect.iter().zip(&lines) {
-                    assert_eq!(
-                        e.rho.to_bits(),
-                        l.rho.to_bits(),
-                        "{width}x{height}, set {s}"
-                    );
-                    assert_eq!(
-                        e.theta.to_bits(),
-                        l.theta.to_bits(),
-                        "{width}x{height}, set {s}"
-                    );
-                    assert_eq!(e.votes, l.votes, "{width}x{height}, set {s}");
-                }
+                let got = best_line(edges, width, height, &mut rng, &mut scratch);
+                assert_eq!(
+                    expect.first().map(line_bits),
+                    got.as_ref().map(line_bits),
+                    "{width}x{height}, set {s}"
+                );
                 assert_eq!(rng_ref.next_u64(), rng.next_u64());
             }
             let memo_len = if (width, height) == (200, 100) {
@@ -1679,20 +1822,13 @@ mod tests {
     fn every_memo_byte_of_the_default_camera_is_the_direct_quantisation() {
         let cam = CameraModel::default();
         let (width, height) = (cam.width, cam.height);
-        let mut scratch = HoughScratch::new();
-        let mut lines = Vec::new();
+        let mut scratch = HoughScratch::default();
         let mut rng = SimRng::seed_from(3);
-        // A one-point frame draws its point, so this fills every byte.
+        // A one-point frame draws its point, so this fills every byte;
+        // one vote is too few for a line.
         for row in 0..height {
             for col in 0..=width {
-                hough_lines_into(
-                    &[(row, col)],
-                    width,
-                    height,
-                    &mut rng,
-                    &mut scratch,
-                    &mut lines,
-                );
+                assert!(best_line(&[(row, col)], width, height, &mut rng, &mut scratch).is_none());
             }
         }
         let diag = ((width * width + height * height) as f64).sqrt();
@@ -1738,15 +1874,6 @@ mod tests {
         }
 
         #[test]
-        fn edge_scan_matches_reference(
-            width in 1usize..=130,
-            seeds in proptest::collection::vec(any::<u64>(), 0..12),
-        ) {
-            let frame = edge_test_frame(width, &seeds);
-            prop_assert_eq!(detect_edges(&frame), detect_edges_reference(&frame));
-        }
-
-        #[test]
         fn rounding_matches_libm_round(
             bits in any::<u64>(),
             k in 0u64..1 << 20,
@@ -1771,9 +1898,8 @@ mod tests {
         ) {
             let cam = CameraModel::default();
             let track = if corner { Track::l_corner(3.0) } else { Track::straight(10.0) };
-            let frame = cam.capture(&BicycleState { x, y, theta }, &track);
-            let edges = detect_edges(&frame);
-            assert_matches_reference(&edges, frame.width(), frame.height(), seed)?;
+            let edges = scan_edges(&cam, &BicycleState { x, y, theta }, &track);
+            assert_matches_reference(&edges, cam.width, cam.height, seed)?;
         }
 
         #[test]
@@ -1813,16 +1939,20 @@ mod tests {
 
         #[test]
         fn capture_candidate_filter_is_bitwise_neutral(
-            x in -2.0f64..6.0,
-            y in -2.0f64..4.0,
+            shape in 0usize..4,
+            width in 1usize..=130,
+            at in 0.0f64..1.0,
+            dx in -1.5f64..1.5,
+            dy in -1.5f64..1.5,
             theta in -7.0f64..7.0,
         ) {
-            let cam = CameraModel::default();
-            let track = Track::l_corner(3.0);
-            let pose = BicycleState { x, y, theta };
-            let expect = capture_reference(&cam, &pose, &track);
-            let got = cam.capture(&pose, &track);
-            prop_assert_eq!(expect, got);
+            // Every track shape at every camera width, from poses around
+            // a point of the track in every heading.
+            let cam = CameraModel { width, ..CameraModel::default() };
+            let track = test_track(shape);
+            let (x, y) = point_along(&track, at);
+            let pose = BicycleState { x: x + dx, y: y + dy, theta };
+            prop_assert_eq!(reference_edges(&cam, &pose, &track), scan_edges(&cam, &pose, &track));
         }
 
         #[test]

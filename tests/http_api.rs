@@ -260,6 +260,42 @@ fn trickled_request_gets_408_at_the_deadline_and_the_server_keeps_serving() {
     server.shutdown();
 }
 
+/// Idle connections hold the server's handler threads up to the
+/// request deadline; past `MAX_CONNECTIONS` of them the accept loop
+/// answers 503 at once, and a closed one frees its place.
+#[test]
+fn connections_past_the_cap_get_503_until_one_closes() {
+    use openc2x::http::MAX_CONNECTIONS;
+    use std::time::Duration;
+
+    let obu = Arc::new(ObuApi::new());
+    let server = obu.serve("127.0.0.1:0").unwrap();
+    let addr = server.addr();
+    // The accept loop counts connections in arrival order, so these all
+    // hold a place before the next one is accepted.
+    let mut idle: Vec<_> = (0..MAX_CONNECTIONS)
+        .map(|_| std::net::TcpStream::connect(addr).unwrap())
+        .collect();
+    let r = post(addr, "/request_denm", b"").unwrap();
+    assert_eq!(r.status, 503);
+    assert_eq!(r.body, b"too many connections");
+    // Closing one ends its thread, which frees its place; until the
+    // thread has ended, a request may still meet the cap.
+    drop(idle.pop());
+    let mut statuses = Vec::new();
+    for _ in 0..100 {
+        let status = post(addr, "/request_denm", b"").unwrap().status;
+        statuses.push(status);
+        if status != 503 {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    assert_eq!(statuses.last(), Some(&200), "statuses: {statuses:?}");
+    drop(idle);
+    server.shutdown();
+}
+
 #[test]
 fn wrong_method_or_path_is_404() {
     let obu = Arc::new(ObuApi::new());

@@ -294,16 +294,30 @@ impl Slab {
         }
     }
 
-    /// The column-coordinate interval on which the row `ahead` metres
-    /// out keeps `|q| ≤ half`: unbounded when the slope counts as zero
-    /// and the constraint holds, `None` when it fails.
-    fn span(&self, ahead: f64, half: f64) -> Option<(f64, f64)> {
-        let c = self.c0 + ahead * self.rate;
+    /// The offset `c` of the row `ahead` metres out, at column
+    /// coordinate 0.
+    fn at(&self, ahead: f64) -> f64 {
+        self.c0 + ahead * self.rate
+    }
+
+    /// The column-coordinate interval on which a row at offset `c`
+    /// keeps `|q| ≤ half`: unbounded when the slope counts as zero and
+    /// the constraint holds, `None` when it fails.
+    fn span(&self, c: f64, half: f64) -> Option<(f64, f64)> {
         match self.inv {
             Some(inv) => Some(((-half - c) * inv, (half - c) * inv)),
             None => (c.abs() <= half).then_some((f64::NEG_INFINITY, f64::INFINITY)),
         }
     }
+}
+
+/// A column-coordinate hull, `(lo, hi)`, empty while `lo > hi`.
+type Hull = (f64, f64);
+
+/// Widens `hull` to cover `lo..=hi`.
+fn widen(hull: &mut Hull, lo: f64, hi: f64) {
+    hull.0 = hull.0.min(lo);
+    hull.1 = hull.1.max(hi);
 }
 
 impl SegmentView {
@@ -350,46 +364,54 @@ impl SegmentView {
         }
     }
 
-    /// The column-coordinate span where the row `ahead` metres out
-    /// passes within `r` of the segment, or `None` where it misses. The
-    /// span is the hull of the end discs' and the rectangle's spans; the
-    /// distance to a segment is convex along a line, so every point of
-    /// the hull is as close as its farther end point (DESIGN.md §9
-    /// item 4).
-    fn span(&self, ahead: f64, r: f64, inv_mpc: f64) -> Option<(f64, f64)> {
-        let mut lo = f64::INFINITY;
-        let mut hi = f64::NEG_INFINITY;
+    /// The column-coordinate hulls where the row `ahead` metres out
+    /// passes within each of the `radii` of the segment, inner first;
+    /// a hull the row misses is empty. Each is the hull of the end
+    /// discs' and the rectangle's spans; the distance to a segment is
+    /// convex along a line, so every point of a hull is as close as its
+    /// farther end point (DESIGN.md §9 item 4). Both radii share the
+    /// end discs' offsets and the rectangle's along-segment slab.
+    fn spans(&self, ahead: f64, radii: [f64; 2], inv_mpc: f64) -> [Hull; 2] {
+        let mut hulls = [(f64::INFINITY, f64::NEG_INFINITY); 2];
         for (fwd, closest) in self.ends {
             // `r² − perp²` rather than `bq² − c`: near a grazing line
             // both terms of the latter are ~|e|², and their rounding
             // error, not the geometry, would decide the root.
             let perp = fwd + ahead;
-            let disc = r * r - perp * perp;
-            if disc >= 0.0 {
-                let w = disc.sqrt() * inv_mpc;
-                lo = lo.min(closest - w);
-                hi = hi.max(closest + w);
-            }
-        }
-        if let Some((across, along, half_len)) = &self.body {
-            if let (Some(c), Some(l)) = (across.span(ahead, r), along.span(ahead, *half_len)) {
-                let (rlo, rhi) = (c.0.max(l.0), c.1.min(l.1));
-                if rlo <= rhi {
-                    lo = lo.min(rlo);
-                    hi = hi.max(rhi);
+            let perp_sq = perp * perp;
+            for (hull, r) in hulls.iter_mut().zip(radii) {
+                let disc = r * r - perp_sq;
+                if disc >= 0.0 {
+                    let w = disc.sqrt() * inv_mpc;
+                    widen(hull, closest - w, closest + w);
                 }
             }
         }
-        (lo <= hi).then_some((lo, hi))
+        if let Some((across, along, half_len)) = &self.body {
+            if let Some(l) = along.span(along.at(ahead), *half_len) {
+                let c = across.at(ahead);
+                for (hull, r) in hulls.iter_mut().zip(radii) {
+                    if let Some(s) = across.span(c, r) {
+                        let (rlo, rhi) = (s.0.max(l.0), s.1.min(l.1));
+                        if rlo <= rhi {
+                            widen(hull, rlo, rhi);
+                        }
+                    }
+                }
+            }
+        }
+        hulls
     }
 }
 
-/// Reusable storage for [`CameraModel::scan_edges_into`]: one image row
-/// and the track's segments as seen from the current pose.
+/// Reusable storage for [`CameraModel::scan_edges_into`]: one image
+/// row's lit runs and the track's segments as seen from the current
+/// pose.
 #[derive(Debug, Clone, Default)]
 pub struct ScanScratch {
-    /// One row of pixels; every pixel is dark between rows.
-    row: Vec<bool>,
+    /// One row's lit columns, as non-empty `start..end` runs in no
+    /// particular order; they may touch or overlap.
+    runs: Vec<(usize, usize)>,
     segments: Vec<SegmentView>,
 }
 
@@ -419,8 +441,12 @@ impl CameraModel {
     ///   arithmetic's error far below δ within 10 km of the origin
     ///   (`SPAN_COORD_LIMIT_M`); beyond it every pixel takes the exact
     ///   test.
-    /// - A transition needs a lit pixel on one side, so the row's edges
-    ///   all lie from its first lit column to one past its last.
+    /// - Each segment's lit columns become runs: its inner columns, and
+    ///   each band column the exact test lights. The row's lit set is
+    ///   the union of those runs. Sorted and merged where they touch,
+    ///   they give the row's maximal lit runs, and a transition sits
+    ///   exactly where one starts (unless at column 0) or ends (unless
+    ///   at the right border).
     pub fn scan_edges_into(
         &self,
         pose: &BicycleState,
@@ -430,13 +456,7 @@ impl CameraModel {
     ) {
         edges.clear();
         let width = self.width;
-        if width < 2 {
-            // No pixel pair, so no edge.
-            return;
-        }
-        let ScanScratch { row, segments } = scratch;
-        row.clear();
-        row.resize(width, false);
+        let ScanScratch { runs, segments } = scratch;
         let trig = (pose.theta.cos(), pose.theta.sin());
         let (cos_t, sin_t) = trig;
         let mpc = self.meters_per_col();
@@ -466,12 +486,13 @@ impl CameraModel {
                     .map(|ab| SegmentView::new(pose, trig, (left, mpc), ab)),
             );
         }
-        let (r_in, r_out) = (half_line - EDGE_BAND_M, half_line + EDGE_BAND_M);
+        let r_in = half_line - EDGE_BAND_M;
+        let radii = [r_in, half_line + EDGE_BAND_M];
         let inv_mpc = 1.0 / mpc;
-        // The columns in a column-coordinate span; `as usize` saturates,
-        // so spans off either side clamp to the image, and one wholly
-        // left of it is empty.
-        let columns = |(lo, hi): (f64, f64)| -> Range<usize> {
+        // The columns in a column-coordinate hull; `as usize` saturates,
+        // so hulls off either side clamp to the image, and one wholly
+        // left of it, or empty, has no columns.
+        let columns = |(lo, hi): Hull| -> Range<usize> {
             let first = ceil_f64(lo) as usize;
             let end = (floor_f64(hi) + 1.0) as usize;
             first..end.min(width)
@@ -488,51 +509,55 @@ impl CameraModel {
                 let wy = by + lateral * cos_t;
                 track.distance_sq_to(wx, wy) <= max_dist_sq
             };
-            // The row's first lit column and the one past its last.
-            let mut lit = (usize::MAX, 0);
-            let mut light = |col: usize, px: &mut bool| {
-                *px = true;
-                lit = (lit.0.min(col), lit.1.max(col + 1));
+            runs.clear();
+            let band = |cols: Range<usize>, runs: &mut Vec<(usize, usize)>| {
+                runs.extend(
+                    cols.filter(|&col| lit_exactly(col))
+                        .map(|col| (col, col + 1)),
+                );
             };
             if covered {
                 for view in segments.iter() {
-                    let Some(outer) = view.span(ahead, r_out, inv_mpc) else {
-                        continue;
-                    };
-                    let inner = match view.span(ahead, r_in, inv_mpc) {
-                        Some(span) if r_in > 0.0 => columns(span),
-                        _ => 0..0,
-                    };
+                    let [inner, outer] = view.spans(ahead, radii, inv_mpc);
                     let outer = columns(outer);
-                    let Some(pixels) = row.get_mut(outer.clone()) else {
-                        continue;
-                    };
-                    for (col, px) in outer.zip(pixels) {
-                        if !*px && (inner.contains(&col) || lit_exactly(col)) {
-                            light(col, px);
-                        }
+                    // Float rounding is monotone in the radius, so a
+                    // non-empty inner run lies within the outer columns.
+                    let mut inner = columns(inner);
+                    if r_in <= 0.0 || inner.is_empty() {
+                        // Every outer column is a band column.
+                        inner = outer.end..outer.end;
                     }
+                    band(outer.start..inner.start, runs);
+                    if !inner.is_empty() {
+                        runs.push((inner.start, inner.end));
+                    }
+                    band(inner.end..outer.end, runs);
                 }
             } else {
-                for (col, px) in row.iter_mut().enumerate() {
-                    if lit_exactly(col) {
-                        light(col, px);
-                    }
-                }
+                band(0..width, runs);
             }
-            // Pairs from (first lit − 1, first lit) to (last lit, last
-            // lit + 1); every pair outside them is dark on both sides.
-            let start = lit.0.saturating_sub(1);
-            let end = lit.1.saturating_add(1).min(width);
-            if let Some(run) = row.get_mut(start..end) {
-                for (col, pair) in (start + 1..).zip(run.windows(2)) {
-                    if let [a, b] = pair {
-                        if a != b {
-                            edges.push((r, col));
-                        }
+            // Every pixel of a merged run is lit and its neighbours
+            // past either end are dark or off the image.
+            runs.sort_unstable();
+            let mut emit = |(start, end): (usize, usize)| {
+                if start >= 1 {
+                    edges.push((r, start));
+                }
+                if end < width {
+                    edges.push((r, end));
+                }
+            };
+            let mut sorted = runs.iter().copied();
+            if let Some(mut run) = sorted.next() {
+                for (start, end) in sorted {
+                    if start <= run.1 {
+                        run.1 = run.1.max(end);
+                    } else {
+                        emit(run);
+                        run = (start, end);
                     }
                 }
-                run.fill(false);
+                emit(run);
             }
         }
     }
@@ -575,26 +600,26 @@ const ARGMAX_BLOCK: usize = 128;
 /// Reusable storage for [`best_line`].
 #[derive(Debug, Clone, Default)]
 pub struct HoughScratch {
-    /// The (ρ, θ) accumulator, one row of ρ bins per θ bin. A cell
-    /// gets at most one vote per sample, so it never exceeds
-    /// [`MAX_SAMPLES`] and fits a `u16`.
+    /// The (ρ, θ) accumulator, one row of ρ bins per θ bin, then one
+    /// trash cell that takes the votes whose ρ falls off it. A cell
+    /// gets at most one vote per sample, and the trash cell one per θ
+    /// bin, so neither exceeds `THETA_BINS ·` [`MAX_SAMPLES`] and both
+    /// fit a `u16`.
     acc: Vec<u16>,
     /// How many times the sampler drew each edge point.
     draws: Vec<u16>,
     /// The frame geometry `memo` is laid out for, once there is one.
     geometry: Option<HoughGeometry>,
-    /// ρ-bin memo: for each in-frame point (row < height, col ≤ width)
-    /// and θ bin, one byte holding the point's ρ bin + 1, [`RHO_UNSET`]
-    /// before it is first quantised, or [`RHO_OFF`] when it falls off
-    /// the accumulator. Empty when the ρ range does not fit a byte.
-    memo: Vec<u8>,
+    /// Cell-index memo: for each in-frame point (row < height,
+    /// col ≤ width) and θ bin, the accumulator index of the point's cell
+    /// (the trash cell when its ρ falls off), or [`CELL_UNSET`] before
+    /// it is first quantised. Empty when the trash cell's index does not
+    /// fit below [`CELL_UNSET`].
+    memo: Vec<u16>,
 }
 
-/// ρ-memo byte of a (point, θ) pair not yet quantised.
-const RHO_UNSET: u8 = 0;
-
-/// ρ-memo byte of a (point, θ) pair whose ρ falls off the accumulator.
-const RHO_OFF: u8 = u8::MAX;
+/// Memo entry of a (point, θ) pair not yet quantised.
+const CELL_UNSET: u16 = u16::MAX;
 
 /// What the vote needs to know about one frame geometry.
 #[derive(Debug, Clone, Copy)]
@@ -626,22 +651,35 @@ impl HoughGeometry {
         }
     }
 
-    /// The ρ bin of point `(row, col)` at the θ bin whose cos and sin
-    /// are given, by the reference's expression; bins from `rho_bins` up
-    /// are off the accumulator. Both the memo and the direct path
+    /// The accumulator cells, trash cell excluded; the trash cell's
+    /// index.
+    fn cells(&self) -> usize {
+        THETA_BINS * self.rho_bins
+    }
+
+    /// The accumulator index of point `(row, col)`'s cell in θ bin
+    /// `tb`, whose cos and sin are given: `tb·rho_bins` plus its ρ bin,
+    /// by the reference's expression, or the trash cell when that bin
+    /// is off the accumulator. Both the memo and the direct path
     /// quantise through this.
-    fn rho_bin(&self, row: usize, col: usize, (cos_t, sin_t): (f64, f64)) -> usize {
+    fn cell(&self, row: usize, col: usize, (tb, &(cos_t, sin_t)): (usize, &(f64, f64))) -> usize {
         let rho = col as f64 * cos_t + row as f64 * sin_t;
-        round_to_usize(rho + self.diag)
+        let rb = round_to_usize(rho + self.diag);
+        if rb < self.rho_bins {
+            tb * self.rho_bins + rb
+        } else {
+            self.cells()
+        }
     }
 
-    /// Whether a memo byte can hold every ρ bin + 1 below [`RHO_OFF`].
+    /// Whether a memo entry can hold every index up to the trash cell's
+    /// below [`CELL_UNSET`].
     fn memo_fits(&self) -> bool {
-        self.rho_bins < usize::from(RHO_OFF)
+        self.cells() < usize::from(CELL_UNSET)
     }
 
-    /// The memo's byte range for in-frame point `(row, col)`, one byte
-    /// per θ bin, or `None` for a point outside the frame.
+    /// The memo's entry range for in-frame point `(row, col)`, one
+    /// entry per θ bin, or `None` for a point outside the frame.
     fn memo_range(&self, row: usize, col: usize) -> Option<Range<usize>> {
         (row < self.height && col <= self.width).then(|| {
             let start = (row * (self.width + 1) + col) * THETA_BINS;
@@ -693,11 +731,13 @@ fn round_to_usize(x: f64) -> usize {
 /// - ρ bins come from `round_to_usize`, not a libm call, and the
 ///   `(cos θ, sin θ)` table uses the reference's `π·tb/bins`
 ///   expression, so every `(ρ, θ)` is bitwise identical.
-/// - The scratch memoises each in-frame point's ρ bins, so a point is
-///   quantised only the first time a frame drawn with this scratch
-///   draws it. The memo and the θ table are rebuilt when the frame
+/// - The scratch memoises each in-frame point's accumulator cells, so a
+///   point is quantised only the first time a frame drawn with this
+///   scratch draws it, and votes by index from then on: a ρ off the
+///   accumulator votes into a trash cell past it, which the search
+///   skips. The memo and the θ table are rebuilt when the frame
 ///   geometry changes; points outside the frame, and geometries whose
-///   ρ range does not fit a byte, are quantised on every draw.
+///   cell indices do not fit a `u16`, are quantised on every draw.
 /// - No list of lines is built: a stable sort by votes puts first the
 ///   cell of most votes that comes first in index order, so one pass
 ///   finds the most votes and a second the first cell holding them.
@@ -723,7 +763,7 @@ pub fn best_line(
             let geo = geometry.insert(HoughGeometry::of_frame(frame_width, frame_height));
             memo.clear();
             if geo.memo_fits() {
-                memo.resize(frame_height * (frame_width + 1) * THETA_BINS, RHO_UNSET);
+                memo.resize(frame_height * (frame_width + 1) * THETA_BINS, CELL_UNSET);
             }
             geo
         }
@@ -741,43 +781,34 @@ pub fn best_line(
         }
     }
     acc.clear();
-    acc.resize(THETA_BINS * rho_bins, 0);
+    acc.resize(geo.cells() + 1, 0);
     let acc = acc.as_mut_slice();
     for (&(row, col), &weight) in edges.iter().zip(draws.iter()) {
         if weight == 0 {
             continue;
         }
-        let cells = geo.memo_range(row, col).and_then(|r| memo.get_mut(r));
-        if let Some(cells) = cells {
-            // A point's bytes are filled together, so the first tells.
-            if cells.first() == Some(&RHO_UNSET) {
-                for (cell, &trig) in cells.iter_mut().zip(&geo.trig) {
-                    // `memo_fits` keeps every on-accumulator bin + 1 below RHO_OFF.
-                    let rb = geo.rho_bin(row, col, trig);
-                    *cell = if rb < rho_bins { rb as u8 + 1 } else { RHO_OFF };
+        let entries = geo.memo_range(row, col).and_then(|r| memo.get_mut(r));
+        if let Some(entries) = entries {
+            // A point's entries are filled together, so the first tells.
+            if entries.first() == Some(&CELL_UNSET) {
+                for (entry, theta) in entries.iter_mut().zip(geo.trig.iter().enumerate()) {
+                    // `memo_fits` keeps every index below CELL_UNSET.
+                    *entry = geo.cell(row, col, theta) as u16;
                 }
             }
-            let mut row_start = 0;
-            for &cell in cells.iter() {
-                if cell != RHO_OFF {
-                    add_votes(acc, row_start + usize::from(cell) - 1, weight);
-                }
-                row_start += rho_bins;
+            for &entry in entries.iter() {
+                add_votes(acc, usize::from(entry), weight);
             }
         } else {
-            let mut row_start = 0;
-            for &trig in &geo.trig {
-                let rb = geo.rho_bin(row, col, trig);
-                if rb < rho_bins {
-                    add_votes(acc, row_start + rb, weight);
-                }
-                row_start += rho_bins;
+            for theta in geo.trig.iter().enumerate() {
+                add_votes(acc, geo.cell(row, col, theta), weight);
             }
         }
     }
     // One pass finds the most votes and the first block of cells that
     // holds them (a block's maximum vectorises, and only a larger one
     // moves the pick); a second finds the first cell from that block on.
+    let acc = acc.get(..geo.cells())?;
     let (block, votes) = acc
         .chunks(ARGMAX_BLOCK)
         .enumerate()
@@ -801,7 +832,7 @@ pub fn best_line(
     })
 }
 
-/// Recycled vision-pipeline buffers: the row and segment scratch, edge
+/// Recycled vision-pipeline buffers: the run and segment scratch, edge
 /// points and Hough scratch. A scenario run constructs one
 /// [`LineFollower`]; without recycling, every run re-pays the
 /// pipeline's first-frame buffer growth. Each buffer is cleared or
@@ -1404,7 +1435,7 @@ mod tests {
         let mut rng_b = SimRng::seed_from(42);
         let mut rng_ref = SimRng::seed_from(42);
         for i in 0..10 {
-            // The row buffer is reused across camera widths too.
+            // The run buffer is reused across camera widths too.
             let cam = CameraModel {
                 width: [64, 20, 130][i % 3],
                 ..CameraModel::default()
@@ -1631,6 +1662,149 @@ mod tests {
         assert_eq!(reference_edges(&blind, &pose, &near), Vec::new());
     }
 
+    /// The reference frame of `track` seen from `pose`, after checking
+    /// that the program's edges are its pairwise scan.
+    fn checked_frame(cam: &CameraModel, pose: &BicycleState, track: &Track) -> Frame {
+        let frame = capture_reference(cam, pose, track);
+        assert_eq!(
+            detect_edges_reference(&frame),
+            scan_edges(cam, pose, track),
+            "width {}, pose {pose:?}",
+            cam.width
+        );
+        frame
+    }
+
+    /// Row `row`'s lit columns in `frame`, from the first to one past
+    /// the last; empty when the row is dark.
+    fn lit_range(frame: &Frame, row: usize) -> Range<usize> {
+        let lit = |c: &usize| frame.get(row, *c);
+        let first = (0..frame.width).find(lit).unwrap_or(0);
+        let end = (0..frame.width).rev().find(lit).map_or(0, |c| c + 1);
+        first..end.max(first)
+    }
+
+    #[test]
+    fn run_merge_matches_reference_on_rows_a_straight_track_never_makes() {
+        let cam = CameraModel::default();
+        let edges_in =
+            |edges: &[(usize, usize)], row: usize| edges.iter().filter(|e| e.0 == row).count();
+        // Rows across both legs of the hairpin: two runs, four edges. A
+        // heading of π lists the legs' runs right to left.
+        let far = SPAN_COORD_LIMIT_M * 3.0;
+        let far_hairpin = Track::new(
+            hairpin()
+                .points
+                .iter()
+                .map(|&(x, y)| (x + far, y - far))
+                .collect(),
+        );
+        for (track, x0, y0) in [(hairpin(), 0.0, 0.0), (far_hairpin, far, -far)] {
+            for theta in [0.0, std::f64::consts::PI] {
+                // Past SPAN_COORD_LIMIT_M the runs come from the
+                // per-column exact test.
+                let pose = BicycleState {
+                    x: x0 + 1.5,
+                    y: y0 + 0.15,
+                    theta,
+                };
+                checked_frame(&cam, &pose, &track);
+                let edges = scan_edges(&cam, &pose, &track);
+                assert!(
+                    (0..cam.height).all(|r| edges_in(&edges, r) == 4),
+                    "{pose:?}: {edges:?}"
+                );
+            }
+        }
+        // Zig-zag rows through a joint, where two segments' runs touch
+        // or overlap; the joint at (0.8, 0) carries the zero-length
+        // segment, whose run overlaps both neighbours'. Heading +y, rows
+        // run along x and cross both legs of a joint; the sweep moves
+        // them by a third of a millimetre at a time.
+        let track = zigzag();
+        let pieces: Vec<Track> = track
+            .segments()
+            .map(|(a, b)| Track::new(vec![a, b]))
+            .collect();
+        let (mut touching, mut overlapping, mut zero_length) = (0, 0, 0);
+        for (jx, jy) in [(0.4, 0.4), (0.8, 0.0), (1.2, 0.4)] {
+            for step in 0..100 {
+                let pose = BicycleState {
+                    x: jx,
+                    y: jy - 0.7 + 0.00033 * f64::from(step),
+                    theta: std::f64::consts::FRAC_PI_2,
+                };
+                checked_frame(&cam, &pose, &track);
+                let frames: Vec<Frame> = pieces
+                    .iter()
+                    .map(|p| capture_reference(&cam, &pose, p))
+                    .collect();
+                for row in 0..cam.height {
+                    let lit: Vec<Range<usize>> = frames.iter().map(|f| lit_range(f, row)).collect();
+                    for (i, a) in lit.iter().enumerate() {
+                        for b in lit
+                            .iter()
+                            .skip(i + 1)
+                            .filter(|b| !a.is_empty() && !b.is_empty())
+                        {
+                            touching += usize::from(a.end == b.start || b.end == a.start);
+                            overlapping += usize::from(a.start < b.end && b.start < a.end);
+                        }
+                    }
+                    zero_length += usize::from(!lit[2].is_empty());
+                }
+            }
+        }
+        assert!(
+            touching > 0 && overlapping > 0 && zero_length > 0,
+            "{touching} {overlapping} {zero_length}"
+        );
+        // Runs from column 0 and to the last column, which have no edge
+        // at the border: the line along either side of the view, and
+        // along a whole row.
+        let straight = Track::straight(10.0);
+        let rows = |x: f64, y: f64, theta: f64| -> Vec<Range<usize>> {
+            let frame = checked_frame(&cam, &BicycleState { x, y, theta }, &straight);
+            (0..cam.height).map(|r| lit_range(&frame, r)).collect()
+        };
+        let left = rows(1.0, 0.49, 0.0);
+        assert!(
+            left.iter().all(|r| r.start == 0 && !r.is_empty()),
+            "{left:?}"
+        );
+        let right = rows(1.0, -0.49, 0.0);
+        assert!(
+            right.iter().all(|r| r.end == cam.width && !r.is_empty()),
+            "{right:?}"
+        );
+        let across = rows(5.0, -0.6, std::f64::consts::FRAC_PI_2);
+        assert!(across.contains(&(0..cam.width)), "{across:?}");
+        // Cameras one to three columns wide, the line sweeping across
+        // them: every column is lit in some frame and dark in another.
+        for width in 1..=3 {
+            let cam = CameraModel {
+                width,
+                ..CameraModel::default()
+            };
+            let mut lit = vec![[false; 2]; width];
+            for step in -60..=60 {
+                let pose = BicycleState {
+                    x: 1.0,
+                    y: 0.01 * f64::from(step),
+                    theta: 0.0,
+                };
+                let frame = checked_frame(&cam, &pose, &straight);
+                for (col, seen) in lit.iter_mut().enumerate() {
+                    seen[usize::from(frame.get(0, col))] = true;
+                }
+            }
+            assert!(
+                lit.iter().all(|seen| seen == &[true, true]),
+                "width {width}"
+            );
+        }
+    }
+
     /// `got` is `want` bit for bit, or both are NaN.
     fn same_float(got: f64, want: f64) -> bool {
         got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan())
@@ -1785,14 +1959,16 @@ mod tests {
 
     #[test]
     fn one_scratch_across_geometries_matches_reference() {
-        let big = HoughGeometry::of_frame(200, 100);
+        let fits = HoughGeometry::of_frame(200, 100);
+        assert!(fits.rho_bins == 449 && fits.memo_fits());
+        let big = HoughGeometry::of_frame(700, 300);
         assert!(
-            big.rho_bins >= 255,
+            big.rho_bins == 1525 && !big.memo_fits(),
             "the last geometry must bypass the memo"
         );
         let mut scratch = HoughScratch::default();
         let sets = memo_test_edge_sets();
-        for (g, (width, height)) in [(64, 32), (80, 40), (64, 32), (200, 100)]
+        for (g, (width, height)) in [(64, 32), (80, 40), (64, 32), (200, 100), (700, 300)]
             .into_iter()
             .enumerate()
         {
@@ -1809,7 +1985,7 @@ mod tests {
                 );
                 assert_eq!(rng_ref.next_u64(), rng.next_u64());
             }
-            let memo_len = if (width, height) == (200, 100) {
+            let memo_len = if (width, height) == (700, 300) {
                 0
             } else {
                 height * (width + 1) * THETA_BINS
@@ -1824,7 +2000,7 @@ mod tests {
         let (width, height) = (cam.width, cam.height);
         let mut scratch = HoughScratch::default();
         let mut rng = SimRng::seed_from(3);
-        // A one-point frame draws its point, so this fills every byte;
+        // A one-point frame draws its point, so this fills every entry;
         // one vote is too few for a line.
         for row in 0..height {
             for col in 0..=width {
@@ -1834,18 +2010,20 @@ mod tests {
         let diag = ((width * width + height * height) as f64).sqrt();
         let rho_bins = (2.0 * diag).ceil() as usize + 1;
         assert_eq!(scratch.memo.len(), height * (width + 1) * THETA_BINS);
-        for (i, &byte) in scratch.memo.iter().enumerate() {
+        let trash = THETA_BINS * rho_bins;
+        assert!(trash < usize::from(CELL_UNSET));
+        for (i, &entry) in scratch.memo.iter().enumerate() {
             let (point, tb) = (i / THETA_BINS, i % THETA_BINS);
             let (row, col) = (point / (width + 1), point % (width + 1));
             let theta = std::f64::consts::PI * tb as f64 / THETA_BINS as f64;
             let rho = col as f64 * theta.cos() + row as f64 * theta.sin();
             let rb = (rho + diag).round() as usize;
             let want = if rb < rho_bins {
-                u8::try_from(rb + 1).unwrap()
+                tb * rho_bins + rb
             } else {
-                RHO_OFF
+                trash
             };
-            assert_eq!(byte, want, "row {row}, col {col}, θ bin {tb}");
+            assert_eq!(usize::from(entry), want, "row {row}, col {col}, θ bin {tb}");
         }
     }
 

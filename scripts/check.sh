@@ -37,6 +37,13 @@ RUNNER_THREADS=1 cargo test --locked -q
 echo "==> cargo test (RUNNER_THREADS=8)"
 RUNNER_THREADS=8 cargo test --locked -q
 
+# The vision oracles again in the optimised build, the one perfbench
+# and the campaigns run: the line follower's bitwise equivalence with
+# its references rests on float rounding, so it is checked where the
+# optimiser has had its say.
+echo "==> cargo test -p vehicle (release)"
+cargo test --locked -q --release -p vehicle
+
 # The end-to-end benchmark (perfbench/, run by BENCHMARK.json) builds
 # against this tree, so deleting public API can break it. Compile it and
 # run its catalogue check and lib tests; the debug build skips the

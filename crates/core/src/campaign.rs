@@ -204,7 +204,7 @@ pub fn grid_fingerprint(specs: &[CampaignSpec]) -> u64 {
 
 /// A campaign grid flattened into one row-major job list (spec-major,
 /// run-minor): flat job `j` is run `j − offset(k)` of the spec `k` whose
-/// runs hold it. [`Runner`]'s `execute_grid`, the shard worker's chunk
+/// runs hold it. [`Executor::execute_grid`], the shard worker's chunk
 /// compute and the socket coordinator all index a grid this way, so a
 /// chunk of flat indices names the same runs everywhere.
 #[derive(Debug)]
@@ -245,31 +245,49 @@ impl<'a> FlatGrid<'a> {
 
 /// An execution strategy for campaigns.
 ///
-/// The contract every implementation must honour: `execute` returns
-/// exactly `spec.runs` records, element `i` being `spec.run_job(i)` —
-/// bitwise. How the work is scheduled (inline, threads, processes) is
-/// the implementation's business; the output is not.
+/// The contract every implementation must honour: `run_indexed` returns
+/// `job(i)` for every `i` in index order, so `execute` returns exactly
+/// `spec.runs` records, element `i` being `spec.run_job(i)` — bitwise.
+/// How the work is scheduled (inline, threads, processes) is the
+/// implementation's business; the output is not.
 pub trait Executor {
+    /// Executes `job(i)` for `i in 0..jobs`, results in index order:
+    /// the one scheduling decision an executor makes. Campaigns whose
+    /// jobs are not scenario runs (e.g. the congestion fleets, one whole
+    /// simulated fleet per job) call it directly.
+    fn run_indexed<T, F>(&self, jobs: usize, job: F) -> Vec<T>
+    where
+        T: Send,
+        F: Fn(usize) -> T + Sync;
+
     /// Executes every run of `spec`; records in seed-index order.
-    fn execute(&self, spec: &CampaignSpec) -> Vec<RunRecord>;
+    fn execute(&self, spec: &CampaignSpec) -> Vec<RunRecord> {
+        self.run_indexed(spec.runs, |i| spec.run_job(i))
+    }
 
     /// Executes a grid of campaigns (one per swept parameter value),
     /// returning one record vector per spec, each in seed-index order.
     ///
-    /// The default runs the specs back to back; executors with a worker
-    /// pool override this to run the [`FlatGrid`] so small
-    /// per-parameter campaigns still fill every worker.
+    /// The whole [`FlatGrid`] is one job list, so an executor with a
+    /// worker pool spreads the grid — not each small per-parameter
+    /// campaign — across its workers.
     fn execute_grid(&self, specs: &[CampaignSpec]) -> Vec<Vec<RunRecord>> {
-        specs.iter().map(|spec| self.execute(spec)).collect()
+        let flat = FlatGrid::new(specs);
+        let mut records = self
+            .run_indexed(flat.jobs(), |j| flat.run_job(j))
+            .into_iter();
+        specs
+            .iter()
+            .map(|spec| records.by_ref().take(spec.runs).collect())
+            .collect()
     }
+}
 
-    /// Executes `job(i)` for `i in 0..jobs`, results in index order —
-    /// the generic escape hatch for campaigns whose jobs are not
-    /// scenario runs (e.g. the congestion fleets, one whole simulated
-    /// fleet per job).
-    ///
-    /// The default is a serial loop; [`Runner`] overrides it to
-    /// parallelise.
+/// The reference executor: a plain serial loop on the calling thread.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Serial;
+
+impl Executor for Serial {
     fn run_indexed<T, F>(&self, jobs: usize, job: F) -> Vec<T>
     where
         T: Send,
@@ -279,33 +297,7 @@ pub trait Executor {
     }
 }
 
-/// The reference executor: a plain serial loop on the calling thread.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Serial;
-
-impl Executor for Serial {
-    fn execute(&self, spec: &CampaignSpec) -> Vec<RunRecord> {
-        (0..spec.runs).map(|i| spec.run_job(i)).collect()
-    }
-}
-
 impl Executor for Runner {
-    fn execute(&self, spec: &CampaignSpec) -> Vec<RunRecord> {
-        self.run(spec.runs, |i| spec.run_job(i))
-    }
-
-    /// Runs the [`FlatGrid`] so the static chunk assignment spreads the
-    /// whole grid — not each small per-parameter campaign — across the
-    /// pool.
-    fn execute_grid(&self, specs: &[CampaignSpec]) -> Vec<Vec<RunRecord>> {
-        let flat = FlatGrid::new(specs);
-        let mut records = self.run(flat.jobs(), |j| flat.run_job(j)).into_iter();
-        specs
-            .iter()
-            .map(|spec| records.by_ref().take(spec.runs).collect())
-            .collect()
-    }
-
     fn run_indexed<T, F>(&self, jobs: usize, job: F) -> Vec<T>
     where
         T: Send,

@@ -93,6 +93,8 @@ impl Default for Config {
                 "geonet::gbc_forward_decision",
                 "uper::encode",
                 "uper::decode",
+                "its-messages::decode",
+                "its-messages::from_bytes",
                 // The event queue.
                 "sim-core::schedule_at",
                 "sim-core::schedule_after",

@@ -34,7 +34,7 @@
 use its_messages::common::{ReferencePosition, StationId, StationType};
 use its_messages::{ItsPduHeader, MessageId};
 use sim_core::{SimDuration, SimTime};
-use uper::{BitReader, BitWriter, Codec, UperError};
+use uper::{BitReader, BitWriter, Codec, Enumerated};
 
 /// Classification of a perceived object (TS 103 324 subset).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -50,41 +50,9 @@ pub enum ObjectClass {
     Obstacle,
 }
 
-impl ObjectClass {
-    const VARIANTS: u64 = 4;
-
-    fn index(&self) -> u64 {
-        match self {
-            ObjectClass::Unknown => 0,
-            ObjectClass::Vehicle => 1,
-            ObjectClass::Person => 2,
-            ObjectClass::Obstacle => 3,
-        }
-    }
-
-    fn from_index(i: u64) -> uper::Result<Self> {
-        Ok(match i {
-            0 => ObjectClass::Unknown,
-            1 => ObjectClass::Vehicle,
-            2 => ObjectClass::Person,
-            3 => ObjectClass::Obstacle,
-            other => {
-                return Err(UperError::InvalidEnum {
-                    index: other,
-                    name: "ObjectClass",
-                })
-            }
-        })
-    }
-}
-
-impl Codec for ObjectClass {
-    fn encode(&self, w: &mut BitWriter) -> uper::Result<()> {
-        w.write_enumerated(self.index(), Self::VARIANTS)
-    }
-    fn decode(r: &mut BitReader<'_>) -> uper::Result<Self> {
-        Self::from_index(r.read_enumerated(Self::VARIANTS)?)
-    }
+impl Enumerated for ObjectClass {
+    const NAME: &'static str = "ObjectClass";
+    const ALL: &'static [Self] = &[Self::Unknown, Self::Vehicle, Self::Person, Self::Obstacle];
 }
 
 /// One object of the perceived-object container. Distances and speeds
@@ -310,13 +278,7 @@ impl Codec for Cpm {
     }
 
     fn decode(r: &mut BitReader<'_>) -> uper::Result<Self> {
-        let header = ItsPduHeader::decode(r)?;
-        if header.message_id != MessageId::Cpm {
-            return Err(UperError::InvalidEnum {
-                index: u64::from(header.message_id.code()),
-                name: "Cpm",
-            });
-        }
+        let header = ItsPduHeader::decode_expecting(r, MessageId::Cpm)?;
         let generation_delta_time = r.read_constrained_u64(0, 65_535)? as u16;
         let management = CpmManagementContainer::decode(r)?;
         let count = r.read_constrained_u64(0, Self::MAX_OBJECTS as u64)? as usize;

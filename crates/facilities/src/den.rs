@@ -96,8 +96,7 @@ struct ActiveEvent {
 ///         CauseCode::CollisionRisk(CollisionRiskSubCause::CrossingCollisionRisk),
 ///     ),
 /// );
-/// let mut due = Vec::new();
-/// den.poll_into(SimTime::ZERO, TimestampIts::new(1000).unwrap(), &mut due);
+/// let due = den.poll(SimTime::ZERO, TimestampIts::new(1000).unwrap());
 /// assert_eq!(due.len(), 1);
 /// assert_eq!(due[0].management.action_id, action);
 /// ```
@@ -141,19 +140,11 @@ impl DenService {
         action_id
     }
 
-    /// [`poll_into`](Self::poll_into) into a fresh `Vec`.
-    #[cfg(test)]
+    /// Every DENM due for transmission at `now`, advancing the
+    /// repetition schedule. `wall` is the station's wall clock, stamped
+    /// into `referenceTime`.
     pub fn poll(&mut self, now: SimTime, wall: TimestampIts) -> Vec<Denm> {
         let mut out = Vec::new();
-        self.poll_into(now, wall, &mut out);
-        out
-    }
-
-    /// Appends every DENM due for transmission at `now` to `out`,
-    /// advancing the repetition schedule. `wall` is the station's wall
-    /// clock, stamped into `referenceTime`. The caller-provided buffer
-    /// lets a per-event hot path reuse one allocation across polls.
-    pub fn poll_into(&mut self, now: SimTime, wall: TimestampIts, out: &mut Vec<Denm>) {
         for ev in &mut self.events {
             let Some(next_tx) = ev.next_tx else { continue };
             if next_tx > now {
@@ -185,6 +176,7 @@ impl DenService {
                 None => None,
             };
         }
+        out
     }
 
     /// The next instant any transmission is due, for efficient scheduling.

@@ -5,9 +5,8 @@
 //! infrastructure stores in its LDM to track the vehicle's state.
 
 use crate::common::{Heading, PathHistory, ReferencePosition, Speed, StationId, StationType};
-use crate::enum_err;
 use crate::header::{ItsPduHeader, MessageId};
-use uper::{BitReader, BitWriter, Codec, UperError};
+use uper::{BitReader, BitWriter, Codec, Enumerated, UperError};
 
 /// `DriveDirection` of the high-frequency container.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -21,34 +20,9 @@ pub enum DriveDirection {
     Unavailable,
 }
 
-impl DriveDirection {
-    const VARIANTS: u64 = 3;
-
-    fn index(&self) -> u64 {
-        match self {
-            DriveDirection::Forward => 0,
-            DriveDirection::Backward => 1,
-            DriveDirection::Unavailable => 2,
-        }
-    }
-
-    fn from_index(i: u64) -> uper::Result<Self> {
-        Ok(match i {
-            0 => DriveDirection::Forward,
-            1 => DriveDirection::Backward,
-            2 => DriveDirection::Unavailable,
-            other => return Err(enum_err(other, "DriveDirection")),
-        })
-    }
-}
-
-impl Codec for DriveDirection {
-    fn encode(&self, w: &mut BitWriter) -> uper::Result<()> {
-        w.write_enumerated(self.index(), Self::VARIANTS)
-    }
-    fn decode(r: &mut BitReader<'_>) -> uper::Result<Self> {
-        Self::from_index(r.read_enumerated(Self::VARIANTS)?)
-    }
+impl Enumerated for DriveDirection {
+    const NAME: &'static str = "DriveDirection";
+    const ALL: &'static [Self] = &[Self::Forward, Self::Backward, Self::Unavailable];
 }
 
 /// `VehicleRole` of the low-frequency container (subset).
@@ -73,44 +47,18 @@ pub enum VehicleRole {
     SafetyCar,
 }
 
-impl VehicleRole {
-    const VARIANTS: u64 = 8;
-
-    fn index(&self) -> u64 {
-        match self {
-            VehicleRole::Default => 0,
-            VehicleRole::PublicTransport => 1,
-            VehicleRole::SpecialTransport => 2,
-            VehicleRole::DangerousGoods => 3,
-            VehicleRole::RoadWork => 4,
-            VehicleRole::Rescue => 5,
-            VehicleRole::Emergency => 6,
-            VehicleRole::SafetyCar => 7,
-        }
-    }
-
-    fn from_index(i: u64) -> uper::Result<Self> {
-        Ok(match i {
-            0 => VehicleRole::Default,
-            1 => VehicleRole::PublicTransport,
-            2 => VehicleRole::SpecialTransport,
-            3 => VehicleRole::DangerousGoods,
-            4 => VehicleRole::RoadWork,
-            5 => VehicleRole::Rescue,
-            6 => VehicleRole::Emergency,
-            7 => VehicleRole::SafetyCar,
-            other => return Err(enum_err(other, "VehicleRole")),
-        })
-    }
-}
-
-impl Codec for VehicleRole {
-    fn encode(&self, w: &mut BitWriter) -> uper::Result<()> {
-        w.write_enumerated(self.index(), Self::VARIANTS)
-    }
-    fn decode(r: &mut BitReader<'_>) -> uper::Result<Self> {
-        Self::from_index(r.read_enumerated(Self::VARIANTS)?)
-    }
+impl Enumerated for VehicleRole {
+    const NAME: &'static str = "VehicleRole";
+    const ALL: &'static [Self] = &[
+        Self::Default,
+        Self::PublicTransport,
+        Self::SpecialTransport,
+        Self::DangerousGoods,
+        Self::RoadWork,
+        Self::Rescue,
+        Self::Emergency,
+        Self::SafetyCar,
+    ];
 }
 
 /// CAM basic container: who and where.
@@ -348,7 +296,7 @@ impl Codec for Cam {
     }
 
     fn decode(r: &mut BitReader<'_>) -> uper::Result<Self> {
-        let header = ItsPduHeader::decode(r)?;
+        let header = ItsPduHeader::decode_expecting(r, MessageId::Cam)?;
         let has_lf = r.read_bool()?;
         let generation_delta_time = r.read_constrained_u64(0, 65535)? as u16;
         let basic = BasicContainer::decode(r)?;

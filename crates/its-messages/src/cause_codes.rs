@@ -13,8 +13,7 @@
 //! * **code 97** (*collision risk*) when the edge node determines a
 //!   collision is imminent and the vehicle must emergency-brake.
 
-use crate::enum_err;
-use uper::{BitReader, BitWriter, Codec};
+use uper::{BitReader, BitWriter, Codec, Enumerated};
 
 /// Sub-causes of cause code 97 — *Collision Risk* (Table I).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -31,33 +30,15 @@ pub enum CollisionRiskSubCause {
     VulnerableRoadUser,
 }
 
-impl CollisionRiskSubCause {
-    /// Wire sub-cause code.
-    pub fn code(&self) -> u8 {
-        match self {
-            CollisionRiskSubCause::Unavailable => 0,
-            CollisionRiskSubCause::LongitudinalCollisionRisk => 1,
-            CollisionRiskSubCause::CrossingCollisionRisk => 2,
-            CollisionRiskSubCause::LateralCollisionRisk => 3,
-            CollisionRiskSubCause::VulnerableRoadUser => 4,
-        }
-    }
-
-    /// Maps a wire code back to a sub-cause.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for codes above 4.
-    pub fn from_code(code: u8) -> uper::Result<Self> {
-        Ok(match code {
-            0 => CollisionRiskSubCause::Unavailable,
-            1 => CollisionRiskSubCause::LongitudinalCollisionRisk,
-            2 => CollisionRiskSubCause::CrossingCollisionRisk,
-            3 => CollisionRiskSubCause::LateralCollisionRisk,
-            4 => CollisionRiskSubCause::VulnerableRoadUser,
-            other => return Err(enum_err(u64::from(other), "CollisionRiskSubCause")),
-        })
-    }
+impl Enumerated for CollisionRiskSubCause {
+    const NAME: &'static str = "CollisionRiskSubCause";
+    const ALL: &'static [Self] = &[
+        Self::Unavailable,
+        Self::LongitudinalCollisionRisk,
+        Self::CrossingCollisionRisk,
+        Self::LateralCollisionRisk,
+        Self::VulnerableRoadUser,
+    ];
 }
 
 /// Sub-causes of cause code 99 — *Dangerous Situation* (Table I).
@@ -81,39 +62,18 @@ pub enum DangerousSituationSubCause {
     CollisionRiskWarningActivated,
 }
 
-impl DangerousSituationSubCause {
-    /// Wire sub-cause code.
-    pub fn code(&self) -> u8 {
-        match self {
-            DangerousSituationSubCause::Unavailable => 0,
-            DangerousSituationSubCause::EmergencyElectronicBrakeLights => 1,
-            DangerousSituationSubCause::PreCrashSystemActivated => 2,
-            DangerousSituationSubCause::EspActivated => 3,
-            DangerousSituationSubCause::AbsActivated => 4,
-            DangerousSituationSubCause::AebActivated => 5,
-            DangerousSituationSubCause::BrakeWarningActivated => 6,
-            DangerousSituationSubCause::CollisionRiskWarningActivated => 7,
-        }
-    }
-
-    /// Maps a wire code back to a sub-cause.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for codes above 7.
-    pub fn from_code(code: u8) -> uper::Result<Self> {
-        Ok(match code {
-            0 => DangerousSituationSubCause::Unavailable,
-            1 => DangerousSituationSubCause::EmergencyElectronicBrakeLights,
-            2 => DangerousSituationSubCause::PreCrashSystemActivated,
-            3 => DangerousSituationSubCause::EspActivated,
-            4 => DangerousSituationSubCause::AbsActivated,
-            5 => DangerousSituationSubCause::AebActivated,
-            6 => DangerousSituationSubCause::BrakeWarningActivated,
-            7 => DangerousSituationSubCause::CollisionRiskWarningActivated,
-            other => return Err(enum_err(u64::from(other), "DangerousSituationSubCause")),
-        })
-    }
+impl Enumerated for DangerousSituationSubCause {
+    const NAME: &'static str = "DangerousSituationSubCause";
+    const ALL: &'static [Self] = &[
+        Self::Unavailable,
+        Self::EmergencyElectronicBrakeLights,
+        Self::PreCrashSystemActivated,
+        Self::EspActivated,
+        Self::AbsActivated,
+        Self::AebActivated,
+        Self::BrakeWarningActivated,
+        Self::CollisionRiskWarningActivated,
+    ];
 }
 
 /// Sub-causes of cause code 94 — *Stationary Vehicle* (§II-C of the paper).
@@ -133,35 +93,16 @@ pub enum StationaryVehicleSubCause {
     CarryingDangerousGoods,
 }
 
-impl StationaryVehicleSubCause {
-    /// Wire sub-cause code.
-    pub fn code(&self) -> u8 {
-        match self {
-            StationaryVehicleSubCause::Unavailable => 0,
-            StationaryVehicleSubCause::HumanProblem => 1,
-            StationaryVehicleSubCause::VehicleBreakdown => 2,
-            StationaryVehicleSubCause::PostCrash => 3,
-            StationaryVehicleSubCause::PublicTransportStop => 4,
-            StationaryVehicleSubCause::CarryingDangerousGoods => 5,
-        }
-    }
-
-    /// Maps a wire code back to a sub-cause.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for codes above 5.
-    pub fn from_code(code: u8) -> uper::Result<Self> {
-        Ok(match code {
-            0 => StationaryVehicleSubCause::Unavailable,
-            1 => StationaryVehicleSubCause::HumanProblem,
-            2 => StationaryVehicleSubCause::VehicleBreakdown,
-            3 => StationaryVehicleSubCause::PostCrash,
-            4 => StationaryVehicleSubCause::PublicTransportStop,
-            5 => StationaryVehicleSubCause::CarryingDangerousGoods,
-            other => return Err(enum_err(u64::from(other), "StationaryVehicleSubCause")),
-        })
-    }
+impl Enumerated for StationaryVehicleSubCause {
+    const NAME: &'static str = "StationaryVehicleSubCause";
+    const ALL: &'static [Self] = &[
+        Self::Unavailable,
+        Self::HumanProblem,
+        Self::VehicleBreakdown,
+        Self::PostCrash,
+        Self::PublicTransportStop,
+        Self::CarryingDangerousGoods,
+    ];
 }
 
 /// The `eventType` of a DENM Situation container.
@@ -210,9 +151,9 @@ impl CauseCode {
         match self {
             CauseCode::HazardousLocationSurfaceCondition(sc) => *sc,
             CauseCode::HazardousLocationObstacleOnTheRoad(sc) => *sc,
-            CauseCode::StationaryVehicle(sc) => sc.code(),
-            CauseCode::CollisionRisk(sc) => sc.code(),
-            CauseCode::DangerousSituation(sc) => sc.code(),
+            CauseCode::StationaryVehicle(sc) => sc.index() as u8,
+            CauseCode::CollisionRisk(sc) => sc.index() as u8,
+            CauseCode::DangerousSituation(sc) => sc.index() as u8,
             CauseCode::Other { sub_cause, .. } => *sub_cause,
         }
     }
@@ -226,13 +167,13 @@ impl CauseCode {
         match cause {
             9 => CauseCode::HazardousLocationSurfaceCondition(sub_cause),
             10 => CauseCode::HazardousLocationObstacleOnTheRoad(sub_cause),
-            94 => StationaryVehicleSubCause::from_code(sub_cause)
+            94 => StationaryVehicleSubCause::from_index(sub_cause.into())
                 .map(CauseCode::StationaryVehicle)
                 .unwrap_or(CauseCode::Other { cause, sub_cause }),
-            97 => CollisionRiskSubCause::from_code(sub_cause)
+            97 => CollisionRiskSubCause::from_index(sub_cause.into())
                 .map(CauseCode::CollisionRisk)
                 .unwrap_or(CauseCode::Other { cause, sub_cause }),
-            99 => DangerousSituationSubCause::from_code(sub_cause)
+            99 => DangerousSituationSubCause::from_index(sub_cause.into())
                 .map(CauseCode::DangerousSituation)
                 .unwrap_or(CauseCode::Other { cause, sub_cause }),
             _ => CauseCode::Other { cause, sub_cause },

@@ -5,9 +5,8 @@
 //! constructors enforce the constrained range, so an encoded message can
 //! never carry an out-of-range field.
 
-use crate::enum_err;
 use std::fmt;
-use uper::{BitReader, BitWriter, Codec, UperError};
+use uper::{BitReader, BitWriter, Codec, Enumerated, UperError};
 
 /// `StationID ::= INTEGER (0..4294967295)` — unique ITS station identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -82,44 +81,41 @@ pub enum StationType {
 }
 
 impl StationType {
-    /// Wire code of this station type.
+    /// The named station types with their wire codes.
+    const CODES: [(StationType, u8); 13] = [
+        (StationType::Unavailable, 0),
+        (StationType::Pedestrian, 1),
+        (StationType::Cyclist, 2),
+        (StationType::Moped, 3),
+        (StationType::Motorcycle, 4),
+        (StationType::PassengerCar, 5),
+        (StationType::Bus, 6),
+        (StationType::LightTruck, 7),
+        (StationType::HeavyTruck, 8),
+        (StationType::Trailer, 9),
+        (StationType::SpecialVehicle, 10),
+        (StationType::Tram, 11),
+        (StationType::RoadSideUnit, 15),
+    ];
+
+    /// Wire code of this station type (every named type is in the
+    /// table, so the `0` fallback is never taken).
     pub fn code(&self) -> u8 {
         match self {
-            StationType::Unavailable => 0,
-            StationType::Pedestrian => 1,
-            StationType::Cyclist => 2,
-            StationType::Moped => 3,
-            StationType::Motorcycle => 4,
-            StationType::PassengerCar => 5,
-            StationType::Bus => 6,
-            StationType::LightTruck => 7,
-            StationType::HeavyTruck => 8,
-            StationType::Trailer => 9,
-            StationType::SpecialVehicle => 10,
-            StationType::Tram => 11,
-            StationType::RoadSideUnit => 15,
             StationType::Unknown(code) => *code,
+            named => Self::CODES
+                .iter()
+                .find(|(t, _)| t == named)
+                .map_or(0, |&(_, c)| c),
         }
     }
 
     /// Maps a wire code back to a station type.
     pub fn from_code(code: u8) -> Self {
-        match code {
-            0 => StationType::Unavailable,
-            1 => StationType::Pedestrian,
-            2 => StationType::Cyclist,
-            3 => StationType::Moped,
-            4 => StationType::Motorcycle,
-            5 => StationType::PassengerCar,
-            6 => StationType::Bus,
-            7 => StationType::LightTruck,
-            8 => StationType::HeavyTruck,
-            9 => StationType::Trailer,
-            10 => StationType::SpecialVehicle,
-            11 => StationType::Tram,
-            15 => StationType::RoadSideUnit,
-            other => StationType::Unknown(other),
-        }
+        Self::CODES
+            .iter()
+            .find(|&&(_, c)| c == code)
+            .map_or(StationType::Unknown(code), |&(t, _)| t)
     }
 }
 
@@ -686,59 +682,18 @@ pub enum RelevanceDistance {
     Over10km,
 }
 
-impl RelevanceDistance {
-    const VARIANTS: u64 = 8;
-
-    /// Upper bound of the band in metres (`f64::INFINITY` for the last).
-    #[cfg(test)]
-    pub fn upper_bound_m(&self) -> f64 {
-        match self {
-            RelevanceDistance::LessThan50m => 50.0,
-            RelevanceDistance::LessThan100m => 100.0,
-            RelevanceDistance::LessThan200m => 200.0,
-            RelevanceDistance::LessThan500m => 500.0,
-            RelevanceDistance::LessThan1000m => 1000.0,
-            RelevanceDistance::LessThan5km => 5000.0,
-            RelevanceDistance::LessThan10km => 10000.0,
-            RelevanceDistance::Over10km => f64::INFINITY,
-        }
-    }
-
-    fn index(&self) -> u64 {
-        match self {
-            RelevanceDistance::LessThan50m => 0,
-            RelevanceDistance::LessThan100m => 1,
-            RelevanceDistance::LessThan200m => 2,
-            RelevanceDistance::LessThan500m => 3,
-            RelevanceDistance::LessThan1000m => 4,
-            RelevanceDistance::LessThan5km => 5,
-            RelevanceDistance::LessThan10km => 6,
-            RelevanceDistance::Over10km => 7,
-        }
-    }
-
-    fn from_index(i: u64) -> uper::Result<Self> {
-        Ok(match i {
-            0 => RelevanceDistance::LessThan50m,
-            1 => RelevanceDistance::LessThan100m,
-            2 => RelevanceDistance::LessThan200m,
-            3 => RelevanceDistance::LessThan500m,
-            4 => RelevanceDistance::LessThan1000m,
-            5 => RelevanceDistance::LessThan5km,
-            6 => RelevanceDistance::LessThan10km,
-            7 => RelevanceDistance::Over10km,
-            other => return Err(enum_err(other, "RelevanceDistance")),
-        })
-    }
-}
-
-impl Codec for RelevanceDistance {
-    fn encode(&self, w: &mut BitWriter) -> uper::Result<()> {
-        w.write_enumerated(self.index(), Self::VARIANTS)
-    }
-    fn decode(r: &mut BitReader<'_>) -> uper::Result<Self> {
-        Self::from_index(r.read_enumerated(Self::VARIANTS)?)
-    }
+impl Enumerated for RelevanceDistance {
+    const NAME: &'static str = "RelevanceDistance";
+    const ALL: &'static [Self] = &[
+        Self::LessThan50m,
+        Self::LessThan100m,
+        Self::LessThan200m,
+        Self::LessThan500m,
+        Self::LessThan1000m,
+        Self::LessThan5km,
+        Self::LessThan10km,
+        Self::Over10km,
+    ];
 }
 
 /// `RelevanceTrafficDirection` — which traffic direction the DENM targets.
@@ -754,36 +709,14 @@ pub enum RelevanceTrafficDirection {
     OppositeTraffic,
 }
 
-impl RelevanceTrafficDirection {
-    const VARIANTS: u64 = 4;
-
-    fn index(&self) -> u64 {
-        match self {
-            RelevanceTrafficDirection::AllTrafficDirections => 0,
-            RelevanceTrafficDirection::UpstreamTraffic => 1,
-            RelevanceTrafficDirection::DownstreamTraffic => 2,
-            RelevanceTrafficDirection::OppositeTraffic => 3,
-        }
-    }
-
-    fn from_index(i: u64) -> uper::Result<Self> {
-        Ok(match i {
-            0 => RelevanceTrafficDirection::AllTrafficDirections,
-            1 => RelevanceTrafficDirection::UpstreamTraffic,
-            2 => RelevanceTrafficDirection::DownstreamTraffic,
-            3 => RelevanceTrafficDirection::OppositeTraffic,
-            other => return Err(enum_err(other, "RelevanceTrafficDirection")),
-        })
-    }
-}
-
-impl Codec for RelevanceTrafficDirection {
-    fn encode(&self, w: &mut BitWriter) -> uper::Result<()> {
-        w.write_enumerated(self.index(), Self::VARIANTS)
-    }
-    fn decode(r: &mut BitReader<'_>) -> uper::Result<Self> {
-        Self::from_index(r.read_enumerated(Self::VARIANTS)?)
-    }
+impl Enumerated for RelevanceTrafficDirection {
+    const NAME: &'static str = "RelevanceTrafficDirection";
+    const ALL: &'static [Self] = &[
+        Self::AllTrafficDirections,
+        Self::UpstreamTraffic,
+        Self::DownstreamTraffic,
+        Self::OppositeTraffic,
+    ];
 }
 
 #[cfg(test)]
@@ -814,6 +747,10 @@ mod tests {
         assert_eq!(StationType::from_code(200), StationType::Unknown(200));
         // Unknown round-trips through the wire code.
         assert_eq!(roundtrip(&StationType::Unknown(200)).code(), 200);
+        for (named, code) in StationType::CODES {
+            assert_eq!(named.code(), code);
+            assert_eq!(roundtrip(&named), named);
+        }
     }
 
     #[test]
@@ -894,40 +831,6 @@ mod tests {
         let ok = PathHistory::new(vec![PathPoint::default(); 40]).unwrap();
         assert_eq!(ok.len(), 40);
         assert_eq!(roundtrip(&ok), ok);
-    }
-
-    #[test]
-    fn relevance_distance_bands_monotone() {
-        let all = [
-            RelevanceDistance::LessThan50m,
-            RelevanceDistance::LessThan100m,
-            RelevanceDistance::LessThan200m,
-            RelevanceDistance::LessThan500m,
-            RelevanceDistance::LessThan1000m,
-            RelevanceDistance::LessThan5km,
-            RelevanceDistance::LessThan10km,
-            RelevanceDistance::Over10km,
-        ];
-        for pair in all.windows(2) {
-            assert!(pair[0].upper_bound_m() < pair[1].upper_bound_m());
-            assert_eq!(roundtrip(&pair[0]), pair[0]);
-        }
-        assert_eq!(
-            roundtrip(&RelevanceDistance::Over10km),
-            RelevanceDistance::Over10km
-        );
-    }
-
-    #[test]
-    fn relevance_traffic_direction_roundtrip() {
-        for d in [
-            RelevanceTrafficDirection::AllTrafficDirections,
-            RelevanceTrafficDirection::UpstreamTraffic,
-            RelevanceTrafficDirection::DownstreamTraffic,
-            RelevanceTrafficDirection::OppositeTraffic,
-        ] {
-            assert_eq!(roundtrip(&d), d);
-        }
     }
 
     proptest! {

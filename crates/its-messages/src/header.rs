@@ -2,8 +2,7 @@
 //! (Figure 2 of the paper: protocol version, message type, station ID).
 
 use crate::common::StationId;
-use crate::enum_err;
-use uper::{BitReader, BitWriter, Codec};
+use uper::{BitReader, BitWriter, Codec, UperError};
 
 /// Protocol version carried in every PDU header (EN 302 637 family v1.x).
 pub const PROTOCOL_VERSION: u8 = 1;
@@ -12,21 +11,17 @@ pub const PROTOCOL_VERSION: u8 = 1;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MessageId {
     /// DENM — messageID 1.
-    Denm,
+    Denm = 1,
     /// CAM — messageID 2.
-    Cam,
+    Cam = 2,
     /// CPM — messageID 14 (TS 103 324 collective perception).
-    Cpm,
+    Cpm = 14,
 }
 
 impl MessageId {
     /// Wire value per EN 302 637 / TS 103 324.
     pub fn code(&self) -> u8 {
-        match self {
-            MessageId::Denm => 1,
-            MessageId::Cam => 2,
-            MessageId::Cpm => 14,
-        }
+        *self as u8
     }
 
     /// Maps a wire code to a message id.
@@ -40,7 +35,10 @@ impl MessageId {
             1 => Ok(MessageId::Denm),
             2 => Ok(MessageId::Cam),
             14 => Ok(MessageId::Cpm),
-            other => Err(enum_err(u64::from(other), "MessageId")),
+            other => Err(UperError::InvalidEnum {
+                index: u64::from(other),
+                name: "MessageId",
+            }),
         }
     }
 }
@@ -79,6 +77,27 @@ impl ItsPduHeader {
             message_id,
             station_id,
         }
+    }
+
+    /// Reads a header that must name `expected`: each message's decoder
+    /// refuses another message's bytes (a CAM read as a DENM, say) as a
+    /// `messageID` outside its one-value range.
+    ///
+    /// # Errors
+    ///
+    /// The header's own decoding errors, or [`UperError::OutOfRange`]
+    /// when it names another message.
+    pub fn decode_expecting(r: &mut BitReader<'_>, expected: MessageId) -> uper::Result<Self> {
+        let header = Self::decode(r)?;
+        if header.message_id != expected {
+            let code = i128::from(expected.code());
+            return Err(UperError::OutOfRange {
+                value: i128::from(header.message_id.code()),
+                min: code,
+                max: code,
+            });
+        }
+        Ok(header)
     }
 }
 
@@ -124,6 +143,51 @@ mod tests {
         let back: ItsPduHeader = uper::decode(&bytes).unwrap();
         assert_eq!(h, back);
         assert_eq!(back.protocol_version, PROTOCOL_VERSION);
+    }
+
+    #[test]
+    fn cam_and_denm_decoders_refuse_another_messages_header() {
+        use crate::cam::Cam;
+        use crate::common::{ActionId, ReferencePosition, StationType, TimestampIts};
+        use crate::denm::{Denm, ManagementContainer};
+        let station = StationId::new(15).unwrap();
+        let at = TimestampIts::new(1_000).unwrap();
+        let position = ReferencePosition::from_degrees(41.178, -8.608);
+        let management = ManagementContainer::new(
+            ActionId::new(station, 1),
+            at,
+            at,
+            position,
+            StationType::RoadSideUnit,
+        );
+        let denm = Denm::new(station, management).to_bytes().unwrap();
+        let cam = Cam::basic(station, 500, StationType::PassengerCar, position)
+            .to_bytes()
+            .unwrap();
+        // Byte 1 is the messageID: name another message there.
+        let with_id = |bytes: &[u8], id: u8| {
+            let mut bytes = bytes.to_vec();
+            bytes[1] = id;
+            assert!(uper::decode::<ItsPduHeader>(&bytes).is_ok());
+            bytes
+        };
+        let refused = |own: u8, other: u8| {
+            Some(uper::UperError::OutOfRange {
+                value: other.into(),
+                min: own.into(),
+                max: own.into(),
+            })
+        };
+        assert!(Denm::from_bytes(&denm).is_ok());
+        assert!(Cam::from_bytes(&cam).is_ok());
+        for other in [2, 14] {
+            let bytes = with_id(&denm, other);
+            assert_eq!(Denm::from_bytes(&bytes).err(), refused(1, other));
+        }
+        for other in [1, 14] {
+            let bytes = with_id(&cam, other);
+            assert_eq!(Cam::from_bytes(&bytes).err(), refused(2, other));
+        }
     }
 
     #[test]

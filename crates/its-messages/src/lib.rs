@@ -54,11 +54,4 @@ pub mod common;
 pub mod denm;
 pub mod header;
 
-use uper::UperError;
-
 pub use header::{ItsPduHeader, MessageId, PROTOCOL_VERSION};
-
-/// Internal helper: build the error for an enumerated index with no variant.
-pub(crate) fn enum_err(index: u64, name: &'static str) -> UperError {
-    UperError::InvalidEnum { index, name }
-}

@@ -125,10 +125,6 @@ pub struct ItsStation {
     rx_count: u64,
     /// Reusable UPER encode buffer for the frame-based TX path.
     cam_scratch: Vec<u8>,
-    /// Reusable due-DENM list for [`ItsStation::poll_denm_into`].
-    den_scratch: Vec<Denm>,
-    /// Reusable UPER encode buffer for DENM packetisation.
-    denm_wire_scratch: Vec<u8>,
 }
 
 /// Outcome of processing one received frame ([`ItsStation::on_frame`]).
@@ -167,8 +163,6 @@ impl ItsStation {
             tx_count: 0,
             rx_count: 0,
             cam_scratch: Vec::new(),
-            den_scratch: Vec::new(),
-            denm_wire_scratch: Vec::new(),
         }
     }
 
@@ -361,24 +355,15 @@ impl ItsStation {
     }
 
     /// Polls the DEN service and appends a GBC packet for every DENM due
-    /// to `out`. The DENM list and its UPER wire bytes go through
-    /// station-owned scratch buffers, so steady-state polls allocate only
-    /// the `Arc` payload copy each packet hands out.
+    /// to `out`.
     ///
     /// # Errors
     ///
     /// Returns an encoding error if a DENM violates a constraint; `out`
     /// is left cleared in that case.
     pub fn poll_denm_into(&mut self, now: SimTime, out: &mut Vec<GnPacket>) -> uper::Result<()> {
-        let wall = self.wall(now);
-        let mut denms = std::mem::take(&mut self.den_scratch);
-        denms.clear();
-        self.den.poll_into(now, wall, &mut denms);
-        let mut wire = std::mem::take(&mut self.denm_wire_scratch);
-        let result = self.packetize_denms(now, &denms, &mut wire, out);
-        denms.clear();
-        self.den_scratch = denms;
-        self.denm_wire_scratch = wire;
+        let denms = self.den.poll(now, self.wall(now));
+        let result = self.packetize_denms(now, &denms, out);
         if result.is_err() {
             out.clear();
         }
@@ -389,9 +374,9 @@ impl ItsStation {
         &mut self,
         now: SimTime,
         denms: &[Denm],
-        wire: &mut Vec<u8>,
         out: &mut Vec<GnPacket>,
     ) -> uper::Result<()> {
+        let mut wire = Vec::new();
         for denm in denms {
             let (lat, lon) = {
                 let p = denm.management.event_position;
@@ -403,7 +388,7 @@ impl ItsStation {
             if wire.capacity() == 0 {
                 wire.reserve(128);
             }
-            uper::encode_into(denm, wire)?;
+            uper::encode_into(denm, &mut wire)?;
             let payload: std::sync::Arc<[u8]> = wire.as_slice().into();
             let area = GeoArea::circle(lat, lon, DENM_AREA_RADIUS_M);
             let seq = self.gbc_sequence;

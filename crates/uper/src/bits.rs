@@ -202,26 +202,26 @@ impl<'a> BitReader<'a> {
         }
         let mut out = 0u64;
         let mut rem = count;
-        let mut idx = self.pos / 8;
         let lead = (self.pos % 8) as u32;
+        // The shortage check above keeps every byte read here in the
+        // input, so the `0` fallback is never taken.
+        let mut bytes = self.bytes.iter().skip(self.pos / 8);
+        let mut next = || bytes.next().map_or(0, |&b| u32::from(b));
         // Tail of the partially-consumed lead byte.
         if lead != 0 {
             let avail = 8 - lead;
             let take = rem.min(avail);
-            let byte = u32::from(self.bytes[idx]);
-            out = u64::from((byte >> (avail - take)) & ((1u32 << take) - 1));
+            out = u64::from((next() >> (avail - take)) & ((1u32 << take) - 1));
             rem -= take;
-            idx += 1;
         }
         // Whole bytes.
         while rem >= 8 {
-            out = (out << 8) | u64::from(self.bytes[idx]);
-            idx += 1;
+            out = (out << 8) | u64::from(next());
             rem -= 8;
         }
         // Leading bits of the final byte.
         if rem > 0 {
-            let byte = u32::from(self.bytes[idx]);
+            let byte = next();
             out = (out << rem) | u64::from((byte >> (8 - rem)) & ((1u32 << rem) - 1));
         }
         self.pos += count as usize;

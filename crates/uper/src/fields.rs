@@ -86,6 +86,74 @@ pub trait Codec: Sized {
     fn decode(r: &mut BitReader<'_>) -> Result<Self>;
 }
 
+/// A positional ASN.1 `ENUMERATED` type: its wire index is the variant's
+/// position in [`ALL`](Self::ALL), and the blanket [`Codec`] impl writes
+/// it with [`BitWriter::write_enumerated`] over `ALL.len()` variants.
+///
+/// # Example
+///
+/// ```
+/// use uper::Enumerated;
+///
+/// #[derive(Debug, Clone, Copy, PartialEq)]
+/// enum Lane {
+///     Left,
+///     Right,
+/// }
+///
+/// impl Enumerated for Lane {
+///     const NAME: &'static str = "Lane";
+///     const ALL: &'static [Self] = &[Lane::Left, Lane::Right];
+/// }
+///
+/// # fn main() -> Result<(), uper::UperError> {
+/// assert_eq!(Lane::Right.index(), 1);
+/// assert_eq!(uper::encode(&Lane::Right)?, vec![0b1000_0000]);
+/// assert_eq!(uper::decode::<Lane>(&[0b1000_0000])?, Lane::Right);
+/// # Ok(())
+/// # }
+/// ```
+pub trait Enumerated: Copy + PartialEq + 'static {
+    /// Name of the enumeration, for [`UperError::InvalidEnum`].
+    const NAME: &'static str;
+    /// Every variant, in wire order.
+    const ALL: &'static [Self];
+
+    /// This variant's wire index: its position in [`ALL`](Self::ALL), or
+    /// `ALL.len()` (which no encoder accepts) for a variant missing from
+    /// the table.
+    fn index(&self) -> u64 {
+        let position = Self::ALL.iter().position(|v| v == self);
+        position.unwrap_or(Self::ALL.len()) as u64
+    }
+
+    /// The variant at wire index `index`.
+    ///
+    /// # Errors
+    ///
+    /// [`UperError::InvalidEnum`] if `index` is not below `ALL.len()`.
+    fn from_index(index: u64) -> Result<Self> {
+        usize::try_from(index)
+            .ok()
+            .and_then(|i| Self::ALL.get(i))
+            .copied()
+            .ok_or(UperError::InvalidEnum {
+                index,
+                name: Self::NAME,
+            })
+    }
+}
+
+impl<T: Enumerated> Codec for T {
+    fn encode(&self, w: &mut BitWriter) -> Result<()> {
+        w.write_enumerated(self.index(), T::ALL.len() as u64)
+    }
+
+    fn decode(r: &mut BitReader<'_>) -> Result<Self> {
+        T::from_index(r.read_enumerated(T::ALL.len() as u64)?)
+    }
+}
+
 impl BitWriter {
     /// Writes a constrained whole number in `[min, max]` (X.691 §11.5).
     ///
@@ -349,6 +417,52 @@ mod tests {
         let bytes = w.finish();
         let mut r = BitReader::new(&bytes);
         assert_eq!(r.read_enumerated(5).unwrap(), 3);
+    }
+
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Signal {
+        Red,
+        Amber,
+        Green,
+        Off,
+    }
+
+    impl Enumerated for Signal {
+        const NAME: &'static str = "Signal";
+        // `Off` is left out: a variant missing from the table.
+        const ALL: &'static [Self] = &[Signal::Red, Signal::Amber, Signal::Green];
+    }
+
+    #[test]
+    fn enumerated_table_is_the_wire_index() {
+        let mut w = BitWriter::new();
+        for s in Signal::ALL {
+            s.encode(&mut w).unwrap();
+        }
+        assert_eq!(w.bit_len(), 6);
+        let bytes = w.finish();
+        assert_eq!(bytes, vec![0b0001_1000]);
+        let mut r = BitReader::new(&bytes);
+        for s in Signal::ALL {
+            assert_eq!(Signal::decode(&mut r).unwrap(), *s);
+        }
+        // Index 3 fits the two bits but names no variant.
+        let mut r = BitReader::new(&[0b1100_0000]);
+        assert!(matches!(
+            Signal::decode(&mut r),
+            Err(UperError::OutOfRange { value: 3, .. })
+        ));
+        assert_eq!(
+            Signal::from_index(3),
+            Err(UperError::InvalidEnum {
+                index: 3,
+                name: "Signal"
+            })
+        );
+        assert!(Signal::from_index(u64::MAX).is_err());
+        // A variant missing from the table cannot be encoded.
+        assert_eq!(Signal::Off.index(), 3);
+        assert!(Signal::Off.encode(&mut BitWriter::new()).is_err());
     }
 
     #[test]

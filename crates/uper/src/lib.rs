@@ -5,7 +5,9 @@
 //! bit-level encoding machinery used by the [`its-messages`] crate: a
 //! [`BitWriter`]/[`BitReader`] pair plus the standard UPER field encodings
 //! the messages use (constrained integers, optional-presence bitmaps,
-//! enumerations, size-constrained `SEQUENCE OF` and UTF8String).
+//! enumerations, size-constrained `SEQUENCE OF` and UTF8String). A
+//! positional enumeration implements [`Enumerated`], one table of its
+//! variants in wire order, and gets its [`Codec`] from that table.
 //!
 //! The implementation follows the subset of ITU-T X.691 needed by the ETSI
 //! ITS basic services; it is not a general-purpose ASN.1 compiler. Encodings
@@ -43,7 +45,7 @@ mod fields;
 
 pub use bits::{BitReader, BitWriter};
 pub use error::UperError;
-pub use fields::{Codec, SizeRange};
+pub use fields::{Codec, Enumerated, SizeRange};
 
 /// Convenience alias for results produced by this crate.
 pub type Result<T> = std::result::Result<T, UperError>;

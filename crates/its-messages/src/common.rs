@@ -833,6 +833,41 @@ mod tests {
         assert_eq!(roundtrip(&ok), ok);
     }
 
+    #[test]
+    fn relevance_distance_bands_monotone() {
+        // Nearest band first: the wire index grows with the distance.
+        let all = [
+            RelevanceDistance::LessThan50m,
+            RelevanceDistance::LessThan100m,
+            RelevanceDistance::LessThan200m,
+            RelevanceDistance::LessThan500m,
+            RelevanceDistance::LessThan1000m,
+            RelevanceDistance::LessThan5km,
+            RelevanceDistance::LessThan10km,
+            RelevanceDistance::Over10km,
+        ];
+        for pair in all.windows(2) {
+            assert!(pair[0].index() < pair[1].index());
+            assert_eq!(roundtrip(&pair[0]), pair[0]);
+        }
+        assert_eq!(
+            roundtrip(&RelevanceDistance::Over10km),
+            RelevanceDistance::Over10km
+        );
+    }
+
+    #[test]
+    fn relevance_traffic_direction_roundtrip() {
+        for d in [
+            RelevanceTrafficDirection::AllTrafficDirections,
+            RelevanceTrafficDirection::UpstreamTraffic,
+            RelevanceTrafficDirection::DownstreamTraffic,
+            RelevanceTrafficDirection::OppositeTraffic,
+        ] {
+            assert_eq!(roundtrip(&d), d);
+        }
+    }
+
     proptest! {
         #[test]
         fn reference_position_roundtrip(lat in -90.0f64..90.0, lon in -180.0f64..180.0) {

@@ -860,6 +860,19 @@ mod tests {
     }
 
     #[test]
+    fn stationary_since_all_variants_roundtrip() {
+        for s in [
+            StationarySince::LessThan1Minute,
+            StationarySince::LessThan2Minutes,
+            StationarySince::LessThan15Minutes,
+            StationarySince::EqualOrGreater15Minutes,
+        ] {
+            let bytes = uper::encode(&s).unwrap();
+            assert_eq!(uper::decode::<StationarySince>(&bytes).unwrap(), s);
+        }
+    }
+
+    #[test]
     fn detection_and_reference_time_independent() {
         let denm = collision_denm();
         let back = Denm::from_bytes(&denm.to_bytes().unwrap()).unwrap();
